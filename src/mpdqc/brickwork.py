@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -106,6 +107,38 @@ class Flow:
     s_x: dict[int, frozenset[int]]
     s_z: dict[int, frozenset[int]]
 
+    def parities(self, node: int, s_bit: Callable[[int], int]) -> tuple[int, int]:
+        """(s_x, s_z): the XOR of s_bit(i) over the node's X and Z correction sets.
+
+        s_bit(i) is the corrected outcome of measured node i; it is called
+        only for the nodes in the two sets.
+        """
+        s_x = s_z = 0
+        for i in self.s_x[node]:
+            s_x ^= s_bit(i)
+        for i in self.s_z[node]:
+            s_z ^= s_bit(i)
+        return s_x, s_z
+
+    def _pred_flip(self, node: int, flip_of: Callable[[int], int]) -> int:
+        """flip_of of the node's flow predecessor; 0 when it has none."""
+        pred = self.f_inv.get(node)
+        return 0 if pred is None else flip_of(pred)
+
+    def adapted_angle(self, node: int, phi: int, s_bit: Callable[[int], int], flip_of: Callable[[int], int]) -> int:
+        """corrected_angle of a measured node, given its outcome and pad-flip bits."""
+        return corrected_angle(phi, flip_of(node), self._pred_flip(node, flip_of), *self.parities(node, s_bit))
+
+    def output_key(self, node: int, s_bit: Callable[[int], int], flip_of: Callable[[int], int]) -> tuple[int, int]:
+        """(s_x, s_z) one-time-pad keys of an output node.
+
+        The Z key folds in the pad flip of the output's flow predecessor:
+        that X sits next to the predecessor's measurement and propagates to
+        the output as a Z byproduct.
+        """
+        s_x, s_z = self.parities(node, s_bit)
+        return s_x, s_z ^ self._pred_flip(node, flip_of)
+
 
 def compute_flow(graph: BrickworkGraph) -> Flow:
     measured = graph.measured_nodes
@@ -193,24 +226,18 @@ def reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: 
         state = state.cz(pos[u], pos[v])
 
     outcomes: dict[int, int] = {}
-
-    def parity(nodes: frozenset[int]) -> int:
-        bit = 0
-        for i in nodes:
-            bit ^= outcomes[i]
-        return bit
-
     for j in flow.order:
-        delta = corrected_angle(angles[j], 0, 0, parity(flow.s_x[j]), parity(flow.s_z[j]))
+        delta = flow.adapted_angle(j, angles[j], outcomes.__getitem__, lambda _: 0)
         idx = pos[j]
         outcomes[j], state = state.measure_rotated(idx, delta, rng)
         pos = {v: (i if i < idx else i - 1) for v, i in pos.items() if v != j}
         ref_pos = [i if i < idx else i - 1 for i in ref_pos]
 
     for j in graph.output_nodes:
-        if parity(flow.s_x[j]):
+        s_x, s_z = flow.parities(j, outcomes.__getitem__)
+        if s_x:
             state = state.x(pos[j])
-        if parity(flow.s_z[j]):
+        if s_z:
             state = state.z(pos[j])
 
     return state.reorder([pos[j] for j in graph.output_nodes] + ref_pos)

@@ -13,19 +13,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .brickwork import MeasurementPattern, build_brickwork, random_pattern, reference_execute
 from .harness import (
+    EXACT_VIEW_BUDGET,
     blindness_check,
     check_no_secret_leak,
     coalition_view_summary,
     copy_test_rejection,
     clopper_pearson,
     empirical_tv,
+    exact_view_branches,
     marginal_distances,
     observable_summary,
     run_intermediate_protocol,
@@ -64,13 +65,18 @@ def validate(config: dict) -> list[str]:
     if not isinstance(config.get("seed"), int):
         errors.append("seed is required and must be an integer")
 
+    graph = None
     if mode != "protocol1-detection":
         n_wires = config.get("n_wires")
         n_columns = config.get("n_columns")
-        if not isinstance(n_wires, int) or n_wires < 2 or n_wires % 2:
+        wires_ok = isinstance(n_wires, int) and n_wires >= 2 and n_wires % 2 == 0
+        columns_ok = isinstance(n_columns, int) and n_columns >= 1
+        if not wires_ok:
             errors.append("n_wires must be an even integer >= 2")
-        if not isinstance(n_columns, int) or n_columns < 1:
+        if not columns_ok:
             errors.append("n_columns must be an integer >= 1")
+        if wires_ok and columns_ok:
+            graph = build_brickwork(n_wires, n_columns)
     if mode in ("honest-run", "client-sim-equiv"):
         m = config.get("m_copies", 10)
         if not isinstance(m, int) or m < 2:
@@ -93,14 +99,57 @@ def validate(config: dict) -> list[str]:
                 errors.append("coalition members must be client indices in 1..n_wires")
             elif len(set(coalition)) >= n_wires:
                 errors.append("at least one client must stay outside the coalition")
+    specs = {"": config}
     if mode == "blindness":
         scenarios = config.get("scenarios")
-        if not isinstance(scenarios, dict) or set(scenarios) != {"a", "b"}:
-            errors.append('blindness needs "scenarios" with exactly the keys "a" and "b"')
+        if not isinstance(scenarios, dict) or set(scenarios) != {"a", "b"} or not all(isinstance(sc, dict) for sc in scenarios.values()):
+            errors.append('blindness needs "scenarios" with exactly the keys "a" and "b", each an object')
+            specs = {}
+        else:
+            specs = {f"scenarios.{key}.": sc for key, sc in sorted(scenarios.items())}
     thr = config.get("threshold")
     if thr is not None and (not isinstance(thr, (int, float)) or thr <= 0):
         errors.append("threshold must be a positive number")
+    n_ref = config.get("reference_qubits", 0)
+    if not isinstance(n_ref, int) or n_ref < 0:
+        errors.append("reference_qubits must be an integer >= 0")
+    elif graph is not None:
+        for prefix, spec in specs.items():
+            errors.extend(_check_angles(spec.get("angles"), len(graph.measured_nodes), prefix + "angles"))
+            errors.extend(_check_input(spec.get("input"), 2 ** (graph.n_wires + n_ref), prefix + "input"))
+    if mode == "blindness" and graph is not None:
+        if not graph.measured_nodes:
+            errors.append("n_columns must be >= 2 for blindness: a single column measures nothing")
+        elif exact_view_branches(graph) > EXACT_VIEW_BUDGET:
+            errors.append(
+                f"n_wires x n_columns = {graph.n_wires}x{graph.n_columns}: blindness needs "
+                f"{exact_view_branches(graph)} exact-view branches, over the budget of {EXACT_VIEW_BUDGET}"
+            )
     return errors
+
+
+def _check_angles(spec, count: int, field: str) -> list[str]:
+    if spec is None or spec in ("random", "zeros"):
+        return []
+    if not isinstance(spec, list) or not all(isinstance(v, int) for v in spec):
+        return [f'{field} must be "random", "zeros" or a list of integer octants']
+    if len(spec) != count:
+        return [f"{field} must list one octant per measured node: {count} on this graph, got {len(spec)}"]
+    return []
+
+
+def _check_input(spec, count: int, field: str) -> list[str]:
+    if spec is None or spec in ("random", "zeros", "ones"):
+        return []
+    if not isinstance(spec, list) or not all(
+        isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v) for v in spec
+    ):
+        return [f'{field} must be "random", "zeros", "ones" or a list of [re, im] amplitude pairs']
+    if len(spec) != count:
+        return [f"{field} must have 2^(n_wires + reference_qubits) = {count} amplitudes, got {len(spec)}"]
+    if not any(re or im for re, im in spec):
+        return [f"{field} amplitudes must not all be zero"]
+    return []
 
 
 def _build_input(spec, n_qubits: int, rng: np.random.Generator) -> PureState:
@@ -121,19 +170,7 @@ def _build_pattern(config: dict, angle_spec, rng: np.random.Generator) -> Measur
         return random_pattern(graph, rng)
     if angle_spec == "zeros":
         return MeasurementPattern(graph, {j: 0 for j in graph.measured_nodes})
-    angles = {j: int(l) for j, l in zip(graph.measured_nodes, angle_spec)}
-    if len(angles) != len(graph.measured_nodes):
-        raise ValueError("angles list does not cover the measured nodes")
-    return MeasurementPattern(graph, angles)
-
-
-def _map_trials(worker, trials: int, jobs: int) -> list:
-    """Run worker(i) for i in range(trials); the per-trial seeding makes the
-    result independent of the job count."""
-    if jobs <= 1:
-        return [worker(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, range(trials)))
+    return MeasurementPattern(graph, dict(zip(graph.measured_nodes, angle_spec)))
 
 
 def _pool_distance(sum_a: list[dict], sum_b: list[dict]) -> dict[str, float]:
@@ -164,7 +201,7 @@ def _pool_distance(sum_a: list[dict], sum_b: list[dict]) -> dict[str, float]:
 # ---------------------------------------------------------------- modes
 
 
-def _mode_honest_run(config: dict, seed: int, jobs: int, debug: bool) -> dict:
+def _mode_honest_run(config: dict, seed: int, debug: bool) -> dict:
     rng = np.random.default_rng([seed, 0])
     pattern = _build_pattern(config, config.get("angles"), rng)
     n_qubits = config["n_wires"] + config.get("reference_qubits", 0)
@@ -190,11 +227,12 @@ def _mode_honest_run(config: dict, seed: int, jobs: int, debug: bool) -> dict:
             "messages": len(run.transcript.messages),
             "deltas": {str(k): v for k, v in sorted(run.delta.items())},
             "outcomes": {str(k): v for k, v in sorted(run.b.items())},
+            **({"secrets": run.ledger.dump_secrets()} if debug else {}),
         },
     }
 
 
-def _mode_blindness(config: dict, seed: int, jobs: int, debug: bool) -> dict:
+def _mode_blindness(config: dict, seed: int, debug: bool) -> dict:
     rng = np.random.default_rng([seed, 0])
     sc = config["scenarios"]
     pattern_a = _build_pattern(config, sc["a"].get("angles"), rng)
@@ -213,7 +251,7 @@ def _mode_blindness(config: dict, seed: int, jobs: int, debug: bool) -> dict:
     }
 
 
-def _mode_server_sim_equiv(config: dict, seed: int, jobs: int, debug: bool) -> dict:
+def _mode_server_sim_equiv(config: dict, seed: int, debug: bool) -> dict:
     trials = config.get("trials", 10000)
     rng0 = np.random.default_rng([seed, 0])
     pattern = _build_pattern(config, config.get("angles"), rng0)
@@ -233,8 +271,8 @@ def _mode_server_sim_equiv(config: dict, seed: int, jobs: int, debug: bool) -> d
         run = run_simulated_server_world(pattern, input_state, rng)
         return observable_summary(run, rng), run.output_state.fidelity(expected)
 
-    real = _map_trials(real_worker, trials, jobs)
-    sim = _map_trials(sim_worker, trials, jobs)
+    real = [real_worker(i) for i in range(trials)]
+    sim = [sim_worker(i) for i in range(trials)]
     distances = _pool_distance([s for s, _ in real], [s for s, _ in sim])
     worst = max(distances.values())
     min_fidelity = min(min(f for _, f in real), min(f for _, f in sim))
@@ -248,7 +286,7 @@ def _mode_server_sim_equiv(config: dict, seed: int, jobs: int, debug: bool) -> d
     }
 
 
-def _mode_client_sim_equiv(config: dict, seed: int, jobs: int, debug: bool) -> dict:
+def _mode_client_sim_equiv(config: dict, seed: int, debug: bool) -> dict:
     trials = config.get("trials", 10000)
     n = config["n_wires"]
     coalition = frozenset(config.get("coalition", [n]))
@@ -274,8 +312,8 @@ def _mode_client_sim_equiv(config: dict, seed: int, jobs: int, debug: bool) -> d
         check_no_secret_leak(run.transcript, coalition, n)
         return coalition_view_summary(run, coalition, rng)
 
-    real = _map_trials(real_worker, trials, jobs)
-    sim = _map_trials(sim_worker, trials, jobs)
+    real = [real_worker(i) for i in range(trials)]
+    sim = [sim_worker(i) for i in range(trials)]
     distances = _pool_distance(real, sim)
     worst = max(distances.values())
     threshold = config.get("threshold", DEFAULT_THRESHOLDS["client-sim-equiv"])
@@ -288,7 +326,7 @@ def _mode_client_sim_equiv(config: dict, seed: int, jobs: int, debug: bool) -> d
     }
 
 
-def _mode_protocol1_detection(config: dict, seed: int, jobs: int, debug: bool) -> dict:
+def _mode_protocol1_detection(config: dict, seed: int, debug: bool) -> dict:
     trials = config.get("trials", 10000)
     deviation = config.get("deviation", 1)
 
@@ -296,7 +334,7 @@ def _mode_protocol1_detection(config: dict, seed: int, jobs: int, debug: bool) -
         rng = np.random.default_rng([seed, 2, i])
         return copy_test_rejection(deviation, 1, rng)
 
-    results = _map_trials(worker, trials, jobs)
+    results = [worker(i) for i in range(trials)]
     rejections = sum(r for r, _ in results)
     tested = sum(t for _, t in results)
     rate = rejections / tested
@@ -313,7 +351,7 @@ def _mode_protocol1_detection(config: dict, seed: int, jobs: int, debug: bool) -
     }
 
 
-def _mode_intermediate_equiv(config: dict, seed: int, jobs: int, debug: bool) -> dict:
+def _mode_intermediate_equiv(config: dict, seed: int, debug: bool) -> dict:
     trials = config.get("trials", 10000)
     rng0 = np.random.default_rng([seed, 0])
     pattern = _build_pattern(config, config.get("angles"), rng0)
@@ -327,19 +365,16 @@ def _mode_intermediate_equiv(config: dict, seed: int, jobs: int, debug: bool) ->
             raise RuntimeError("honest run aborted")
         return observable_summary(run, rng)
 
-    def version_worker(version: str, salt: int):
-        def worker(i: int) -> dict:
-            rng = np.random.default_rng([seed, salt, i])
-            run = run_intermediate_protocol(pattern, input_state, rng, version)
-            return observable_summary(run, rng)
+    def version_worker(version: str, salt: int, i: int) -> dict:
+        rng = np.random.default_rng([seed, salt, i])
+        run = run_intermediate_protocol(pattern, input_state, rng, version)
+        return observable_summary(run, rng)
 
-        return worker
-
-    base = _map_trials(base_worker, trials, jobs)
+    base = [base_worker(i) for i in range(trials)]
     worst = 0.0
     per_version: dict[str, dict[str, float]] = {}
     for salt, version in ((3, "teleport"), (4, "delayed")):
-        samples = _map_trials(version_worker(version, salt), trials, jobs)
+        samples = [version_worker(version, salt, i) for i in range(trials)]
         distances = _pool_distance(base, samples)
         per_version[version] = distances
         worst = max(worst, max(distances.values()))
@@ -363,10 +398,10 @@ _MODE_RUNNERS = {
 }
 
 
-def run_experiment(config: dict, seed: int, out_dir: Path, jobs: int = 1, debug_secrets: bool = False) -> int:
+def run_experiment(config: dict, seed: int, out_dir: Path, debug_secrets: bool = False) -> int:
     """Run one validated config and write the artifacts. Returns the exit code."""
     mode = config["mode"]
-    result = _MODE_RUNNERS[mode](config, seed, jobs, debug_secrets)
+    result = _MODE_RUNNERS[mode](config, seed, debug_secrets)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     transcript = result.pop("transcript", None)
@@ -423,8 +458,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="overrides the seed in the config")
     parser.add_argument("--out", default="out", help="output directory for report/transcript/summary")
-    parser.add_argument("--debug-secrets", action="store_true", help="include qubit amplitudes and reconstructed secrets in outputs")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for trial loops")
+    parser.add_argument(
+        "--debug-secrets", action="store_true",
+        help="honest-run only: add the amplitudes of unentangled qubits to transcript transfer messages and, "
+        "unless the run aborted, the oracle's reconstructed secrets to report.json under details.secrets",
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -435,14 +473,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     errors = validate(config)
+    if args.debug_secrets and config.get("mode") != "honest-run":
+        errors.append("--debug-secrets applies to mode honest-run only")
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 1
-    if args.jobs < 1:
-        print("config error: --jobs must be >= 1", file=sys.stderr)
-        return 1
-    return run_experiment(config, config["seed"], Path(args.out), jobs=args.jobs, debug_secrets=args.debug_secrets)
+    return run_experiment(config, config["seed"], Path(args.out), debug_secrets=args.debug_secrets)
 
 
 if __name__ == "__main__":

@@ -32,25 +32,38 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .brickwork import MeasurementPattern, compute_flow, corrected_angle, reference_execute
-from .oracle import reconstruct, share_secret, verify_client
+from .brickwork import BrickworkGraph, MeasurementPattern, compute_flow, reference_execute
+from .oracle import a_tag, r_tag, share_secret, theta_tag, verify_client
 from .protocol import (
     ProtocolRun,
-    QuantumSystem,
-    ServerHandle,
     ServerStrategy,
+    Session,
     Transcript,
+    contributors,
+    entangle,
+    input_system,
     run_full_protocol,
-    share_payload,
 )
 from .quantum import PureState, flip, octant, plus_state, weighted_trace_norm
-from .rsp import aux_chain_steps, input_chain_steps, theta_aux, theta_input
+from .rsp import run_chain, theta_aux, theta_input
 
 # ----------------------------------------------------------------------
 # exact server view and blindness
 # ----------------------------------------------------------------------
 
 EXACT_VIEW_BUDGET = 2 ** 21
+
+
+def exact_view_branches(graph: BrickworkGraph) -> int:
+    """Branches exact_server_views enumerates on a graph.
+
+    Per measured node: 8 pad angles, 2 mask bits and 2 outcomes, times 2
+    flip bits for an input node.
+    """
+    branches = 1
+    for j in graph.measured_nodes:
+        branches *= 64 if j in graph.input_nodes else 32
+    return branches
 
 
 def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, dict[tuple, np.ndarray]]:
@@ -69,14 +82,10 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     measured = flow.order
     if not measured:
         raise ValueError("nothing is measured; the server view is empty")
-    n_ref = input_state.num_qubits - n
-    if n_ref < 0:
+    if input_state.num_qubits < n:
         raise ValueError("input register smaller than the number of wires")
 
-    per_node = [(16 if j in graph.input_nodes else 8) * 2 for j in measured]
-    cost = 2 ** len(measured)
-    for c in per_node:
-        cost *= c
+    cost = exact_view_branches(graph)
     if cost > EXACT_VIEW_BUDGET:
         raise ValueError(f"exact enumeration needs {cost} branches, over the budget of {EXACT_VIEW_BUDGET}")
 
@@ -106,7 +115,6 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
 
         state = input_state
         pos = {j: j - 1 for j in graph.input_nodes}
-        ref_positions = list(range(n, n + n_ref))
         for j in range(n + 1, graph.num_nodes + 1):
             theta_j = secret[j][0] if j in secret else 0
             state = state.tensor(plus_state(theta_j))
@@ -123,7 +131,7 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
         accumulate("prepared", (), weight * _reduced(state, node_positions))
 
         def a_of(j: int) -> int:
-            return secret[j][2] if j in graph.input_nodes else 0
+            return secret[j][2]
 
         def walk(state: PureState, pos: dict[int, int], idx: int, label: tuple, w: float, s_bits: dict[int, int]) -> None:
             if idx == len(measured):
@@ -131,14 +139,7 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
                 return
             j = measured[idx]
             theta_j, r_j, a_j = secret[j]
-            s_x = 0
-            for i in flow.s_x[j]:
-                s_x ^= s_bits[i]
-            s_z = 0
-            for i in flow.s_z[j]:
-                s_z ^= s_bits[i]
-            pred = flow.f_inv.get(j)
-            phi_c = corrected_angle(angles[j], a_j, a_of(pred) if pred is not None else 0, s_x, s_z)
+            phi_c = flow.adapted_angle(j, angles[j], s_bits.__getitem__, a_of)
             delta_j = octant(phi_c + 4 * r_j + flip(theta_j, a_j))
             q = pos[j]
             for b in (0, 1):
@@ -275,15 +276,8 @@ def run_intermediate_protocol(
     flow = compute_flow(graph)
     n = graph.n_wires
     measured = flow.order
-    n_ref = input_state.num_qubits - n
-    if n_ref < 0:
-        raise ValueError("input register smaller than the number of wires")
     strategy = server_strategy or ServerStrategy()
-
-    system = QuantumSystem()
-    in_labels = [f"in:{k}" for k in range(1, n + 1)]
-    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
-    system.add_register(input_state, in_labels + ref_labels, [f"client:{k}" for k in range(1, n + 1)] + ["environment"] * n_ref)
+    system, ref_labels = input_system(input_state, [f"client:{k}" for k in range(1, n + 1)])
 
     epr = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
     for j in measured:
@@ -324,28 +318,11 @@ def run_intermediate_protocol(
 
     # ------------------------------------------------- server-side actions
     chain_t: dict[int, dict[int, int]] = {}
-    for j in measured:
-        registers = {k: f"send:{j}:{k}" for k in range(1, n + 1)}
-        steps = input_chain_steps(n, j) if j in graph.input_nodes else aux_chain_steps(n)
-        t: dict[int, int] = {}
-        for target, control in steps:
-            system.apply_cnot(registers[control], registers[target])
-            t[target] = system.measure_computational(registers[target], rng)
-        chain_t[j] = t
-
     node_label: dict[int, str] = {}
     for j in measured:
-        node_label[j] = f"send:{j}:{j if j in graph.input_nodes else n}"
-    for j in graph.output_nodes:
-        lab = f"node:{j}"
-        system.add_register(plus_state(0), [lab], ["server"])
-        node_label[j] = lab
-    for u, v in sorted(graph.edges):
-        system.apply_cz(node_label[u], node_label[v])
-
-    handle = ServerHandle(system, node_label, {"t": chain_t, "delta": {}, "b": {}})
-    if strategy.after_entangle:
-        strategy.after_entangle(handle)
+        registers = {k: f"send:{j}:{k}" for k in range(1, n + 1)}
+        chain_t[j], node_label[j] = run_chain(system, registers, j if j in graph.input_nodes else None, rng)
+    handle = entangle(system, graph, node_label, chain_t, strategy)
 
     def node_r(j: int) -> int:
         bit = 0
@@ -356,41 +333,25 @@ def run_intermediate_protocol(
     def s_bit(j: int) -> int:
         return b[j] ^ node_r(j)
 
+    def a_of(j: int) -> int:
+        return a_bits.get(j, 0)
+
     def phi_corrected(j: int) -> int:
-        s_x = 0
-        for i in flow.s_x[j]:
-            s_x ^= s_bit(i)
-        s_z = 0
-        for i in flow.s_z[j]:
-            s_z ^= s_bit(i)
-        pred = flow.f_inv.get(j)
-        a_pred = a_bits.get(pred, 0) if pred is not None else 0
-        return corrected_angle(angles[j], a_bits.get(j, 0), a_pred, s_x, s_z)
+        return flow.adapted_angle(j, angles[j], s_bit, a_of)
 
     def solve_and_reveal(j: int) -> None:
         """Pick fresh uniform angles, solve the one that matches delta, measure."""
-        is_input = j in graph.input_nodes
-        target = j if is_input else n
+        target = j if j in graph.input_nodes else n
         for k in range(1, n + 1):
             if k != target:
                 theta_hat[(j, k)] = int(rng.integers(8))
-        t = chain_t[j]
-
-        def exponent(k: int) -> int:
-            e = 0
-            for i in range(k, n + 1):
-                if i != target:
-                    e ^= t[i]
-            return e
-
-        acc = delta[j] - phi_corrected(j)
-        for k in range(1, n + 1):
-            if k == target:
-                continue
-            acc -= (-1) ** exponent(k) * theta_hat[(j, k)]
+        # the chain's closed form with the target's share zeroed sums the
+        # others' signed angles (theta_aux is theta_input with owner n, a=0)
+        others = [0 if k == target else theta_hat[(j, k)] for k in range(1, n + 1)]
+        acc = delta[j] - phi_corrected(j) - theta_input(others, target, chain_t[j], 0)
         # the pad's X flip (input case) negates the angle the pad rotation
         # must hit, so the solved angle absorbs the same sign
-        theta_hat[(j, target)] = flip(octant(acc), a_bits.get(j, 0) if is_input else 0)
+        theta_hat[(j, target)] = flip(octant(acc), a_of(j))
         for k in range(1, n + 1):
             reveal(j, k)
 
@@ -405,7 +366,7 @@ def run_intermediate_protocol(
                 pad = theta_input(eff, j, chain_t[j], a_bits[j])
             else:
                 pad = theta_aux(eff, chain_t[j])
-            delta[j] = octant(phi_corrected(j) + 4 * node_r(j) + flip(pad, a_bits.get(j, 0)))
+            delta[j] = octant(phi_corrected(j) + 4 * node_r(j) + flip(pad, a_of(j)))
         handle.classical["delta"][j] = delta[j]
         if strategy.before_measurement:
             strategy.before_measurement(handle, j)
@@ -426,23 +387,14 @@ def run_intermediate_protocol(
         strategy.before_output_send(handle)
     keys: dict[int, tuple[int, int]] = {}
     for j in graph.output_nodes:
-        s_x = 0
-        for i in flow.s_x[j]:
-            s_x ^= s_bit(i)
-        s_z = 0
-        for i in flow.s_z[j]:
-            s_z ^= s_bit(i)
-        pred = flow.f_inv.get(j)
-        if pred is not None:
-            s_z ^= a_bits.get(pred, 0)
-        keys[j] = (s_x, s_z)
+        keys[j] = s_x, s_z = flow.output_key(j, s_bit, a_of)
         if s_x:
             system.apply_x(node_label[j])
         if s_z:
             system.apply_z(node_label[j])
 
     output_state = system.state_of([node_label[j] for j in graph.output_nodes] + ref_labels)
-    return IntermediateRun(version, chain_t, delta, b, keys, output_state, n_ref)
+    return IntermediateRun(version, chain_t, delta, b, keys, output_state, len(ref_labels))
 
 
 def run_simulated_server_world(
@@ -508,31 +460,16 @@ def run_simulated_client_world(
     if not honest:
         raise ValueError("at least one client must stay honest")
     measured = flow.order
-    n_ref = input_state.num_qubits - n
-    if n_ref < 0:
-        raise ValueError("input register smaller than the number of wires")
-
-    system = QuantumSystem()
-    in_labels = [f"in:{k}" for k in range(1, n + 1)]
-    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
-    owners = [f"client:{k}" if k in coalition else "simulator" for k in range(1, n + 1)]
-    system.add_register(input_state, in_labels + ref_labels, owners + ["environment"] * n_ref)
+    system, ref_labels = input_system(input_state, [f"client:{k}" if k in coalition else "simulator" for k in range(1, n + 1)])
+    n_ref = len(ref_labels)
 
     transcript = Transcript()
     record = transcript.record
+    session = Session(system, transcript, rng, n)
 
     # -------------------------------------------------- coalition secrets
     pad_a: dict[int, int] = {}
     pad_theta: dict[int, int] = {}
-
-    def distribute(owner: int, value: int, modulus: int, tag: tuple, context: dict) -> None:
-        """A coalition client shares one secret; every piece reaches the simulator."""
-        shares = share_secret(value, n, modulus, rng, tag)
-        for piece in shares:
-            if piece.owner != owner:
-                record(f"client:{owner}", f"client:{piece.owner}", "ShareDistribution", {**context, "share": share_payload(piece)})
-        for piece in shares:
-            record(f"client:{piece.owner}", "oracle", "ShareDistribution", {**context, "share": share_payload(piece)})
 
     def fake_distribution(owner: int, modulus: int, tag: tuple, context: dict) -> None:
         """The simulator plays an honest client sharing a secret: the coalition
@@ -547,70 +484,37 @@ def run_simulated_client_world(
     for k in range(1, n + 1):
         if k in coalition:
             pad_a[k] = int(rng.integers(2))
-            distribute(k, pad_a[k], 2, ("a", k), {"kind": "pad-flip", "client": k})
+            session.hand_out(k, share_secret(pad_a[k], n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})
         else:
-            fake_distribution(k, 2, ("a", k), {"kind": "pad-flip", "client": k})
-
-    def contributors(node: int) -> list[int]:
-        return [k for k in range(1, n + 1) if not (node in graph.input_nodes and k == node)]
+            fake_distribution(k, 2, a_tag(k), {"kind": "pad-flip", "client": k})
 
     # ----------------------------------------------------- preparation
     chain_t: dict[int, dict[int, int]] = {}
     aborted = False
     for j in measured:
-        for k in contributors(j):
+        for k in contributors(graph, j):
             if k in coalition:
+                # the simulator plays the server in the coalition's copy test
                 copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
-                copy_shares = []
-                for i, th in enumerate(copy_angles):
-                    tag = ("theta", j, k, i)
-                    shares = share_secret(th, n, 8, rng, tag)
-                    copy_shares.append(shares)
-                    for piece in shares:
-                        if piece.owner != k:
-                            record(f"client:{k}", f"client:{piece.owner}", "ShareDistribution", {"kind": "copy-angle", "node": j, "contributor": k, "copy": i, "share": share_payload(piece)})
-                    system.add_register(plus_state(th), [f"copy:{j}:{k}:{i}"], [f"client:{k}"])
-                    system.transfer(f"copy:{j}:{k}:{i}", "simulator")
-                    record(f"client:{k}", "server", "QubitTransfer", {"node": j, "contributor": k, "copy": i, "purpose": "test-copy", "label": f"copy:{j}:{k}:{i}"})
-                survivor = int(rng.integers(m_copies))
-                record("server", "all", "OutcomeVector", {"kind": "survivor", "node": j, "contributor": k, "survivor": survivor})
-                outcomes: dict[int, int] = {}
-                for i in range(m_copies):
-                    if i == survivor:
-                        continue
-                    for piece in copy_shares[i]:
-                        record(f"client:{piece.owner}", "server", "ShareDistribution", {"kind": "opened-angle", "node": j, "contributor": k, "copy": i, "share": share_payload(piece)})
-                    theta_i = reconstruct(copy_shares[i])
-                    outcomes[i] = system.measure_rotated(f"copy:{j}:{k}:{i}", theta_i, rng)
-                record("server", "all", "OutcomeVector", {"kind": "verification", "node": j, "contributor": k, "outcomes": sorted(outcomes.items())})
-                if any(v != 0 for v in outcomes.values()):
-                    record("server", "all", "Abort", {"stage": "verification", "node": j, "client": k, "reason": "test copy failed its declared basis"})
+                survivor_label = session.offer_test_copies(j, k, copy_angles)
+                if survivor_label is None:
                     aborted = True
                     break
-                for piece in copy_shares[survivor]:
-                    record(f"client:{piece.owner}", "oracle", "ShareDistribution", {"kind": "survivor-angle", "node": j, "contributor": k, "copy": survivor, "share": share_payload(piece)})
                 # the surviving coalition copy is absorbed by the simulator;
                 # nothing downstream depends on it
-                system.measure_computational(f"copy:{j}:{k}:{survivor}", rng)
+                system.measure_computational(survivor_label, rng)
             else:
                 for i in range(m_copies):
-                    tag = ("theta", j, k, i)
                     context = {"kind": "copy-angle", "node": j, "contributor": k, "copy": i}
-                    fake_distribution(k, 8, tag, context)
+                    fake_distribution(k, 8, theta_tag(j, k, i), context)
                 survivor = int(rng.integers(m_copies))
                 record("server", "all", "OutcomeVector", {"kind": "survivor", "node": j, "contributor": k, "survivor": survivor})
                 record("server", "all", "OutcomeVector", {"kind": "verification", "node": j, "contributor": k, "outcomes": [(i, 0) for i in range(m_copies) if i != survivor]})
         if aborted:
             break
         if j in graph.input_nodes and j in coalition:
-            own_theta = int(rng.integers(8))
-            pad_theta[j] = own_theta
-            system.apply_z_rot(f"in:{j}", own_theta)
-            if pad_a[j]:
-                system.apply_x(f"in:{j}")
-            distribute(j, own_theta, 8, ("theta", j, j, 0), {"kind": "pad-angle", "node": j})
-            system.transfer(f"in:{j}", "simulator")
-            record(f"client:{j}", "server", "QubitTransfer", {"node": j, "purpose": "padded-input"})
+            pad_theta[j] = int(rng.integers(8))
+            session.send_padded_input(j, pad_a[j], pad_theta[j])
         # chain outcomes are uniform and carry no secret dependence
         t = {reg: int(rng.integers(2)) for reg in range(1, n + 1) if reg != (j if j in graph.input_nodes else n)}
         chain_t[j] = t
@@ -630,10 +534,10 @@ def run_simulated_client_world(
                 if r_override is not None:
                     r_bit = r_override.get((j, k), r_bit)
                 r_claims[(j, k)] = r_bit
-                distribute(k, r_bit, 2, ("r", j, k), {"kind": "mask-bit", "node": j, "client": k})
+                session.hand_out(k, share_secret(r_bit, n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
             else:
                 r_claims[(j, k)] = int(rng.integers(2))
-                fake_distribution(k, 2, ("r", j, k), {"kind": "mask-bit", "node": j, "client": k})
+                fake_distribution(k, 2, r_tag(j, k), {"kind": "mask-bit", "node": j, "client": k})
         coalition_mask = 0
         for c in coalition:
             coalition_mask ^= r_claims[(j, c)]
@@ -649,7 +553,7 @@ def run_simulated_client_world(
             if pad_a[c]:
                 system.apply_x(f"in:{c}")
             system.apply_z_rot(f"in:{c}", -pad_theta[c])
-    ideal_input = system.state_of(in_labels + ref_labels)
+    ideal_input = system.state_of([f"in:{k}" for k in range(1, n + 1)] + ref_labels)
     resource_output = reference_execute(pattern, ideal_input, rng)
 
     def s_bit(i: int) -> int:
@@ -658,19 +562,18 @@ def run_simulated_client_world(
             bit ^= r_claims[(i, k)]
         return bit
 
+    def a_of(j: int) -> int:
+        if j not in graph.input_nodes:
+            return 0
+        # an honest client's flip is a fresh uniform bit; the draw is made
+        # for coalition inputs too, which keeps the simulator's rng stream
+        fresh = int(rng.integers(2))
+        return pad_a.get(j, fresh)
+
     keys: dict[int, tuple[int, int]] = {}
     out_state = resource_output
     for idx, j in enumerate(graph.output_nodes):
-        s_x = 0
-        for i in flow.s_x[j]:
-            s_x ^= s_bit(i)
-        s_z = 0
-        for i in flow.s_z[j]:
-            s_z ^= s_bit(i)
-        pred = flow.f_inv.get(j)
-        if pred is not None and pred in graph.input_nodes:
-            s_z ^= pad_a.get(pred, int(rng.integers(2))) if pred in coalition else int(rng.integers(2))
-        keys[j] = (s_x, s_z)
+        keys[j] = s_x, s_z = flow.output_key(j, s_bit, a_of)
         c = graph.wire_of(j)
         if c in coalition:
             # corrupt the clean output so the coalition's decrypt restores it
@@ -873,7 +776,7 @@ def copy_test_rejection(deviation: int, trials: int, rng: np.random.Generator, n
         theta = int(rng.integers(8))
         shares = [share_secret(theta, n_clients, 8, rng, ("theta", 0, 1, i)) for i in range(2)]
         qubits = [plus_state(octant(theta + deviation)) for _ in range(2)]
-        result = verify_client(1, shares, qubits, rng)
+        result = verify_client(1, shares, lambda i, angle: qubits[i].measure_rotated(0, angle, rng)[0], rng)
         tested += len(result.outcomes)
         rejections += sum(result.outcomes.values())
     return rejections, tested

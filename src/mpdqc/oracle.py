@@ -17,12 +17,12 @@ after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .brickwork import Flow, MeasurementPattern, compute_flow, corrected_angle
-from .quantum import PureState, flip, octant
+from .brickwork import Flow, MeasurementPattern, compute_flow
+from .quantum import flip, octant
 from .rsp import theta_aux, theta_input
 
 Tag = tuple
@@ -72,38 +72,25 @@ class VerificationResult:
     accepted: bool
     survivor: int
     outcomes: dict[int, int]
-    tested_angles: dict[int, int]
 
 
-def verify_client(client: int, angle_shares: Sequence[Sequence[SecretShare]], qubits: Sequence[PureState], rng: np.random.Generator) -> VerificationResult:
-    """Test a batch of declared-angle copies from one client.
+def verify_client(client: int, angle_shares: Sequence[Sequence[SecretShare]], measure: Callable[[int, int], int], rng: np.random.Generator) -> VerificationResult:
+    """The copy test: check a batch of declared-angle copies from one client.
 
     The server holds m single-qubit copies; the declared angle of each is
     reconstructed from its share set. One uniformly chosen survivor is left
-    untouched; every other copy is measured in the basis its declaration
-    promises, where an honest copy answers 0 with certainty. Any outcome 1
-    rejects the client. The survivor's index is returned so the caller can
-    feed that copy (and its still-secret shares) onward.
+    untouched; every other copy i is measured by measure(i, angle) in the
+    basis its declaration promises, where an honest copy answers 0 with
+    certainty. Any outcome 1 rejects the client. The survivor's index is
+    returned so the caller can feed that copy (and its still-secret shares)
+    onward.
     """
-    m = len(qubits)
-    if m != len(angle_shares):
-        raise ValueError("share sets and qubits must pair up")
+    m = len(angle_shares)
     if m < 2:
         raise ValueError("need at least 2 copies to test any")
     survivor = int(rng.integers(m))
-    outcomes: dict[int, int] = {}
-    tested: dict[int, int] = {}
-    accepted = True
-    for i in range(m):
-        if i == survivor:
-            continue
-        theta = reconstruct(angle_shares[i])
-        tested[i] = theta
-        outcome, _ = qubits[i].measure_rotated(0, theta, rng)
-        outcomes[i] = outcome
-        if outcome != 0:
-            accepted = False
-    return VerificationResult(client=client, accepted=accepted, survivor=survivor, outcomes=outcomes, tested_angles=tested)
+    outcomes = {i: measure(i, reconstruct(angle_shares[i])) for i in range(m) if i != survivor}
+    return VerificationResult(client=client, accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
 
 
 def theta_tag(node: int, client: int, copy: int = 0) -> Tag:
@@ -199,24 +186,10 @@ class OracleLedger:
         """Corrected outcome s_i = b_i xor r_i of a measured node."""
         return self.outcomes[node] ^ self.node_r(node)
 
-    def _parities(self, node: int) -> tuple[int, int]:
-        s_x = 0
-        for i in self.flow.s_x[node]:
-            s_x ^= self._s(i)
-        s_z = 0
-        for i in self.flow.s_z[node]:
-            s_z ^= self._s(i)
-        return s_x, s_z
-
-    def _pred_flip(self, node: int) -> int:
-        pred = self.flow.f_inv.get(node)
-        return self.node_flip(pred) if pred is not None else 0
-
     # ------------------------------------------------------------ answers
 
     def corrected_pattern_angle(self, node: int) -> int:
-        s_x, s_z = self._parities(node)
-        return corrected_angle(self.pattern.angles[node], self.node_flip(node), self._pred_flip(node), s_x, s_z)
+        return self.flow.adapted_angle(node, self.pattern.angles[node], self._s, self.node_flip)
 
     def delta(self, node: int) -> int:
         """The blind measurement angle announced to the server for one node.
@@ -230,16 +203,10 @@ class OracleLedger:
         return octant(self.corrected_pattern_angle(node) + 4 * self.node_r(node) + flip(self.node_theta(node), a))
 
     def output_keys(self, node: int) -> tuple[int, int]:
-        """(s_x, s_z) one-time-pad keys for an output node.
-
-        The Z key folds in the pad flip of the output's flow predecessor:
-        that X sits next to the predecessor's measurement and propagates to
-        the output as a Z byproduct.
-        """
+        """(s_x, s_z) one-time-pad keys for an output node (see Flow.output_key)."""
         if node not in self.pattern.graph.output_nodes:
             raise ValueError(f"node {node} is not an output")
-        s_x, s_z = self._parities(node)
-        return s_x, s_z ^ self._pred_flip(node)
+        return self.flow.output_key(node, self._s, self.node_flip)
 
     def dump_secrets(self) -> dict:
         """Full reconstruction for trusted-debug output. Never reaches the server."""

@@ -19,18 +19,18 @@ from typing import Callable
 
 import numpy as np
 
-from .brickwork import MeasurementPattern, compute_flow
+from .brickwork import BrickworkGraph, MeasurementPattern, compute_flow
 from .oracle import (
     OracleLedger,
     SecretShare,
     a_tag,
     r_tag,
-    reconstruct,
     share_secret,
     theta_tag,
+    verify_client,
 )
 from .quantum import DensityMatrix, PureState, plus_state
-from .rsp import aux_chain_steps, input_chain_steps, pad_input
+from .rsp import run_chain
 
 VARIANTS = (
     "QubitTransfer",
@@ -314,6 +314,128 @@ def _client(k: int) -> str:
     return f"client:{k}"
 
 
+COPY_TEST_FAILED = "test copy failed its declared basis"
+
+
+def input_system(input_state: PureState, owners: list[str]) -> tuple[QuantumSystem, list[str]]:
+    """A QuantumSystem holding the input register; returns it and the reference labels.
+
+    Input qubit k is labelled in:k and held by owners[k-1]; the trailing
+    reference qubits are ref:1, ref:2, ... and stay with the environment.
+    """
+    n, n_ref = len(owners), input_state.num_qubits - len(owners)
+    if n_ref < 0:
+        raise ValueError(f"input register has {input_state.num_qubits} qubits but the graph has {n} wires")
+    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
+    system = QuantumSystem()
+    system.add_register(input_state, [f"in:{k}" for k in range(1, n + 1)] + ref_labels, owners + ["environment"] * n_ref)
+    return system, ref_labels
+
+
+def contributors(graph: BrickworkGraph, node: int) -> list[int]:
+    """Clients that offer test copies for a node; an input's owner contributes the padded input itself."""
+    return [k for k in range(1, graph.n_wires + 1) if not (node in graph.input_nodes and k == node)]
+
+
+@dataclass
+class Session:
+    """What the clients' protocol steps act on during one run.
+
+    ledger is None where a simulator plays the oracle. debug_secrets adds
+    the amplitudes of unentangled qubits to QubitTransfer payloads.
+    """
+
+    system: QuantumSystem
+    transcript: Transcript
+    rng: np.random.Generator
+    n_clients: int
+    ledger: OracleLedger | None = None
+    debug_secrets: bool = False
+
+    def hand_out(self, owner: int, shares: list[SecretShare], context: dict) -> None:
+        """Client `owner` gives every other client its piece; each holder then submits its piece to the oracle."""
+        for piece in shares:
+            if piece.owner != owner:
+                self.transcript.record(_client(owner), _client(piece.owner), "ShareDistribution", {**context, "share": share_payload(piece)})
+        self.submit(shares, context)
+
+    def submit(self, shares: list[SecretShare], context: dict) -> None:
+        """Each holder sends its piece to the oracle, whose ledger registers it."""
+        for piece in shares:
+            self.transcript.record(_client(piece.owner), "oracle", "ShareDistribution", {**context, "share": share_payload(piece)})
+            if self.ledger is not None:
+                self.ledger.register_share(piece)
+
+    def send_padded_input(self, node: int, a: int, theta: int) -> None:
+        """The input's owner pads qubit in:node by X^a Z(theta), shares theta and hands the qubit to the server."""
+        self.system.apply_z_rot(f"in:{node}", theta)
+        if a:
+            self.system.apply_x(f"in:{node}")
+        for piece in share_secret(theta, self.n_clients, 8, self.rng, theta_tag(node, node, 0)):
+            # one piece at a time: its peer message, then its oracle submission
+            self.hand_out(node, [piece], {"kind": "pad-angle", "node": node})
+        self.system.transfer(f"in:{node}", "server")
+        self.transcript.record(_client(node), "server", "QubitTransfer", {"node": node, "purpose": "padded-input"})
+
+    def offer_test_copies(self, node: int, contributor: int, angles: list[int]) -> str | None:
+        """One contributor's copies for a node, through the copy test.
+
+        The contributor shares each copy's declared angle among the clients
+        and hands the copies |+_angle> to the server; oracle.verify_client
+        then opens and measures all but one survivor. Records the survivor,
+        opened-angle, verification and, on failure, abort messages. Returns
+        the survivor's label once its angle shares went to the oracle, or
+        None if the test failed.
+        """
+        system, record, k = self.system, self.transcript.record, contributor
+        where = {"node": node, "contributor": k}
+        copy_shares = [share_secret(theta, self.n_clients, 8, self.rng, theta_tag(node, k, i)) for i, theta in enumerate(angles)]
+        for i, shares in enumerate(copy_shares):
+            for piece in shares:
+                if piece.owner != k:
+                    record(_client(k), _client(piece.owner), "ShareDistribution", {"kind": "copy-angle", **where, "copy": i, "share": share_payload(piece)})
+        labels = [f"copy:{node}:{k}:{i}" for i in range(len(angles))]
+        for i, theta in enumerate(angles):
+            system.add_register(plus_state(theta), [labels[i]], [_client(k)])
+            system.transfer(labels[i], "server")
+            record(_client(k), "server", "QubitTransfer", _qubit_payload(system, labels[i], {**where, "copy": i, "purpose": "test-copy"}, self.debug_secrets))
+        result = verify_client(k, copy_shares, lambda i, theta: system.measure_rotated(labels[i], theta, self.rng), self.rng)
+        # the server learns the survivor before the other copies are opened;
+        # recording afterwards gives the same log, as recording draws nothing
+        record("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
+        for i in result.outcomes:
+            for piece in copy_shares[i]:
+                record(_client(piece.owner), "server", "ShareDistribution", {"kind": "opened-angle", **where, "copy": i, "share": share_payload(piece)})
+        record("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": sorted(result.outcomes.items())})
+        if not result.accepted:
+            record("server", "all", "Abort", {"stage": "verification", "node": node, "client": k, "reason": COPY_TEST_FAILED})
+            return None
+        self.submit(copy_shares[result.survivor], {"kind": "survivor-angle", **where, "copy": result.survivor})
+        return labels[result.survivor]
+
+
+def entangle(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[int, str], chain_t: dict, strategy: ServerStrategy) -> ServerHandle:
+    """The server's graph state: output nodes join as fresh |+>, CZ on every edge, then the after_entangle hook.
+
+    node_label maps each measured node to its prepared qubit and gains the
+    output nodes. The returned handle's classical log starts from chain_t.
+    """
+    for j in graph.output_nodes:
+        if j in graph.input_nodes:
+            # degenerate single-column graph: the output is the input,
+            # which never leaves its client
+            node_label[j] = f"in:{j}"
+        else:
+            node_label[j] = f"node:{j}"
+            system.add_register(plus_state(0), [node_label[j]], ["server"])
+    for u, v in sorted(graph.edges):
+        system.apply_cz(node_label[u], node_label[v])
+    handle = ServerHandle(system, node_label, {"t": chain_t, "delta": {}, "b": {}})
+    if strategy.after_entangle:
+        strategy.after_entangle(handle)
+    return handle
+
+
 def run_full_protocol(
     pattern: MeasurementPattern,
     input_state: PureState,
@@ -328,150 +450,55 @@ def run_full_protocol(
 
     input_state holds client k's input qubit at position k-1 plus optional
     trailing reference qubits that stay with the environment. m_copies is
-    the batch size for the copy-based honesty test; m_copies=1 skips the
-    test entirely (every contribution survives), which the equivalence
-    harness uses. r_override forces chosen masking bits (node, client) ->
-    bit without disturbing the rng stream, for pathwise comparisons.
+    the batch size for the copy-based honesty test. r_override forces
+    chosen masking bits (node, client) -> bit without disturbing the rng
+    stream, for pathwise comparisons.
     """
     graph = pattern.graph
     n = graph.n_wires
     flow = compute_flow(graph)
     if n < 2:
         raise ValueError("protocol needs at least 2 clients")
-    if m_copies < 1:
-        raise ValueError("m_copies must be >= 1")
-    n_ref = input_state.num_qubits - n
-    if n_ref < 0:
-        raise ValueError(f"input register has {input_state.num_qubits} qubits but the graph has {n} wires")
-
-    system = QuantumSystem()
-    in_labels = [f"in:{k}" for k in range(1, n + 1)]
-    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
-    system.add_register(input_state, in_labels + ref_labels, [_client(k) for k in range(1, n + 1)] + ["environment"] * n_ref)
+    if m_copies < 2:
+        raise ValueError("m_copies must be >= 2: the copy test opens all copies but one")
+    system, ref_labels = input_system(input_state, [_client(k) for k in range(1, n + 1)])
+    n_ref = len(ref_labels)
 
     ledger = OracleLedger(pattern, n)
     transcript = Transcript()
+    session = Session(system, transcript, rng, n, ledger, debug_secrets)
     strategy = server_strategy or ServerStrategy()
-
-    def contributors(node: int) -> list[int]:
-        # the input's owner contributes the padded input itself, not copies
-        return [k for k in range(1, n + 1) if not (node in graph.input_nodes and k == node)]
 
     # ----------------------------------------------------------- secrets
     secrets: dict[int, ClientSecrets] = {}
     for k in range(1, n + 1):
         secrets[k] = ClientSecrets(a=int(rng.integers(2)), pad_theta=int(rng.integers(8)))
     for j in graph.measured_nodes:
-        for k in contributors(j):
+        for k in contributors(graph, j):
             for i in range(m_copies):
                 secrets[k].copy_angles[(j, i)] = int(rng.integers(8))
 
-    def distribute_and_submit(owner: int, shares: list[SecretShare], context: dict) -> None:
-        """Owner hands each client its piece; every piece then goes to the oracle."""
-        for piece in shares:
-            if piece.owner != owner:
-                transcript.record(_client(owner), _client(piece.owner), "ShareDistribution", {**context, "share": share_payload(piece)})
-        for piece in shares:
-            transcript.record(_client(piece.owner), "oracle", "ShareDistribution", {**context, "share": share_payload(piece)})
-            ledger.register_share(piece)
-
     for k in range(1, n + 1):
-        distribute_and_submit(k, share_secret(secrets[k].a, n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})
+        session.hand_out(k, share_secret(secrets[k].a, n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})
 
     # ------------------------------------------------------- preparation
     node_label: dict[int, str] = {}
-    pending_shares: dict[tuple[int, int, int], list[SecretShare]] = {}
-    abort: AbortInfo | None = None
-
-    def prepare_node(j: int) -> AbortInfo | None:
-        is_input = j in graph.input_nodes
-        survivor_label: dict[int, str] = {}
-        for k in contributors(j):
-            copy_shares = [share_secret(secrets[k].copy_angles[(j, i)], n, 8, rng, theta_tag(j, k, i)) for i in range(m_copies)]
-            for i, shares in enumerate(copy_shares):
-                pending_shares[(j, k, i)] = shares
-                for piece in shares:
-                    if piece.owner != k:
-                        transcript.record(_client(k), _client(piece.owner), "ShareDistribution", {"kind": "copy-angle", "node": j, "contributor": k, "copy": i, "share": share_payload(piece)})
-            for i in range(m_copies):
-                lab = f"copy:{j}:{k}:{i}"
-                system.add_register(plus_state(secrets[k].copy_angles[(j, i)]), [lab], [_client(k)])
-                system.transfer(lab, "server")
-                transcript.record(_client(k), "server", "QubitTransfer", _qubit_payload(system, lab, {"node": j, "contributor": k, "copy": i, "purpose": "test-copy"}, debug_secrets))
-            # Copy-based honesty test: one uniformly chosen survivor stays
-            # blind, the rest are opened and measured in their declared bases.
-            survivor = int(rng.integers(m_copies))
-            transcript.record("server", "all", "OutcomeVector", {"kind": "survivor", "node": j, "contributor": k, "survivor": survivor})
-            outcomes: dict[int, int] = {}
-            for i in range(m_copies):
-                if i == survivor:
-                    continue
-                for piece in pending_shares[(j, k, i)]:
-                    transcript.record(_client(piece.owner), "server", "ShareDistribution", {"kind": "opened-angle", "node": j, "contributor": k, "copy": i, "share": share_payload(piece)})
-                theta_i = reconstruct(pending_shares[(j, k, i)])
-                outcomes[i] = system.measure_rotated(f"copy:{j}:{k}:{i}", theta_i, rng)
-            transcript.record("server", "all", "OutcomeVector", {"kind": "verification", "node": j, "contributor": k, "outcomes": sorted(outcomes.items())})
-            if any(v != 0 for v in outcomes.values()):
-                transcript.record("server", "all", "Abort", {"stage": "verification", "node": j, "client": k, "reason": "test copy failed its declared basis"})
-                return AbortInfo(stage="verification", node=j, client=k, reason="test copy failed its declared basis")
-            for piece in pending_shares[(j, k, survivor)]:
-                transcript.record(_client(piece.owner), "oracle", "ShareDistribution", {"kind": "survivor-angle", "node": j, "contributor": k, "copy": survivor, "share": share_payload(piece)})
-                ledger.register_share(piece)
-            survivor_label[k] = f"copy:{j}:{k}:{survivor}"
-
-        if is_input:
-            # The owner pads its input in place and hands the qubit over.
-            own = secrets[j]
-            system.apply_z_rot(f"in:{j}", own.pad_theta)
-            if own.a:
-                system.apply_x(f"in:{j}")
-            for piece in share_secret(own.pad_theta, n, 8, rng, theta_tag(j, j, 0)):
-                if piece.owner != j:
-                    transcript.record(_client(j), _client(piece.owner), "ShareDistribution", {"kind": "pad-angle", "node": j, "share": share_payload(piece)})
-                transcript.record(_client(piece.owner), "oracle", "ShareDistribution", {"kind": "pad-angle", "node": j, "share": share_payload(piece)})
-                ledger.register_share(piece)
-            system.transfer(f"in:{j}", "server")
-            transcript.record(_client(j), "server", "QubitTransfer", {"node": j, "purpose": "padded-input"})
-            registers = {k: (f"in:{j}" if k == j else survivor_label[k]) for k in range(1, n + 1)}
-            steps = input_chain_steps(n, j)
-        else:
-            registers = dict(survivor_label)
-            steps = aux_chain_steps(n)
-
-        t: dict[int, int] = {}
-        for target, control in steps:
-            system.apply_cnot(registers[control], registers[target])
-            t[target] = system.measure_computational(registers[target], rng)
+    for j in graph.measured_nodes:
+        registers: dict[int, str] = {}
+        for k in contributors(graph, j):
+            survivor = session.offer_test_copies(j, k, [secrets[k].copy_angles[(j, i)] for i in range(m_copies)])
+            if survivor is None:
+                abort = AbortInfo(stage="verification", node=j, client=k, reason=COPY_TEST_FAILED)
+                return ProtocolRun(pattern, n_ref, transcript, ledger, system, dict(ledger.chain_t), {}, {}, {}, secrets, abort, None)
+            registers[k] = survivor
+        if j in graph.input_nodes:
+            session.send_padded_input(j, secrets[j].a, secrets[j].pad_theta)
+            registers[j] = f"in:{j}"
+        t, node_label[j] = run_chain(system, registers, j if j in graph.input_nodes else None, rng)
         transcript.record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
         ledger.register_chain(j, t)
-        node_label[j] = registers[j if is_input else n]
-        return None
 
-    for j in graph.measured_nodes:
-        abort = prepare_node(j)
-        if abort is not None:
-            break
-    if abort is None:
-        for j in graph.output_nodes:
-            if j in graph.input_nodes:
-                # degenerate single-column graph: the output is the input,
-                # which never leaves its client
-                node_label[j] = f"in:{j}"
-            else:
-                lab = f"node:{j}"
-                system.add_register(plus_state(0), [lab], ["server"])
-                node_label[j] = lab
-
-    if abort is not None:
-        return ProtocolRun(pattern, n_ref, transcript, ledger, system, dict(ledger.chain_t), {}, {}, {}, secrets, abort, None)
-
-    # -------------------------------------------------------- entangling
-    for u, v in sorted(graph.edges):
-        system.apply_cz(node_label[u], node_label[v])
-    classical_log: dict = {"t": dict(ledger.chain_t), "delta": {}, "b": {}}
-    handle = ServerHandle(system, node_label, classical_log)
-    if strategy.after_entangle:
-        strategy.after_entangle(handle)
+    handle = entangle(system, graph, node_label, dict(ledger.chain_t), strategy)
 
     # -------------------------------------------------- measurement rounds
     deltas: dict[int, int] = {}
@@ -482,16 +509,16 @@ def run_full_protocol(
             if r_override is not None:
                 r_bit = r_override.get((j, k), r_bit)
             secrets[k].r[j] = r_bit
-            distribute_and_submit(k, share_secret(r_bit, n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
+            session.hand_out(k, share_secret(r_bit, n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
         delta_j = ledger.delta(j)
         deltas[j] = delta_j
-        classical_log["delta"][j] = delta_j
+        handle.classical["delta"][j] = delta_j
         transcript.record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta_j})
         if strategy.before_measurement:
             strategy.before_measurement(handle, j)
         b_j = system.measure_rotated(node_label[j], delta_j, rng)
         outcomes_b[j] = b_j
-        classical_log["b"][j] = b_j
+        handle.classical["b"][j] = b_j
         transcript.record("server", "all", "ResultBroadcast", {"node": j, "b": b_j})
         ledger.register_outcome(j, b_j)
 

@@ -19,18 +19,11 @@ circuits in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .quantum import PureState, octant
-
-
-@dataclass(frozen=True)
-class RspResult:
-    t: dict[int, int]
-    state: PureState
 
 
 def pad_input(state: PureState, qubit: int, a: int, theta: int) -> PureState:
@@ -117,47 +110,21 @@ def theta_input(shares: Sequence[int], owner: int, t: Mapping[int, int], a: int)
     return octant(total)
 
 
-def _run_chain(state: PureState, positions: dict[int, int], steps: list[tuple[int, int]], rng: np.random.Generator) -> tuple[dict[int, int], PureState, dict[int, int]]:
-    """Apply chain steps to a register, measuring targets as they come up."""
+def run_chain(system, registers: Mapping[int, str], owner: int | None, rng: np.random.Generator) -> tuple[dict[int, int], str]:
+    """Run a chain on labelled qubits of a QuantumSystem; returns (t, survivor label).
+
+    registers maps register 1..n to a live label. owner None runs the aux
+    chain, otherwise the input chain around register `owner`. This is the
+    one runner every execution path uses; aux_branches and input_branches
+    stay separate as the exhaustive reference the tests compare against.
+    """
+    n = len(registers)
+    steps = aux_chain_steps(n) if owner is None else input_chain_steps(n, owner)
     t: dict[int, int] = {}
     for target, control in steps:
-        state = state.cnot(positions[control], positions[target])
-        idx = positions[target]
-        t[target], state = state.measure_computational(idx, rng)
-        positions = {k: (v if v < idx else v - 1) for k, v in positions.items() if k != target}
-    return t, state, positions
-
-
-def run_rsp_aux(states: Sequence[PureState], rng: np.random.Generator) -> RspResult:
-    """Run the aux chain on n single-qubit contributions; survivor is register n."""
-    n = len(states)
-    joint = states[0]
-    for s in states[1:]:
-        joint = joint.tensor(s)
-    t, joint, _ = _run_chain(joint, {k: k - 1 for k in range(1, n + 1)}, aux_chain_steps(n), rng)
-    return RspResult(t=t, state=joint)
-
-
-def run_rsp_input(padded_input: PureState, aux_states: Sequence[PureState], owner: int, rng: np.random.Generator) -> RspResult:
-    """Run the input chain; the padded input may carry extra trailing qubits.
-
-    aux_states lists the other clients' contributions in increasing client
-    order. The returned state is the surviving input qubit first, then any
-    trailing qubits the padded input arrived with.
-    """
-    n = len(aux_states) + 1
-    extra = padded_input.num_qubits - 1
-    joint = padded_input
-    positions: dict[int, int] = {owner: 0}
-    others = [k for k in range(1, n + 1) if k != owner]
-    for k, s in zip(others, aux_states):
-        if s.num_qubits != 1:
-            raise ValueError("aux contributions must be single qubits")
-        joint = joint.tensor(s)
-        positions[k] = joint.num_qubits - 1
-    t, joint, _ = _run_chain(joint, positions, input_chain_steps(n, owner), rng)
-    assert joint.num_qubits == 1 + extra
-    return RspResult(t=t, state=joint)
+        system.apply_cnot(registers[control], registers[target])
+        t[target] = system.measure_computational(registers[target], rng)
+    return t, registers[n if owner is None else owner]
 
 
 def aux_branches(states: Sequence[PureState]) -> list[tuple[dict[int, int], float, PureState]]:

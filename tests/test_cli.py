@@ -112,9 +112,32 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
     assert "ABORT" in (out / "summary.txt").read_text()
 
 
-def test_bad_jobs_value_exits_1(tmp_path):
-    cfg = write_config(tmp_path, mode="honest-run", seed=0, n_wires=2, n_columns=2)
-    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
+@pytest.mark.parametrize(
+    "config,field",
+    [
+        # six angles on a 2x2 graph, which measures two nodes
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "angles": [0, 1, 2, 3, 4, 5]}, "angles"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1, 0], [0, 0]]}, "input"),
+        ({"mode": "server-sim-equiv", "n_wires": 2, "n_columns": 2, "reference_qubits": 1, "input": [[1, 0]] * 4}, "input"),
+        (
+            {"mode": "blindness", "n_wires": 2, "n_columns": 2,
+             "scenarios": {"a": {}, "b": {"input": [[1, 0]] * 8}}},
+            "scenarios.b.input",
+        ),
+        # 2x3 needs 4,194,304 exact-view branches
+        ({"mode": "blindness", "n_wires": 2, "n_columns": 3, "scenarios": {"a": {}, "b": {}}}, "n_wires x n_columns"),
+        ({"mode": "blindness", "n_wires": 2, "n_columns": 1, "scenarios": {"a": {}, "b": {}}}, "n_columns"),
+    ],
+    ids=["long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget", "blindness-one-column"],
+)
+def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):
+    cfg = write_config(tmp_path, seed=0, **config)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ honest mode
@@ -145,6 +168,42 @@ def test_reports_are_reproducible(tmp_path):
     assert (out_a / "transcript.jsonl").read_text() == (out_b / "transcript.jsonl").read_text()
 
 
+def test_debug_secrets_reports_the_reconstructed_secrets(tmp_path):
+    cfg = write_config(tmp_path, mode="honest-run", seed=5, n_wires=2, n_columns=3, m_copies=2)
+    clean, debug = tmp_path / "clean", tmp_path / "debug"
+    assert main(["--config", cfg, "--out", str(clean)]) == 0
+    assert main(["--config", cfg, "--out", str(debug), "--debug-secrets"]) == 0
+    assert "secrets" not in json.loads((clean / "report.json").read_text())["details"]
+    details = json.loads((debug / "report.json").read_text())["details"]
+    secrets = details["secrets"]
+    assert set(secrets) == {"a", "theta", "r", "delta"}
+    assert set(secrets["theta"]) == {"1", "2", "3", "4"}
+    assert secrets["delta"] == details["deltas"]
+
+
+def test_debug_secrets_writes_nothing_for_an_aborted_run(tmp_path, monkeypatch):
+    def fake_run(pattern, input_state, rng, **kwargs):
+        return SimpleNamespace(
+            aborted=True,
+            abort=AbortInfo(stage="verification", node=1, client=2, reason="test copy failed its declared basis"),
+            transcript=Transcript(),
+        )
+
+    monkeypatch.setattr(cli, "run_full_protocol", fake_run)
+    cfg = write_config(tmp_path, mode="honest-run", seed=0, n_wires=2, n_columns=2)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--debug-secrets"]) == 3
+    assert "secrets" not in json.loads((out / "report.json").read_text())["details"]
+
+
+def test_debug_secrets_is_rejected_outside_honest_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, mode="protocol1-detection", seed=1, trials=150)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--debug-secrets"]) == 1
+    assert "config error: --debug-secrets" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_the_config(tmp_path):
     cfg = write_config(tmp_path, mode="honest-run", seed=5, n_wires=2, n_columns=2, m_copies=2)
     out = tmp_path / "out"
@@ -165,14 +224,6 @@ def test_detection_mode_smoke(tmp_path):
     assert report["trials"] == 150
     assert report["confidence_radius"] is not None
     assert (out / "transcript.jsonl").read_text() == ""
-
-
-def test_jobs_do_not_change_the_result(tmp_path):
-    cfg = write_config(tmp_path, mode="protocol1-detection", seed=2, trials=200, deviation=4)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(out_a), "--jobs", "1"]) == 0
-    assert main(["--config", cfg, "--out", str(out_b), "--jobs", "3"]) == 0
-    assert (out_a / "report.json").read_text() == (out_b / "report.json").read_text()
 
 
 def test_blindness_mode_passes_at_default_threshold(tmp_path):

@@ -234,3 +234,38 @@ def test_copy_test_rejection_extremes():
     assert (rejections, tested) == (0, 300)
     rejections, tested = copy_test_rejection(4, 300, rng)
     assert (rejections, tested) == (300, 300)
+
+
+def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
+    # A4 measures the kernel through copy_test_rejection; the protocol and
+    # the coalition simulator must run that same kernel, once per
+    # (measured node, contributor) whose copies are really tested
+    import mpdqc.harness
+    import mpdqc.oracle
+    import mpdqc.protocol
+
+    kernel = mpdqc.oracle.verify_client
+    calls = []
+
+    def counted(client, angle_shares, measure, rng):
+        calls.append((angle_shares[0][0].tag[1], client))
+        return kernel(client, angle_shares, measure, rng)
+
+    for module in (mpdqc.oracle, mpdqc.protocol, mpdqc.harness):
+        if getattr(module, "verify_client", None) is kernel:
+            monkeypatch.setattr(module, "verify_client", counted)
+
+    graph = build_brickwork(2, 3)
+    rng = np.random.default_rng(12)
+    pattern = random_pattern(graph, rng)
+    psi = random_state(2, rng)
+    contributions = [(j, k) for j in graph.measured_nodes for k in (1, 2) if not (j in graph.input_nodes and k == j)]
+
+    assert not run_full_protocol(pattern, psi, rng, m_copies=3).aborted
+    assert calls == contributions
+    calls.clear()
+    assert not run_simulated_client_world(pattern, psi, {2}, rng, m_copies=3).abort
+    assert calls == [(j, k) for j, k in contributions if k == 2]
+    calls.clear()
+    copy_test_rejection(1, 25, rng)
+    assert calls == [(0, 1)] * 25

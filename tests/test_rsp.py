@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpdqc.protocol import QuantumSystem
 from mpdqc.quantum import PureState, octant, plus_state, states_equal
 from mpdqc.rsp import (
     aux_branches,
@@ -10,8 +11,7 @@ from mpdqc.rsp import (
     input_branches,
     input_chain_steps,
     pad_input,
-    run_rsp_aux,
-    run_rsp_input,
+    run_chain,
     theta_aux,
     theta_input,
     undo_pad,
@@ -81,12 +81,17 @@ def test_aux_chain_matches_the_closed_form_on_every_branch(n):
 
 
 def test_run_rsp_aux_sampled_branch_agrees():
+    # one sampled branch of the shared chain runner, aux variant
     rng = np.random.default_rng(5)
     shares = [2, 7, 5]
-    result = run_rsp_aux([plus_state(s) for s in shares], rng)
-    assert set(result.t) == {1, 2}
-    expect = plus_state(theta_aux(shares, result.t))
-    assert result.state.fidelity(expect) == pytest.approx(1.0)
+    system = QuantumSystem()
+    for k, s in enumerate(shares, start=1):
+        system.add_register(plus_state(s), [f"reg:{k}"], ["server"])
+    t, survivor = run_chain(system, {k: f"reg:{k}" for k in (1, 2, 3)}, None, rng)
+    assert set(t) == {1, 2}
+    assert survivor == "reg:3"
+    expect = plus_state(theta_aux(shares, t))
+    assert system.state_of([survivor]).fidelity(expect) == pytest.approx(1.0)
 
 
 # --------------------------------------------------- input chain vs formula
@@ -114,10 +119,13 @@ def test_input_chain_keeps_reference_entanglement():
     shares = [4, 1, 6]
     owner, a = 2, 1
     bell = PureState.computational("00").h(0).cnot(0, 1)
-    padded = pad_input(bell, 0, a, shares[owner - 1])
-    aux = [plus_state(shares[k - 1]) for k in (1, 3)]
-    result = run_rsp_input(padded, aux, owner, rng)
-    recovered = undo_pad(result.state, 0, a, theta_input(shares, owner, result.t, a))
+    system = QuantumSystem()
+    system.add_register(pad_input(bell, 0, a, shares[owner - 1]), ["in", "ref"], ["server", "environment"])
+    for k in (1, 3):
+        system.add_register(plus_state(shares[k - 1]), [f"aux:{k}"], ["server"])
+    t, survivor = run_chain(system, {1: "aux:1", 2: "in", 3: "aux:3"}, owner, rng)
+    assert survivor == "in"
+    recovered = undo_pad(system.state_of(["in", "ref"]), 0, a, theta_input(shares, owner, t, a))
     assert recovered.fidelity(bell) == pytest.approx(1.0)
 
 

@@ -1,0 +1,84 @@
+"""Seeded outputs, pinned by digest.
+
+Every execution path draws its randomness in a fixed order, so a seed
+fixes its integer outputs exactly. The digests were recorded before the
+execution paths were moved onto one shared protocol core; a change that
+adds, drops or reorders a random draw on any path shows up here. The
+transcript digest also pins the order of the base protocol's messages.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from mpdqc.brickwork import build_brickwork, random_pattern
+from mpdqc.cli import main
+from mpdqc.harness import (
+    coalition_view_summary,
+    observable_summary,
+    run_intermediate_protocol,
+    run_simulated_client_world,
+)
+from mpdqc.protocol import run_full_protocol
+from mpdqc.quantum import PureState
+
+RUNS = 20
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def scenario(n_wires: int, n_columns: int, n_qubits: int, seed: int):
+    rng = np.random.default_rng(seed)
+    pattern = random_pattern(build_brickwork(n_wires, n_columns), rng)
+    v = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    return pattern, PureState(v / np.linalg.norm(v))
+
+
+def test_honest_run_transcript_is_pinned(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mode": "honest-run", "seed": 5, "n_wires": 2, "n_columns": 3, "m_copies": 2}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "transcript.jsonl").read_bytes()).hexdigest()
+    assert digest == "1cc27ac876ff6fa13229e4cc137eeff654abd78871d3922e733fe9c779e0e42e"
+
+
+@pytest.mark.parametrize(
+    "version,digest",
+    [
+        ("base", "19744cd5b281e86d53d5346425e0c6c6c7de5eed6630440fc2f7c55dfb90e8d1"),
+        ("teleport", "a6983b6098c0217f2552914d48867d691b93bffe5a26d711d70efe37f5b711a4"),
+        ("delayed", "7c07547690251c7317e87001144ab84dfe0d5e229cebca6cd17ef78c97755c9e"),
+        ("simulator-resource", "470be3c6f847f71361435d1a880ffe28ead5ad05d08740a05481477b2bd688a3"),
+    ],
+)
+def test_observable_summaries_are_pinned(version, digest):
+    # 2x3 with a reference qubit: input and aux chains, outputs whose flow
+    # predecessors are not inputs, and a readout of the reference
+    pattern, psi = scenario(2, 3, 3, 61)
+    summaries = []
+    for i in range(RUNS):
+        rng = np.random.default_rng([61, i])
+        if version == "base":
+            run = run_full_protocol(pattern, psi, rng, m_copies=2)
+        else:
+            run = run_intermediate_protocol(pattern, psi, rng, version)
+        summaries.append(observable_summary(run, rng))
+    assert sha(summaries) == digest
+
+
+def test_coalition_views_are_pinned():
+    # 2x2: both outputs have an input as flow predecessor, one inside the
+    # coalition and one outside, so both output-key draws are exercised
+    pattern, psi = scenario(2, 2, 2, 62)
+    coalition = {2}
+    views = []
+    for i in range(RUNS):
+        rng = np.random.default_rng([62, i])
+        run = run_simulated_client_world(pattern, psi, coalition, rng, m_copies=2)
+        assert not run.abort
+        views.append(coalition_view_summary(run, coalition, rng))
+    assert sha(views) == "fa8f018f63e68ccdf96776d9ee50683b79c80a0f6d22e330e1f51baafe4083d9"
