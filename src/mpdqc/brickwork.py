@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quantum import PureState, octant, plus_state
+from .quantum import PureState, QuantumSystem, octant, plus_state
 
 
 @dataclass(frozen=True)
@@ -214,30 +214,27 @@ def reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: 
     if n_ref < 0:
         raise ValueError("input register smaller than the number of wires")
 
-    # Register layout: input qubits, reference qubits, then every prepared
-    # node appended in label order. `pos` tracks each node's current index.
-    state = input_state
-    pos: dict[int, int] = {j: j - 1 for j in graph.input_nodes}
-    ref_pos = list(range(n, n + n_ref))
+    # every node is labelled by its number; CZs are applied on first touch,
+    # so the live register stays about one column wide
+    label = {j: str(j) for j in range(1, graph.num_nodes + 1)}
+    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
+    system = QuantumSystem()
+    system.add_register(input_state, [label[j] for j in graph.input_nodes] + ref_labels, ["environment"] * (n + n_ref))
     for j in range(n + 1, graph.num_nodes + 1):
-        state = state.tensor(plus_state(0))
-        pos[j] = state.num_qubits - 1
+        system.add_register(plus_state(0), [label[j]], ["environment"])
     for u, v in sorted(graph.edges):
-        state = state.cz(pos[u], pos[v])
+        system.apply_cz(label[u], label[v])
 
     outcomes: dict[int, int] = {}
     for j in flow.order:
         delta = flow.adapted_angle(j, angles[j], outcomes.__getitem__, lambda _: 0)
-        idx = pos[j]
-        outcomes[j], state = state.measure_rotated(idx, delta, rng)
-        pos = {v: (i if i < idx else i - 1) for v, i in pos.items() if v != j}
-        ref_pos = [i if i < idx else i - 1 for i in ref_pos]
+        outcomes[j] = system.measure_rotated(label[j], delta, rng)
 
     for j in graph.output_nodes:
         s_x, s_z = flow.parities(j, outcomes.__getitem__)
         if s_x:
-            state = state.x(pos[j])
+            system.apply_x(label[j])
         if s_z:
-            state = state.z(pos[j])
+            system.apply_z(label[j])
 
-    return state.reorder([pos[j] for j in graph.output_nodes] + ref_pos)
+    return system.state_of([label[j] for j in graph.output_nodes] + ref_labels)

@@ -45,6 +45,11 @@ MODES = (
     "intermediate-equiv",
 )
 
+# largest live register a config may ask for: n_wires + reference_qubits
+# + 1 qubits, the input register plus the one node joining it at a time
+# (2^24 amplitudes take 256 MiB per statevector)
+REGISTER_BUDGET = 24
+
 DEFAULT_THRESHOLDS = {
     "honest-run": 1e-6,        # max tolerated infidelity
     "blindness": 1e-9,         # max view distance at any checkpoint
@@ -66,6 +71,10 @@ def validate(config: dict) -> list[str]:
         errors.append("seed is required and must be an integer")
 
     graph = None
+    n_ref = config.get("reference_qubits", 0)
+    ref_ok = isinstance(n_ref, int) and n_ref >= 0
+    if not ref_ok:
+        errors.append("reference_qubits must be an integer >= 0")
     if mode != "protocol1-detection":
         n_wires = config.get("n_wires")
         n_columns = config.get("n_columns")
@@ -75,7 +84,12 @@ def validate(config: dict) -> list[str]:
             errors.append("n_wires must be an even integer >= 2")
         if not columns_ok:
             errors.append("n_columns must be an integer >= 1")
-        if wires_ok and columns_ok:
+        if wires_ok and ref_ok and n_wires + n_ref + 1 > REGISTER_BUDGET:
+            errors.append(
+                f"n_wires + reference_qubits + 1 = {n_wires} + {n_ref} + 1 live qubits, "
+                f"over the register budget of {REGISTER_BUDGET}"
+            )
+        elif wires_ok and columns_ok and ref_ok:
             graph = build_brickwork(n_wires, n_columns)
     if mode in ("honest-run", "client-sim-equiv"):
         m = config.get("m_copies", 10)
@@ -110,10 +124,7 @@ def validate(config: dict) -> list[str]:
     thr = config.get("threshold")
     if thr is not None and (not isinstance(thr, (int, float)) or thr <= 0):
         errors.append("threshold must be a positive number")
-    n_ref = config.get("reference_qubits", 0)
-    if not isinstance(n_ref, int) or n_ref < 0:
-        errors.append("reference_qubits must be an integer >= 0")
-    elif graph is not None:
+    if graph is not None:
         for prefix, spec in specs.items():
             errors.extend(_check_angles(spec.get("angles"), len(graph.measured_nodes), prefix + "angles"))
             errors.extend(_check_input(spec.get("input"), 2 ** (graph.n_wires + n_ref), prefix + "input"))
@@ -227,6 +238,7 @@ def _mode_honest_run(config: dict, seed: int, debug: bool) -> dict:
             "messages": len(run.transcript.messages),
             "deltas": {str(k): v for k, v in sorted(run.delta.items())},
             "outcomes": {str(k): v for k, v in sorted(run.b.items())},
+            "peak_qubits": run.system.peak_qubits,
             **({"secrets": run.ledger.dump_secrets()} if debug else {}),
         },
     }

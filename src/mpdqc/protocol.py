@@ -29,7 +29,7 @@ from .oracle import (
     theta_tag,
     verify_client,
 )
-from .quantum import DensityMatrix, PureState, plus_state
+from .quantum import DensityMatrix, PureState, QuantumSystem, plus_state
 from .rsp import run_chain
 
 VARIANTS = (
@@ -86,149 +86,6 @@ class Transcript:
 
 def share_payload(share: SecretShare) -> dict:
     return {"owner": share.owner, "tag": list(share.tag), "value": share.value, "modulus": share.modulus}
-
-
-class QuantumSystem:
-    """All live qubits, split into independent components, with ownership.
-
-    Components are tensor factors that never got entangled with each other;
-    two-qubit gates merge components on demand. Measuring a qubit removes
-    it. Labels are stable strings; positions inside components are internal.
-    """
-
-    def __init__(self):
-        self._states: list[PureState | None] = []
-        self._labels: list[list[str]] = []
-        self._home: dict[str, int] = {}
-        self.owner: dict[str, str] = {}
-
-    def add_register(self, state: PureState, labels: list[str], owners: list[str]) -> None:
-        if state.num_qubits != len(labels) or len(labels) != len(owners):
-            raise ValueError("labels and owners must match the register size")
-        for lab in labels:
-            if lab in self._home:
-                raise ValueError(f"label {lab!r} already exists")
-        idx = len(self._states)
-        self._states.append(state)
-        self._labels.append(list(labels))
-        for lab, who in zip(labels, owners):
-            self._home[lab] = idx
-            self.owner[lab] = who
-
-    def labels_of(self, party: str) -> tuple[str, ...]:
-        return tuple(lab for lab, who in self.owner.items() if who == party)
-
-    def transfer(self, label: str, new_owner: str) -> None:
-        if label not in self.owner:
-            raise KeyError(f"no live qubit {label!r}")
-        self.owner[label] = new_owner
-
-    def _loc(self, label: str) -> tuple[int, int]:
-        comp = self._home[label]
-        return comp, self._labels[comp].index(label)
-
-    def _merge(self, a: str, b: str) -> None:
-        ca, cb = self._home[a], self._home[b]
-        if ca == cb:
-            return
-        self._states[ca] = self._states[ca].tensor(self._states[cb])
-        for lab in self._labels[cb]:
-            self._home[lab] = ca
-        self._labels[ca].extend(self._labels[cb])
-        self._states[cb] = None
-        self._labels[cb] = []
-
-    def apply_x(self, label: str) -> None:
-        c, q = self._loc(label)
-        self._states[c] = self._states[c].x(q)
-
-    def apply_z(self, label: str) -> None:
-        c, q = self._loc(label)
-        self._states[c] = self._states[c].z(q)
-
-    def apply_h(self, label: str) -> None:
-        c, q = self._loc(label)
-        self._states[c] = self._states[c].h(q)
-
-    def apply_z_rot(self, label: str, theta: int) -> None:
-        c, q = self._loc(label)
-        self._states[c] = self._states[c].z_rot(q, theta)
-
-    def apply_cz(self, a: str, b: str) -> None:
-        self._merge(a, b)
-        c, qa = self._loc(a)
-        _, qb = self._loc(b)
-        self._states[c] = self._states[c].cz(qa, qb)
-
-    def apply_cnot(self, control: str, target: str) -> None:
-        self._merge(control, target)
-        c, qc = self._loc(control)
-        _, qt = self._loc(target)
-        self._states[c] = self._states[c].cnot(qc, qt)
-
-    def _drop(self, label: str) -> None:
-        comp, q = self._loc(label)
-        self._labels[comp].pop(q)
-        del self._home[label]
-        del self.owner[label]
-        if not self._labels[comp]:
-            self._states[comp] = None
-
-    def measure_rotated(self, label: str, delta: int, rng: np.random.Generator) -> int:
-        c, q = self._loc(label)
-        outcome, self._states[c] = self._states[c].measure_rotated(q, delta, rng)
-        self._drop(label)
-        return outcome
-
-    def measure_computational(self, label: str, rng: np.random.Generator) -> int:
-        c, q = self._loc(label)
-        outcome, self._states[c] = self._states[c].measure_computational(q, rng)
-        self._drop(label)
-        return outcome
-
-    def state_of(self, labels: list[str]) -> PureState:
-        """Joint pure state of exactly these qubits, in the order given.
-
-        The involved components must not contain any other live qubits;
-        use density_of when they might be entangled with the rest.
-        """
-        comps: list[int] = []
-        for lab in labels:
-            c = self._home[lab]
-            if c not in comps:
-                comps.append(c)
-        covered = [lab for c in comps for lab in self._labels[c]]
-        if sorted(covered) != sorted(labels):
-            raise ValueError("requested qubits are entangled with others")
-        state = self._states[comps[0]]
-        order = list(self._labels[comps[0]])
-        for c in comps[1:]:
-            state = state.tensor(self._states[c])
-            order.extend(self._labels[c])
-        return state.reorder([order.index(lab) for lab in labels])
-
-    def density_of(self, labels: list[str]) -> DensityMatrix:
-        """Reduced state of these qubits (order given), tracing out the rest."""
-        comps: list[int] = []
-        for lab in labels:
-            c = self._home[lab]
-            if c not in comps:
-                comps.append(c)
-        blocks: list[DensityMatrix] = []
-        order: list[str] = []
-        for c in comps:
-            keep = [q for q, lab in enumerate(self._labels[c]) if lab in labels]
-            order.extend(lab for lab in self._labels[c] if lab in labels)
-            blocks.append(self._states[c].density().partial_trace(keep))
-        rho = blocks[0].matrix
-        for blk in blocks[1:]:
-            rho = np.kron(rho, blk.matrix)
-        joint = DensityMatrix(rho)
-        perm = [order.index(lab) for lab in labels]
-        n = len(labels)
-        full = joint.matrix.reshape([2] * (2 * n))
-        full = np.transpose(full, perm + [n + p for p in perm])
-        return DensityMatrix(full.reshape(2 ** n, 2 ** n))
 
 
 @dataclass
@@ -419,6 +276,12 @@ def entangle(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[int,
 
     node_label maps each measured node to its prepared qubit and gains the
     output nodes. The returned handle's classical log starts from chain_t.
+    The system applies each CZ on the first touch of one of its qubits (see
+    QuantumSystem), which is exact because a CZ commutes with everything
+    that does not act on its qubits: the hooks see the full graph state
+    through any handle call, while an honest run measuring column by
+    column only ever holds about one column plus the inputs' reference
+    qubits at once.
     """
     for j in graph.output_nodes:
         if j in graph.input_nodes:
@@ -549,10 +412,6 @@ def _qubit_payload(system: QuantumSystem, label: str, base: dict, debug_secrets:
     """QubitTransfer payloads carry amplitudes only in trusted-debug mode."""
     payload = {**base, "label": label}
     if debug_secrets:
-        comp = system._home.get(label)
-        if comp is not None and len(system._labels[comp]) == 1:
-            amps = system._states[comp].amps
-            payload["amplitudes"] = [[float(z.real), float(z.imag)] for z in amps]
-        else:
-            payload["amplitudes"] = "entangled"
+        amps = system.lone_amplitudes(label)
+        payload["amplitudes"] = "entangled" if amps is None else [[float(z.real), float(z.imag)] for z in amps]
     return payload

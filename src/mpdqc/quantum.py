@@ -10,6 +10,9 @@ Conventions used throughout the package:
   the remaining qubits downward. This keeps registers small through long
   measurement sequences.
 - Randomness always comes from an explicitly passed numpy Generator.
+
+PureState and DensityMatrix are immutable values; QuantumSystem holds
+labelled, owned qubits as independent components and applies CZs lazily.
 """
 from __future__ import annotations
 
@@ -305,3 +308,197 @@ def weighted_trace_norm(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) * trace norm of (a - b) for raw (possibly subnormalized) operators."""
     sing = np.linalg.svd(a - b, compute_uv=False)
     return float(0.5 * np.sum(sing))
+
+
+class QuantumSystem:
+    """All live qubits, split into independent components, with ownership.
+
+    Components are tensor factors that never got entangled with each other;
+    two-qubit gates merge components on demand. Measuring a qubit removes
+    it. Labels are stable strings; positions inside components are internal.
+
+    CZs are applied on first touch. apply_cz only records the pair as a
+    pending edge (a second CZ on the same pair cancels it), and every other
+    operation on a label, including reading its state, first applies that
+    label's pending CZs. This is exact: a CZ is diagonal and commutes with
+    every other CZ and with every gate and measurement that does not act on
+    its two qubits, so moving it later, up to the first operation on one of
+    them, changes nothing. On a graph state consumed column by column, a
+    node joins the live register only when a neighbour is measured, so the
+    largest component stays near one column wide. peak_qubits records the
+    largest component ever held.
+    """
+
+    def __init__(self):
+        self._states: list[PureState | None] = []
+        self._labels: list[list[str]] = []
+        self._home: dict[str, int] = {}
+        self._pending: dict[str, dict[str, None]] = {}
+        self.owner: dict[str, str] = {}
+        self.peak_qubits = 0
+
+    def add_register(self, state: PureState, labels: list[str], owners: list[str]) -> None:
+        if state.num_qubits != len(labels) or len(labels) != len(owners):
+            raise ValueError("labels and owners must match the register size")
+        for lab in labels:
+            if lab in self._home:
+                raise ValueError(f"label {lab!r} already exists")
+        idx = len(self._states)
+        self._states.append(state)
+        self._labels.append(list(labels))
+        for lab, who in zip(labels, owners):
+            self._home[lab] = idx
+            self.owner[lab] = who
+        self.peak_qubits = max(self.peak_qubits, len(labels))
+
+    def labels_of(self, party: str) -> tuple[str, ...]:
+        return tuple(lab for lab, who in self.owner.items() if who == party)
+
+    def transfer(self, label: str, new_owner: str) -> None:
+        if label not in self.owner:
+            raise KeyError(f"no live qubit {label!r}")
+        self.owner[label] = new_owner
+
+    def _loc(self, label: str) -> tuple[int, int]:
+        comp = self._home[label]
+        return comp, self._labels[comp].index(label)
+
+    def _merge(self, a: str, b: str) -> None:
+        ca, cb = self._home[a], self._home[b]
+        if ca == cb:
+            return
+        self._states[ca] = self._states[ca].tensor(self._states[cb])
+        for lab in self._labels[cb]:
+            self._home[lab] = ca
+        self._labels[ca].extend(self._labels[cb])
+        self._states[cb] = None
+        self._labels[cb] = []
+        self.peak_qubits = max(self.peak_qubits, len(self._labels[ca]))
+
+    def _touch(self, label: str) -> tuple[int, int]:
+        """Apply the label's pending CZs, then return its (component, position)."""
+        if label in self._pending:
+            for other in self._pending.pop(label):
+                del self._pending[other][label]
+                self._merge(label, other)
+                c, qa = self._loc(label)
+                _, qb = self._loc(other)
+                self._states[c] = self._states[c].cz(qa, qb)
+        return self._loc(label)
+
+    def apply_x(self, label: str) -> None:
+        c, q = self._touch(label)
+        self._states[c] = self._states[c].x(q)
+
+    def apply_z(self, label: str) -> None:
+        c, q = self._touch(label)
+        self._states[c] = self._states[c].z(q)
+
+    def apply_h(self, label: str) -> None:
+        c, q = self._touch(label)
+        self._states[c] = self._states[c].h(q)
+
+    def apply_z_rot(self, label: str, theta: int) -> None:
+        c, q = self._touch(label)
+        self._states[c] = self._states[c].z_rot(q, theta)
+
+    def apply_cz(self, a: str, b: str) -> None:
+        """Record a CZ between a and b; it is applied when either is next touched."""
+        for lab in (a, b):
+            if lab not in self._home:
+                raise KeyError(f"no live qubit {lab!r}")
+        if a == b:
+            raise ValueError("CZ needs two distinct qubits")
+        pa = self._pending.setdefault(a, {})
+        pb = self._pending.setdefault(b, {})
+        if b in pa:
+            del pa[b], pb[a]
+        else:
+            pa[b] = pb[a] = None
+
+    def apply_cnot(self, control: str, target: str) -> None:
+        self._touch(control)
+        self._touch(target)
+        self._merge(control, target)
+        c, qc = self._loc(control)
+        _, qt = self._loc(target)
+        self._states[c] = self._states[c].cnot(qc, qt)
+
+    def _drop(self, label: str) -> None:
+        comp, q = self._loc(label)
+        self._labels[comp].pop(q)
+        del self._home[label]
+        del self.owner[label]
+        if not self._labels[comp]:
+            self._states[comp] = None
+
+    def measure_rotated(self, label: str, delta: int, rng: np.random.Generator) -> int:
+        c, q = self._touch(label)
+        outcome, self._states[c] = self._states[c].measure_rotated(q, delta, rng)
+        self._drop(label)
+        return outcome
+
+    def measure_computational(self, label: str, rng: np.random.Generator) -> int:
+        c, q = self._touch(label)
+        outcome, self._states[c] = self._states[c].measure_computational(q, rng)
+        self._drop(label)
+        return outcome
+
+    def _components(self, labels: list[str]) -> list[int]:
+        """Components holding these labels, in first-seen order, after their pending CZs."""
+        comps: list[int] = []
+        for lab in labels:
+            self._touch(lab)
+        for lab in labels:
+            c = self._home[lab]
+            if c not in comps:
+                comps.append(c)
+        return comps
+
+    def state_of(self, labels: list[str]) -> PureState:
+        """Joint pure state of exactly these qubits, in the order given.
+
+        The involved components must not contain any other live qubits;
+        use density_of when they might be entangled with the rest.
+        """
+        comps = self._components(labels)
+        covered = [lab for c in comps for lab in self._labels[c]]
+        if sorted(covered) != sorted(labels):
+            raise ValueError("requested qubits are entangled with others")
+        state = self._states[comps[0]]
+        order = list(self._labels[comps[0]])
+        for c in comps[1:]:
+            state = state.tensor(self._states[c])
+            order.extend(self._labels[c])
+        return state.reorder([order.index(lab) for lab in labels])
+
+    def density_of(self, labels: list[str]) -> DensityMatrix:
+        """Reduced state of these qubits (order given), tracing out the rest.
+
+        Pending CZs of the traced-out qubits among themselves act on the
+        traced part only, so they stay pending.
+        """
+        blocks: list[DensityMatrix] = []
+        order: list[str] = []
+        for c in self._components(labels):
+            keep = [q for q, lab in enumerate(self._labels[c]) if lab in labels]
+            order.extend(lab for lab in self._labels[c] if lab in labels)
+            blocks.append(self._states[c].density().partial_trace(keep))
+        rho = blocks[0].matrix
+        for blk in blocks[1:]:
+            rho = np.kron(rho, blk.matrix)
+        perm = [order.index(lab) for lab in labels]
+        n = len(labels)
+        full = rho.reshape([2] * (2 * n))
+        full = np.transpose(full, perm + [n + p for p in perm])
+        return DensityMatrix(full.reshape(2 ** n, 2 ** n))
+
+    def lone_amplitudes(self, label: str) -> np.ndarray | None:
+        """The qubit's amplitudes if it is in no component with another qubit, else None.
+
+        Its pending CZs are applied first, so a qubit that is only pending
+        entanglement reads as entangled.
+        """
+        c, _ = self._touch(label)
+        return self._states[c].amps if len(self._labels[c]) == 1 else None
+

@@ -30,6 +30,14 @@ def test_validate_flags_each_problem():
     assert "m_copies" in text
 
 
+def test_validate_register_budget_ignores_the_column_count():
+    assert validate({"mode": "honest-run", "seed": 0, "n_wires": 4, "n_columns": 200}) == []
+    # 22 wires plus one reference qubit plus the joining node fill the budget exactly
+    assert validate({"mode": "honest-run", "seed": 0, "n_wires": 22, "n_columns": 2, "reference_qubits": 1}) == []
+    errors = validate({"mode": "honest-run", "seed": 0, "n_wires": 22, "n_columns": 2, "reference_qubits": 2})
+    assert errors and "register budget" in errors[0]
+
+
 def test_validate_rejects_unknown_modes():
     assert validate({"mode": "quantum-supremacy"})
     assert validate({})
@@ -127,8 +135,18 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         # 2x3 needs 4,194,304 exact-view branches
         ({"mode": "blindness", "n_wires": 2, "n_columns": 3, "scenarios": {"a": {}, "b": {}}}, "n_wires x n_columns"),
         ({"mode": "blindness", "n_wires": 2, "n_columns": 1, "scenarios": {"a": {}, "b": {}}}, "n_columns"),
+        # a 41-qubit live register would need 32 TiB per statevector
+        ({"mode": "honest-run", "n_wires": 40, "n_columns": 2}, "n_wires + reference_qubits + 1 = 40 + 0 + 1"),
+        ({"mode": "server-sim-equiv", "n_wires": 22, "n_columns": 2, "reference_qubits": 2}, "22 + 2 + 1 live qubits"),
+        ({"mode": "client-sim-equiv", "n_wires": 24, "n_columns": 3}, "register budget of 24"),
+        ({"mode": "intermediate-equiv", "n_wires": 26, "n_columns": 2}, "n_wires + reference_qubits + 1 = 26"),
+        ({"mode": "blindness", "n_wires": 40, "n_columns": 2, "scenarios": {"a": {}, "b": {}}}, "n_wires + reference_qubits + 1 = 40"),
     ],
-    ids=["long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget", "blindness-one-column"],
+    ids=[
+        "long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget",
+        "blindness-one-column", "honest-over-register-budget", "reference-over-register-budget",
+        "client-sim-over-register-budget", "intermediate-over-register-budget", "blindness-over-register-budget",
+    ],
 )
 def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):
     cfg = write_config(tmp_path, seed=0, **config)
@@ -154,6 +172,7 @@ def test_honest_run_writes_all_artifacts(tmp_path):
     assert report["passed"] is True
     lines = (out / "transcript.jsonl").read_text().splitlines()
     assert lines and len(lines) == report["details"]["messages"]
+    assert report["details"]["peak_qubits"] == 3
     for line in lines:
         json.loads(line)
     assert "PASS" in (out / "summary.txt").read_text()

@@ -9,9 +9,10 @@ from mpdqc.protocol import (
     QuantumSystem,
     ServerStrategy,
     Transcript,
+    _qubit_payload,
     run_full_protocol,
 )
-from mpdqc.quantum import PureState, states_equal
+from mpdqc.quantum import PureState, plus_state, states_equal
 
 RNG = np.random.default_rng(55)
 
@@ -242,3 +243,14 @@ def test_debug_mode_exposes_amplitudes_and_clean_mode_does_not():
     assert any("amplitudes" in m.payload for m in transfers)
     _, _, clean_run = run_once(2, 2, seed=4)
     assert all("amplitudes" not in m.payload for m in clean_run.transcript.messages)
+
+
+def test_debug_payload_reports_a_pending_cz_pair_as_entangled():
+    system = QuantumSystem()
+    system.add_register(plus_state(0), ["a"], ["server"])
+    system.add_register(plus_state(0), ["b"], ["server"])
+    alone = _qubit_payload(system, "a", {}, True)["amplitudes"]
+    assert np.allclose(alone, [[2 ** -0.5, 0], [2 ** -0.5, 0]])
+    system.apply_cz("a", "b")
+    assert _qubit_payload(system, "a", {}, True)["amplitudes"] == "entangled"
+    assert _qubit_payload(system, "b", {}, True)["amplitudes"] == "entangled"

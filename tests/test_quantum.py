@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mpdqc.quantum import (
     DensityMatrix,
     PureState,
+    QuantumSystem,
     flip,
     octant,
     octant_to_radians,
@@ -259,3 +260,79 @@ def test_rotated_plus_states_overlap(theta, delta):
     # |<+_delta|+_theta>|^2 = cos^2((theta-delta) pi/8)
     overlap = plus_state(theta).fidelity(plus_state(delta))
     assert overlap == pytest.approx(np.cos((theta - delta) * np.pi / 8) ** 2, abs=1e-12)
+
+
+# ------------------------------------------------------- lazy CZs in a system
+
+
+def plus_pair() -> QuantumSystem:
+    """Two server-held |+> qubits a and b in separate components."""
+    system = QuantumSystem()
+    system.add_register(plus_state(0), ["a"], ["server"])
+    system.add_register(plus_state(0), ["b"], ["server"])
+    return system
+
+
+def test_system_double_cz_cancels():
+    system = plus_pair()
+    system.apply_cz("a", "b")
+    system.apply_cz("b", "a")
+    assert states_equal(system.state_of(["a"]), plus_state(0))
+    assert states_equal(system.state_of(["b"]), plus_state(0))
+    assert system.peak_qubits == 1
+
+
+def test_system_measuring_a_qubit_applies_its_pending_czs():
+    # CZ|++> = (|0>|+> + |1>|->)/sqrt(2); measuring a in the X basis with
+    # outcome s leaves b in |s>, where without the CZ it would stay |+>
+    system = plus_pair()
+    system.apply_cz("a", "b")
+    s = system.measure_rotated("a", 0, np.random.default_rng(3))
+    assert states_equal(system.state_of(["b"]), PureState.computational(str(s)))
+    assert system.peak_qubits == 2
+
+
+def test_system_density_of_half_a_pending_cz_pair_is_maximally_mixed():
+    system = plus_pair()
+    system.apply_cz("a", "b")
+    assert np.allclose(system.density_of(["a"]).matrix, np.eye(2) / 2)
+
+
+def test_system_state_of_sees_a_pending_cz():
+    system = plus_pair()
+    system.apply_cz("a", "b")
+    with pytest.raises(ValueError):
+        system.state_of(["a"])  # entangled with b through the pending CZ
+    graph_state = PureState.computational("00").h(0).h(1).cz(0, 1)
+    assert states_equal(system.state_of(["a", "b"]), graph_state)
+
+
+def test_system_lazy_czs_match_eager_gates():
+    # a chain of CZs interleaved with X, H and Z rotations on random inputs,
+    # against the same circuit on one eager statevector
+    rng = np.random.default_rng(8)
+    psi = random_state(4, rng)
+    eager = psi
+    system = QuantumSystem()
+    system.add_register(psi, ["q0", "q1", "q2", "q3"], ["server"] * 4)
+    steps = [("cz", 0, 1), ("cz", 1, 2), ("x", 1), ("cz", 2, 3), ("h", 2), ("cz", 0, 3), ("cz", 0, 3), ("z_rot", 3, 5), ("cz", 1, 3)]
+    for step in steps:
+        kind, q = step[0], step[1]
+        if kind == "cz":
+            eager = eager.cz(q, step[2])
+            system.apply_cz(f"q{q}", f"q{step[2]}")
+        elif kind == "z_rot":
+            eager = eager.z_rot(q, step[2])
+            system.apply_z_rot(f"q{q}", step[2])
+        else:
+            eager = getattr(eager, kind)(q)
+            getattr(system, f"apply_{kind}")(f"q{q}")
+    assert system.state_of(["q0", "q1", "q2", "q3"]).fidelity(eager) >= 1 - 1e-12
+
+
+def test_system_cz_rejects_bad_labels():
+    system = plus_pair()
+    with pytest.raises(KeyError):
+        system.apply_cz("a", "ghost")
+    with pytest.raises(ValueError):
+        system.apply_cz("a", "a")
