@@ -1,9 +1,12 @@
-"""Brickwork graphs, their flow, and measurement patterns.
+"""Brickwork graphs, their flow, measurement patterns, and their graph state.
 
 Node labeling is column-major and 1-based: column c (1-based) holds nodes
 (c-1)*n_wires + 1 .. c*n_wires, top to bottom. Column 1 nodes are the
 inputs, the last column's nodes are the outputs, and client k owns input
 node k and output node q + k where q = n_wires * (n_columns - 1).
+
+Every execution path builds its graph state on one QuantumSystem with
+input_system and graph_state, and reads its outputs with read_outputs.
 """
 from __future__ import annotations
 
@@ -198,6 +201,51 @@ def random_pattern(graph: BrickworkGraph, rng: np.random.Generator) -> Measureme
     return MeasurementPattern(graph, {j: int(rng.integers(8)) for j in graph.measured_nodes})
 
 
+def input_system(input_state: PureState, owners: list[str]) -> tuple[QuantumSystem, list[str]]:
+    """A QuantumSystem holding the input register; returns it and the reference labels.
+
+    Input qubit k is labelled in:k and held by owners[k-1]; the trailing
+    reference qubits are ref:1, ref:2, ... and stay with the environment.
+    """
+    n, n_ref = len(owners), input_state.num_qubits - len(owners)
+    if n_ref < 0:
+        raise ValueError(f"input register has {input_state.num_qubits} qubits but the graph has {n} wires")
+    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
+    system = QuantumSystem()
+    system.add_register(input_state, [f"in:{k}" for k in range(1, n + 1)] + ref_labels, owners + ["environment"] * n_ref)
+    return system, ref_labels
+
+
+def graph_state(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[int, str]) -> None:
+    """Lay the graph state out on system: missing nodes join as |+>, then a CZ goes on every edge.
+
+    node_label maps nodes to qubits and gains the missing ones: an input
+    node's in:j, any other node:j as a fresh |+> held by the server. CZs
+    are applied on first touch (see QuantumSystem).
+    """
+    for j in range(1, graph.num_nodes + 1):
+        if j in node_label:
+            continue
+        if j in graph.input_nodes:
+            node_label[j] = f"in:{j}"
+        else:
+            node_label[j] = f"node:{j}"
+            system.add_register(plus_state(0), [node_label[j]], ["server"])
+    for u, v in sorted(graph.edges):
+        system.apply_cz(node_label[u], node_label[v])
+
+
+def read_outputs(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[int, str], keys: dict, ref_labels: list[str]) -> PureState:
+    """Decrypt each output by X^s_x, then Z^s_z; return the outputs in label order, then the reference qubits."""
+    for j in graph.output_nodes:
+        s_x, s_z = keys[j]
+        if s_x:
+            system.apply_x(node_label[j])
+        if s_z:
+            system.apply_z(node_label[j])
+    return system.state_of([node_label[j] for j in graph.output_nodes] + ref_labels)
+
+
 def reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: np.random.Generator) -> PureState:
     """Run a pattern directly, with corrections applied in the clear.
 
@@ -209,32 +257,14 @@ def reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: 
     """
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
-    n = graph.n_wires
-    n_ref = input_state.num_qubits - n
-    if n_ref < 0:
-        raise ValueError("input register smaller than the number of wires")
-
-    # every node is labelled by its number; CZs are applied on first touch,
-    # so the live register stays about one column wide
-    label = {j: str(j) for j in range(1, graph.num_nodes + 1)}
-    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
-    system = QuantumSystem()
-    system.add_register(input_state, [label[j] for j in graph.input_nodes] + ref_labels, ["environment"] * (n + n_ref))
-    for j in range(n + 1, graph.num_nodes + 1):
-        system.add_register(plus_state(0), [label[j]], ["environment"])
-    for u, v in sorted(graph.edges):
-        system.apply_cz(label[u], label[v])
+    system, ref_labels = input_system(input_state, ["environment"] * graph.n_wires)
+    node_label: dict[int, str] = {}
+    graph_state(system, graph, node_label)
 
     outcomes: dict[int, int] = {}
     for j in flow.order:
         delta = flow.adapted_angle(j, angles[j], outcomes.__getitem__, lambda _: 0)
-        outcomes[j] = system.measure_rotated(label[j], delta, rng)
+        outcomes[j] = system.measure_rotated(node_label[j], delta, rng)
 
-    for j in graph.output_nodes:
-        s_x, s_z = flow.parities(j, outcomes.__getitem__)
-        if s_x:
-            system.apply_x(label[j])
-        if s_z:
-            system.apply_z(label[j])
-
-    return system.state_of([label[j] for j in graph.output_nodes] + ref_labels)
+    keys = {j: flow.parities(j, outcomes.__getitem__) for j in graph.output_nodes}
+    return read_outputs(system, graph, node_label, keys, ref_labels)

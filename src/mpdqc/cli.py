@@ -29,6 +29,7 @@ from .harness import (
     exact_view_branches,
     marginal_distances,
     observable_summary,
+    rewrite_peak_qubits,
     run_intermediate_protocol,
     run_simulated_client_world,
     run_simulated_server_world,
@@ -49,6 +50,8 @@ MODES = (
 # + 1 qubits, the input register plus the one node joining it at a time
 # (2^24 amplitudes take 256 MiB per statevector)
 REGISTER_BUDGET = 24
+# rewrites a mode runs beside the base protocol; they may hold more (harness.rewrite_peak_qubits)
+REWRITES = {"server-sim-equiv": ("simulator-resource",), "intermediate-equiv": ("teleport", "delayed")}
 
 DEFAULT_THRESHOLDS = {
     "honest-run": 1e-6,        # max tolerated infidelity
@@ -67,19 +70,19 @@ def validate(config: dict) -> list[str]:
     if mode not in MODES:
         errors.append(f"mode must be one of {MODES}, got {mode!r}")
         return errors
-    if not isinstance(config.get("seed"), int):
+    if not _is_int(config.get("seed")):
         errors.append("seed is required and must be an integer")
 
     graph = None
     n_ref = config.get("reference_qubits", 0)
-    ref_ok = isinstance(n_ref, int) and n_ref >= 0
+    ref_ok = _is_int(n_ref) and n_ref >= 0
     if not ref_ok:
         errors.append("reference_qubits must be an integer >= 0")
     if mode != "protocol1-detection":
         n_wires = config.get("n_wires")
         n_columns = config.get("n_columns")
-        wires_ok = isinstance(n_wires, int) and n_wires >= 2 and n_wires % 2 == 0
-        columns_ok = isinstance(n_columns, int) and n_columns >= 1
+        wires_ok = _is_int(n_wires) and n_wires >= 2 and n_wires % 2 == 0
+        columns_ok = _is_int(n_columns) and n_columns >= 1
         if not wires_ok:
             errors.append("n_wires must be an even integer >= 2")
         if not columns_ok:
@@ -91,17 +94,24 @@ def validate(config: dict) -> list[str]:
             )
         elif wires_ok and columns_ok and ref_ok:
             graph = build_brickwork(n_wires, n_columns)
+            if mode in REWRITES:
+                peak, version = max((rewrite_peak_qubits(v, n_wires, n_columns, n_ref), v) for v in REWRITES[mode])
+                if peak > REGISTER_BUDGET:
+                    errors.append(
+                        f"{mode} runs the {version} rewrite, which holds up to {peak} live qubits at "
+                        f"{n_wires}x{n_columns} with {n_ref} reference qubits, over the register budget of {REGISTER_BUDGET}"
+                    )
     if mode in ("honest-run", "client-sim-equiv"):
         m = config.get("m_copies", 10)
-        if not isinstance(m, int) or m < 2:
+        if not _is_int(m) or m < 2:
             errors.append("m_copies must be an integer >= 2")
     if mode in ("server-sim-equiv", "client-sim-equiv", "protocol1-detection", "intermediate-equiv"):
         trials = config.get("trials", 10000)
-        if not isinstance(trials, int) or trials < 100:
+        if not _is_int(trials) or trials < 100:
             errors.append("trials must be an integer >= 100")
     if mode == "protocol1-detection":
         dev = config.get("deviation", 1)
-        if not isinstance(dev, int) or not 0 <= dev <= 7:
+        if not _is_int(dev) or not 0 <= dev <= 7:
             errors.append("deviation must be an octant count in 0..7")
     if mode == "client-sim-equiv":
         coalition = config.get("coalition")
@@ -109,7 +119,7 @@ def validate(config: dict) -> list[str]:
         if coalition is not None:
             if not isinstance(coalition, list) or not coalition:
                 errors.append("coalition must be a nonempty list of client indices")
-            elif not all(isinstance(c, int) and 1 <= c <= n_wires for c in coalition):
+            elif not all(_is_int(c) and 1 <= c <= n_wires for c in coalition):
                 errors.append("coalition members must be client indices in 1..n_wires")
             elif len(set(coalition)) >= n_wires:
                 errors.append("at least one client must stay outside the coalition")
@@ -122,7 +132,7 @@ def validate(config: dict) -> list[str]:
         else:
             specs = {f"scenarios.{key}.": sc for key, sc in sorted(scenarios.items())}
     thr = config.get("threshold")
-    if thr is not None and (not isinstance(thr, (int, float)) or thr <= 0):
+    if thr is not None and (not (_is_int(thr) or isinstance(thr, float)) or thr <= 0):
         errors.append("threshold must be a positive number")
     if graph is not None:
         for prefix, spec in specs.items():
@@ -139,10 +149,15 @@ def validate(config: dict) -> list[str]:
     return errors
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are ints to Python, but not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_angles(spec, count: int, field: str) -> list[str]:
     if spec is None or spec in ("random", "zeros"):
         return []
-    if not isinstance(spec, list) or not all(isinstance(v, int) for v in spec):
+    if not isinstance(spec, list) or not all(_is_int(v) for v in spec):
         return [f'{field} must be "random", "zeros" or a list of integer octants']
     if len(spec) != count:
         return [f"{field} must list one octant per measured node: {count} on this graph, got {len(spec)}"]
@@ -153,7 +168,7 @@ def _check_input(spec, count: int, field: str) -> list[str]:
     if spec is None or spec in ("random", "zeros", "ones"):
         return []
     if not isinstance(spec, list) or not all(
-        isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v) for v in spec
+        isinstance(v, list) and len(v) == 2 and all(_is_int(x) or isinstance(x, float) for x in v) for v in spec
     ):
         return [f'{field} must be "random", "zeros", "ones" or a list of [re, im] amplitude pairs']
     if len(spec) != count:

@@ -21,10 +21,13 @@ contributed. The chain outcomes t and the honesty-test traffic (opened
 uniform angles, outcome-0 measurements, survivor indices) are distributed
 identically in every scenario and independently of the effective secrets,
 so they drop out of every view distance; the preparation-equivalence tests
-pin down exactly this reduction.
+pin down exactly this reduction. Each (theta, a) combination is laid out
+on the protocol's own graph state (brickwork.graph_state); r changes no
+state, only the announced angle, so it is enumerated at its own round.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -32,7 +35,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .brickwork import BrickworkGraph, MeasurementPattern, compute_flow, reference_execute
+from .brickwork import (
+    BrickworkGraph,
+    MeasurementPattern,
+    compute_flow,
+    graph_state,
+    input_system,
+    read_outputs,
+    reference_execute,
+)
 from .oracle import a_tag, r_tag, share_secret, theta_tag, verify_client
 from .protocol import (
     ProtocolRun,
@@ -41,7 +52,6 @@ from .protocol import (
     Transcript,
     contributors,
     entangle,
-    input_system,
     run_full_protocol,
 )
 from .quantum import PureState, flip, octant, plus_state, weighted_trace_norm
@@ -75,93 +85,75 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     "prepared" is right after entangling, "round:i" after the i-th
     measurement, "delivered" after the outputs left the server (classical
     label only, represented by 1x1 weight matrices).
+
+    Each (theta, a) combination is laid out as the protocol does it: inputs
+    padded by Z(theta), then X if a, |+_theta> for the other measured nodes,
+    then brickwork.graph_state; it is read once, nodes in label order, then
+    the reference qubits. Nodes are measured in label order, so the node
+    being measured is always qubit 0. The mask bit r only shifts delta, so
+    each round enumerates its node's r at weight 1/2, as the protocol draws it.
     """
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
-    n = graph.n_wires
     measured = flow.order
     if not measured:
         raise ValueError("nothing is measured; the server view is empty")
-    if input_state.num_qubits < n:
-        raise ValueError("input register smaller than the number of wires")
 
     cost = exact_view_branches(graph)
     if cost > EXACT_VIEW_BUDGET:
         raise ValueError(f"exact enumeration needs {cost} branches, over the budget of {EXACT_VIEW_BUDGET}")
 
-    options = []
-    for j in measured:
-        a_range = (0, 1) if j in graph.input_nodes else (0,)
-        options.append([(theta, r, a) for theta in range(8) for r in (0, 1) for a in a_range])
-    total = 1.0
-    for opt in options:
-        total *= len(opt)
+    options = [[(theta, a) for theta in range(8) for a in ((0, 1) if j in graph.input_nodes else (0,))] for j in measured]
+    weight = 1.0 / float(np.prod([len(opt) for opt in options]))
 
-    views: dict[str, dict[tuple, np.ndarray]] = {"prepared": {}}
-    for i in range(1, len(measured) + 1):
-        views[f"round:{i}"] = {}
-    views["delivered"] = {}
+    checkpoints = ["prepared", *(f"round:{i}" for i in range(1, len(measured) + 1)), "delivered"]
+    views: dict[str, dict[tuple, np.ndarray]] = {cp: {} for cp in checkpoints}
 
     def accumulate(checkpoint: str, label: tuple, matrix: np.ndarray) -> None:
         bucket = views[checkpoint]
-        if label in bucket:
-            bucket[label] = bucket[label] + matrix
-        else:
-            bucket[label] = matrix
+        bucket[label] = bucket[label] + matrix if label in bucket else matrix
 
     for combo in product(*options):
         secret = dict(zip(measured, combo))
-        weight = 1.0 / total
-
-        state = input_state
-        pos = {j: j - 1 for j in graph.input_nodes}
-        for j in range(n + 1, graph.num_nodes + 1):
-            theta_j = secret[j][0] if j in secret else 0
-            state = state.tensor(plus_state(theta_j))
-            pos[j] = state.num_qubits - 1
-        for j in graph.input_nodes:
-            theta_j, _, a_j = secret[j]
-            state = state.z_rot(pos[j], theta_j)
-            if a_j:
-                state = state.x(pos[j])
-        for u, v in sorted(graph.edges):
-            state = state.cz(pos[u], pos[v])
-
-        node_positions = [pos[j] for j in range(1, graph.num_nodes + 1)]
-        accumulate("prepared", (), weight * _reduced(state, node_positions))
+        system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+        node_label: dict[int, str] = {}
+        for j, (theta_j, a_j) in secret.items():
+            if j in graph.input_nodes:
+                system.apply_z_rot(f"in:{j}", theta_j)
+                if a_j:
+                    system.apply_x(f"in:{j}")
+            else:
+                node_label[j] = f"node:{j}"
+                system.add_register(plus_state(theta_j), [node_label[j]], ["server"])
+        graph_state(system, graph, node_label)
+        state = system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
+        accumulate("prepared", (), weight * state.density().partial_trace(range(graph.num_nodes)).matrix)
 
         def a_of(j: int) -> int:
-            return secret[j][2]
+            return secret[j][1]
 
-        def walk(state: PureState, pos: dict[int, int], idx: int, label: tuple, w: float, s_bits: dict[int, int]) -> None:
+        def walk(state: PureState, idx: int, label: tuple, w: float, s_bits: dict[int, int]) -> None:
             if idx == len(measured):
                 accumulate("delivered", label, np.array([[w]], dtype=complex))
                 return
             j = measured[idx]
-            theta_j, r_j, a_j = secret[j]
+            theta_j, a_j = secret[j]
             phi_c = flow.adapted_angle(j, angles[j], s_bits.__getitem__, a_of)
-            delta_j = octant(phi_c + 4 * r_j + flip(theta_j, a_j))
-            q = pos[j]
-            for b in (0, 1):
-                p_branch, post = state.project_rotated(q, delta_j, b)
-                if p_branch < 1e-14:
-                    continue
-                new_pos = {v: (i if i < q else i - 1) for v, i in pos.items() if v != j}
-                new_label = label + ((delta_j, b),)
-                remaining = [new_pos[v] for v in sorted(new_pos)]
-                accumulate(f"round:{idx + 1}", new_label, w * p_branch * _reduced(post, remaining))
-                walk(post, new_pos, idx + 1, new_label, w * p_branch, {**s_bits, j: b ^ r_j})
+            for r_j in (0, 1):
+                delta_j = octant(phi_c + 4 * r_j + flip(theta_j, a_j))
+                for b in (0, 1):
+                    p_branch, post = state.project_rotated(0, delta_j, b)
+                    if p_branch < 1e-14:
+                        continue
+                    new_label = label + ((delta_j, b),)
+                    w_branch = w / 2 * p_branch
+                    remaining = post.density().partial_trace(range(graph.num_nodes - idx - 1)).matrix
+                    accumulate(f"round:{idx + 1}", new_label, w_branch * remaining)
+                    walk(post, idx + 1, new_label, w_branch, {**s_bits, j: b ^ r_j})
 
-        walk(state, pos, 0, (), weight, {})
+        walk(state, 0, (), weight, {})
 
     return views
-
-
-def _reduced(state: PureState, keep_positions: list[int]) -> np.ndarray:
-    """Density matrix of the listed qubits (ascending positions), rest traced out."""
-    if not keep_positions:
-        return np.array([[1.0]], dtype=complex)
-    return state.density().partial_trace(keep_positions).matrix
 
 
 def view_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:
@@ -385,16 +377,34 @@ def run_intermediate_protocol(
 
     if strategy.before_output_send:
         strategy.before_output_send(handle)
-    keys: dict[int, tuple[int, int]] = {}
-    for j in graph.output_nodes:
-        keys[j] = s_x, s_z = flow.output_key(j, s_bit, a_of)
-        if s_x:
-            system.apply_x(node_label[j])
-        if s_z:
-            system.apply_z(node_label[j])
-
-    output_state = system.state_of([node_label[j] for j in graph.output_nodes] + ref_labels)
+    keys = {j: flow.output_key(j, s_bit, a_of) for j in graph.output_nodes}
+    output_state = read_outputs(system, graph, node_label, keys, ref_labels)
     return IntermediateRun(version, chain_t, delta, b, keys, output_state, len(ref_labels))
+
+
+def rewrite_peak_qubits(version: str, n_wires: int, n_columns: int, n_ref: int) -> int:
+    """Closed-form bound on the largest register run_intermediate_protocol holds.
+
+    Counted from its order of operations, n wires, M = n (n_columns - 1):
+    teleport: extracting a adds one EPR pair per input, each leaving a
+    half in the input register, 2n + 1 + n_ref. delayed: n retained halves
+    per node live until it is measured; the last input chain holds
+    n^2 + n + 1 + n_ref, and measuring a column n + 1 nodes, each with n
+    halves while the next column is measured too, (n + 1)^2 + n_ref.
+    simulator-resource: every node's n halves wait for the end, beside the
+    outputs, when extracting a joins the inputs: nM + 2n + n_ref, or
+    nM + n + 1 + n_ref on two columns, whose column-1 nodes join one by one.
+    """
+    n = n_wires
+    if n_columns == 1:
+        return n + n_ref
+    if version == "teleport":
+        return 2 * n + 1 + n_ref
+    if version == "delayed":
+        return n_ref + ((n + 1) ** 2 if n_columns > 2 else n * n + n + 1)
+    if version == "simulator-resource":
+        return n * n * (n_columns - 1) + (n + 1 if n_columns == 2 else 2 * n) + n_ref
+    raise ValueError(f"unknown version {version!r}")
 
 
 def run_simulated_server_world(
@@ -443,8 +453,10 @@ def run_simulated_client_world(
     mask, which keeps delta marginally uniform while preserving the
     pathwise effect of the coalition's choices), answers with uniform
     measurement outcomes, and finally undoes the coalition's input pad,
-    hands the bare inputs to the ideal resource, and re-pads the resource's
-    outputs to match the keys implied by the recorded outcomes and masks.
+    hands the bare inputs to the ideal resource, and announces the output
+    keys implied by the recorded outcomes and masks. Padding the
+    resource's outputs by those keys and the coalition's decryption
+    cancel exactly, so the run ends with the resource's outputs.
 
     The coalition itself is played honestly here; input_state carries the
     honest inputs, the coalition inputs, and optional reference qubits.
@@ -571,25 +583,16 @@ def run_simulated_client_world(
         return pad_a.get(j, fresh)
 
     keys: dict[int, tuple[int, int]] = {}
-    out_state = resource_output
-    for idx, j in enumerate(graph.output_nodes):
+    for j in graph.output_nodes:
         keys[j] = s_x, s_z = flow.output_key(j, s_bit, a_of)
         c = graph.wire_of(j)
         if c in coalition:
-            # corrupt the clean output so the coalition's decrypt restores it
-            if s_z:
-                out_state = out_state.z(idx)
-            if s_x:
-                out_state = out_state.x(idx)
+            # the coalition's output arrives padded by these keys, and its
+            # decryption removes exactly that pad: it ends with the clean output
             record("server", f"client:{c}", "OutputQubit", {"node": j})
             record("oracle", f"client:{c}", "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
-            # coalition decrypts
-            if s_x:
-                out_state = out_state.x(idx)
-            if s_z:
-                out_state = out_state.z(idx)
 
-    return SimClientRun(transcript, coalition, chain_t, delta, b, keys, out_state, n_ref, False)
+    return SimClientRun(transcript, coalition, chain_t, delta, b, keys, resource_output, n_ref, False)
 
 
 def check_no_secret_leak(transcript: Transcript, coalition: Iterable[int], n_clients: int) -> None:
@@ -632,22 +635,21 @@ def observable_summary(run: ProtocolRun | IntermediateRun | SimClientRun, rng: n
     an X-basis readout of every output qubit (the reference qubits, if any,
     are read out too, pinning correlations with the outputs).
     """
-    out: dict[str, int] = {}
-    for j, t in sorted(run.chain_t.items()):
-        for reg, bit in sorted(t.items()):
-            out[f"t:{j}:{reg}"] = bit
-    for j, d in sorted(run.delta.items()):
-        out[f"delta:{j}"] = d
-    for j, bit in sorted(run.b.items()):
-        out[f"b:{j}"] = bit
+    out = _announcements(run)
     for j, (s_x, s_z) in sorted(run.keys.items()):
         out[f"key:{j}"] = 2 * s_z + s_x
     state = run.output_state
     if state is not None:
         for i in range(state.num_qubits):
-            bit, state2 = state.measure_rotated(0, 0, rng)
-            state = state2
-            out[f"out:{i}"] = bit
+            out[f"out:{i}"], state = state.measure_rotated(0, 0, rng)
+    return out
+
+
+def _announcements(run: ProtocolRun | IntermediateRun | SimClientRun) -> dict[str, int]:
+    """The public part of a run: chain outcomes, announced angles and measurement results."""
+    out = {f"t:{j}:{reg}": bit for j, t in sorted(run.chain_t.items()) for reg, bit in sorted(t.items())}
+    out.update((f"delta:{j}", d) for j, d in sorted(run.delta.items()))
+    out.update((f"b:{j}", bit) for j, bit in sorted(run.b.items()))
     return out
 
 
@@ -659,14 +661,7 @@ def coalition_view_summary(
     """The coalition's discrete view of one run: public announcements, its
     own output keys, and an X-basis readout of its output wires."""
     coalition = sorted(int(c) for c in coalition)
-    out: dict[str, int] = {}
-    for j, t in sorted(run.chain_t.items()):
-        for reg, bit in sorted(t.items()):
-            out[f"t:{j}:{reg}"] = bit
-    for j, d in sorted(run.delta.items()):
-        out[f"delta:{j}"] = d
-    for j, bit in sorted(run.b.items()):
-        out[f"b:{j}"] = bit
+    out = _announcements(run)
     outputs = sorted(run.keys)
     for idx, j in enumerate(outputs):
         wire = idx + 1
@@ -688,30 +683,18 @@ def coalition_view_summary(
 
 def empirical_tv(samples_a: Sequence, samples_b: Sequence) -> float:
     """Total-variation distance between two empirical distributions."""
-    counts_a: dict = {}
-    counts_b: dict = {}
-    for v in samples_a:
-        counts_a[v] = counts_a.get(v, 0) + 1
-    for v in samples_b:
-        counts_b[v] = counts_b.get(v, 0) + 1
+    counts_a, counts_b = Counter(samples_a), Counter(samples_b)
     na, nb = len(samples_a), len(samples_b)
     total = 0.0
     for v in set(counts_a) | set(counts_b):
-        total += abs(counts_a.get(v, 0) / na - counts_b.get(v, 0) / nb)
+        total += abs(counts_a[v] / na - counts_b[v] / nb)
     return 0.5 * total
 
 
 def marginal_distances(summaries_a: Sequence[dict], summaries_b: Sequence[dict]) -> dict[str, float]:
     """Per-field empirical TV distances between two summary collections."""
-    fields = set()
-    for s in summaries_a:
-        fields.update(s)
-    for s in summaries_b:
-        fields.update(s)
-    return {
-        f: empirical_tv([s.get(f) for s in summaries_a], [s.get(f) for s in summaries_b])
-        for f in sorted(fields)
-    }
+    fields = sorted(set().union(*summaries_a, *summaries_b))
+    return {f: empirical_tv([s.get(f) for s in summaries_a], [s.get(f) for s in summaries_b]) for f in fields}
 
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.01) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brickwork import BrickworkGraph, MeasurementPattern, compute_flow
+from .brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system, read_outputs
 from .oracle import (
     OracleLedger,
     SecretShare,
@@ -174,21 +174,6 @@ def _client(k: int) -> str:
 COPY_TEST_FAILED = "test copy failed its declared basis"
 
 
-def input_system(input_state: PureState, owners: list[str]) -> tuple[QuantumSystem, list[str]]:
-    """A QuantumSystem holding the input register; returns it and the reference labels.
-
-    Input qubit k is labelled in:k and held by owners[k-1]; the trailing
-    reference qubits are ref:1, ref:2, ... and stay with the environment.
-    """
-    n, n_ref = len(owners), input_state.num_qubits - len(owners)
-    if n_ref < 0:
-        raise ValueError(f"input register has {input_state.num_qubits} qubits but the graph has {n} wires")
-    ref_labels = [f"ref:{i}" for i in range(1, n_ref + 1)]
-    system = QuantumSystem()
-    system.add_register(input_state, [f"in:{k}" for k in range(1, n + 1)] + ref_labels, owners + ["environment"] * n_ref)
-    return system, ref_labels
-
-
 def contributors(graph: BrickworkGraph, node: int) -> list[int]:
     """Clients that offer test copies for a node; an input's owner contributes the padded input itself."""
     return [k for k in range(1, graph.n_wires + 1) if not (node in graph.input_nodes and k == node)]
@@ -272,27 +257,17 @@ class Session:
 
 
 def entangle(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[int, str], chain_t: dict, strategy: ServerStrategy) -> ServerHandle:
-    """The server's graph state: output nodes join as fresh |+>, CZ on every edge, then the after_entangle hook.
+    """The server's graph state (brickwork.graph_state), then the after_entangle hook.
 
     node_label maps each measured node to its prepared qubit and gains the
-    output nodes. The returned handle's classical log starts from chain_t.
-    The system applies each CZ on the first touch of one of its qubits (see
-    QuantumSystem), which is exact because a CZ commutes with everything
-    that does not act on its qubits: the hooks see the full graph state
-    through any handle call, while an honest run measuring column by
-    column only ever holds about one column plus the inputs' reference
-    qubits at once.
+    output nodes: fresh |+> held by the server or, on a single-column
+    graph, the inputs, which never leave their clients. The returned
+    handle's classical log starts from chain_t. CZs are applied on first
+    touch, so the hooks see the full graph state through any handle call,
+    while an honest run measuring column by column only ever holds about
+    one column plus the inputs' reference qubits at once.
     """
-    for j in graph.output_nodes:
-        if j in graph.input_nodes:
-            # degenerate single-column graph: the output is the input,
-            # which never leaves its client
-            node_label[j] = f"in:{j}"
-        else:
-            node_label[j] = f"node:{j}"
-            system.add_register(plus_state(0), [node_label[j]], ["server"])
-    for u, v in sorted(graph.edges):
-        system.apply_cz(node_label[u], node_label[v])
+    graph_state(system, graph, node_label)
     handle = ServerHandle(system, node_label, {"t": chain_t, "delta": {}, "b": {}})
     if strategy.after_entangle:
         strategy.after_entangle(handle)
@@ -396,15 +371,10 @@ def run_full_protocol(
             continue
         system.transfer(node_label[j], _client(c))
         transcript.record("server", _client(c), "OutputQubit", _qubit_payload(system, node_label[j], {"node": j}, debug_secrets))
-        s_x, s_z = ledger.output_keys(j)
-        keys[j] = (s_x, s_z)
+        keys[j] = s_x, s_z = ledger.output_keys(j)
         transcript.record("oracle", _client(c), "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
-        if s_x:
-            system.apply_x(node_label[j])
-        if s_z:
-            system.apply_z(node_label[j])
 
-    output_state = system.state_of([node_label[j] for j in graph.output_nodes] + ref_labels)
+    output_state = read_outputs(system, graph, node_label, keys, ref_labels)
     return ProtocolRun(pattern, n_ref, transcript, ledger, system, dict(ledger.chain_t), deltas, outcomes_b, keys, secrets, None, output_state)
 
 

@@ -1,0 +1,44 @@
+"""What the benchmark in perfbench/ needs from the program, checked in the fast suite.
+
+The tracer patches methods and functions by name, and each workload calls
+the program through module attributes. A rename or move that breaks them
+fails here, before `perfbench/selftest.py --trace 1` would. The benchmark
+files are only read: loaded without writing bytecode, and the tracer is
+never installed.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_every_traced_name_exists():
+    tracer = load("tracer")
+    for _, cls, methods in tracer.CLASS_SPANS:
+        for method in methods:
+            assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
+    for _, module, functions in tracer.FUNCTION_SPANS:
+        for function in functions:
+            assert callable(getattr(module, function, None)), f"{module.__name__}.{function}"
+
+
+@pytest.mark.parametrize("name", ["sample-2x2", "honest-wide", "exact-views"])
+def test_first_op_of_each_tiny_workload_succeeds(name):
+    workloads = load("workloads")
+    workload = workloads.WORKLOADS[name](0, True, workloads.PhaseHooks())
+    assert workload.op(0, workload.inputs(0)) is None

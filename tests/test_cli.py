@@ -38,6 +38,14 @@ def test_validate_register_budget_ignores_the_column_count():
     assert errors and "register budget" in errors[0]
 
 
+def test_validate_rewrite_budget_admits_what_fits():
+    # 2x5 simulator-resource holds 20 qubits; 4x2 delayed holds 21
+    assert validate({"mode": "server-sim-equiv", "seed": 0, "n_wires": 2, "n_columns": 5}) == []
+    assert validate({"mode": "intermediate-equiv", "seed": 0, "n_wires": 4, "n_columns": 2}) == []
+    # the rewrite bound applies only to the modes that run a rewrite
+    assert validate({"mode": "honest-run", "seed": 0, "n_wires": 4, "n_columns": 3}) == []
+
+
 def test_validate_rejects_unknown_modes():
     assert validate({"mode": "quantum-supremacy"})
     assert validate({})
@@ -141,15 +149,33 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         ({"mode": "client-sim-equiv", "n_wires": 24, "n_columns": 3}, "register budget of 24"),
         ({"mode": "intermediate-equiv", "n_wires": 26, "n_columns": 2}, "n_wires + reference_qubits + 1 = 26"),
         ({"mode": "blindness", "n_wires": 40, "n_columns": 2, "scenarios": {"a": {}, "b": {}}}, "n_wires + reference_qubits + 1 = 40"),
+        # the simulator-resource rewrite keeps two retained EPR halves per measured node
+        ({"mode": "server-sim-equiv", "n_wires": 4, "n_columns": 3}, "simulator-resource rewrite, which holds up to 40 live qubits"),
+        ({"mode": "server-sim-equiv", "n_wires": 2, "n_columns": 7}, "simulator-resource rewrite, which holds up to 28 live qubits"),
+        ({"mode": "server-sim-equiv", "n_wires": 2, "n_columns": 6, "reference_qubits": 1}, "up to 25 live qubits"),
+        ({"mode": "intermediate-equiv", "n_wires": 4, "n_columns": 3}, "delayed rewrite, which holds up to 25 live qubits"),
+        # JSON true and false are not numbers (each of these passed as 1 or 0)
+        ({"mode": "honest-run", "seed": True, "n_wires": 2, "n_columns": 2}, "seed"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": True}, "n_columns"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "reference_qubits": True}, "reference_qubits"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "threshold": True}, "threshold"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "angles": [True, False]}, "angles"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1, 0], [0, False], [0, 0], [0, 0]]}, "input"),
+        ({"mode": "protocol1-detection", "deviation": True}, "deviation"),
+        ({"mode": "client-sim-equiv", "n_wires": 2, "n_columns": 2, "coalition": [True]}, "coalition"),
     ],
     ids=[
         "long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget",
         "blindness-one-column", "honest-over-register-budget", "reference-over-register-budget",
         "client-sim-over-register-budget", "intermediate-over-register-budget", "blindness-over-register-budget",
+        "server-sim-4x3-over-rewrite-budget", "server-sim-2x7-over-rewrite-budget", "server-sim-reference-over-rewrite-budget",
+        "intermediate-4x3-over-rewrite-budget",
+        "bool-seed", "bool-n-columns", "bool-reference-qubits", "bool-threshold", "bool-angles", "bool-amplitude",
+        "bool-deviation", "bool-coalition",
     ],
 )
 def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):
-    cfg = write_config(tmp_path, seed=0, **config)
+    cfg = write_config(tmp_path, **{"seed": 0, **config})
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
