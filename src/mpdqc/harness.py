@@ -90,8 +90,11 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     padded by Z(theta), then X if a, |+_theta> for the other measured nodes,
     then brickwork.graph_state; it is read once, nodes in label order, then
     the reference qubits. Nodes are measured in label order, so the node
-    being measured is always qubit 0. The mask bit r only shifts delta, so
-    each round enumerates its node's r at weight 1/2, as the protocol draws it.
+    being measured is always qubit 0. The mask bit r only shifts delta, at
+    weight 1/2 each, as the protocol draws it. Announcing delta + 4 and
+    seeing 1 - b is the same branch as announcing delta and seeing b, with
+    the same corrected outcome s = b xor r, so each node is projected once
+    per b and the subtree is filed under both labels.
     """
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
@@ -127,31 +130,35 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
                 system.add_register(plus_state(theta_j), [node_label[j]], ["server"])
         graph_state(system, graph, node_label)
         state = system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
-        accumulate("prepared", (), weight * state.density().partial_trace(range(graph.num_nodes)).matrix)
+        accumulate("prepared", (), weight * state.density(range(graph.num_nodes)).matrix)
 
         def a_of(j: int) -> int:
             return secret[j][1]
 
-        def walk(state: PureState, idx: int, label: tuple, w: float, s_bits: dict[int, int]) -> None:
+        def walk(state: PureState, idx: int, labels: list[tuple], w: float, s_bits: dict[int, int]) -> None:
             if idx == len(measured):
-                accumulate("delivered", label, np.array([[w]], dtype=complex))
+                for label in labels:
+                    accumulate("delivered", label, np.array([[w]], dtype=complex))
                 return
             j = measured[idx]
             theta_j, a_j = secret[j]
             phi_c = flow.adapted_angle(j, angles[j], s_bits.__getitem__, a_of)
-            for r_j in (0, 1):
-                delta_j = octant(phi_c + 4 * r_j + flip(theta_j, a_j))
-                for b in (0, 1):
-                    p_branch, post = state.project_rotated(0, delta_j, b)
-                    if p_branch < 1e-14:
-                        continue
-                    new_label = label + ((delta_j, b),)
-                    w_branch = w / 2 * p_branch
-                    remaining = post.density().partial_trace(range(graph.num_nodes - idx - 1)).matrix
-                    accumulate(f"round:{idx + 1}", new_label, w_branch * remaining)
-                    walk(post, idx + 1, new_label, w_branch, {**s_bits, j: b ^ r_j})
+            delta_j = octant(phi_c + flip(theta_j, a_j))
+            for b in (0, 1):
+                p_branch, post = state.project_rotated(0, delta_j, b)
+                if p_branch < 1e-14:
+                    continue
+                # r = 1 announces delta + 4 with the outcome flipped: the same
+                # branch, the same s = b xor r, so one subtree serves both labels
+                new_labels = [label + ((delta_j, b),) for label in labels]
+                new_labels += [label + ((octant(delta_j + 4), 1 - b),) for label in labels]
+                w_branch = w / 2 * p_branch
+                remaining = w_branch * post.density(range(graph.num_nodes - idx - 1)).matrix
+                for label in new_labels:
+                    accumulate(f"round:{idx + 1}", label, remaining)
+                walk(post, idx + 1, new_labels, w_branch, {**s_bits, j: b})
 
-        walk(state, 0, (), weight, {})
+        walk(state, 0, [()], weight, {})
 
     return views
 

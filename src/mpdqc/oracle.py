@@ -115,6 +115,11 @@ class OracleLedger:
     shares: dict[Tag, dict[int, SecretShare]] = field(default_factory=dict)
     outcomes: dict[int, int] = field(default_factory=dict)
     chain_t: dict[int, dict[int, int]] = field(default_factory=dict)
+    # reconstructed secrets by tag, kept once a share set is complete (a
+    # complete set never changes: register_share refuses duplicates), and
+    # the theta tags registered per (node, client)
+    _secrets: dict[Tag, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _theta_tags: dict[tuple[int, int], list[Tag]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_clients != self.pattern.graph.n_wires:
@@ -127,6 +132,8 @@ class OracleLedger:
         slot = self.shares.setdefault(share.tag, {})
         if share.owner in slot:
             raise ValueError(f"duplicate share from client {share.owner} for {share.tag}")
+        if not slot and share.tag[:1] == ("theta",):
+            self._theta_tags.setdefault(share.tag[1:3], []).append(share.tag)
         slot[share.owner] = share
 
     def register_chain(self, node: int, t: dict[int, int]) -> None:
@@ -142,10 +149,14 @@ class OracleLedger:
     # ----------------------------------------------------- reconstruction
 
     def _secret(self, tag: Tag) -> int:
-        slot = self.shares.get(tuple(tag))
+        tag = tuple(tag)
+        if tag in self._secrets:
+            return self._secrets[tag]
+        slot = self.shares.get(tag)
         if slot is None or len(slot) != self.n_clients:
             raise ValueError(f"share set for {tag} incomplete")
-        return reconstruct(list(slot.values()))
+        value = self._secrets[tag] = reconstruct(list(slot.values()))
+        return value
 
     def a_bit(self, client: int) -> int:
         return self._secret(a_tag(client))
@@ -161,8 +172,7 @@ class OracleLedger:
         shares of the copy that survived verification, so exactly one
         complete set per (node, client) may be present.
         """
-        prefix = ("theta", node, client)
-        tags = [tag for tag in self.shares if tag[:3] == prefix]
+        tags = self._theta_tags.get((node, client), [])
         if len(tags) != 1:
             raise ValueError(f"expected one submitted angle for node {node} client {client}, found {len(tags)}")
         return self._secret(tags[0])

@@ -13,10 +13,24 @@ Conventions used throughout the package:
 
 PureState and DensityMatrix are immutable values; QuantumSystem holds
 labelled, owned qubits as independent components and applies CZs lazily.
+
+Registers stay small (at most a few dozen qubits, mostly under ten), so
+the per-call kernels avoid numpy's axis juggling. A one-qubit operation on
+qubit q of an n-qubit state works on the (2^q, 2, 2^(n-q-1)) reshape of
+the amplitudes, a view that costs nothing to make: a gate matrix is one
+matmul over it, X swaps its two middle slices, Z and Z(theta) scale the
+slice [:, 1], and a projection combines or picks the slices [:, 0] and
+[:, 1]. CNOT and CZ permute or negate slices of the (2^lo, 2,
+2^(hi-lo-1), 2, rest) reshape in the same way. Phases e^{i t pi/4} come
+from one 8-entry table indexed by octant, shared by Z(theta), plus_state
+and the rotated projections. The tensor product is an outer product, and
+the reduced state of a pure state is M M^H, with M the amplitudes
+reshaped to (kept, traced-out) qubits.
 """
 from __future__ import annotations
 
 from math import pi, sqrt
+from typing import Iterable
 
 import numpy as np
 
@@ -40,14 +54,18 @@ def flip(value: int, bit: int) -> int:
     return octant(-value if bit & 1 else value)
 
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
+
+
+# e^{i t pi/4} for t = 0..7, one scalar exp each. Entry 4 is exp(i pi) =
+# -1 + 1.2e-16j, so Z negates its slice instead of reading the table.
+_PHASE = np.array([np.exp(1j * octant_to_radians(t)) for t in range(8)])
+_PHASE_CONJ = _PHASE.conj()
 
 
 def z_rot_matrix(theta: int) -> np.ndarray:
     """diag(1, e^{i theta pi/4}) for an octant angle."""
-    return np.diag([1.0, np.exp(1j * octant_to_radians(theta))]).astype(complex)
+    return np.diag([1.0, _PHASE[octant(theta)]])
 
 
 class PureState:
@@ -61,15 +79,17 @@ class PureState:
     __slots__ = ("amps",)
 
     def __init__(self, amps: np.ndarray, *, _checked: bool = False):
+        if _checked:
+            # a kernel's own result: already a flat complex vector of length 2^n
+            self.amps = amps
+            return
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.size == 0 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude vector length {amps.size} is not a power of two")
-        if not _checked:
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > 1e-6:
-                raise ValueError(f"state norm {norm} too far from 1")
-            amps = amps / norm
-        self.amps = amps
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"state norm {norm} too far from 1")
+        self.amps = amps / norm
 
     @property
     def num_qubits(self) -> int:
@@ -92,59 +112,59 @@ class PureState:
         return cls(amps, _checked=True)
 
     def tensor(self, other: "PureState") -> "PureState":
-        return PureState(np.kron(self.amps, other.amps), _checked=True)
+        return PureState(np.multiply.outer(self.amps, other.amps).reshape(-1), _checked=True)
 
     # --------------------------------------------------------------- gates
 
-    def _apply_single(self, matrix: np.ndarray, q: int) -> "PureState":
+    def _view(self, q: int) -> np.ndarray:
+        """The amplitudes as (2^q, 2, 2^(n-q-1)); [:, b] is the slice with qubit q = b."""
         n = self.num_qubits
         if not 0 <= q < n:
             raise IndexError(f"qubit {q} out of range for {n}-qubit register")
-        psi = self.amps.reshape([2] * n)
-        psi = np.moveaxis(psi, q, 0)
-        psi = np.tensordot(matrix, psi, axes=([1], [0]))
-        return PureState(np.moveaxis(psi, 0, q).reshape(-1), _checked=True)
+        return self.amps.reshape(1 << q, 2, -1)
+
+    def _scale_one(self, q: int, phase: complex) -> "PureState":
+        """diag(1, phase) on qubit q."""
+        psi = self._view(q).copy()
+        psi[:, 1] *= phase
+        return PureState(psi.reshape(-1), _checked=True)
 
     def x(self, q: int) -> "PureState":
-        return self._apply_single(_X, q)
+        return PureState(self._view(q)[:, ::-1].reshape(-1), _checked=True)
 
     def z(self, q: int) -> "PureState":
-        return self._apply_single(_Z, q)
+        return self._scale_one(q, -1.0)
 
     def h(self, q: int) -> "PureState":
-        return self._apply_single(_H, q)
+        return PureState(np.matmul(_H, self._view(q)).reshape(-1), _checked=True)
 
     def z_rot(self, q: int, theta: int) -> "PureState":
         """Z(theta) = diag(1, e^{i theta pi/4}), theta an octant."""
-        return self._apply_single(z_rot_matrix(theta), q)
+        return self._scale_one(q, _PHASE[octant(theta)])
 
-    def cnot(self, control: int, target: int) -> "PureState":
-        n = self.num_qubits
-        if control == target:
-            raise ValueError("control and target coincide")
-        for q in (control, target):
-            if not 0 <= q < n:
-                raise IndexError(f"qubit {q} out of range for {n}-qubit register")
-        psi = self.amps.reshape([2] * n).copy()
-        sel0 = [slice(None)] * n
-        sel1 = [slice(None)] * n
-        sel0[control], sel0[target] = 1, 0
-        sel1[control], sel1[target] = 1, 1
-        a, b = psi[tuple(sel0)].copy(), psi[tuple(sel1)].copy()
-        psi[tuple(sel0)], psi[tuple(sel1)] = b, a
-        return PureState(psi.reshape(-1), _checked=True)
-
-    def cz(self, q1: int, q2: int) -> "PureState":
+    def _pair_view(self, q1: int, q2: int) -> np.ndarray:
+        """The amplitudes as (2^lo, 2, 2^(hi-lo-1), 2, rest) for qubits lo < hi of {q1, q2}."""
         n = self.num_qubits
         if q1 == q2:
-            raise ValueError("CZ needs two distinct qubits")
+            raise ValueError("a two-qubit gate needs two distinct qubits")
         for q in (q1, q2):
             if not 0 <= q < n:
                 raise IndexError(f"qubit {q} out of range for {n}-qubit register")
-        psi = self.amps.reshape([2] * n).copy()
-        sel = [slice(None)] * n
-        sel[q1], sel[q2] = 1, 1
-        psi[tuple(sel)] *= -1.0
+        lo, hi = min(q1, q2), max(q1, q2)
+        return self.amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+
+    def cnot(self, control: int, target: int) -> "PureState":
+        src = self._pair_view(control, target)
+        psi = src.copy()
+        if control < target:
+            psi[:, 1, :, :] = src[:, 1, :, ::-1]
+        else:
+            psi[:, :, :, 1] = src[:, ::-1, :, 1]
+        return PureState(psi.reshape(-1), _checked=True)
+
+    def cz(self, q1: int, q2: int) -> "PureState":
+        psi = self._pair_view(q1, q2).copy()
+        psi[:, 1, :, 1] *= -1.0
         return PureState(psi.reshape(-1), _checked=True)
 
     def reorder(self, new_order: list[int] | tuple[int, ...]) -> "PureState":
@@ -164,12 +184,11 @@ class PureState:
         Returns (branch probability, normalized post-state). Probability 0
         branches return an unnormalized zero state.
         """
-        n = self.num_qubits
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n}-qubit register")
-        psi = np.moveaxis(self.amps.reshape([2] * n), q, 0)
-        phase = (-1) ** (outcome & 1) * np.exp(-1j * octant_to_radians(delta))
-        sub = (psi[0] + phase * psi[1]).reshape(-1) / sqrt(2)
+        psi = self._view(q)
+        phase = _PHASE_CONJ[octant(delta)]
+        if outcome & 1:
+            phase = -phase
+        sub = (psi[:, 0] + phase * psi[:, 1]).reshape(-1) / sqrt(2)
         prob = float(np.vdot(sub, sub).real)
         if prob > 1e-14:
             sub = sub / sqrt(prob)
@@ -177,11 +196,7 @@ class PureState:
 
     def project_computational(self, q: int, outcome: int) -> tuple[float, "PureState"]:
         """Project qubit q onto |outcome> and drop the qubit."""
-        n = self.num_qubits
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n}-qubit register")
-        psi = np.moveaxis(self.amps.reshape([2] * n), q, 0)
-        sub = psi[outcome & 1].reshape(-1)
+        sub = self._view(q)[:, outcome & 1].reshape(-1)
         prob = float(np.vdot(sub, sub).real)
         if prob > 1e-14:
             sub = sub / sqrt(prob)
@@ -208,8 +223,27 @@ class PureState:
             raise ValueError("register sizes differ")
         return float(abs(np.vdot(self.amps, other.amps)) ** 2)
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()), num_qubits=self.num_qubits)
+    def density(self, keep: Iterable[int] | None = None) -> "DensityMatrix":
+        """|psi><psi|, or with `keep` the reduced state on those qubits (order preserved).
+
+        The reduced state is M M^H, M being the amplitudes reshaped to
+        (kept, traced-out) qubits, transposed first when the kept qubits do
+        not lead. It equals density().partial_trace(keep) without building
+        the full operator.
+        """
+        if keep is None:
+            return DensityMatrix(np.outer(self.amps, self.amps.conj()), num_qubits=self.num_qubits)
+        keep = sorted(set(keep))
+        n = self.num_qubits
+        if not keep:
+            raise ValueError("must keep at least one qubit")
+        if keep[0] < 0 or keep[-1] >= n:
+            raise IndexError("keep set outside the register")
+        psi = self.amps
+        if keep[-1] != len(keep) - 1:
+            psi = np.transpose(psi.reshape([2] * n), keep + [q for q in range(n) if q not in keep])
+        m = psi.reshape(1 << len(keep), -1)
+        return DensityMatrix(m @ m.conj().T)
 
     def copy(self) -> "PureState":
         return PureState(self.amps.copy(), _checked=True)
@@ -220,7 +254,7 @@ class PureState:
 
 def plus_state(theta: int = 0) -> PureState:
     """(|0> + e^{i theta pi/4} |1>)/sqrt(2)."""
-    amps = np.array([1.0, np.exp(1j * octant_to_radians(theta))], dtype=complex) / sqrt(2)
+    amps = np.array([1.0, _PHASE[octant(theta)]]) / sqrt(2)
     return PureState(amps, _checked=True)
 
 
@@ -327,11 +361,16 @@ class QuantumSystem:
     node joins the live register only when a neighbour is measured, so the
     largest component stays near one column wide. peak_qubits records the
     largest component ever held.
+
+    Components live under integer keys; a component merged into another,
+    or whose last qubit is measured, is deleted, so a long run holds only
+    its live components.
     """
 
     def __init__(self):
-        self._states: list[PureState | None] = []
-        self._labels: list[list[str]] = []
+        self._states: dict[int, PureState] = {}
+        self._labels: dict[int, list[str]] = {}
+        self._next = 0
         self._home: dict[str, int] = {}
         self._pending: dict[str, dict[str, None]] = {}
         self.owner: dict[str, str] = {}
@@ -343,9 +382,10 @@ class QuantumSystem:
         for lab in labels:
             if lab in self._home:
                 raise ValueError(f"label {lab!r} already exists")
-        idx = len(self._states)
-        self._states.append(state)
-        self._labels.append(list(labels))
+        idx = self._next
+        self._next += 1
+        self._states[idx] = state
+        self._labels[idx] = list(labels)
         for lab, who in zip(labels, owners):
             self._home[lab] = idx
             self.owner[lab] = who
@@ -370,9 +410,8 @@ class QuantumSystem:
         self._states[ca] = self._states[ca].tensor(self._states[cb])
         for lab in self._labels[cb]:
             self._home[lab] = ca
-        self._labels[ca].extend(self._labels[cb])
-        self._states[cb] = None
-        self._labels[cb] = []
+        self._labels[ca].extend(self._labels.pop(cb))
+        del self._states[cb]
         self.peak_qubits = max(self.peak_qubits, len(self._labels[ca]))
 
     def _touch(self, label: str) -> tuple[int, int]:
@@ -430,7 +469,7 @@ class QuantumSystem:
         del self._home[label]
         del self.owner[label]
         if not self._labels[comp]:
-            self._states[comp] = None
+            del self._states[comp], self._labels[comp]
 
     def measure_rotated(self, label: str, delta: int, rng: np.random.Generator) -> int:
         c, q = self._touch(label)
@@ -483,7 +522,7 @@ class QuantumSystem:
         for c in self._components(labels):
             keep = [q for q, lab in enumerate(self._labels[c]) if lab in labels]
             order.extend(lab for lab in self._labels[c] if lab in labels)
-            blocks.append(self._states[c].density().partial_trace(keep))
+            blocks.append(self._states[c].density(keep))
         rho = blocks[0].matrix
         for blk in blocks[1:]:
             rho = np.kron(rho, blk.matrix)

@@ -336,3 +336,19 @@ def test_system_cz_rejects_bad_labels():
         system.apply_cz("a", "ghost")
     with pytest.raises(ValueError):
         system.apply_cz("a", "a")
+
+
+def test_system_holds_only_live_components():
+    # merging deletes the absorbed component, measuring the last qubit of a
+    # component deletes it, and peak_qubits still remembers the largest
+    system = plus_pair()
+    system.add_register(plus_state(0), ["c"], ["server"])
+    system.apply_cnot("a", "b")
+    assert len(system._states) == len(system._labels) == 2
+    rng = np.random.default_rng(4)
+    system.measure_computational("c", rng)
+    assert len(system._states) == len(system._labels) == 1
+    system.measure_computational("a", rng)
+    system.measure_computational("b", rng)
+    assert not system._states and not system._labels
+    assert system.peak_qubits == 2
