@@ -26,7 +26,7 @@ from .harness import (
     copy_test_rejection,
     clopper_pearson,
     empirical_tv,
-    exact_view_branches,
+    exact_view_projections,
     marginal_distances,
     observable_summary,
     rewrite_peak_qubits,
@@ -141,10 +141,10 @@ def validate(config: dict) -> list[str]:
     if mode == "blindness" and graph is not None:
         if not graph.measured_nodes:
             errors.append("n_columns must be >= 2 for blindness: a single column measures nothing")
-        elif exact_view_branches(graph) > EXACT_VIEW_BUDGET:
+        elif exact_view_projections(graph) > EXACT_VIEW_BUDGET:
             errors.append(
                 f"n_wires x n_columns = {graph.n_wires}x{graph.n_columns}: blindness needs "
-                f"{exact_view_branches(graph)} exact-view branches, over the budget of {EXACT_VIEW_BUDGET}"
+                f"{exact_view_projections(graph)} exact-view projections, over the budget of {EXACT_VIEW_BUDGET}"
             )
     return errors
 
@@ -267,14 +267,17 @@ def _mode_blindness(config: dict, seed: int, debug: bool) -> dict:
     n_qubits = config["n_wires"] + config.get("reference_qubits", 0)
     input_a = _build_input(sc["a"].get("input"), n_qubits, rng)
     input_b = _build_input(sc["b"].get("input"), n_qubits, rng)
-    distances = blindness_check(pattern_a, input_a, pattern_b, input_b)
+    classes: dict[str, int] = {}
+    distances = blindness_check(pattern_a, input_a, pattern_b, input_b, classes)
     worst = max(distances.values())
     threshold = config.get("threshold", DEFAULT_THRESHOLDS["blindness"])
     return {
         "metric": "max exact server-view trace distance over checkpoints",
         "value": worst,
         "passed": worst <= threshold,
-        "details": {"checkpoints": {k: float(v) for k, v in distances.items()}},
+        # view_projections counts both scenarios' enumerations
+        "details": {"checkpoints": {k: float(v) for k, v in distances.items()}, "view_classes": classes,
+                    "view_projections": 2 * exact_view_projections(pattern_a.graph)},
     }
 
 

@@ -21,9 +21,10 @@ contributed. The chain outcomes t and the honesty-test traffic (opened
 uniform angles, outcome-0 measurements, survivor indices) are distributed
 identically in every scenario and independently of the effective secrets,
 so they drop out of every view distance; the preparation-equivalence tests
-pin down exactly this reduction. Each (theta, a) combination is laid out
-on the protocol's own graph state (brickwork.graph_state); r changes no
-state, only the announced angle, so it is enumerated at its own round.
+pin down exactly this reduction. The views are filed by Z-twin class, the
+announced angles mod 4, so only theta in 0..3 is laid out, each (theta, a)
+combination on the protocol's own graph state (brickwork.graph_state), and
+r is not enumerated; the Z twins theta + 4 enter as dephasing.
 """
 from __future__ import annotations
 
@@ -61,40 +62,45 @@ from .rsp import run_chain, theta_aux, theta_input
 # exact server view and blindness
 # ----------------------------------------------------------------------
 
-EXACT_VIEW_BUDGET = 2 ** 21
+EXACT_VIEW_BUDGET = 2 ** 17
 
 
-def exact_view_branches(graph: BrickworkGraph) -> int:
-    """Branches exact_server_views enumerates on a graph.
+def exact_view_projections(graph: BrickworkGraph) -> int:
+    """Rotated projections exact_server_views makes on a graph.
 
-    Per measured node: 8 pad angles, 2 mask bits and 2 outcomes, times 2
-    flip bits for an input node.
+    4 pad angles per measured node and 2 flip bits per measured input give
+    4^M 2^I secret combinations; each walks M rounds, projecting both
+    outcomes of every branch: 2^(M+1) - 2 projections.
     """
-    branches = 1
-    for j in graph.measured_nodes:
-        branches *= 64 if j in graph.input_nodes else 32
-    return branches
+    m = len(graph.measured_nodes)
+    flips = sum(1 for j in graph.measured_nodes if j in graph.input_nodes)
+    return 4 ** m * 2 ** flips * (2 ** (m + 1) - 2)
 
 
 def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, dict[tuple, np.ndarray]]:
-    """Enumerate the server's averaged view at every checkpoint.
+    """Enumerate the server's averaged view at every checkpoint, by Z-twin class.
 
-    Returns checkpoint -> classical label -> subnormalized density matrix
-    of the server's remaining register (node qubits in label order). The
-    label is the tuple of (delta, b) pairs announced so far; checkpoint
-    "prepared" is right after entangling, "round:i" after the i-th
-    measurement, "delivered" after the outputs left the server (classical
-    label only, represented by 1x1 weight matrices).
+    Returns checkpoint -> class label -> subnormalized density matrix of
+    the server's remaining register (node qubits in label order). The label
+    is the tuple of announced angles mod 4 so far; checkpoint "prepared" is
+    right after entangling, "round:i" after the i-th measurement,
+    "delivered" after the outputs left the server (classical label only,
+    represented by 1x1 weight matrices).
+
+    A class matrix sums 4^i equal (delta, b) label matrices: (d, b), (d + 4,
+    1 - b), (d + 4, b) and (d, 1 - b) differ by the mask bit r and by the
+    pad's Z twin theta + 4 (for inputs, X^a Z(theta + 4) is Z X^a Z(theta)
+    up to phase), and measuring Z psi at delta + 4 gives psi's outcome and
+    post-state at delta. So view_distance over classes equals the distance
+    over labels. theta runs over 0..3, weight 1/4 per node, r not at all,
+    and the outcome is the flow bit s; the Z twins of the measured nodes
+    still live at a checkpoint are averaged at the end by dephasing them.
 
     Each (theta, a) combination is laid out as the protocol does it: inputs
     padded by Z(theta), then X if a, |+_theta> for the other measured nodes,
     then brickwork.graph_state; it is read once, nodes in label order, then
-    the reference qubits. Nodes are measured in label order, so the node
-    being measured is always qubit 0. The mask bit r only shifts delta, at
-    weight 1/2 each, as the protocol draws it. Announcing delta + 4 and
-    seeing 1 - b is the same branch as announcing delta and seeing b, with
-    the same corrected outcome s = b xor r, so each node is projected once
-    per b and the subtree is filed under both labels.
+    the reference qubits. The measured nodes lead in label order and are
+    measured in it, so the node being measured is always qubit 0.
     """
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
@@ -102,11 +108,11 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     if not measured:
         raise ValueError("nothing is measured; the server view is empty")
 
-    cost = exact_view_branches(graph)
+    cost = exact_view_projections(graph)
     if cost > EXACT_VIEW_BUDGET:
-        raise ValueError(f"exact enumeration needs {cost} branches, over the budget of {EXACT_VIEW_BUDGET}")
+        raise ValueError(f"exact enumeration needs {cost} projections, over the budget of {EXACT_VIEW_BUDGET}")
 
-    options = [[(theta, a) for theta in range(8) for a in ((0, 1) if j in graph.input_nodes else (0,))] for j in measured]
+    options = [[(theta, a) for theta in range(4) for a in ((0, 1) if j in graph.input_nodes else (0,))] for j in measured]
     weight = 1.0 / float(np.prod([len(opt) for opt in options]))
 
     checkpoints = ["prepared", *(f"round:{i}" for i in range(1, len(measured) + 1)), "delivered"]
@@ -135,30 +141,30 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
         def a_of(j: int) -> int:
             return secret[j][1]
 
-        def walk(state: PureState, idx: int, labels: list[tuple], w: float, s_bits: dict[int, int]) -> None:
+        def walk(state: PureState, idx: int, label: tuple, w: float, s_bits: dict[int, int]) -> None:
             if idx == len(measured):
-                for label in labels:
-                    accumulate("delivered", label, np.array([[w]], dtype=complex))
+                accumulate("delivered", label, np.array([[w]], dtype=complex))
                 return
             j = measured[idx]
             theta_j, a_j = secret[j]
             phi_c = flow.adapted_angle(j, angles[j], s_bits.__getitem__, a_of)
             delta_j = octant(phi_c + flip(theta_j, a_j))
-            for b in (0, 1):
-                p_branch, post = state.project_rotated(0, delta_j, b)
+            new_label = label + (delta_j % 4,)
+            for s in (0, 1):
+                p_branch, post = state.project_rotated(0, delta_j, s)
                 if p_branch < 1e-14:
                     continue
-                # r = 1 announces delta + 4 with the outcome flipped: the same
-                # branch, the same s = b xor r, so one subtree serves both labels
-                new_labels = [label + ((delta_j, b),) for label in labels]
-                new_labels += [label + ((octant(delta_j + 4), 1 - b),) for label in labels]
-                w_branch = w / 2 * p_branch
-                remaining = w_branch * post.density(range(graph.num_nodes - idx - 1)).matrix
-                for label in new_labels:
-                    accumulate(f"round:{idx + 1}", label, remaining)
-                walk(post, idx + 1, new_labels, w_branch, {**s_bits, j: b})
+                w_branch = w * p_branch
+                accumulate(f"round:{idx + 1}", new_label, w_branch * post.density(range(graph.num_nodes - idx - 1)).matrix)
+                walk(post, idx + 1, new_label, w_branch, {**s_bits, j: s})
 
-        walk(state, 0, [()], weight, {})
+        walk(state, 0, (), weight, {})
+
+    for i, checkpoint in enumerate(checkpoints[:len(measured)]):
+        # keep the entries whose row and column agree on the live measured nodes, which lead
+        live = np.arange(2 ** (graph.num_nodes - i)) >> (graph.num_nodes - len(measured))
+        mask = live[:, None] == live[None, :]
+        views[checkpoint] = {label: matrix * mask for label, matrix in views[checkpoint].items()}
 
     return views
 
@@ -182,12 +188,14 @@ def blindness_check(
     input_a: PureState,
     pattern_b: MeasurementPattern,
     input_b: PureState,
+    classes: dict[str, int] | None = None,
 ) -> dict[str, float]:
     """Exact view distance per checkpoint between two scenarios.
 
     The scenarios must share the public interface: graph dimensions and
     input register size. Everything else (inputs, pattern angles) may
     differ; blindness means every returned distance is numerically zero.
+    `classes` receives the number of class labels compared per checkpoint.
     """
     ga, gb = pattern_a.graph, pattern_b.graph
     if (ga.n_wires, ga.n_columns) != (gb.n_wires, gb.n_columns):
@@ -196,6 +204,8 @@ def blindness_check(
         raise ValueError("scenarios expose different input register sizes")
     va = exact_server_views(pattern_a, input_a)
     vb = exact_server_views(pattern_b, input_b)
+    if classes is not None:
+        classes.update((cp, len(va[cp].keys() | vb[cp].keys())) for cp in va)
     return {cp: view_distance(va[cp], vb[cp]) for cp in va}
 
 

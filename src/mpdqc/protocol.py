@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system, read_outputs
+from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_system, read_outputs
 from .oracle import (
     OracleLedger,
     SecretShare,
@@ -294,7 +294,6 @@ def run_full_protocol(
     """
     graph = pattern.graph
     n = graph.n_wires
-    flow = compute_flow(graph)
     if n < 2:
         raise ValueError("protocol needs at least 2 clients")
     if m_copies < 2:
@@ -341,7 +340,7 @@ def run_full_protocol(
     # -------------------------------------------------- measurement rounds
     deltas: dict[int, int] = {}
     outcomes_b: dict[int, int] = {}
-    for j in flow.order:
+    for j in ledger.flow.order:
         for k in range(1, n + 1):
             r_bit = int(rng.integers(2))
             if r_override is not None:

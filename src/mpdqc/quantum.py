@@ -184,35 +184,35 @@ class PureState:
         Returns (branch probability, normalized post-state). Probability 0
         branches return an unnormalized zero state.
         """
+        return _branch(self._rotated_slice(q, delta, outcome))
+
+    def _rotated_slice(self, q: int, delta: int, outcome: int) -> np.ndarray:
         psi = self._view(q)
         phase = _PHASE_CONJ[octant(delta)]
         if outcome & 1:
             phase = -phase
-        sub = (psi[:, 0] + phase * psi[:, 1]).reshape(-1) / sqrt(2)
-        prob = float(np.vdot(sub, sub).real)
-        if prob > 1e-14:
-            sub = sub / sqrt(prob)
-        return prob, PureState(sub, _checked=True)
+        return (psi[:, 0] + phase * psi[:, 1]).reshape(-1) / sqrt(2)
 
     def project_computational(self, q: int, outcome: int) -> tuple[float, "PureState"]:
         """Project qubit q onto |outcome> and drop the qubit."""
-        sub = self._view(q)[:, outcome & 1].reshape(-1)
-        prob = float(np.vdot(sub, sub).real)
-        if prob > 1e-14:
-            sub = sub / sqrt(prob)
-        return prob, PureState(sub, _checked=True)
+        return _branch(self._view(q)[:, outcome & 1].reshape(-1))
 
     def measure_rotated(self, q: int, delta: int, rng: np.random.Generator) -> tuple[int, "PureState"]:
-        """Measure qubit q in {|+_delta>, |-_delta>}; the qubit leaves the register."""
-        p0, branch0 = self.project_rotated(q, delta, 0)
+        """Measure qubit q in {|+_delta>, |-_delta>}; the qubit leaves the register.
+
+        p0 comes from the outcome-0 slice; only the drawn outcome's post-state is built.
+        """
+        sub = self._rotated_slice(q, delta, 0)
+        p0 = float(np.vdot(sub, sub).real)
         if rng.random() < p0:
-            return 0, branch0
+            return 0, _branch(sub, p0)[1]
         return 1, self.project_rotated(q, delta, 1)[1]
 
     def measure_computational(self, q: int, rng: np.random.Generator) -> tuple[int, "PureState"]:
-        p0, branch0 = self.project_computational(q, 0)
+        sub = self._view(q)[:, 0].reshape(-1)
+        p0 = float(np.vdot(sub, sub).real)
         if rng.random() < p0:
-            return 0, branch0
+            return 0, _branch(sub, p0)[1]
         return 1, self.project_computational(q, 1)[1]
 
     # ------------------------------------------------------------- queries
@@ -250,6 +250,12 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(num_qubits={self.num_qubits})"
+
+
+def _branch(sub: np.ndarray, prob: float | None = None) -> tuple[float, PureState]:
+    """(probability, normalized post-state) of a projected slice; probability-0 slices stay unnormalized."""
+    prob = float(np.vdot(sub, sub).real) if prob is None else prob
+    return prob, PureState(sub / sqrt(prob) if prob > 1e-14 else sub, _checked=True)
 
 
 def plus_state(theta: int = 0) -> PureState:

@@ -70,6 +70,9 @@ def test_validate_requires_blindness_scenarios():
     assert validate(base)
     ok = {**base, "scenarios": {"a": {}, "b": {}}}
     assert validate(ok) == []
+    # 30,720 and 122,880 exact-view projections fit the budget
+    assert validate({**ok, "n_columns": 3}) == []
+    assert validate({**ok, "n_wires": 4}) == []
 
 
 def test_validate_rejects_bad_deviation_and_threshold():
@@ -140,8 +143,8 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
              "scenarios": {"a": {}, "b": {"input": [[1, 0]] * 8}}},
             "scenarios.b.input",
         ),
-        # 2x3 needs 4,194,304 exact-view branches
-        ({"mode": "blindness", "n_wires": 2, "n_columns": 3, "scenarios": {"a": {}, "b": {}}}, "n_wires x n_columns"),
+        # 2x4 needs 4^6 * 2^2 * (2^7 - 2) = 2,064,384 exact-view projections
+        ({"mode": "blindness", "n_wires": 2, "n_columns": 4, "scenarios": {"a": {}, "b": {}}}, "2x4: blindness needs 2064384 exact-view projections"),
         ({"mode": "blindness", "n_wires": 2, "n_columns": 1, "scenarios": {"a": {}, "b": {}}}, "n_columns"),
         # a 41-qubit live register would need 32 TiB per statevector
         ({"mode": "honest-run", "n_wires": 40, "n_columns": 2}, "n_wires + reference_qubits + 1 = 40 + 0 + 1"),
@@ -281,6 +284,19 @@ def test_blindness_mode_passes_at_default_threshold(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["value"] <= 1e-9
     assert set(report["details"]["checkpoints"]) == {"prepared", "round:1", "round:2", "delivered"}
+
+
+def test_blindness_mode_reports_the_view_size_at_2x3(tmp_path):
+    cfg = write_config(
+        tmp_path, mode="blindness", seed=1, n_wires=2, n_columns=3,
+        scenarios={"a": {"angles": "zeros", "input": "zeros"}, "b": {"angles": "random", "input": "random"}},
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    details = json.loads((out / "report.json").read_text())["details"]
+    # one class per announced-angle sequence mod 4: 4^i after round i
+    assert details["view_classes"] == {"prepared": 1, "round:1": 4, "round:2": 16, "round:3": 64, "round:4": 256, "delivered": 256}
+    assert details["view_projections"] == 2 * 30_720
 
 
 def test_equivalence_modes_smoke(tmp_path):

@@ -1,9 +1,10 @@
-"""Exact server views on the shared graph-state layout, pinned against the eager enumeration.
+"""Exact server views by Z-twin class, pinned against the eager enumeration.
 
 eager_exact_server_views is the enumeration the views used before they ran
-on brickwork.graph_state: one eager PureState per (theta, r, a)
-combination, laid out by hand with position bookkeeping. It is kept here
-only, as the slow path the shared layout is checked against.
+on brickwork.graph_state and before they were filed by class: one eager
+PureState per (theta, r, a) combination, theta over all 8 octants, laid out
+by hand with position bookkeeping, one label (delta, b) per round. It is
+kept here only, as the slow path the class views are checked against.
 """
 from itertools import product
 
@@ -11,11 +12,14 @@ import numpy as np
 import pytest
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, random_pattern
-from mpdqc.harness import exact_server_views
+from mpdqc.harness import EXACT_VIEW_BUDGET, blindness_check, exact_server_views, exact_view_projections, view_distance
 from mpdqc.quantum import PureState, flip, octant, plus_state
 
 
-def eager_exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, dict[tuple, np.ndarray]]:
+def eager_exact_server_views(
+    pattern: MeasurementPattern, input_state: PureState, pad_angles=range(8)
+) -> dict[str, dict[tuple, np.ndarray]]:
+    """pad_angles other than range(8) make a broken pad, for negative controls."""
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
     n = graph.n_wires
@@ -24,7 +28,7 @@ def eager_exact_server_views(pattern: MeasurementPattern, input_state: PureState
     options = []
     for j in measured:
         a_range = (0, 1) if j in graph.input_nodes else (0,)
-        options.append([(theta, r, a) for theta in range(8) for r in (0, 1) for a in a_range])
+        options.append([(theta, r, a) for theta in pad_angles for r in (0, 1) for a in a_range])
     total = 1.0
     for opt in options:
         total *= len(opt)
@@ -87,22 +91,85 @@ def eager_exact_server_views(pattern: MeasurementPattern, input_state: PureState
     return views
 
 
+def class_of(label: tuple) -> tuple:
+    return tuple(delta % 4 for delta, _ in label)
+
+
+def summed_into_classes(views: dict[str, dict[tuple, np.ndarray]]) -> dict[str, dict[tuple, np.ndarray]]:
+    classes: dict[str, dict[tuple, np.ndarray]] = {}
+    for checkpoint, buckets in views.items():
+        acc = classes[checkpoint] = {}
+        for label, matrix in buckets.items():
+            key = class_of(label)
+            acc[key] = acc[key] + matrix if key in acc else matrix
+    return classes
+
+
+def random_input(n_qubits: int, rng: np.random.Generator) -> PureState:
+    v = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    return PureState(v / np.linalg.norm(v))
+
+
 @pytest.mark.parametrize("n_ref", [0, 1, 2])
 def test_views_match_the_eager_enumeration(n_ref):
+    """Every eager label of a k-round checkpoint, times 4^k, is its class matrix."""
     graph = build_brickwork(2, 2)
     for seed in range(3):
         rng = np.random.default_rng([n_ref, seed])
         pattern = random_pattern(graph, rng)
-        v = rng.normal(size=2 ** (2 + n_ref)) + 1j * rng.normal(size=2 ** (2 + n_ref))
-        psi = PureState(v / np.linalg.norm(v))
-        shared = exact_server_views(pattern, psi)
+        psi = random_input(2 + n_ref, rng)
+        classes = exact_server_views(pattern, psi)
         eager = eager_exact_server_views(pattern, psi)
-        assert list(shared) == list(eager)
+        assert list(classes) == list(eager)
         for checkpoint, buckets in eager.items():
-            assert set(shared[checkpoint]) == set(buckets), checkpoint
+            assert set(classes[checkpoint]) == {class_of(label) for label in buckets}, checkpoint
+            k = len(next(iter(buckets)))
+            assert len(buckets) == 4 ** k * len(classes[checkpoint])
             for label, matrix in buckets.items():
-                assert shared[checkpoint][label].shape == matrix.shape
-                assert np.max(np.abs(shared[checkpoint][label] - matrix)) <= 1e-12, (checkpoint, label)
+                class_matrix = classes[checkpoint][class_of(label)]
+                assert class_matrix.shape == matrix.shape
+                assert np.max(np.abs(4 ** k * matrix - class_matrix)) <= 1e-12, (checkpoint, label)
+
+
+def test_a_broken_pad_leaks_through_the_classes():
+    """Negative control: with theta fixed to 0 the class-summed views tell |00> from |11>."""
+    pattern = MeasurementPattern(build_brickwork(2, 2), {1: 1, 2: 3})
+    a, b = (
+        summed_into_classes(eager_exact_server_views(pattern, PureState.computational(bits), pad_angles=(0,)))
+        for bits in ("00", "11")
+    )
+    assert max(view_distance(a[cp], b[cp]) for cp in a) > 0.1
+
+
+@pytest.mark.parametrize("n_columns,expected", [(2, 384), (3, 30_720)])
+def test_the_projection_count_is_the_work_done(monkeypatch, n_columns, expected):
+    graph = build_brickwork(2, n_columns)
+    assert exact_view_projections(graph) == expected
+    calls = []
+    project = PureState.project_rotated
+
+    def counted(self, *args):
+        calls.append(args)
+        return project(self, *args)
+
+    monkeypatch.setattr(PureState, "project_rotated", counted)
+    rng = np.random.default_rng(n_columns)
+    exact_server_views(random_pattern(graph, rng), random_input(2, rng))
+    assert len(calls) == expected
+
+
+def test_the_projection_budget_admits_4x2_but_not_2x4():
+    assert exact_view_projections(build_brickwork(4, 2)) == 122_880 <= EXACT_VIEW_BUDGET
+    assert exact_view_projections(build_brickwork(2, 4)) == 2_064_384 > EXACT_VIEW_BUDGET
+
+
+def test_server_views_at_2x3_are_scenario_independent():
+    """A3 on a 2x3 graph: zero pattern on |00> vs random pattern on |11>."""
+    graph = build_brickwork(2, 3)
+    pattern_a = MeasurementPattern(graph, {j: 0 for j in graph.measured_nodes})
+    pattern_b = random_pattern(graph, np.random.default_rng(2026))
+    distances = blindness_check(pattern_a, PureState.computational("00"), pattern_b, PureState.computational("11"))
+    assert max(distances.values()) <= 1e-9
 
 
 def test_views_reject_an_input_register_smaller_than_the_graph():

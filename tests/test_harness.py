@@ -52,7 +52,7 @@ def test_exact_views_have_the_expected_checkpoints():
     views = exact_server_views(small_pattern(angles={1: 0, 2: 0}), PureState.computational("00"))
     assert set(views) == {"prepared", "round:1", "round:2", "delivered"}
     assert list(views["prepared"]) == [()]
-    # after both rounds every label carries (delta, b) for two nodes
+    # after both rounds every class label carries one angle mod 4 per node
     assert all(len(label) == 2 for label in views["round:2"])
 
 
