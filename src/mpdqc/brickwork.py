@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -94,6 +94,14 @@ def build_brickwork(n_wires: int, n_columns: int) -> BrickworkGraph:
     return BrickworkGraph(n_wires, n_columns, frozenset(edges))
 
 
+def parity(bits: Iterable[int]) -> int:
+    """The XOR of a collection of bits."""
+    p = 0
+    for bit in bits:
+        p ^= bit
+    return p
+
+
 @dataclass(frozen=True)
 class Flow:
     """Causal flow data: successor map and correction sets.
@@ -116,12 +124,7 @@ class Flow:
         s_bit(i) is the corrected outcome of measured node i; it is called
         only for the nodes in the two sets.
         """
-        s_x = s_z = 0
-        for i in self.s_x[node]:
-            s_x ^= s_bit(i)
-        for i in self.s_z[node]:
-            s_z ^= s_bit(i)
-        return s_x, s_z
+        return parity(map(s_bit, self.s_x[node])), parity(map(s_bit, self.s_z[node]))
 
     def _pred_flip(self, node: int, flip_of: Callable[[int], int]) -> int:
         """flip_of of the node's flow predecessor; 0 when it has none."""

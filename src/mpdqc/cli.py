@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +23,14 @@ from .brickwork import MeasurementPattern, build_brickwork, random_pattern, refe
 from .harness import (
     EXACT_VIEW_BUDGET,
     blindness_check,
-    check_no_secret_leak,
-    coalition_view_summary,
     copy_test_rejection,
     clopper_pearson,
     empirical_tv,
     exact_view_projections,
     marginal_distances,
-    observable_summary,
+    observe,
     rewrite_peak_qubits,
-    run_intermediate_protocol,
-    run_simulated_client_world,
-    run_simulated_server_world,
+    sample,
 )
 from .protocol import run_full_protocol
 from .quantum import PureState
@@ -132,8 +130,8 @@ def validate(config: dict) -> list[str]:
         else:
             specs = {f"scenarios.{key}.": sc for key, sc in sorted(scenarios.items())}
     thr = config.get("threshold")
-    if thr is not None and (not (_is_int(thr) or isinstance(thr, float)) or thr <= 0):
-        errors.append("threshold must be a positive number")
+    if thr is not None and (not _is_number(thr) or thr <= 0):
+        errors.append("threshold must be a positive finite number")
     if graph is not None:
         for prefix, spec in specs.items():
             errors.extend(_check_angles(spec.get("angles"), len(graph.measured_nodes), prefix + "angles"))
@@ -154,6 +152,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: json reads NaN and Infinity as floats."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _check_angles(spec, count: int, field: str) -> list[str]:
     if spec is None or spec in ("random", "zeros"):
         return []
@@ -168,9 +171,9 @@ def _check_input(spec, count: int, field: str) -> list[str]:
     if spec is None or spec in ("random", "zeros", "ones"):
         return []
     if not isinstance(spec, list) or not all(
-        isinstance(v, list) and len(v) == 2 and all(_is_int(x) or isinstance(x, float) for x in v) for v in spec
+        isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v) for v in spec
     ):
-        return [f'{field} must be "random", "zeros", "ones" or a list of [re, im] amplitude pairs']
+        return [f'{field} must be "random", "zeros", "ones" or a list of finite [re, im] amplitude pairs']
     if len(spec) != count:
         return [f"{field} must have 2^(n_wires + reference_qubits) = {count} amplitudes, got {len(spec)}"]
     if not any(re or im for re, im in spec):
@@ -197,6 +200,12 @@ def _build_pattern(config: dict, angle_spec, rng: np.random.Generator) -> Measur
     if angle_spec == "zeros":
         return MeasurementPattern(graph, {j: 0 for j in graph.measured_nodes})
     return MeasurementPattern(graph, dict(zip(graph.measured_nodes, angle_spec)))
+
+
+def _scenario(config: dict, rng: np.random.Generator) -> tuple[MeasurementPattern, PureState]:
+    """The config's pattern, then its input state, both drawn from rng."""
+    pattern = _build_pattern(config, config.get("angles"), rng)
+    return pattern, _build_input(config.get("input"), config["n_wires"] + config.get("reference_qubits", 0), rng)
 
 
 def _pool_distance(sum_a: list[dict], sum_b: list[dict]) -> dict[str, float]:
@@ -229,9 +238,7 @@ def _pool_distance(sum_a: list[dict], sum_b: list[dict]) -> dict[str, float]:
 
 def _mode_honest_run(config: dict, seed: int, debug: bool) -> dict:
     rng = np.random.default_rng([seed, 0])
-    pattern = _build_pattern(config, config.get("angles"), rng)
-    n_qubits = config["n_wires"] + config.get("reference_qubits", 0)
-    input_state = _build_input(config.get("input"), n_qubits, rng)
+    pattern, input_state = _scenario(config, rng)
     run = run_full_protocol(pattern, input_state, rng, m_copies=config.get("m_copies", 10), debug_secrets=debug)
     if run.aborted:
         return {
@@ -281,90 +288,55 @@ def _mode_blindness(config: dict, seed: int, debug: bool) -> dict:
     }
 
 
-def _mode_server_sim_equiv(config: dict, seed: int, debug: bool) -> dict:
-    trials = config.get("trials", 10000)
-    rng0 = np.random.default_rng([seed, 0])
-    pattern = _build_pattern(config, config.get("angles"), rng0)
-    n_qubits = config["n_wires"] + config.get("reference_qubits", 0)
-    input_state = _build_input(config.get("input"), n_qubits, rng0)
-    expected = reference_execute(pattern, input_state, np.random.default_rng([seed, 1]))
+def _compare(config: dict, seed: int, worlds: tuple[str, ...], fidelity: bool = False, **options) -> tuple[list[dict], float]:
+    """Sample each world's trials at salts 2, 3, ... (harness.sample, harness.observe).
 
-    def real_worker(i: int) -> tuple[dict, float]:
-        rng = np.random.default_rng([seed, 2, i])
-        run = run_full_protocol(pattern, input_state, rng, m_copies=2)
-        if run.aborted:
-            raise RuntimeError("honest run aborted")
-        return observable_summary(run, rng), run.output_state.fidelity(expected)
+    Returns _pool_distance from the first world to each later one, in
+    order, and the least output fidelity to direct execution over all
+    trials (1.0 unless `fidelity`). `options` go to harness.observe.
+    """
+    pattern, input_state = _scenario(config, np.random.default_rng([seed, 0]))
+    expected = reference_execute(pattern, input_state, np.random.default_rng([seed, 1])) if fidelity else None
 
-    def sim_worker(i: int) -> tuple[dict, float]:
-        rng = np.random.default_rng([seed, 3, i])
-        run = run_simulated_server_world(pattern, input_state, rng)
-        return observable_summary(run, rng), run.output_state.fidelity(expected)
+    def trial(world: str, rng: np.random.Generator) -> tuple[dict, float]:
+        summary, output = observe(world, pattern, input_state, rng, **options)
+        return summary, 1.0 if expected is None else output.fidelity(expected)
 
-    real = [real_worker(i) for i in range(trials)]
-    sim = [sim_worker(i) for i in range(trials)]
-    distances = _pool_distance([s for s, _ in real], [s for s, _ in sim])
-    worst = max(distances.values())
-    min_fidelity = min(min(f for _, f in real), min(f for _, f in sim))
-    threshold = config.get("threshold", DEFAULT_THRESHOLDS["server-sim-equiv"])
+    samples = [sample(partial(trial, world), config.get("trials", 10000), seed, k + 2) for k, world in enumerate(worlds)]
+    first = [summary for summary, _ in samples[0]]
+    distances = [_pool_distance(first, [summary for summary, _ in rows]) for rows in samples[1:]]
+    return distances, min(f for rows in samples for _, f in rows)
+
+
+def _tv_report(config: dict, versus: str, distances: list[dict], details: dict, ok: bool = True) -> dict:
+    """The verdict of a sampled comparison: the largest pooled TV against the threshold."""
+    worst = max(max(d.values()) for d in distances)
     return {
-        "metric": "max pooled marginal TV, real vs simulated server world",
+        "metric": f"max pooled marginal TV, {versus}",
         "value": worst,
-        "passed": worst <= threshold and min_fidelity >= 1 - 1e-6,
-        "trials": trials,
-        "details": {"marginals": distances, "min_output_fidelity": min_fidelity},
+        "passed": ok and worst <= config.get("threshold", DEFAULT_THRESHOLDS[config["mode"]]),
+        "trials": config.get("trials", 10000),
+        "details": details,
     }
+
+
+def _mode_server_sim_equiv(config: dict, seed: int, debug: bool) -> dict:
+    distances, min_fidelity = _compare(config, seed, ("base", "simulator-resource"), fidelity=True)
+    details = {"marginals": distances[0], "min_output_fidelity": min_fidelity}
+    return _tv_report(config, "real vs simulated server world", distances, details, min_fidelity >= 1 - 1e-6)
 
 
 def _mode_client_sim_equiv(config: dict, seed: int, debug: bool) -> dict:
-    trials = config.get("trials", 10000)
-    n = config["n_wires"]
-    coalition = frozenset(config.get("coalition", [n]))
-    m = config.get("m_copies", 2)
-    rng0 = np.random.default_rng([seed, 0])
-    pattern = _build_pattern(config, config.get("angles"), rng0)
-    n_qubits = n + config.get("reference_qubits", 0)
-    input_state = _build_input(config.get("input"), n_qubits, rng0)
-
-    def real_worker(i: int) -> dict:
-        rng = np.random.default_rng([seed, 2, i])
-        run = run_full_protocol(pattern, input_state, rng, m_copies=m)
-        if run.aborted:
-            raise RuntimeError("honest run aborted")
-        check_no_secret_leak(run.transcript, coalition, n)
-        return coalition_view_summary(run, coalition, rng)
-
-    def sim_worker(i: int) -> dict:
-        rng = np.random.default_rng([seed, 3, i])
-        run = run_simulated_client_world(pattern, input_state, coalition, rng, m_copies=m)
-        if run.abort:
-            raise RuntimeError("simulated honest run aborted")
-        check_no_secret_leak(run.transcript, coalition, n)
-        return coalition_view_summary(run, coalition, rng)
-
-    real = [real_worker(i) for i in range(trials)]
-    sim = [sim_worker(i) for i in range(trials)]
-    distances = _pool_distance(real, sim)
-    worst = max(distances.values())
-    threshold = config.get("threshold", DEFAULT_THRESHOLDS["client-sim-equiv"])
-    return {
-        "metric": "max pooled marginal TV, real vs simulated coalition view",
-        "value": worst,
-        "passed": worst <= threshold,
-        "trials": trials,
-        "details": {"marginals": distances, "coalition": sorted(coalition), "leak_checks": 2 * trials},
-    }
+    coalition = frozenset(config.get("coalition", [config["n_wires"]]))
+    distances, _ = _compare(config, seed, ("base", "simulated-client"), m_copies=config.get("m_copies", 2), coalition=coalition)
+    details = {"marginals": distances[0], "coalition": sorted(coalition), "leak_checks": 2 * config.get("trials", 10000)}
+    return _tv_report(config, "real vs simulated coalition view", distances, details)
 
 
 def _mode_protocol1_detection(config: dict, seed: int, debug: bool) -> dict:
     trials = config.get("trials", 10000)
     deviation = config.get("deviation", 1)
-
-    def worker(i: int) -> tuple[int, int]:
-        rng = np.random.default_rng([seed, 2, i])
-        return copy_test_rejection(deviation, 1, rng)
-
-    results = [worker(i) for i in range(trials)]
+    results = sample(lambda rng: copy_test_rejection(deviation, 1, rng), trials, seed, 2)
     rejections = sum(r for r, _ in results)
     tested = sum(t for _, t in results)
     rate = rejections / tested
@@ -382,40 +354,8 @@ def _mode_protocol1_detection(config: dict, seed: int, debug: bool) -> dict:
 
 
 def _mode_intermediate_equiv(config: dict, seed: int, debug: bool) -> dict:
-    trials = config.get("trials", 10000)
-    rng0 = np.random.default_rng([seed, 0])
-    pattern = _build_pattern(config, config.get("angles"), rng0)
-    n_qubits = config["n_wires"] + config.get("reference_qubits", 0)
-    input_state = _build_input(config.get("input"), n_qubits, rng0)
-
-    def base_worker(i: int) -> dict:
-        rng = np.random.default_rng([seed, 2, i])
-        run = run_full_protocol(pattern, input_state, rng, m_copies=2)
-        if run.aborted:
-            raise RuntimeError("honest run aborted")
-        return observable_summary(run, rng)
-
-    def version_worker(version: str, salt: int, i: int) -> dict:
-        rng = np.random.default_rng([seed, salt, i])
-        run = run_intermediate_protocol(pattern, input_state, rng, version)
-        return observable_summary(run, rng)
-
-    base = [base_worker(i) for i in range(trials)]
-    worst = 0.0
-    per_version: dict[str, dict[str, float]] = {}
-    for salt, version in ((3, "teleport"), (4, "delayed")):
-        samples = [version_worker(version, salt, i) for i in range(trials)]
-        distances = _pool_distance(base, samples)
-        per_version[version] = distances
-        worst = max(worst, max(distances.values()))
-    threshold = config.get("threshold", DEFAULT_THRESHOLDS["intermediate-equiv"])
-    return {
-        "metric": "max pooled marginal TV, base protocol vs rewrites",
-        "value": worst,
-        "passed": worst <= threshold,
-        "trials": trials,
-        "details": {"marginals": {k: v for k, v in per_version.items()}},
-    }
+    distances, _ = _compare(config, seed, ("base", "teleport", "delayed"))
+    return _tv_report(config, "base protocol vs rewrites", distances, {"marginals": dict(zip(("teleport", "delayed"), distances))})
 
 
 _MODE_RUNNERS = {

@@ -25,6 +25,13 @@ pin down exactly this reduction. The views are filed by Z-twin class, the
 announced angles mod 4, so only theta in 0..3 is laid out, each (theta, a)
 combination on the protocol's own graph state (brickwork.graph_state), and
 r is not enumerated; the Z twins theta + 4 enter as dephasing.
+
+Both simulation checks are sampled, and every sampled verdict follows one
+rule: `sample` runs trial i of a world on its own generator,
+default_rng([*salt, i]), and `observe` runs that trial honestly in one of
+the five worlds (base, teleport, delayed, simulator-resource,
+simulated-client), raises if it aborted, and returns its summary and
+output state.
 """
 from __future__ import annotations
 
@@ -42,6 +49,7 @@ from .brickwork import (
     compute_flow,
     graph_state,
     input_system,
+    parity,
     read_outputs,
     reference_execute,
 )
@@ -334,10 +342,7 @@ def run_intermediate_protocol(
     handle = entangle(system, graph, node_label, chain_t, strategy)
 
     def node_r(j: int) -> int:
-        bit = 0
-        for k in range(1, n + 1):
-            bit ^= r_bits[(j, k)]
-        return bit
+        return parity(r_bits[(j, k)] for k in range(1, n + 1))
 
     def s_bit(j: int) -> int:
         return b[j] ^ node_r(j)
@@ -567,9 +572,7 @@ def run_simulated_client_world(
             else:
                 r_claims[(j, k)] = int(rng.integers(2))
                 fake_distribution(k, 2, r_tag(j, k), {"kind": "mask-bit", "node": j, "client": k})
-        coalition_mask = 0
-        for c in coalition:
-            coalition_mask ^= r_claims[(j, c)]
+        coalition_mask = parity(r_claims[(j, c)] for c in coalition)
         delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
         record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta[j]})
         b[j] = int(rng.integers(2))
@@ -586,10 +589,7 @@ def run_simulated_client_world(
     resource_output = reference_execute(pattern, ideal_input, rng)
 
     def s_bit(i: int) -> int:
-        bit = b[i]
-        for k in range(1, n + 1):
-            bit ^= r_claims[(i, k)]
-        return bit
+        return b[i] ^ parity(r_claims[(i, k)] for k in range(1, n + 1))
 
     def a_of(j: int) -> int:
         if j not in graph.input_nodes:
@@ -698,6 +698,48 @@ def coalition_view_summary(
     return out
 
 
+def sample(trial: Callable[[np.random.Generator], object], trials: int, *salt: int) -> list:
+    """Run `trial` `trials` times; trial i draws only from default_rng([*salt, i]).
+
+    Every trial has its own generator, so a result depends only on the
+    salt and the trial index, never on what ran before it.
+    """
+    return [trial(np.random.default_rng([*salt, i])) for i in range(trials)]
+
+
+def observe(
+    world: str,
+    pattern: MeasurementPattern,
+    input_state: PureState,
+    rng: np.random.Generator,
+    m_copies: int = 2,
+    coalition: frozenset[int] | None = None,
+) -> tuple[dict[str, int], PureState]:
+    """One honest trial of a world: (summary, output state).
+
+    `world` is "base" (the full protocol), one of the rewrites "teleport",
+    "delayed" and "simulator-resource", or "simulated-client" (the
+    client-side simulator, which needs a coalition). Every world here is
+    honest, so an abort raises. With a coalition, the run is checked for a
+    leaked honest secret and summarized as the coalition's view
+    (coalition_view_summary); without one, as observable_summary.
+    """
+    if world == "base":
+        run = run_full_protocol(pattern, input_state, rng, m_copies=m_copies)
+        aborted = run.aborted
+    elif world == "simulated-client":
+        run = run_simulated_client_world(pattern, input_state, coalition, rng, m_copies=m_copies)
+        aborted = run.abort
+    else:
+        run, aborted = run_intermediate_protocol(pattern, input_state, rng, world), False
+    if aborted:
+        raise RuntimeError(f"honest {world} run aborted")
+    if coalition is None:
+        return observable_summary(run, rng), run.output_state
+    check_no_secret_leak(run.transcript, coalition, pattern.graph.n_wires)
+    return coalition_view_summary(run, coalition, rng), run.output_state
+
+
 def empirical_tv(samples_a: Sequence, samples_b: Sequence) -> float:
     """Total-variation distance between two empirical distributions."""
     counts_a, counts_b = Counter(samples_a), Counter(samples_b)
@@ -721,41 +763,6 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.01) -> tuple[f
     lo = 0.0 if successes == 0 else float(beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
     return lo, hi
-
-
-@dataclass
-class DistinguisherReport:
-    advantage: float
-    confidence_radius: float
-    trials: int
-    rate_a: float
-    rate_b: float
-    alpha: float = 0.01
-
-
-def distinguisher_game(
-    world_a: Callable[[np.random.Generator], object],
-    world_b: Callable[[np.random.Generator], object],
-    distinguisher: Callable[[object], int],
-    trials: int,
-    rng: np.random.Generator,
-    alpha: float = 0.01,
-) -> DistinguisherReport:
-    """Estimate a distinguisher's advantage between two view samplers.
-
-    Runs `trials` independent samples of each world, feeds each view to the
-    distinguisher, and reports |P[guess=1 | A] - P[guess=1 | B]| with a
-    combined exact confidence radius at level alpha.
-    """
-    if trials < 100:
-        raise ValueError("need at least 100 trials per world")
-    hits_a = sum(int(bool(distinguisher(world_a(rng)))) for _ in range(trials))
-    hits_b = sum(int(bool(distinguisher(world_b(rng)))) for _ in range(trials))
-    pa, pb = hits_a / trials, hits_b / trials
-    lo_a, hi_a = clopper_pearson(hits_a, trials, alpha)
-    lo_b, hi_b = clopper_pearson(hits_b, trials, alpha)
-    radius = (hi_a - lo_a) / 2 + (hi_b - lo_b) / 2
-    return DistinguisherReport(advantage=abs(pa - pb), confidence_radius=radius, trials=trials, rate_a=pa, rate_b=pb)
 
 
 # ----------------------------------------------------------------------

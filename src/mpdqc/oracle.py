@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brickwork import Flow, MeasurementPattern, compute_flow
+from .brickwork import Flow, MeasurementPattern, compute_flow, parity
 from .quantum import flip, octant
 from .rsp import theta_aux, theta_input
 
@@ -187,10 +187,7 @@ class OracleLedger:
         return theta_aux(shares, t)
 
     def node_r(self, node: int) -> int:
-        bit = 0
-        for k in range(1, self.n_clients + 1):
-            bit ^= self._secret(r_tag(node, k))
-        return bit
+        return parity(self._secret(r_tag(node, k)) for k in range(1, self.n_clients + 1))
 
     def _s(self, node: int) -> int:
         """Corrected outcome s_i = b_i xor r_i of a measured node."""

@@ -36,7 +36,6 @@ import numpy as np
 
 OCTANT = pi / 4
 
-NORM_ATOL = 1e-12
 EQUALITY_ATOL = 1e-9
 
 
@@ -87,7 +86,7 @@ class PureState:
         if amps.size == 0 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude vector length {amps.size} is not a power of two")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # also refuses a NaN norm
             raise ValueError(f"state norm {norm} too far from 1")
         self.amps = amps / norm
 

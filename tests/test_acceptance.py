@@ -6,21 +6,14 @@ capture. Sampling checks use fixed seeds; their thresholds leave room for
 the estimator bias of finite-sample total-variation distances.
 """
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, corrected_angle, random_pattern, reference_execute
 from mpdqc.cli import _pool_distance
-from mpdqc.harness import (
-    blindness_check,
-    check_no_secret_leak,
-    coalition_view_summary,
-    copy_test_rejection,
-    observable_summary,
-    run_intermediate_protocol,
-    run_simulated_client_world,
-)
+from mpdqc.harness import blindness_check, copy_test_rejection, observe, sample
 from mpdqc.oracle import reconstruct, share_secret
 from mpdqc.protocol import run_full_protocol
 from mpdqc.quantum import PureState, flip, octant, plus_state
@@ -155,25 +148,15 @@ def test_a5_rewrites_preserve_the_distribution(capsys):
     psi = random_state(2, rng0)
     expected = reference_execute(pattern, psi, np.random.default_rng(1))
 
-    base = []
-    for i in range(trials):
-        rng = np.random.default_rng([SEED, 105, 1, i])
-        run = run_full_protocol(pattern, psi, rng, m_copies=2)
-        assert not run.aborted
-        base.append(observable_summary(run, rng))
-
+    base = [summary for summary, _ in sample(partial(observe, "base", pattern, psi), trials, SEED, 105, 1)]
     worst = 0.0
     worst_pair = ""
     min_fidelity = 1.0
     for salt, version in ((2, "teleport"), (3, "delayed"), (4, "simulator-resource")):
-        summaries = []
-        for i in range(trials):
-            rng = np.random.default_rng([SEED, 105, salt, i])
-            run = run_intermediate_protocol(pattern, psi, rng, version)
-            if version == "simulator-resource":
-                min_fidelity = min(min_fidelity, run.output_state.fidelity(expected))
-            summaries.append(observable_summary(run, rng))
-        for field, d in _pool_distance(base, summaries).items():
+        rows = sample(partial(observe, version, pattern, psi), trials, SEED, 105, salt)
+        if version == "simulator-resource":
+            min_fidelity = min(output.fidelity(expected) for _, output in rows)
+        for field, d in _pool_distance(base, [summary for summary, _ in rows]).items():
             if d > worst:
                 worst, worst_pair = d, f"{version}/{field}"
     elapsed = time.perf_counter() - start
@@ -191,22 +174,12 @@ def test_a6_coalition_view_is_simulatable(capsys):
     rng0 = np.random.default_rng([SEED, 106])
     pattern = random_pattern(build_brickwork(2, 2), rng0)
     psi = random_state(2, rng0)
-    coalition = {2}
+    coalition = frozenset({2})
 
-    real, simulated = [], []
-    for i in range(trials):
-        rng = np.random.default_rng([SEED, 106, 1, i])
-        run = run_full_protocol(pattern, psi, rng, m_copies=2)
-        assert not run.aborted
-        check_no_secret_leak(run.transcript, coalition, 2)
-        real.append(coalition_view_summary(run, coalition, rng))
-
-        rng = np.random.default_rng([SEED, 106, 2, i])
-        sim = run_simulated_client_world(pattern, psi, coalition, rng, m_copies=2)
-        assert not sim.abort
-        check_no_secret_leak(sim.transcript, coalition, 2)
-        simulated.append(coalition_view_summary(sim, coalition, rng))
-
+    real, simulated = (
+        [summary for summary, _ in sample(partial(observe, world, pattern, psi, coalition=coalition), trials, SEED, 106, salt)]
+        for salt, world in ((1, "base"), (2, "simulated-client"))
+    )
     distances = _pool_distance(real, simulated)
     worst_field = max(distances, key=distances.get)
     worst = distances[worst_field]

@@ -37,8 +37,22 @@ def test_every_traced_name_exists():
             assert callable(getattr(module, function, None)), f"{module.__name__}.{function}"
 
 
-@pytest.mark.parametrize("name", ["sample-2x2", "honest-wide", "exact-views"])
+@pytest.mark.parametrize("name", ["honest-wide", "exact-views"])
 def test_first_op_of_each_tiny_workload_succeeds(name):
     workloads = load("workloads")
     workload = workloads.WORKLOADS[name](0, True, workloads.PhaseHooks())
     assert workload.op(0, workload.inputs(0)) is None
+
+
+def test_first_round_of_tiny_sample_2x2_succeeds():
+    # every sampled kind (the rewrites, both coalition worlds) and then the
+    # pooling op, which reads SimClientRun.abort and cli._pool_distance
+    workloads = load("workloads")
+    workload = workloads.WORKLOADS["sample-2x2"](0, True, workloads.PhaseHooks())
+    kinds = []
+    for k in range(workload.round_len):
+        inputs = workload.inputs(k)
+        kinds.append(inputs[0])
+        assert workload.op(k, inputs) is None, (k, inputs[0])
+    assert kinds == [*workload.KINDS * workload.trials_per_round, "pool"]
+    assert workload.round == 1

@@ -11,6 +11,7 @@ from mpdqc.brickwork import (
     build_brickwork,
     compute_flow,
     corrected_angle,
+    parity,
     pattern_from_json,
     random_pattern,
     reference_execute,
@@ -96,6 +97,12 @@ def test_flow_successors_and_sets():
     assert (3, 4) in {tuple(sorted(e)) for e in g.edges}
     assert 1 in flow.s_z[4]
     assert 2 not in flow.s_z[2]
+
+
+def test_parity_is_the_xor_of_the_bits():
+    assert parity([]) == 0
+    assert parity([1, 0, 1]) == 0
+    assert parity(iter([1, 1, 1, 0])) == 1
 
 
 def test_flow_z_set_membership_matches_adjacency():

@@ -166,6 +166,11 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1, 0], [0, False], [0, 0], [0, 0]]}, "input"),
         ({"mode": "protocol1-detection", "deviation": True}, "deviation"),
         ({"mode": "client-sim-equiv", "n_wires": 2, "n_columns": 2, "coalition": [True]}, "coalition"),
+        # json reads NaN and Infinity as floats; none of them is a usable number
+        ({"mode": "server-sim-equiv", "n_wires": 2, "n_columns": 2, "threshold": float("nan")}, "threshold"),
+        ({"mode": "server-sim-equiv", "n_wires": 2, "n_columns": 2, "threshold": float("inf")}, "threshold"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1, 0], [float("nan"), 0], [0, 0], [0, 0]]}, "input"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1, 0], [0, float("-inf")], [0, 0], [0, 0]]}, "input"),
     ],
     ids=[
         "long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget",
@@ -174,7 +179,7 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         "server-sim-4x3-over-rewrite-budget", "server-sim-2x7-over-rewrite-budget", "server-sim-reference-over-rewrite-budget",
         "intermediate-4x3-over-rewrite-budget",
         "bool-seed", "bool-n-columns", "bool-reference-qubits", "bool-threshold", "bool-angles", "bool-amplitude",
-        "bool-deviation", "bool-coalition",
+        "bool-deviation", "bool-coalition", "nan-threshold", "infinite-threshold", "nan-amplitude", "infinite-amplitude",
     ],
 )
 def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):

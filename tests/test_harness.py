@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+import mpdqc.harness as harness
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, random_pattern, reference_execute
 from mpdqc.harness import (
@@ -8,14 +12,15 @@ from mpdqc.harness import (
     clopper_pearson,
     coalition_view_summary,
     copy_test_rejection,
-    distinguisher_game,
     empirical_tv,
     exact_server_views,
     marginal_distances,
     observable_summary,
+    observe,
     run_intermediate_protocol,
     run_simulated_client_world,
     run_simulated_server_world,
+    sample,
     sampled_prepared_density,
     view_distance,
 )
@@ -215,17 +220,23 @@ def test_clopper_pearson_properties():
         clopper_pearson(1, 0)
 
 
-def test_distinguisher_game_bounds():
-    rng = np.random.default_rng(8)
-    world_a = lambda r: {"v": 0}
-    world_b = lambda r: {"v": 1}
-    blind = distinguisher_game(world_a, world_b, lambda view: 0, 200, rng)
-    assert blind.advantage == 0.0
-    sharp = distinguisher_game(world_a, world_b, lambda view: view["v"], 200, rng)
-    assert sharp.advantage == 1.0
-    assert 0 < sharp.confidence_radius < 0.1
-    with pytest.raises(ValueError):
-        distinguisher_game(world_a, world_b, lambda v: 0, 50, rng)
+def test_sample_seeds_trial_i_from_the_salt_and_i():
+    draws = sample(lambda rng: int(rng.integers(1 << 30)), 4, 7, 3)
+    assert draws == [int(np.random.default_rng([7, 3, i]).integers(1 << 30)) for i in range(4)]
+
+
+def test_observe_summarizes_each_world_and_raises_on_abort(monkeypatch):
+    pattern = random_pattern(build_brickwork(2, 2), np.random.default_rng(4))
+    psi = random_state(2)
+    for world in ("base", "teleport", "delayed", "simulator-resource"):
+        summary, output = observe(world, pattern, psi, np.random.default_rng(5))
+        assert {"key:3", "key:4", "out:0", "out:1"} <= set(summary) and output.num_qubits == 2
+    for world in ("base", "simulated-client"):
+        summary, _ = observe(world, pattern, psi, np.random.default_rng(5), coalition=frozenset({2}))
+        assert "key:4" in summary and "key:3" not in summary and "out:2" in summary
+    monkeypatch.setattr(harness, "run_full_protocol", lambda *args, **kwargs: SimpleNamespace(aborted=True))
+    with pytest.raises(RuntimeError, match="honest base run aborted"):
+        observe("base", pattern, psi, np.random.default_rng(5))
 
 
 def test_copy_test_rejection_extremes():

@@ -254,6 +254,12 @@ def test_invalid_states_are_rejected():
         DensityMatrix(np.eye(2), validate=True)  # trace 2
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0], [1.0, -np.inf]])
+def test_non_finite_amplitudes_are_rejected(amps):
+    with pytest.raises(ValueError, match="state norm"):
+        PureState(np.array(amps))
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 7), st.integers(0, 7))
 def test_rotated_plus_states_overlap(theta, delta):
