@@ -47,6 +47,23 @@ def test_honest_run_transcript_is_pinned(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags,digest",
+    [
+        ([], "446282d4b5e5a87a6c6c92fc2ace14b71aa58e1b2c29abe3a1d911c20c62901a"),
+        (["--debug-secrets"], "3d37839bd849f5f83d6025dfb40e3ee89dc913bbb9d17de9ca75cd1a05480f1b"),
+    ],
+)
+def test_wide_honest_run_transcript_is_pinned(tmp_path, flags, digest):
+    # 4x3 with m_copies 10: every copy test shares ten angles among four
+    # clients, so batches of draws are far longer than at 2x3
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mode": "honest-run", "seed": 5, "n_wires": 4, "n_columns": 3, "m_copies": 10}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), *flags]) == 0
+    assert hashlib.sha256((out / "transcript.jsonl").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "version,digest",
     [
         ("base", "19744cd5b281e86d53d5346425e0c6c6c7de5eed6630440fc2f7c55dfb90e8d1"),
