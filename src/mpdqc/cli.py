@@ -176,8 +176,15 @@ def _check_input(spec, count: int, field: str) -> list[str]:
         return [f'{field} must be "random", "zeros", "ones" or a list of finite [re, im] amplitude pairs']
     if len(spec) != count:
         return [f"{field} must have 2^(n_wires + reference_qubits) = {count} amplitudes, got {len(spec)}"]
-    if not any(re or im for re, im in spec):
-        return [f"{field} amplitudes must not all be zero"]
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm([complex(re, im) for re, im in spec]))
+    except OverflowError:  # an integer amplitude beyond the float range
+        norm = math.inf
+    # _build_input divides by this norm: its square must be a normal float,
+    # not 0 (all zero, or underflow), a coarse subnormal, or an overflow
+    if not sys.float_info.min <= norm * norm < math.inf:
+        return [f"{field} amplitudes must have a nonzero norm whose square is a finite normal float, got norm {norm:g}"]
     return []
 
 

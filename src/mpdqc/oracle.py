@@ -17,7 +17,7 @@ after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,42 +28,72 @@ from .rsp import theta_aux, theta_input
 Tag = tuple
 
 
-@dataclass(frozen=True)
-class SecretShare:
-    """One additive share of a secret. `owner` is the client holding this piece."""
-
+class _Share(NamedTuple):
     owner: int
     tag: Tag
     value: int
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus not in (2, 8):
+
+class SecretShare(_Share):
+    """One additive share of a secret. `owner` is the client holding this piece.
+
+    A named tuple: cheap to build, which matters because an honest run
+    makes thousands of shares. Construction still checks the modulus,
+    reduces the value and turns the tag into a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, owner: int, tag: Tag, value: int, modulus: int):
+        if modulus not in (2, 8):
             raise ValueError("share modulus must be 2 (bits) or 8 (octants)")
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-        object.__setattr__(self, "tag", tuple(self.tag))
+        return super().__new__(cls, owner, tuple(tag), int(value) % modulus, modulus)
+
+
+def _split(value: int, pieces: list[int], modulus: int, tag: Tag) -> list[SecretShare]:
+    """Shares of one secret from its n - 1 random pieces; the last share closes the sum."""
+    last = (value - sum(pieces)) % modulus
+    return [SecretShare(k + 1, tag, v, modulus) for k, v in enumerate([*pieces, last])]
 
 
 def share_secret(value: int, n: int, modulus: int, rng: np.random.Generator, tag: Tag = ()) -> list[SecretShare]:
-    """Split a secret into n additive shares mod `modulus`, one per client."""
+    """Split a secret into n additive shares mod `modulus`, one per client.
+
+    The n - 1 random pieces are scalar draws: for one secret a sized draw
+    costs more than it saves.
+    """
     if n < 1:
         raise ValueError("need at least one share")
-    pieces = [int(rng.integers(modulus)) for _ in range(n - 1)]
-    pieces.append((value - sum(pieces)) % modulus)
-    return [SecretShare(owner=k + 1, tag=tag, value=v, modulus=modulus) for k, v in enumerate(pieces)]
+    return _split(value, [int(rng.integers(modulus)) for _ in range(n - 1)], modulus, tag)
+
+
+def share_secrets(values: Sequence[int], n: int, modulus: int, rng: np.random.Generator, tags: Sequence[Tag]) -> list[list[SecretShare]]:
+    """Share a batch of secrets with one draw of all their random pieces.
+
+    Equal to [share_secret(v, n, modulus, rng, t) for v, t in zip(values,
+    tags)], draw for draw: a sized integers call yields the same stream as
+    that many scalar calls, in row order, so the rng ends in the same state.
+    """
+    if n < 1:
+        raise ValueError("need at least one share")
+    if len(values) != len(tags):
+        raise ValueError("one tag per secret")
+    pieces = rng.integers(modulus, size=(len(values), n - 1)).tolist()
+    return [_split(v, row, modulus, tag) for v, row, tag in zip(values, pieces, tags)]
 
 
 def reconstruct(shares: Sequence[SecretShare]) -> int:
     """Recombine a complete share set. Raises on gaps, duplicates, or mixed tags."""
     if not shares:
         raise ValueError("no shares")
-    tag, modulus = shares[0].tag, shares[0].modulus
-    owners = sorted(s.owner for s in shares)
-    if any(s.tag != tag or s.modulus != modulus for s in shares):
+    owners, tags, values, moduli = zip(*shares)
+    if tags.count(tags[0]) != len(tags) or moduli.count(moduli[0]) != len(moduli):
         raise ValueError("shares mix different secrets")
-    if owners != list(range(1, len(shares) + 1)):
+    owners = sorted(owners)
+    if owners != list(range(1, len(owners) + 1)):
         raise ValueError(f"incomplete or duplicated share set (owners {owners})")
-    return sum(s.value for s in shares) % modulus
+    return sum(values) % moduli[0]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .oracle import (
     a_tag,
     r_tag,
     share_secret,
+    share_secrets,
     theta_tag,
     verify_client,
 )
@@ -42,10 +43,12 @@ VARIANTS = (
     "OutputKeys",
     "Abort",
 )
+_KNOWN_VARIANTS = frozenset(VARIANTS)
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One transcript row; a named tuple, as an honest run records thousands."""
+
     seq: int
     sender: str
     receiver: str
@@ -53,10 +56,7 @@ class Message:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"seq": self.seq, "sender": self.sender, "receiver": self.receiver, "variant": self.variant, "payload": self.payload},
-            sort_keys=True,
-        )
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
 class Transcript:
@@ -66,9 +66,9 @@ class Transcript:
         self.messages: list[Message] = []
 
     def record(self, sender: str, receiver: str, variant: str, payload: dict) -> Message:
-        if variant not in VARIANTS:
+        if variant not in _KNOWN_VARIANTS:
             raise ValueError(f"unknown message variant {variant!r}")
-        msg = Message(seq=len(self.messages), sender=sender, receiver=receiver, variant=variant, payload=payload)
+        msg = Message(len(self.messages), sender, receiver, variant, payload)
         self.messages.append(msg)
         return msg
 
@@ -185,6 +185,8 @@ class Session:
 
     ledger is None where a simulator plays the oracle. debug_secrets adds
     the amplitudes of unentangled qubits to QubitTransfer payloads.
+    Each share's payload dict is built once and shared by every message
+    that carries that share.
     """
 
     system: QuantumSystem
@@ -193,18 +195,23 @@ class Session:
     n_clients: int
     ledger: OracleLedger | None = None
     debug_secrets: bool = False
+    names: dict[int, str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.names = {k: _client(k) for k in range(1, self.n_clients + 1)}
 
     def hand_out(self, owner: int, shares: list[SecretShare], context: dict) -> None:
         """Client `owner` gives every other client its piece; each holder then submits its piece to the oracle."""
-        for piece in shares:
+        payloads = [share_payload(piece) for piece in shares]
+        for piece, share in zip(shares, payloads):
             if piece.owner != owner:
-                self.transcript.record(_client(owner), _client(piece.owner), "ShareDistribution", {**context, "share": share_payload(piece)})
-        self.submit(shares, context)
+                self.transcript.record(self.names[owner], self.names[piece.owner], "ShareDistribution", {**context, "share": share})
+        self.submit(shares, context, payloads)
 
-    def submit(self, shares: list[SecretShare], context: dict) -> None:
-        """Each holder sends its piece to the oracle, whose ledger registers it."""
-        for piece in shares:
-            self.transcript.record(_client(piece.owner), "oracle", "ShareDistribution", {**context, "share": share_payload(piece)})
+    def submit(self, shares: list[SecretShare], context: dict, payloads: list[dict]) -> None:
+        """Each holder sends its piece (payload: its share_payload) to the oracle, whose ledger registers it."""
+        for piece, share in zip(shares, payloads):
+            self.transcript.record(self.names[piece.owner], "oracle", "ShareDistribution", {**context, "share": share})
             if self.ledger is not None:
                 self.ledger.register_share(piece)
 
@@ -229,30 +236,33 @@ class Session:
         the survivor's label once its angle shares went to the oracle, or
         None if the test failed.
         """
-        system, record, k = self.system, self.transcript.record, contributor
+        system, record, names, k = self.system, self.transcript.record, self.names, contributor
         where = {"node": node, "contributor": k}
-        copy_shares = [share_secret(theta, self.n_clients, 8, self.rng, theta_tag(node, k, i)) for i, theta in enumerate(angles)]
+        copy_shares = share_secrets(angles, self.n_clients, 8, self.rng, [theta_tag(node, k, i) for i in range(len(angles))])
+        payloads = [[share_payload(piece) for piece in shares] for shares in copy_shares]
         for i, shares in enumerate(copy_shares):
-            for piece in shares:
+            context = {"kind": "copy-angle", **where, "copy": i}
+            for piece, share in zip(shares, payloads[i]):
                 if piece.owner != k:
-                    record(_client(k), _client(piece.owner), "ShareDistribution", {"kind": "copy-angle", **where, "copy": i, "share": share_payload(piece)})
+                    record(names[k], names[piece.owner], "ShareDistribution", {**context, "share": share})
         labels = [f"copy:{node}:{k}:{i}" for i in range(len(angles))]
         for i, theta in enumerate(angles):
-            system.add_register(plus_state(theta), [labels[i]], [_client(k)])
+            system.add_register(plus_state(theta), [labels[i]], [names[k]])
             system.transfer(labels[i], "server")
-            record(_client(k), "server", "QubitTransfer", _qubit_payload(system, labels[i], {**where, "copy": i, "purpose": "test-copy"}, self.debug_secrets))
+            record(names[k], "server", "QubitTransfer", _qubit_payload(system, labels[i], {**where, "copy": i, "purpose": "test-copy"}, self.debug_secrets))
         result = verify_client(k, copy_shares, lambda i, theta: system.measure_rotated(labels[i], theta, self.rng), self.rng)
         # the server learns the survivor before the other copies are opened;
         # recording afterwards gives the same log, as recording draws nothing
         record("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
         for i in result.outcomes:
-            for piece in copy_shares[i]:
-                record(_client(piece.owner), "server", "ShareDistribution", {"kind": "opened-angle", **where, "copy": i, "share": share_payload(piece)})
+            context = {"kind": "opened-angle", **where, "copy": i}
+            for piece, share in zip(copy_shares[i], payloads[i]):
+                record(names[piece.owner], "server", "ShareDistribution", {**context, "share": share})
         record("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": sorted(result.outcomes.items())})
         if not result.accepted:
             record("server", "all", "Abort", {"stage": "verification", "node": node, "client": k, "reason": COPY_TEST_FAILED})
             return None
-        self.submit(copy_shares[result.survivor], {"kind": "survivor-angle", **where, "copy": result.survivor})
+        self.submit(copy_shares[result.survivor], {"kind": "survivor-angle", **where, "copy": result.survivor}, payloads[result.survivor])
         return labels[result.survivor]
 
 
@@ -310,10 +320,10 @@ def run_full_protocol(
     secrets: dict[int, ClientSecrets] = {}
     for k in range(1, n + 1):
         secrets[k] = ClientSecrets(a=int(rng.integers(2)), pad_theta=int(rng.integers(8)))
-    for j in graph.measured_nodes:
-        for k in contributors(graph, j):
-            for i in range(m_copies):
-                secrets[k].copy_angles[(j, i)] = int(rng.integers(8))
+    # every copy angle in one draw, in (node, contributor, copy) order
+    slots = [(j, k, i) for j in graph.measured_nodes for k in contributors(graph, j) for i in range(m_copies)]
+    for (j, k, i), theta in zip(slots, rng.integers(8, size=len(slots)).tolist()):
+        secrets[k].copy_angles[(j, i)] = theta
 
     for k in range(1, n + 1):
         session.hand_out(k, share_secret(secrets[k].a, n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})

@@ -171,6 +171,17 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         ({"mode": "server-sim-equiv", "n_wires": 2, "n_columns": 2, "threshold": float("inf")}, "threshold"),
         ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1, 0], [float("nan"), 0], [0, 0], [0, 0]]}, "input"),
         ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1, 0], [0, float("-inf")], [0, 0], [0, 0]]}, "input"),
+        # finite amplitudes whose squared norm overflows, or underflows to 0 or
+        # to a subnormal, cannot be normalized; nor can an integer past float range
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}, "input"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[10 ** 400, 0], [0, 0], [0, 0], [0, 0]]}, "input"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1e-200, 0], [0, 0], [0, 0], [0, 0]]}, "input"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[1e-160, 0], [0, 0], [0, 0], [0, 0]]}, "input"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "input": [[0, 0], [0, 0], [0, 0], [0, 0]]}, "input"),
+        (
+            {"mode": "blindness", "n_wires": 2, "n_columns": 2, "scenarios": {"a": {}, "b": {"input": [[0, 1e200], [0, 0], [0, 0], [0, 0]]}}},
+            "scenarios.b.input",
+        ),
     ],
     ids=[
         "long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget",
@@ -180,6 +191,8 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         "intermediate-4x3-over-rewrite-budget",
         "bool-seed", "bool-n-columns", "bool-reference-qubits", "bool-threshold", "bool-angles", "bool-amplitude",
         "bool-deviation", "bool-coalition", "nan-threshold", "infinite-threshold", "nan-amplitude", "infinite-amplitude",
+        "overflowing-amplitude", "huge-integer-amplitude", "underflowing-amplitude", "subnormal-norm-amplitude",
+        "zero-amplitudes", "overflowing-scenario-amplitude",
     ],
 )
 def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):

@@ -11,6 +11,7 @@ from mpdqc.oracle import (
     r_tag,
     reconstruct,
     share_secret,
+    share_secrets,
     theta_tag,
     verify_client,
 )
@@ -60,6 +61,39 @@ def test_share_values_respect_the_modulus():
     for modulus in (2, 8):
         shares = share_secret(1, 4, modulus, np.random.default_rng(2))
         assert all(0 <= s.value < modulus for s in shares)
+
+
+def test_secret_share_checks_reduces_and_freezes():
+    with pytest.raises(ValueError):
+        SecretShare(owner=1, tag=("t",), value=0, modulus=3)
+    share = SecretShare(owner=2, tag=["t", 1], value=11, modulus=8)
+    assert share.value == 3 and share.tag == ("t", 1) and isinstance(share.tag, tuple)
+    assert SecretShare(1, ("t",), -1, 2).value == 1
+    with pytest.raises(AttributeError):
+        share.value = 0
+
+
+@pytest.mark.parametrize("modulus", [2, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_shares_equal_sequential_shares(modulus, n):
+    # one sized draw of all pieces must give the same shares, and leave the
+    # generator in the same state, as one share_secret call per secret
+    for batch in range(1, 13):
+        values = [(7 * i + batch) % modulus for i in range(batch)]
+        tags = [theta_tag(1, 2, i) for i in range(batch)]
+        rng_a, rng_b = np.random.default_rng([n, batch]), np.random.default_rng([n, batch])
+        rng_a.integers(2)  # start the batch mid-word in the 32-bit draw buffer
+        rng_b.integers(2)
+        batched = share_secrets(values, n, modulus, rng_a, tags)
+        sequential = [share_secret(v, n, modulus, rng_b, t) for v, t in zip(values, tags)]
+        assert batched == sequential
+        assert all(reconstruct(shares) == v for shares, v in zip(batched, values))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_batched_shares_need_one_tag_per_secret():
+    with pytest.raises(ValueError):
+        share_secrets([1, 2], 2, 8, np.random.default_rng(0), [theta_tag(1, 1, 0)])
 
 
 # ------------------------------------------------------------ verification

@@ -10,6 +10,7 @@ from mpdqc.protocol import (
     ServerStrategy,
     Transcript,
     _qubit_payload,
+    contributors,
     run_full_protocol,
 )
 from mpdqc.quantum import PureState, plus_state, states_equal
@@ -132,6 +133,32 @@ def test_transcript_rejects_unknown_variants():
     t = Transcript()
     with pytest.raises(ValueError):
         t.record("a", "b", "Telepathy", {})
+    assert not t.messages
+
+
+def test_record_returns_the_numbered_message():
+    t = Transcript()
+    first = t.record("client:1", "oracle", "ShareDistribution", {"kind": "pad-flip"})
+    second = t.record("server", "all", "ResultBroadcast", {"node": 1, "b": 0})
+    assert (first.seq, first.variant) == (0, "ShareDistribution")
+    assert (second.seq, second.variant, second.sender, second.receiver) == (1, "ResultBroadcast", "server", "all")
+    assert t.messages == [first, second]
+
+
+def test_copy_angles_are_the_scalar_draws_in_node_contributor_copy_order():
+    # run_full_protocol draws every copy angle in one sized call; replaying
+    # its draws one scalar at a time must give the same angles
+    pattern, _, run = run_once(4, 3, seed=71, m_copies=5)
+    graph = pattern.graph
+    rng = np.random.default_rng(71)
+    random_pattern(graph, rng)
+    random_state(4, rng)
+    for _ in range(graph.n_wires):  # each client's pad flip and pad angle
+        rng.integers(2), rng.integers(8)
+    for j in graph.measured_nodes:
+        for k in contributors(graph, j):
+            for i in range(5):
+                assert run.client_secrets[k].copy_angles[(j, i)] == int(rng.integers(8))
 
 
 def test_more_copies_mean_more_traffic():
@@ -203,6 +230,26 @@ def test_client_coalition_cannot_assemble_honest_secrets():
     _, _, run = run_once(2, 3, seed=23)
     check_no_secret_leak(run.transcript, {2}, 2)
     check_no_secret_leak(run.transcript, {1}, 2)
+
+
+def test_leak_check_trips_on_shared_payload_dicts():
+    # every message carrying a share reuses that share's one payload dict;
+    # handing the coalition the honest piece through such a dict must trip
+    from mpdqc.harness import check_no_secret_leak
+
+    _, _, run = run_once(2, 2, seed=24, m_copies=3)
+    by_tag = {}
+    for msg in run.transcript.messages:
+        share = msg.payload.get("share")
+        if share is not None:
+            by_tag.setdefault((tuple(share["tag"]), share["owner"]), []).append(msg)
+    pad_flip = by_tag[(("a", 1), 2)]
+    assert len(pad_flip) == 2 and pad_flip[0].payload["share"] is pad_flip[1].payload["share"]
+    check_no_secret_leak(run.transcript, {2}, 2)
+    honest_piece = by_tag[(("a", 1), 1)][0]
+    run.transcript.record("client:1", "client:2", "ShareDistribution", {**honest_piece.payload})
+    with pytest.raises(AssertionError):
+        check_no_secret_leak(run.transcript, {2}, 2)
 
 
 # ------------------------------------------------------- server deviations

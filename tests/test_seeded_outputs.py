@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mpdqc.brickwork import build_brickwork, random_pattern
-from mpdqc.cli import main
+from mpdqc.cli import _scenario, main
 from mpdqc.harness import (
     coalition_view_summary,
     observable_summary,
@@ -46,21 +46,40 @@ def test_honest_run_transcript_is_pinned(tmp_path):
     assert digest == "1cc27ac876ff6fa13229e4cc137eeff654abd78871d3922e733fe9c779e0e42e"
 
 
-@pytest.mark.parametrize(
-    "flags,digest",
-    [
-        ([], "446282d4b5e5a87a6c6c92fc2ace14b71aa58e1b2c29abe3a1d911c20c62901a"),
-        (["--debug-secrets"], "3d37839bd849f5f83d6025dfb40e3ee89dc913bbb9d17de9ca75cd1a05480f1b"),
-    ],
-)
-def test_wide_honest_run_transcript_is_pinned(tmp_path, flags, digest):
+# transcript.jsonl of honest-run 4x3, seed 5, m_copies 10, by --debug-secrets
+WIDE_DIGESTS = {
+    False: "446282d4b5e5a87a6c6c92fc2ace14b71aa58e1b2c29abe3a1d911c20c62901a",
+    True: "3d37839bd849f5f83d6025dfb40e3ee89dc913bbb9d17de9ca75cd1a05480f1b",
+}
+
+
+@pytest.mark.parametrize("debug_secrets", [False, True])
+def test_wide_honest_run_transcript_is_pinned(tmp_path, debug_secrets):
     # 4x3 with m_copies 10: every copy test shares ten angles among four
     # clients, so batches of draws are far longer than at 2x3
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"mode": "honest-run", "seed": 5, "n_wires": 4, "n_columns": 3, "m_copies": 10}))
     out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), *flags]) == 0
-    assert hashlib.sha256((out / "transcript.jsonl").read_bytes()).hexdigest() == digest
+    assert main(["--config", str(cfg), "--out", str(out), *(["--debug-secrets"] if debug_secrets else [])]) == 0
+    assert hashlib.sha256((out / "transcript.jsonl").read_bytes()).hexdigest() == WIDE_DIGESTS[debug_secrets]
+
+
+@pytest.mark.parametrize("debug_secrets", [False, True])
+def test_message_json_is_the_full_record_with_sorted_keys(debug_secrets):
+    # each line of the pinned 4x3 transcripts is one Message.to_json: all
+    # five fields, keys sorted at every level
+    config = {"n_wires": 4, "n_columns": 3}
+    rng = np.random.default_rng([5, 0])
+    pattern, input_state = _scenario(config, rng)
+    run = run_full_protocol(pattern, input_state, rng, m_copies=10, debug_secrets=debug_secrets)
+    lines = []
+    for m in run.transcript.messages:
+        line = m.to_json()
+        fields = {"seq": m.seq, "sender": m.sender, "receiver": m.receiver, "variant": m.variant, "payload": m.payload}
+        assert line == json.dumps(fields, sort_keys=True)
+        lines.append(line + "\n")
+    digest = WIDE_DIGESTS[debug_secrets]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
