@@ -30,16 +30,16 @@ class BrickworkGraph:
     def num_nodes(self) -> int:
         return self.n_wires * self.n_columns
 
-    @property
+    @cached_property
     def input_nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_wires + 1))
 
-    @property
+    @cached_property
     def output_nodes(self) -> tuple[int, ...]:
         q = self.n_wires * (self.n_columns - 1)
         return tuple(range(q + 1, q + self.n_wires + 1))
 
-    @property
+    @cached_property
     def measured_nodes(self) -> tuple[int, ...]:
         """All non-output nodes, in label (= column-major measurement) order."""
         return tuple(range(1, self.n_wires * (self.n_columns - 1) + 1))

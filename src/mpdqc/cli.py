@@ -16,6 +16,7 @@ import math
 import sys
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,116 +36,27 @@ from .harness import (
 from .protocol import run_full_protocol
 from .quantum import PureState
 
-MODES = (
-    "honest-run",
-    "blindness",
-    "server-sim-equiv",
-    "client-sim-equiv",
-    "protocol1-detection",
-    "intermediate-equiv",
-)
-
 # largest live register a config may ask for: n_wires + reference_qubits
 # + 1 qubits, the input register plus the one node joining it at a time
 # (2^24 amplitudes take 256 MiB per statevector)
 REGISTER_BUDGET = 24
-# rewrites a mode runs beside the base protocol; they may hold more (harness.rewrite_peak_qubits)
-REWRITES = {"server-sim-equiv": ("simulator-resource",), "intermediate-equiv": ("teleport", "delayed")}
-
-DEFAULT_THRESHOLDS = {
-    "honest-run": 1e-6,        # max tolerated infidelity
-    "blindness": 1e-9,         # max view distance at any checkpoint
-    "server-sim-equiv": 0.02,  # max pooled marginal TV
-    "client-sim-equiv": 0.02,
-    "intermediate-equiv": 0.02,
-    "protocol1-detection": 0.02,  # half-width of the acceptance band
-}
 
 
-def validate(config: dict) -> list[str]:
-    """Pure config check; returns a list of problems (empty = valid)."""
-    errors: list[str] = []
-    mode = config.get("mode")
-    if mode not in MODES:
-        errors.append(f"mode must be one of {MODES}, got {mode!r}")
-        return errors
-    if not _is_int(config.get("seed")):
-        errors.append("seed is required and must be an integer")
+class Mode(NamedTuple):
+    """What one CLI mode runs, reports and reads."""
 
-    graph = None
-    n_ref = config.get("reference_qubits", 0)
-    ref_ok = _is_int(n_ref) and n_ref >= 0
-    if not ref_ok:
-        errors.append("reference_qubits must be an integer >= 0")
-    if mode != "protocol1-detection":
-        n_wires = config.get("n_wires")
-        n_columns = config.get("n_columns")
-        wires_ok = _is_int(n_wires) and n_wires >= 2 and n_wires % 2 == 0
-        columns_ok = _is_int(n_columns) and n_columns >= 1
-        if not wires_ok:
-            errors.append("n_wires must be an even integer >= 2")
-        if not columns_ok:
-            errors.append("n_columns must be an integer >= 1")
-        if wires_ok and ref_ok and n_wires + n_ref + 1 > REGISTER_BUDGET:
-            errors.append(
-                f"n_wires + reference_qubits + 1 = {n_wires} + {n_ref} + 1 live qubits, "
-                f"over the register budget of {REGISTER_BUDGET}"
-            )
-        elif wires_ok and columns_ok and ref_ok:
-            graph = build_brickwork(n_wires, n_columns)
-            if mode in REWRITES:
-                peak, version = max((rewrite_peak_qubits(v, n_wires, n_columns, n_ref), v) for v in REWRITES[mode])
-                if peak > REGISTER_BUDGET:
-                    errors.append(
-                        f"{mode} runs the {version} rewrite, which holds up to {peak} live qubits at "
-                        f"{n_wires}x{n_columns} with {n_ref} reference qubits, over the register budget of {REGISTER_BUDGET}"
-                    )
-    if mode in ("honest-run", "client-sim-equiv"):
-        m = config.get("m_copies", 10)
-        if not _is_int(m) or m < 2:
-            errors.append("m_copies must be an integer >= 2")
-    if mode in ("server-sim-equiv", "client-sim-equiv", "protocol1-detection", "intermediate-equiv"):
-        trials = config.get("trials", 10000)
-        if not _is_int(trials) or trials < 100:
-            errors.append("trials must be an integer >= 100")
-    if mode == "protocol1-detection":
-        dev = config.get("deviation", 1)
-        if not _is_int(dev) or not 0 <= dev <= 7:
-            errors.append("deviation must be an octant count in 0..7")
-    if mode == "client-sim-equiv":
-        coalition = config.get("coalition")
-        n_wires = config.get("n_wires", 0)
-        if coalition is not None:
-            if not isinstance(coalition, list) or not coalition:
-                errors.append("coalition must be a nonempty list of client indices")
-            elif not all(_is_int(c) and 1 <= c <= n_wires for c in coalition):
-                errors.append("coalition members must be client indices in 1..n_wires")
-            elif len(set(coalition)) >= n_wires:
-                errors.append("at least one client must stay outside the coalition")
-    specs = {"": config}
-    if mode == "blindness":
-        scenarios = config.get("scenarios")
-        if not isinstance(scenarios, dict) or set(scenarios) != {"a", "b"} or not all(isinstance(sc, dict) for sc in scenarios.values()):
-            errors.append('blindness needs "scenarios" with exactly the keys "a" and "b", each an object')
-            specs = {}
-        else:
-            specs = {f"scenarios.{key}.": sc for key, sc in sorted(scenarios.items())}
-    thr = config.get("threshold")
-    if thr is not None and (not _is_number(thr) or thr <= 0):
-        errors.append("threshold must be a positive finite number")
-    if graph is not None:
-        for prefix, spec in specs.items():
-            errors.extend(_check_angles(spec.get("angles"), len(graph.measured_nodes), prefix + "angles"))
-            errors.extend(_check_input(spec.get("input"), 2 ** (graph.n_wires + n_ref), prefix + "input"))
-    if mode == "blindness" and graph is not None:
-        if not graph.measured_nodes:
-            errors.append("n_columns must be >= 2 for blindness: a single column measures nothing")
-        elif exact_view_projections(graph) > EXACT_VIEW_BUDGET:
-            errors.append(
-                f"n_wires x n_columns = {graph.n_wires}x{graph.n_columns}: blindness needs "
-                f"{exact_view_projections(graph)} exact-view projections, over the budget of {EXACT_VIEW_BUDGET}"
-            )
-    return errors
+    run: Callable[[dict, bool], dict]  # (settings, debug_secrets) -> result
+    threshold: float  # default bound: infidelity, view distance, pooled TV or band half-width
+    scenario_ids: tuple[str, ...]
+    # the config fields it reads besides mode and threshold, each with its
+    # default; None: no fixed default (required, or the runner's own choice)
+    fields: dict[str, object]
+    # rewrites run beside the base protocol; they may hold more (harness.rewrite_peak_qubits)
+    rewrites: tuple[str, ...] = ()
+
+    def settings(self, config: dict) -> dict:
+        """The config over the mode's defaults, as validate checks it and the runner reads it."""
+        return {**self.fields, "threshold": self.threshold, **config}
 
 
 def _is_int(value) -> bool:
@@ -155,6 +67,92 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     """A finite JSON number: json reads NaN and Infinity as floats."""
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+FIELD_RULES = {
+    "seed": (_is_int, "seed is required and must be an integer"),
+    "n_wires": (lambda v: _is_int(v) and v >= 2 and v % 2 == 0, "n_wires must be an even integer >= 2"),
+    "n_columns": (lambda v: _is_int(v) and v >= 1, "n_columns must be an integer >= 1"),
+    "reference_qubits": (lambda v: _is_int(v) and v >= 0, "reference_qubits must be an integer >= 0"),
+    "m_copies": (lambda v: _is_int(v) and v >= 2, "m_copies must be an integer >= 2"),
+    "trials": (lambda v: _is_int(v) and v >= 100, "trials must be an integer >= 100"),
+    "deviation": (lambda v: _is_int(v) and 0 <= v <= 7, "deviation must be an octant count in 0..7"),
+    "threshold": (lambda v: _is_number(v) and v > 0, "threshold must be a positive finite number"),
+}
+
+
+def validate(config: dict) -> list[str]:
+    """Pure config check; returns a list of problems (empty = valid)."""
+    mode = config.get("mode")
+    if not isinstance(mode, str) or mode not in MODES:  # a list or object is no key
+        return [f"mode must be one of {tuple(MODES)}, got {mode!r}"]
+    entry = MODES[mode]
+    declared = ("mode", "threshold", *entry.fields)
+    errors = _undeclared_or_null(config, declared, "", mode)
+    settings = entry.settings({key: value for key, value in config.items() if key in declared and value is not None})
+    failed = set()
+    for field, (ok, message) in FIELD_RULES.items():
+        if field in declared and not ok(settings[field]):
+            failed.add(field)
+            errors.append(message)
+
+    graph = None
+    if "n_wires" in entry.fields and not failed & {"n_wires", "reference_qubits"}:
+        n_wires, n_columns, n_ref = settings["n_wires"], settings["n_columns"], settings["reference_qubits"]
+        if n_wires + n_ref + 1 > REGISTER_BUDGET:
+            errors.append(
+                f"n_wires + reference_qubits + 1 = {n_wires} + {n_ref} + 1 live qubits, "
+                f"over the register budget of {REGISTER_BUDGET}"
+            )
+        elif "n_columns" not in failed:
+            graph = build_brickwork(n_wires, n_columns)
+            if entry.rewrites:
+                peak, version = max((rewrite_peak_qubits(v, n_wires, n_columns, n_ref), v) for v in entry.rewrites)
+                if peak > REGISTER_BUDGET:
+                    errors.append(
+                        f"{mode} runs the {version} rewrite, which holds up to {peak} live qubits at "
+                        f"{n_wires}x{n_columns} with {n_ref} reference qubits, over the register budget of {REGISTER_BUDGET}"
+                    )
+    coalition = settings.get("coalition")
+    if coalition is not None:
+        n_wires = 0 if "n_wires" in failed else settings["n_wires"]
+        if not isinstance(coalition, list) or not coalition:
+            errors.append("coalition must be a nonempty list of client indices")
+        elif not all(_is_int(c) and 1 <= c <= n_wires for c in coalition):
+            errors.append("coalition members must be client indices in 1..n_wires")
+        elif len(set(coalition)) >= n_wires:
+            errors.append("at least one client must stay outside the coalition")
+    specs = {"": settings}
+    if "scenarios" in entry.fields:
+        scenarios = settings["scenarios"]
+        if not isinstance(scenarios, dict) or set(scenarios) != {"a", "b"} or not all(isinstance(sc, dict) for sc in scenarios.values()):
+            errors.append('blindness needs "scenarios" with exactly the keys "a" and "b", each an object')
+            specs = {}
+        else:
+            specs = {f"scenarios.{key}.": sc for key, sc in sorted(scenarios.items())}
+            for prefix, sc in specs.items():
+                errors.extend(_undeclared_or_null(sc, ("angles", "input"), prefix, mode))
+    if graph is not None:
+        for prefix, spec in specs.items():
+            errors.extend(_check_angles(spec.get("angles"), len(graph.measured_nodes), prefix + "angles"))
+            errors.extend(_check_input(spec.get("input"), 2 ** (graph.n_wires + n_ref), prefix + "input"))
+        if "scenarios" in entry.fields:
+            if not graph.measured_nodes:
+                errors.append("n_columns must be >= 2 for blindness: a single column measures nothing")
+            elif exact_view_projections(graph) > EXACT_VIEW_BUDGET:
+                errors.append(
+                    f"n_wires x n_columns = {graph.n_wires}x{graph.n_columns}: blindness needs "
+                    f"{exact_view_projections(graph)} exact-view projections, over the budget of {EXACT_VIEW_BUDGET}"
+                )
+    return errors
+
+
+def _undeclared_or_null(fields: dict, declared, prefix: str, mode: str) -> list[str]:
+    """A config key the mode does not read, or a null, is a config error."""
+    return [
+        f"{prefix}{key} is not a field of mode {mode}" if key not in declared else f"{prefix}{key} must not be null"
+        for key, value in fields.items() if key not in declared or value is None
+    ]
 
 
 def _check_angles(spec, count: int, field: str) -> list[str]:
@@ -243,10 +241,11 @@ def _pool_distance(sum_a: list[dict], sum_b: list[dict]) -> dict[str, float]:
 # ---------------------------------------------------------------- modes
 
 
-def _mode_honest_run(config: dict, seed: int, debug: bool) -> dict:
+def _mode_honest_run(settings: dict, debug: bool) -> dict:
+    seed = settings["seed"]
     rng = np.random.default_rng([seed, 0])
-    pattern, input_state = _scenario(config, rng)
-    run = run_full_protocol(pattern, input_state, rng, m_copies=config.get("m_copies", 10), debug_secrets=debug)
+    pattern, input_state = _scenario(settings, rng)
+    run = run_full_protocol(pattern, input_state, rng, m_copies=settings["m_copies"], debug_secrets=debug)
     if run.aborted:
         return {
             "metric": "output fidelity vs direct pattern execution",
@@ -261,7 +260,7 @@ def _mode_honest_run(config: dict, seed: int, debug: bool) -> dict:
     return {
         "metric": "output fidelity vs direct pattern execution",
         "value": fidelity,
-        "passed": fidelity >= 1 - config.get("threshold", DEFAULT_THRESHOLDS["honest-run"]),
+        "passed": fidelity >= 1 - settings["threshold"],
         "transcript": run.transcript,
         "details": {
             "messages": len(run.transcript.messages),
@@ -273,82 +272,80 @@ def _mode_honest_run(config: dict, seed: int, debug: bool) -> dict:
     }
 
 
-def _mode_blindness(config: dict, seed: int, debug: bool) -> dict:
-    rng = np.random.default_rng([seed, 0])
-    sc = config["scenarios"]
-    pattern_a = _build_pattern(config, sc["a"].get("angles"), rng)
-    pattern_b = _build_pattern(config, sc["b"].get("angles"), rng)
-    n_qubits = config["n_wires"] + config.get("reference_qubits", 0)
+def _mode_blindness(settings: dict, debug: bool) -> dict:
+    rng = np.random.default_rng([settings["seed"], 0])
+    sc = settings["scenarios"]
+    pattern_a = _build_pattern(settings, sc["a"].get("angles"), rng)
+    pattern_b = _build_pattern(settings, sc["b"].get("angles"), rng)
+    n_qubits = settings["n_wires"] + settings["reference_qubits"]
     input_a = _build_input(sc["a"].get("input"), n_qubits, rng)
     input_b = _build_input(sc["b"].get("input"), n_qubits, rng)
     classes: dict[str, int] = {}
     distances = blindness_check(pattern_a, input_a, pattern_b, input_b, classes)
     worst = max(distances.values())
-    threshold = config.get("threshold", DEFAULT_THRESHOLDS["blindness"])
     return {
         "metric": "max exact server-view trace distance over checkpoints",
         "value": worst,
-        "passed": worst <= threshold,
+        "passed": worst <= settings["threshold"],
         # view_projections counts both scenarios' enumerations
         "details": {"checkpoints": {k: float(v) for k, v in distances.items()}, "view_classes": classes,
                     "view_projections": 2 * exact_view_projections(pattern_a.graph)},
     }
 
 
-def _compare(config: dict, seed: int, worlds: tuple[str, ...], fidelity: bool = False, **options) -> tuple[list[dict], float]:
+def _compare(settings: dict, worlds: tuple[str, ...], fidelity: bool = False, **options) -> tuple[list[dict], float]:
     """Sample each world's trials at salts 2, 3, ... (harness.sample, harness.observe).
 
     Returns _pool_distance from the first world to each later one, in
     order, and the least output fidelity to direct execution over all
     trials (1.0 unless `fidelity`). `options` go to harness.observe.
     """
-    pattern, input_state = _scenario(config, np.random.default_rng([seed, 0]))
+    seed = settings["seed"]
+    pattern, input_state = _scenario(settings, np.random.default_rng([seed, 0]))
     expected = reference_execute(pattern, input_state, np.random.default_rng([seed, 1])) if fidelity else None
 
     def trial(world: str, rng: np.random.Generator) -> tuple[dict, float]:
         summary, output = observe(world, pattern, input_state, rng, **options)
         return summary, 1.0 if expected is None else output.fidelity(expected)
 
-    samples = [sample(partial(trial, world), config.get("trials", 10000), seed, k + 2) for k, world in enumerate(worlds)]
+    samples = [sample(partial(trial, world), settings["trials"], seed, k + 2) for k, world in enumerate(worlds)]
     first = [summary for summary, _ in samples[0]]
     distances = [_pool_distance(first, [summary for summary, _ in rows]) for rows in samples[1:]]
     return distances, min(f for rows in samples for _, f in rows)
 
 
-def _tv_report(config: dict, versus: str, distances: list[dict], details: dict, ok: bool = True) -> dict:
+def _tv_report(settings: dict, versus: str, distances: list[dict], details: dict, ok: bool = True) -> dict:
     """The verdict of a sampled comparison: the largest pooled TV against the threshold."""
     worst = max(max(d.values()) for d in distances)
     return {
         "metric": f"max pooled marginal TV, {versus}",
         "value": worst,
-        "passed": ok and worst <= config.get("threshold", DEFAULT_THRESHOLDS[config["mode"]]),
-        "trials": config.get("trials", 10000),
+        "passed": ok and worst <= settings["threshold"],
+        "trials": settings["trials"],
         "details": details,
     }
 
 
-def _mode_server_sim_equiv(config: dict, seed: int, debug: bool) -> dict:
-    distances, min_fidelity = _compare(config, seed, ("base", "simulator-resource"), fidelity=True)
+def _mode_server_sim_equiv(settings: dict, debug: bool) -> dict:
+    distances, min_fidelity = _compare(settings, ("base", "simulator-resource"), fidelity=True)
     details = {"marginals": distances[0], "min_output_fidelity": min_fidelity}
-    return _tv_report(config, "real vs simulated server world", distances, details, min_fidelity >= 1 - 1e-6)
+    return _tv_report(settings, "real vs simulated server world", distances, details, min_fidelity >= 1 - 1e-6)
 
 
-def _mode_client_sim_equiv(config: dict, seed: int, debug: bool) -> dict:
-    coalition = frozenset(config.get("coalition", [config["n_wires"]]))
-    distances, _ = _compare(config, seed, ("base", "simulated-client"), m_copies=config.get("m_copies", 2), coalition=coalition)
-    details = {"marginals": distances[0], "coalition": sorted(coalition), "leak_checks": 2 * config.get("trials", 10000)}
-    return _tv_report(config, "real vs simulated coalition view", distances, details)
+def _mode_client_sim_equiv(settings: dict, debug: bool) -> dict:
+    coalition = frozenset(settings["coalition"] or [settings["n_wires"]])  # by default the last client
+    distances, _ = _compare(settings, ("base", "simulated-client"), m_copies=settings["m_copies"], coalition=coalition)
+    details = {"marginals": distances[0], "coalition": sorted(coalition), "leak_checks": 2 * settings["trials"]}
+    return _tv_report(settings, "real vs simulated coalition view", distances, details)
 
 
-def _mode_protocol1_detection(config: dict, seed: int, debug: bool) -> dict:
-    trials = config.get("trials", 10000)
-    deviation = config.get("deviation", 1)
-    results = sample(lambda rng: copy_test_rejection(deviation, 1, rng), trials, seed, 2)
+def _mode_protocol1_detection(settings: dict, debug: bool) -> dict:
+    trials, deviation, half_width = settings["trials"], settings["deviation"], settings["threshold"]
+    results = sample(lambda rng: copy_test_rejection(deviation, 1, rng), trials, settings["seed"], 2)
     rejections = sum(r for r, _ in results)
     tested = sum(t for _, t in results)
     rate = rejections / tested
     expected = float(np.sin(deviation * np.pi / 8) ** 2)
-    half_width = config.get("threshold", DEFAULT_THRESHOLDS["protocol1-detection"])
     lo, hi = clopper_pearson(rejections, tested)
     return {
         "metric": f"per-copy rejection rate at deviation {deviation}",
@@ -360,25 +357,31 @@ def _mode_protocol1_detection(config: dict, seed: int, debug: bool) -> dict:
     }
 
 
-def _mode_intermediate_equiv(config: dict, seed: int, debug: bool) -> dict:
-    distances, _ = _compare(config, seed, ("base", "teleport", "delayed"))
-    return _tv_report(config, "base protocol vs rewrites", distances, {"marginals": dict(zip(("teleport", "delayed"), distances))})
+def _mode_intermediate_equiv(settings: dict, debug: bool) -> dict:
+    distances, _ = _compare(settings, ("base", "teleport", "delayed"))
+    return _tv_report(settings, "base protocol vs rewrites", distances, {"marginals": dict(zip(("teleport", "delayed"), distances))})
 
 
-_MODE_RUNNERS = {
-    "honest-run": _mode_honest_run,
-    "blindness": _mode_blindness,
-    "server-sim-equiv": _mode_server_sim_equiv,
-    "client-sim-equiv": _mode_client_sim_equiv,
-    "protocol1-detection": _mode_protocol1_detection,
-    "intermediate-equiv": _mode_intermediate_equiv,
+_GRAPH = {"seed": None, "n_wires": None, "n_columns": None, "reference_qubits": 0}
+_SCENARIO = {**_GRAPH, "angles": "random", "input": "random"}
+_SAMPLED = {**_SCENARIO, "trials": 10000}
+
+MODES = {
+    "honest-run": Mode(_mode_honest_run, 1e-6, ("honest",), {**_SCENARIO, "m_copies": 10}),
+    "blindness": Mode(_mode_blindness, 1e-9, ("a", "b"), {**_GRAPH, "scenarios": None}),
+    "server-sim-equiv": Mode(_mode_server_sim_equiv, 0.02, ("real", "simulated"), _SAMPLED, ("simulator-resource",)),
+    "client-sim-equiv": Mode(_mode_client_sim_equiv, 0.02, ("real", "simulated"), {**_SAMPLED, "m_copies": 2, "coalition": None}),
+    "protocol1-detection": Mode(_mode_protocol1_detection, 0.02, ("deviating-client",), {"seed": None, "trials": 10000, "deviation": 1}),
+    "intermediate-equiv": Mode(_mode_intermediate_equiv, 0.02, ("base", "teleport", "delayed"), _SAMPLED, ("teleport", "delayed")),
 }
 
 
 def run_experiment(config: dict, seed: int, out_dir: Path, debug_secrets: bool = False) -> int:
     """Run one validated config and write the artifacts. Returns the exit code."""
     mode = config["mode"]
-    result = _MODE_RUNNERS[mode](config, seed, debug_secrets)
+    entry = MODES[mode]
+    settings = entry.settings({**config, "seed": seed})
+    result = entry.run(settings, debug_secrets)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     transcript = result.pop("transcript", None)
@@ -388,13 +391,13 @@ def run_experiment(config: dict, seed: int, out_dir: Path, debug_secrets: bool =
     passed = bool(result.get("passed", False)) and not aborted
     report = {
         "mode": mode,
-        "scenario_ids": config.get("scenario_ids", _default_scenario_ids(mode)),
+        "scenario_ids": entry.scenario_ids,
         "metric": result["metric"],
         "value": result["value"],
         "confidence_radius": result.get("confidence_radius"),
         "trials": result.get("trials"),
         "seed": seed,
-        "threshold": config.get("threshold", DEFAULT_THRESHOLDS[mode]),
+        "threshold": settings["threshold"],
         "passed": passed,
         "details": result.get("details", {}),
     }
@@ -419,17 +422,6 @@ def run_experiment(config: dict, seed: int, out_dir: Path, debug_secrets: bool =
     return 0 if passed else 2
 
 
-def _default_scenario_ids(mode: str) -> list[str]:
-    return {
-        "honest-run": ["honest"],
-        "blindness": ["a", "b"],
-        "server-sim-equiv": ["real", "simulated"],
-        "client-sim-equiv": ["real", "simulated"],
-        "protocol1-detection": ["deviating-client"],
-        "intermediate-equiv": ["base", "teleport", "delayed"],
-    }[mode]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="mpdqc", description="delegated multiparty blind computation experiments")
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
@@ -444,7 +436,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(config, dict):
+            raise ValueError(f"the config must be a JSON object, got {type(config).__name__}")
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:

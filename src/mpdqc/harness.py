@@ -464,7 +464,6 @@ def run_simulated_client_world(
     rng: np.random.Generator,
     *,
     m_copies: int = 10,
-    r_override: dict[tuple[int, int], int] | None = None,
 ) -> SimClientRun:
     """Simulate the coalition's protocol interface without honest secrets.
 
@@ -563,14 +562,10 @@ def run_simulated_client_world(
     r_claims: dict[tuple[int, int], int] = {}
     for j in measured:
         for k in range(1, n + 1):
+            r_claims[(j, k)] = r_bit = int(rng.integers(2))
             if k in coalition:
-                r_bit = int(rng.integers(2))
-                if r_override is not None:
-                    r_bit = r_override.get((j, k), r_bit)
-                r_claims[(j, k)] = r_bit
                 session.hand_out(k, share_secret(r_bit, n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
             else:
-                r_claims[(j, k)] = int(rng.integers(2))
                 fake_distribution(k, 2, r_tag(j, k), {"kind": "mask-bit", "node": j, "client": k})
         coalition_mask = parity(r_claims[(j, c)] for c in coalition)
         delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
@@ -770,18 +765,18 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.01) -> tuple[f
 # ----------------------------------------------------------------------
 
 
-def copy_test_rejection(deviation: int, trials: int, rng: np.random.Generator, n_clients: int = 2) -> tuple[int, int]:
+def copy_test_rejection(deviation: int, trials: int, rng: np.random.Generator) -> tuple[int, int]:
     """(rejections, tested copies) for a client whose states are off by a fixed octant.
 
-    Each trial shares a uniform angle honestly but prepares the qubit
-    rotated `deviation` octants away from the declaration, then runs one
-    test measurement against the declared angle.
+    Each trial shares a uniform angle honestly between two clients, but
+    prepares the qubit rotated `deviation` octants away from the
+    declaration, then runs one test measurement against the declared angle.
     """
     rejections = 0
     tested = 0
     for _ in range(trials):
         theta = int(rng.integers(8))
-        shares = [share_secret(theta, n_clients, 8, rng, ("theta", 0, 1, i)) for i in range(2)]
+        shares = [share_secret(theta, 2, 8, rng, ("theta", 0, 1, i)) for i in range(2)]
         qubits = [plus_state(octant(theta + deviation)) for _ in range(2)]
         result = verify_client(1, shares, lambda i, angle: qubits[i].measure_rotated(0, angle, rng)[0], rng)
         tested += len(result.outcomes)

@@ -291,16 +291,13 @@ def run_full_protocol(
     *,
     m_copies: int = 10,
     debug_secrets: bool = False,
-    r_override: dict[tuple[int, int], int] | None = None,
     server_strategy: ServerStrategy | None = None,
 ) -> ProtocolRun:
     """Execute one full run and return everything each party ended up with.
 
     input_state holds client k's input qubit at position k-1 plus optional
     trailing reference qubits that stay with the environment. m_copies is
-    the batch size for the copy-based honesty test. r_override forces
-    chosen masking bits (node, client) -> bit without disturbing the rng
-    stream, for pathwise comparisons.
+    the batch size for the copy-based honesty test.
     """
     graph = pattern.graph
     n = graph.n_wires
@@ -352,10 +349,7 @@ def run_full_protocol(
     outcomes_b: dict[int, int] = {}
     for j in ledger.flow.order:
         for k in range(1, n + 1):
-            r_bit = int(rng.integers(2))
-            if r_override is not None:
-                r_bit = r_override.get((j, k), r_bit)
-            secrets[k].r[j] = r_bit
+            secrets[k].r[j] = r_bit = int(rng.integers(2))
             session.hand_out(k, share_secret(r_bit, n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
         delta_j = ledger.delta(j)
         deltas[j] = delta_j

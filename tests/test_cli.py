@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -49,6 +53,8 @@ def test_validate_rewrite_budget_admits_what_fits():
 def test_validate_rejects_unknown_modes():
     assert validate({"mode": "quantum-supremacy"})
     assert validate({})
+    assert validate({"mode": ["honest-run"]})
+    assert validate({"mode": {"honest-run": 1}})
 
 
 def test_validate_requires_enough_trials():
@@ -92,6 +98,16 @@ def test_invalid_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize(
+    "content", [b"[1, 2]", b'"honest-run"', b"null", b'{"mode": "\xff"}'], ids=["list", "string", "null", "not-utf8"],
+)
+def test_config_that_is_not_a_json_object_exits_1(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--seed", "0"]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_invalid_config_exits_1_without_artifacts(tmp_path, capsys):
@@ -182,6 +198,19 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
             {"mode": "blindness", "n_wires": 2, "n_columns": 2, "scenarios": {"a": {}, "b": {"input": [[0, 1e200], [0, 0], [0, 0], [0, 0]]}}},
             "scenarios.b.input",
         ),
+        # a field the mode does not read was ignored: m_copies, a misspelled
+        # trials, a top-level angles in blindness, an unknown scenario key
+        ({"mode": "server-sim-equiv", "n_wires": 2, "n_columns": 2, "trials": 100, "m_copies": 50}, "m_copies is not a field of mode server-sim-equiv"),
+        ({"mode": "intermediate-equiv", "n_wires": 2, "n_columns": 2, "trials": 100, "m_copies": 50}, "m_copies is not a field of mode intermediate-equiv"),
+        ({"mode": "protocol1-detection", "trial": 100}, "trial is not a field of mode protocol1-detection"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "scenario_ids": {"x": [1, 2]}}, "scenario_ids"),
+        ({"mode": "blindness", "n_wires": 2, "n_columns": 2, "angles": "zeros", "scenarios": {"a": {}, "b": {}}}, "angles is not a field of mode blindness"),
+        ({"mode": "blindness", "n_wires": 2, "n_columns": 2, "scenarios": {"a": {"angle": [0, 1]}, "b": {}}}, "scenarios.a.angle"),
+        # a null is no value: it passed as absent, then crashed the runner or ran the default
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "threshold": None}, "threshold must not be null"),
+        ({"mode": "blindness", "n_wires": 2, "n_columns": 2, "threshold": None, "scenarios": {"a": {}, "b": {}}}, "threshold must not be null"),
+        ({"mode": "client-sim-equiv", "n_wires": 2, "n_columns": 2, "trials": 100, "coalition": None}, "coalition must not be null"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "angles": None}, "angles must not be null"),
     ],
     ids=[
         "long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget",
@@ -193,6 +222,9 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         "bool-deviation", "bool-coalition", "nan-threshold", "infinite-threshold", "nan-amplitude", "infinite-amplitude",
         "overflowing-amplitude", "huge-integer-amplitude", "underflowing-amplitude", "subnormal-norm-amplitude",
         "zero-amplitudes", "overflowing-scenario-amplitude",
+        "server-sim-m-copies", "intermediate-m-copies", "detection-misspelled-trials", "honest-scenario-ids",
+        "blindness-top-level-angles", "blindness-scenario-angle", "honest-null-threshold", "blindness-null-threshold",
+        "null-coalition", "null-angles",
     ],
 )
 def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):
@@ -203,6 +235,47 @@ def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# each mode's required fields on a small graph
+MINIMAL = {
+    "honest-run": {"n_wires": 2, "n_columns": 2},
+    "blindness": {"n_wires": 2, "n_columns": 2, "scenarios": {"a": {}, "b": {}}},
+    "server-sim-equiv": {"n_wires": 2, "n_columns": 2},
+    "client-sim-equiv": {"n_wires": 2, "n_columns": 2},
+    "protocol1-detection": {},
+    "intermediate-equiv": {"n_wires": 2, "n_columns": 2},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MINIMAL))
+def test_every_declared_default_validates(mode):
+    entry = cli.MODES[mode]
+    minimal = {"mode": mode, "seed": 0, **MINIMAL[mode]}
+    assert validate(minimal) == []
+    defaults = {field: value for field, value in entry.fields.items() if value is not None}
+    assert validate({**minimal, **defaults, "threshold": entry.threshold}) == []
+
+
+def test_module_entry_point_exits_with_the_config_verdict(tmp_path):
+    # python -m mpdqc.cli runs main through sys.exit
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(**config):
+        cfg = write_config(tmp_path, **config)
+        out = tmp_path / "out"
+        command = [sys.executable, "-m", "mpdqc.cli", "--config", cfg, "--out", str(out)]
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120), out
+
+    done, out = run(mode="honest-run", seed=0, n_wires=2, n_columns=2, m_copy=1)
+    assert done.returncode == 1
+    assert "config error: m_copy is not a field of mode honest-run" in done.stderr.splitlines()
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+    done, out = run(mode="honest-run", seed=0, n_wires=2, n_columns=2, m_copies=2)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "report.json").read_text())["passed"] is True
 
 
 # ------------------------------------------------------------ honest mode
