@@ -44,14 +44,12 @@ class BrickworkGraph:
         """All non-output nodes, in label (= column-major measurement) order."""
         return tuple(range(1, self.n_wires * (self.n_columns - 1) + 1))
 
-    def column_of(self, node: int) -> int:
-        return (node - 1) // self.n_wires + 1
-
     def wire_of(self, node: int) -> int:
         return (node - 1) % self.n_wires + 1
 
-    def node_at(self, wire: int, column: int) -> int:
-        return (column - 1) * self.n_wires + wire
+    def survivor(self, node: int) -> int:
+        """The register left by node's preparation chain: an input's owner, otherwise client n_wires."""
+        return node if node in self.input_nodes else self.n_wires
 
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:

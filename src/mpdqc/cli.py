@@ -70,7 +70,7 @@ def _is_number(value) -> bool:
 
 
 FIELD_RULES = {
-    "seed": (_is_int, "seed is required and must be an integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "seed is required and must be an integer >= 0"),
     "n_wires": (lambda v: _is_int(v) and v >= 2 and v % 2 == 0, "n_wires must be an even integer >= 2"),
     "n_columns": (lambda v: _is_int(v) and v >= 1, "n_columns must be an integer >= 1"),
     "reference_qubits": (lambda v: _is_int(v) and v >= 0, "reference_qubits must be an integer >= 0"),

@@ -64,7 +64,7 @@ from .protocol import (
     run_full_protocol,
 )
 from .quantum import PureState, flip, octant, plus_state, weighted_trace_norm
-from .rsp import run_chain, theta_aux, theta_input
+from .rsp import run_chain, theta_input
 
 # ----------------------------------------------------------------------
 # exact server view and blindness
@@ -217,33 +217,6 @@ def blindness_check(
     return {cp: view_distance(va[cp], vb[cp]) for cp in va}
 
 
-def sampled_prepared_density(
-    pattern: MeasurementPattern,
-    input_state: PureState,
-    trials: int,
-    rng: np.random.Generator,
-    m_copies: int = 2,
-) -> np.ndarray:
-    """Monte-Carlo estimate of the server's averaged post-entangling state.
-
-    Runs the full physical protocol (chains, honesty tests and all), so it
-    cross-checks the effective-secret reduction used by the exact views.
-    """
-    graph = pattern.graph
-    nodes = list(range(1, graph.num_nodes + 1))
-    acc = np.zeros((2 ** len(nodes), 2 ** len(nodes)), dtype=complex)
-
-    def capture(handle) -> None:
-        acc.__iadd__(handle.density(nodes).matrix)
-
-    strategy = ServerStrategy(after_entangle=capture)
-    for _ in range(trials):
-        run = run_full_protocol(pattern, input_state, rng, m_copies=m_copies, server_strategy=strategy)
-        if run.aborted:
-            raise RuntimeError("honest run aborted")
-    return acc / trials
-
-
 # ----------------------------------------------------------------------
 # intermediate protocol versions and the server-side simulator
 # ----------------------------------------------------------------------
@@ -338,7 +311,7 @@ def run_intermediate_protocol(
     node_label: dict[int, str] = {}
     for j in measured:
         registers = {k: f"send:{j}:{k}" for k in range(1, n + 1)}
-        chain_t[j], node_label[j] = run_chain(system, registers, j if j in graph.input_nodes else None, rng)
+        chain_t[j], node_label[j] = run_chain(system, registers, graph.survivor(j), rng)
     handle = entangle(system, graph, node_label, chain_t, strategy)
 
     def node_r(j: int) -> int:
@@ -355,12 +328,12 @@ def run_intermediate_protocol(
 
     def solve_and_reveal(j: int) -> None:
         """Pick fresh uniform angles, solve the one that matches delta, measure."""
-        target = j if j in graph.input_nodes else n
+        target = graph.survivor(j)
         for k in range(1, n + 1):
             if k != target:
                 theta_hat[(j, k)] = int(rng.integers(8))
         # the chain's closed form with the target's share zeroed sums the
-        # others' signed angles (theta_aux is theta_input with owner n, a=0)
+        # others' signed angles
         others = [0 if k == target else theta_hat[(j, k)] for k in range(1, n + 1)]
         acc = delta[j] - phi_corrected(j) - theta_input(others, target, chain_t[j], 0)
         # the pad's X flip (input case) negates the angle the pad rotation
@@ -376,10 +349,7 @@ def run_intermediate_protocol(
             delta[j] = int(rng.integers(8))
         else:
             eff = [octant(theta_hat[(j, k)] + 4 * r_bits[(j, k)]) for k in range(1, n + 1)]
-            if j in graph.input_nodes:
-                pad = theta_input(eff, j, chain_t[j], a_bits[j])
-            else:
-                pad = theta_aux(eff, chain_t[j])
+            pad = theta_input(eff, graph.survivor(j), chain_t[j], a_of(j))
             delta[j] = octant(phi_corrected(j) + 4 * node_r(j) + flip(pad, a_of(j)))
         handle.classical["delta"][j] = delta[j]
         if strategy.before_measurement:
@@ -410,7 +380,7 @@ def rewrite_peak_qubits(version: str, n_wires: int, n_columns: int, n_ref: int) 
     Counted from its order of operations, n wires, M = n (n_columns - 1):
     teleport: extracting a adds one EPR pair per input, each leaving a
     half in the input register, 2n + 1 + n_ref. delayed: n retained halves
-    per node live until it is measured; the last input chain holds
+    per node live until it is measured; the last input node's chain holds
     n^2 + n + 1 + n_ref, and measuring a column n + 1 nodes, each with n
     halves while the next column is measured too, (n + 1)^2 + n_ref.
     simulator-resource: every node's n halves wait for the end, beside the
@@ -447,7 +417,6 @@ def run_simulated_server_world(
 @dataclass
 class SimClientRun:
     transcript: Transcript
-    coalition: frozenset[int]
     chain_t: dict[int, dict[int, int]]
     delta: dict[int, int]
     b: dict[int, int]
@@ -549,12 +518,12 @@ def run_simulated_client_world(
             pad_theta[j] = int(rng.integers(8))
             session.send_padded_input(j, pad_a[j], pad_theta[j])
         # chain outcomes are uniform and carry no secret dependence
-        t = {reg: int(rng.integers(2)) for reg in range(1, n + 1) if reg != (j if j in graph.input_nodes else n)}
+        t = {reg: int(rng.integers(2)) for reg in range(1, n + 1) if reg != graph.survivor(j)}
         chain_t[j] = t
         record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
 
     if aborted:
-        return SimClientRun(transcript, coalition, chain_t, {}, {}, {}, None, n_ref, True)
+        return SimClientRun(transcript, chain_t, {}, {}, {}, None, n_ref, True)
 
     # ------------------------------------------------------------ rounds
     delta: dict[int, int] = {}
@@ -604,7 +573,7 @@ def run_simulated_client_world(
             record("server", f"client:{c}", "OutputQubit", {"node": j})
             record("oracle", f"client:{c}", "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
 
-    return SimClientRun(transcript, coalition, chain_t, delta, b, keys, resource_output, n_ref, False)
+    return SimClientRun(transcript, chain_t, delta, b, keys, resource_output, n_ref, False)
 
 
 def check_no_secret_leak(transcript: Transcript, coalition: Iterable[int], n_clients: int) -> None:
@@ -778,7 +747,7 @@ def copy_test_rejection(deviation: int, trials: int, rng: np.random.Generator) -
         theta = int(rng.integers(8))
         shares = [share_secret(theta, 2, 8, rng, ("theta", 0, 1, i)) for i in range(2)]
         qubits = [plus_state(octant(theta + deviation)) for _ in range(2)]
-        result = verify_client(1, shares, lambda i, angle: qubits[i].measure_rotated(0, angle, rng)[0], rng)
+        result = verify_client(shares, lambda i, angle: qubits[i].measure_rotated(0, angle, rng)[0], rng)
         tested += len(result.outcomes)
         rejections += sum(result.outcomes.values())
     return rejections, tested

@@ -23,7 +23,7 @@ import numpy as np
 
 from .brickwork import Flow, MeasurementPattern, compute_flow, parity
 from .quantum import flip, octant
-from .rsp import theta_aux, theta_input
+from .rsp import theta_input
 
 Tag = tuple
 
@@ -98,13 +98,12 @@ def reconstruct(shares: Sequence[SecretShare]) -> int:
 
 @dataclass
 class VerificationResult:
-    client: int
     accepted: bool
     survivor: int
     outcomes: dict[int, int]
 
 
-def verify_client(client: int, angle_shares: Sequence[Sequence[SecretShare]], measure: Callable[[int, int], int], rng: np.random.Generator) -> VerificationResult:
+def verify_client(angle_shares: Sequence[Sequence[SecretShare]], measure: Callable[[int, int], int], rng: np.random.Generator) -> VerificationResult:
     """The copy test: check a batch of declared-angle copies from one client.
 
     The server holds m single-qubit copies; the declared angle of each is
@@ -120,7 +119,7 @@ def verify_client(client: int, angle_shares: Sequence[Sequence[SecretShare]], me
         raise ValueError("need at least 2 copies to test any")
     survivor = int(rng.integers(m))
     outcomes = {i: measure(i, reconstruct(angle_shares[i])) for i in range(m) if i != survivor}
-    return VerificationResult(client=client, accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
+    return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
 
 
 def theta_tag(node: int, client: int, copy: int = 0) -> Tag:
@@ -209,12 +208,8 @@ class OracleLedger:
 
     def node_theta(self, node: int) -> int:
         """Effective secret angle of a node's prepared qubit, from shares and t."""
-        n = self.n_clients
-        shares = [self._contributed_theta(node, k) for k in range(1, n + 1)]
-        t = self.chain_t[node]
-        if node in self.pattern.graph.input_nodes:
-            return theta_input(shares, node, t, self.a_bit(node))
-        return theta_aux(shares, t)
+        shares = [self._contributed_theta(node, k) for k in range(1, self.n_clients + 1)]
+        return theta_input(shares, self.pattern.graph.survivor(node), self.chain_t[node], self.node_flip(node))
 
     def node_r(self, node: int) -> int:
         return parity(self._secret(r_tag(node, k)) for k in range(1, self.n_clients + 1))

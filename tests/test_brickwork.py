@@ -16,7 +16,8 @@ from mpdqc.brickwork import (
     random_pattern,
     reference_execute,
 )
-from mpdqc.quantum import PureState, octant, states_equal
+from mpdqc.quantum import PureState, octant
+from reference import states_equal
 
 RNG = np.random.default_rng(7)
 
@@ -45,8 +46,8 @@ def test_rung_offset_alternates_every_other_brick():
     per_column = {}
     for u, v in g.edges:
         if abs(u - v) == 1:
-            c = g.column_of(u)
-            assert c == g.column_of(v) and c % 2 == 0
+            c = (u - 1) // g.n_wires + 1
+            assert c == (v - 1) // g.n_wires + 1 and c % 2 == 0
             per_column.setdefault(c, set()).add((g.wire_of(u), g.wire_of(v)))
     assert per_column == {
         2: {(1, 2), (3, 4)},
@@ -70,10 +71,10 @@ def test_rejects_bad_dimensions():
 
 
 @given(st.integers(1, 4).map(lambda k: 2 * k), st.integers(1, 6))
-def test_node_coordinates_round_trip(n_wires, n_columns):
+def test_a_chain_survives_on_the_input_owner_or_on_the_last_client(n_wires, n_columns):
     g = build_brickwork(n_wires, n_columns)
     for node in range(1, g.num_nodes + 1):
-        assert g.node_at(g.wire_of(node), g.column_of(node)) == node
+        assert g.survivor(node) == (node if node in g.input_nodes else n_wires)
 
 
 def test_neighbors_are_symmetric():

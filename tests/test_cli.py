@@ -211,6 +211,10 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         ({"mode": "blindness", "n_wires": 2, "n_columns": 2, "threshold": None, "scenarios": {"a": {}, "b": {}}}, "threshold must not be null"),
         ({"mode": "client-sim-equiv", "n_wires": 2, "n_columns": 2, "trials": 100, "coalition": None}, "coalition must not be null"),
         ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "angles": None}, "angles must not be null"),
+        # numpy refuses a negative seed with a ValueError traceback; a key
+        # starting with -- is a command-line flag, not a config field
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "seed": -5}, "seed is required and must be an integer >= 0"),
+        ({"mode": "honest-run", "n_wires": 2, "n_columns": 2, "--seed": -1}, "seed is required and must be an integer >= 0"),
     ],
     ids=[
         "long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget",
@@ -224,13 +228,14 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
         "zero-amplitudes", "overflowing-scenario-amplitude",
         "server-sim-m-copies", "intermediate-m-copies", "detection-misspelled-trials", "honest-scenario-ids",
         "blindness-top-level-angles", "blindness-scenario-angle", "honest-null-threshold", "blindness-null-threshold",
-        "null-coalition", "null-angles",
+        "null-coalition", "null-angles", "negative-seed", "negative-seed-flag",
     ],
 )
 def test_malformed_configs_fail_validation(tmp_path, capsys, config, field):
-    cfg = write_config(tmp_path, **{"seed": 0, **config})
+    flags = [str(x) for key, value in config.items() if key.startswith("--") for x in (key, value)]
+    cfg = write_config(tmp_path, **{"seed": 0, **{key: value for key, value in config.items() if not key.startswith("--")}})
     out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert main(["--config", cfg, "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err

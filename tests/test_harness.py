@@ -21,12 +21,12 @@ from mpdqc.harness import (
     run_simulated_client_world,
     run_simulated_server_world,
     sample,
-    sampled_prepared_density,
     view_distance,
 )
 from mpdqc.oracle import share_secret, theta_tag
 from mpdqc.protocol import Transcript, run_full_protocol, share_payload
 from mpdqc.quantum import DensityMatrix, PureState, trace_distance
+from reference import sampled_prepared_density
 
 RNG = np.random.default_rng(77)
 
@@ -258,9 +258,9 @@ def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
     kernel = mpdqc.oracle.verify_client
     calls = []
 
-    def counted(client, angle_shares, measure, rng):
-        calls.append((angle_shares[0][0].tag[1], client))
-        return kernel(client, angle_shares, measure, rng)
+    def counted(angle_shares, measure, rng):
+        calls.append(angle_shares[0][0].tag[1:3])  # (node, contributor) of the theta tag
+        return kernel(angle_shares, measure, rng)
 
     for module in (mpdqc.oracle, mpdqc.protocol, mpdqc.harness):
         if getattr(module, "verify_client", None) is kernel:

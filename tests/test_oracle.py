@@ -117,7 +117,7 @@ def test_honest_copies_always_pass():
     rng = np.random.default_rng(3)
     for _ in range(50):
         angle_shares, qubits = _honest_copies(1, 3, rng)
-        result = verify_client(1, angle_shares, _measure(qubits, rng), rng)
+        result = verify_client(angle_shares, _measure(qubits, rng), rng)
         assert result.accepted
         assert all(b == 0 for b in result.outcomes.values())
 
@@ -128,7 +128,7 @@ def test_opposite_angle_always_fails():
         angle_shares, qubits = _honest_copies(1, 2, rng)
         # the client lies by pi on every copy: the tested one is caught
         qubits = [q.z_rot(0, 4) for q in qubits]
-        result = verify_client(1, angle_shares, _measure(qubits, rng), rng)
+        result = verify_client(angle_shares, _measure(qubits, rng), rng)
         assert not result.accepted
 
 
@@ -139,7 +139,7 @@ def test_small_deviation_is_caught_at_the_expected_rate():
     for _ in range(trials):
         angle_shares, qubits = _honest_copies(1, 2, rng)
         qubits = [q.z_rot(0, 1) for q in qubits]
-        if not verify_client(1, angle_shares, _measure(qubits, rng), rng).accepted:
+        if not verify_client(angle_shares, _measure(qubits, rng), rng).accepted:
             rejections += 1
     rate = rejections / trials
     expected = np.sin(np.pi / 8) ** 2
@@ -151,7 +151,7 @@ def test_survivor_choice_is_uniformish():
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(600):
         angle_shares, qubits = _honest_copies(2, 3, rng)
-        result = verify_client(2, angle_shares, _measure(qubits, rng), rng)
+        result = verify_client(angle_shares, _measure(qubits, rng), rng)
         counts[result.survivor] += 1
         assert result.survivor not in result.outcomes
     for c in counts.values():
@@ -162,7 +162,7 @@ def test_verification_needs_at_least_two_copies():
     rng = np.random.default_rng(7)
     angle_shares, qubits = _honest_copies(1, 1, rng)
     with pytest.raises(ValueError):
-        verify_client(1, angle_shares, _measure(qubits, rng), rng)
+        verify_client(angle_shares, _measure(qubits, rng), rng)
 
 
 # ----------------------------------------------------------------- ledger

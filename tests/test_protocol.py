@@ -13,7 +13,8 @@ from mpdqc.protocol import (
     contributors,
     run_full_protocol,
 )
-from mpdqc.quantum import PureState, plus_state, states_equal
+from mpdqc.quantum import PureState, plus_state
+from reference import states_equal
 
 RNG = np.random.default_rng(55)
 

@@ -4,18 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdqc.protocol import QuantumSystem
-from mpdqc.quantum import PureState, octant, plus_state, states_equal
-from mpdqc.rsp import (
-    aux_branches,
-    aux_chain_steps,
-    input_branches,
-    input_chain_steps,
-    pad_input,
-    run_chain,
-    theta_aux,
-    theta_input,
-    undo_pad,
-)
+from mpdqc.quantum import PureState, octant, plus_state
+from mpdqc.rsp import chain_steps, run_chain, theta_aux, theta_input
+from reference import chain_branches, input_chain_steps, pad_input, states_equal, undo_pad
 
 RNG = np.random.default_rng(13)
 
@@ -32,7 +23,7 @@ def random_state(n_qubits: int, rng=RNG) -> PureState:
 
 @given(st.integers(2, 6))
 def test_aux_chain_measures_every_register_but_the_last(n):
-    steps = aux_chain_steps(n)
+    steps = chain_steps(n, n)
     targets = [t for t, _ in steps]
     assert targets == list(range(1, n))
     for target, control in steps:
@@ -42,11 +33,27 @@ def test_aux_chain_measures_every_register_but_the_last(n):
 @given(st.integers(2, 6), st.data())
 def test_input_chain_measures_everyone_but_the_owner(n, data):
     owner = data.draw(st.integers(1, n))
-    steps = input_chain_steps(n, owner)
+    steps = chain_steps(n, owner)
     targets = [t for t, _ in steps]
     assert sorted(targets) == [k for k in range(1, n + 1) if k != owner]
     for target, control in steps:
         assert 1 <= control <= n and control != target
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_chain_rule_matches_the_explicit_input_chain(n):
+    for survivor in range(1, n + 1):
+        assert chain_steps(n, survivor) == input_chain_steps(n, survivor)
+
+
+@pytest.mark.parametrize("survivor", [0, 4, -1])
+def test_run_chain_rejects_an_out_of_range_survivor(survivor):
+    system = QuantumSystem()
+    for k in (1, 2, 3):
+        system.add_register(plus_state(0), [f"reg:{k}"], ["server"])
+    with pytest.raises(ValueError, match="survivor register out of range"):
+        run_chain(system, {k: f"reg:{k}" for k in (1, 2, 3)}, survivor, np.random.default_rng(0))
+    assert system.peak_qubits == 1  # refused before any gate
 
 
 # ------------------------------------------------------------ pad helpers
@@ -72,7 +79,7 @@ def test_aux_chain_matches_the_closed_form_on_every_branch(n):
     for _ in range(6):
         shares = [int(rng.integers(8)) for _ in range(n)]
         states = [plus_state(s) for s in shares]
-        branches = aux_branches(states)
+        branches = chain_branches(states[-1], states[:-1], n)
         assert len(branches) == 2 ** (n - 1)
         for t, prob, state in branches:
             assert prob == pytest.approx(1 / 2 ** (n - 1))
@@ -87,7 +94,7 @@ def test_run_rsp_aux_sampled_branch_agrees():
     system = QuantumSystem()
     for k, s in enumerate(shares, start=1):
         system.add_register(plus_state(s), [f"reg:{k}"], ["server"])
-    t, survivor = run_chain(system, {k: f"reg:{k}" for k in (1, 2, 3)}, None, rng)
+    t, survivor = run_chain(system, {k: f"reg:{k}" for k in (1, 2, 3)}, 3, rng)
     assert set(t) == {1, 2}
     assert survivor == "reg:3"
     expect = plus_state(theta_aux(shares, t))
@@ -106,7 +113,7 @@ def test_input_chain_leaves_a_padded_input_on_every_branch(n, a):
         psi = random_state(1)
         padded = pad_input(psi, 0, a, shares[owner - 1])
         aux = [plus_state(shares[k - 1]) for k in range(1, n + 1) if k != owner]
-        for t, prob, state in input_branches(padded, aux, owner):
+        for t, prob, state in chain_branches(padded, aux, owner):
             assert prob == pytest.approx(1 / 2 ** (n - 1))
             recovered = undo_pad(state, 0, a, theta_input(shares, owner, t, a))
             assert recovered.fidelity(psi) == pytest.approx(1.0, abs=1e-12)
@@ -138,6 +145,21 @@ def test_aux_formula_is_the_ownerless_input_formula(shares, data):
     n = len(shares)
     t = {k: data.draw(st.integers(0, 1)) for k in range(1, n)}
     assert theta_aux(shares, t) == theta_input(shares, n, t, 0)
+
+
+@settings(max_examples=200)
+@given(st.lists(octants, min_size=2, max_size=8), st.data())
+def test_the_one_pass_closed_form_matches_its_definition(shares, data):
+    # e(k) = a xor (xor of t over the measured registers >= k), summed term by term
+    n = len(shares)
+    survivor = data.draw(st.integers(1, n))
+    a = data.draw(st.integers(0, 1))
+    t = {k: data.draw(st.integers(0, 1)) for k in range(1, n + 1) if k != survivor}
+    total = shares[survivor - 1]
+    for k in t:
+        e = a ^ sum(t[i] for i in t if i >= k) % 2
+        total += -shares[k - 1] if e else shares[k - 1]
+    assert theta_input(shares, survivor, t, a) == octant(total)
 
 
 @settings(max_examples=40)
