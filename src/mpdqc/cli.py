@@ -33,13 +33,18 @@ from .harness import (
     rewrite_peak_qubits,
     sample,
 )
-from .protocol import run_full_protocol
+from .protocol import message_counts, run_full_protocol
 from .quantum import PureState
 
 # largest live register a config may ask for: n_wires + reference_qubits
 # + 1 qubits, the input register plus the one node joining it at a time
 # (2^24 amplitudes take 256 MiB per statevector)
 REGISTER_BUDGET = 24
+# most messages one protocol run may send (protocol.message_counts): a
+# transcript holds about 570 bytes per message, shares and payloads
+# included (measured on honest 2x40 and 4x10 runs with m_copies 100 and
+# 400), so about 0.6 GB. Sampled modes hold one run at a time.
+MESSAGE_BUDGET = 10 ** 6
 
 
 class Mode(NamedTuple):
@@ -105,7 +110,18 @@ def validate(config: dict) -> list[str]:
                 f"over the register budget of {REGISTER_BUDGET}"
             )
         elif "n_columns" not in failed:
-            graph = build_brickwork(n_wires, n_columns)
+            # checked before the graph is built, which alone would exhaust
+            # memory at 10^7 columns; a mode without a valid m_copies is
+            # counted at 2, the batch size of the sampled worlds
+            m_copies = settings["m_copies"] if "m_copies" in entry.fields and "m_copies" not in failed else 2
+            messages = sum(message_counts(n_wires, n_columns, m_copies).values())
+            if messages > MESSAGE_BUDGET:
+                errors.append(
+                    f"{n_wires}x{n_columns} with m_copies {m_copies}: one protocol run sends {messages} messages, "
+                    f"over the message budget of {MESSAGE_BUDGET}"
+                )
+            else:
+                graph = build_brickwork(n_wires, n_columns)
             if entry.rewrites:
                 peak, version = max((rewrite_peak_qubits(v, n_wires, n_columns, n_ref), v) for v in entry.rewrites)
                 if peak > REGISTER_BUDGET:

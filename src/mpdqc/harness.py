@@ -738,16 +738,17 @@ def copy_test_rejection(deviation: int, trials: int, rng: np.random.Generator) -
     """(rejections, tested copies) for a client whose states are off by a fixed octant.
 
     Each trial shares a uniform angle honestly between two clients, but
-    prepares the qubit rotated `deviation` octants away from the
-    declaration, then runs one test measurement against the declared angle.
+    prepares both copies `deviation` octants away from the declaration,
+    then runs the protocol's copy test, oracle.verify_client, in its closed
+    form: no qubit is built, and the one opened copy is tested against the
+    declared angle.
     """
     rejections = 0
     tested = 0
     for _ in range(trials):
         theta = int(rng.integers(8))
         shares = [share_secret(theta, 2, 8, rng, ("theta", 0, 1, i)) for i in range(2)]
-        qubits = [plus_state(octant(theta + deviation)) for _ in range(2)]
-        result = verify_client(shares, lambda i, angle: qubits[i].measure_rotated(0, angle, rng)[0], rng)
+        result = verify_client(shares, [octant(theta + deviation)] * 2, rng)
         tested += len(result.outcomes)
         rejections += sum(result.outcomes.values())
     return rejections, tested

@@ -17,7 +17,7 @@ after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,22 +103,36 @@ class VerificationResult:
     outcomes: dict[int, int]
 
 
-def verify_client(angle_shares: Sequence[Sequence[SecretShare]], measure: Callable[[int, int], int], rng: np.random.Generator) -> VerificationResult:
+# P0[d]: the probability that a copy prepared d octants away from its
+# declared angle answers 0 in the declared basis, cos^2(d pi / 8); exactly 1
+# for an honest copy
+P0 = tuple(float(np.cos(d * np.pi / 8) ** 2) for d in range(8))
+
+
+def verify_client(angle_shares: Sequence[Sequence[SecretShare]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
     """The copy test: check a batch of declared-angle copies from one client.
 
-    The server holds m single-qubit copies; the declared angle of each is
+    Copy i was prepared as |+_prepared[i]>; its declared angle is
     reconstructed from its share set. One uniformly chosen survivor is left
-    untouched; every other copy i is measured by measure(i, angle) in the
-    basis its declaration promises, where an honest copy answers 0 with
-    certainty. Any outcome 1 rejects the client. The survivor's index is
-    returned so the caller can feed that copy (and its still-secret shares)
-    onward.
+    untouched; every other copy is opened and measured in the basis its
+    declaration promises. An opened copy never meets another qubit, so its
+    outcome is drawn in closed form: 1 with probability 1 - P0 of the gap
+    between prepared and declared angle, 0 with certainty for an honest
+    copy. The survivor comes first, from rng.integers(m), then one uniform
+    per opened copy in index order, all in one rng.random(m - 1) call (for
+    PCG64 a sized draw equals as many scalar draws). Any outcome 1 rejects
+    the client. The survivor's index is returned so the caller can feed
+    that copy (and its still-secret shares) onward.
     """
     m = len(angle_shares)
     if m < 2:
         raise ValueError("need at least 2 copies to test any")
+    if len(prepared) != m:
+        raise ValueError("one prepared angle per copy")
     survivor = int(rng.integers(m))
-    outcomes = {i: measure(i, reconstruct(angle_shares[i])) for i in range(m) if i != survivor}
+    opened = [i for i in range(m) if i != survivor]
+    uniforms = rng.random(m - 1).tolist()
+    outcomes = {i: int(u >= P0[(prepared[i] - reconstruct(angle_shares[i])) % 8]) for i, u in zip(opened, uniforms)}
     return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
 
 

@@ -178,6 +178,40 @@ def contributors(graph: BrickworkGraph, node: int) -> list[int]:
     return [k for k in range(1, graph.n_wires + 1) if not (node in graph.input_nodes and k == node)]
 
 
+def message_counts(n_wires: int, n_columns: int, m_copies: int) -> dict[str, int]:
+    """Messages per variant of an honest run_full_protocol on an n_wires x n_columns graph.
+
+    Counted from the run's steps. With n wires there are M = n (n_columns
+    - 1) measured nodes, I of them inputs (n, or 0 on one column), and
+    B = nM - I copy batches (contributors per measured node) of m copies.
+    Each shared secret costs 2n - 1 ShareDistributions: its n - 1 pieces to
+    peers and n submissions to the oracle. The secrets are n pad flips, I
+    padded-input angles and nM mask bits. A copy batch sends each angle's
+    pieces to peers, opens m - 1 angles to the server and submits the
+    survivor's: m (2n - 1) ShareDistributions, m QubitTransfers and two
+    OutcomeVectors (survivor, verification). Each measured node adds a
+    chain OutcomeVector, a DeltaAnnounce and a ResultBroadcast, and each
+    padded input a QubitTransfer; each output off the input column an
+    OutputQubit and its OutputKeys. It takes the shape, not a graph, so
+    that cli.validate can bound a config before building its graph.
+    """
+    n, m = n_wires, m_copies
+    measured = n * (n_columns - 1)
+    inputs = outputs = n if n_columns > 1 else 0
+    batches = n * measured - inputs
+    counts = dict.fromkeys(VARIANTS, 0)
+    counts.update(
+        ShareDistribution=(2 * n - 1) * (n + inputs + n * measured + m * batches),
+        QubitTransfer=m * batches + inputs,
+        OutcomeVector=2 * batches + measured,
+        DeltaAnnounce=measured,
+        ResultBroadcast=measured,
+        OutputQubit=outputs,
+        OutputKeys=outputs,
+    )
+    return counts
+
+
 @dataclass
 class Session:
     """What the clients' protocol steps act on during one run.
@@ -229,13 +263,17 @@ class Session:
         """One contributor's copies for a node, through the copy test.
 
         The contributor shares each copy's declared angle among the clients
-        and hands the copies |+_angle> to the server; oracle.verify_client
-        then opens and measures all but one survivor. Records the survivor,
-        opened-angle, verification and, on failure, abort messages. Returns
-        the survivor's label once its angle shares went to the oracle, or
-        None if the test failed.
+        and hands the copies |+_angle> to the server, one QubitTransfer
+        each; oracle.verify_client then opens and measures all but one
+        survivor in closed form. An opened copy never meets another qubit,
+        so only the survivor becomes a register, owned by the server, once
+        the test has passed; under debug_secrets a copy's amplitudes are
+        those of plus_state(angle). Records the survivor, opened-angle,
+        verification and, on failure, abort messages. Returns the
+        survivor's label once its angle shares went to the oracle, or None
+        if the test failed.
         """
-        system, record, names, k = self.system, self.transcript.record, self.names, contributor
+        record, names, k = self.transcript.record, self.names, contributor
         where = {"node": node, "contributor": k}
         copy_shares = share_secrets(angles, self.n_clients, 8, self.rng, [theta_tag(node, k, i) for i in range(len(angles))])
         payloads = [[share_payload(piece) for piece in shares] for shares in copy_shares]
@@ -246,10 +284,11 @@ class Session:
                     record(names[k], names[piece.owner], "ShareDistribution", {**context, "share": share})
         labels = [f"copy:{node}:{k}:{i}" for i in range(len(angles))]
         for i, theta in enumerate(angles):
-            system.add_register(plus_state(theta), [labels[i]], [names[k]])
-            system.transfer(labels[i], "server")
-            record(names[k], "server", "QubitTransfer", _qubit_payload(system, labels[i], {**where, "copy": i, "purpose": "test-copy"}, self.debug_secrets))
-        result = verify_client(copy_shares, lambda i, theta: system.measure_rotated(labels[i], theta, self.rng), self.rng)
+            payload = {**where, "copy": i, "purpose": "test-copy", "label": labels[i]}
+            if self.debug_secrets:
+                payload["amplitudes"] = _amplitude_pairs(plus_state(theta).amps)
+            record(names[k], "server", "QubitTransfer", payload)
+        result = verify_client(copy_shares, angles, self.rng)
         # the server learns the survivor before the other copies are opened;
         # recording afterwards gives the same log, as recording draws nothing
         record("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
@@ -261,6 +300,7 @@ class Session:
         if not result.accepted:
             record("server", "all", "Abort", {"stage": "verification", "node": node, "client": k, "reason": COPY_TEST_FAILED})
             return None
+        self.system.add_register(plus_state(angles[result.survivor]), [labels[result.survivor]], ["server"])
         self.submit(copy_shares[result.survivor], {"kind": "survivor-angle", **where, "copy": result.survivor}, payloads[result.survivor])
         return labels[result.survivor]
 
@@ -384,5 +424,10 @@ def _qubit_payload(system: QuantumSystem, label: str, base: dict, debug_secrets:
     payload = {**base, "label": label}
     if debug_secrets:
         amps = system.lone_amplitudes(label)
-        payload["amplitudes"] = "entangled" if amps is None else [[float(z.real), float(z.imag)] for z in amps]
+        payload["amplitudes"] = "entangled" if amps is None else _amplitude_pairs(amps)
     return payload
+
+
+def _amplitude_pairs(amps: np.ndarray) -> list[list[float]]:
+    """A qubit's amplitudes as JSON-ready [re, im] pairs."""
+    return [[float(z.real), float(z.imag)] for z in amps]

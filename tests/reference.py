@@ -2,9 +2,9 @@
 
 Nothing here is run by the program itself: exhaustive enumeration of the
 preparation chain, the input pad written out gate by gate, the explicit
-step list the chain had before it was written as one rule, state equality
-up to global phase, and a Monte-Carlo estimate of the server's state after
-entangling.
+step list the chain had before it was written as one rule, the copy test
+measured on one-qubit registers, state equality up to global phase, and a
+Monte-Carlo estimate of the server's state after entangling.
 """
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from mpdqc.brickwork import MeasurementPattern
+from mpdqc.oracle import SecretShare, VerificationResult, reconstruct
 from mpdqc.protocol import ServerStrategy, run_full_protocol
-from mpdqc.quantum import PureState
+from mpdqc.quantum import PureState, plus_state
 from mpdqc.rsp import chain_steps
 
 
@@ -57,6 +58,24 @@ def input_chain_steps(n: int, owner: int) -> list[tuple[int, int]]:
     else:
         steps.append((n, owner))
     return steps
+
+
+def register_copy_test(angle_shares: Sequence[Sequence[SecretShare]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
+    """oracle.verify_client measured through the statevector kernel.
+
+    Copy i becomes the register plus_state(prepared[i]); the survivor is
+    drawn first, then every other copy is measured with measure_rotated in
+    its declared basis, in index order, one uniform each.
+    """
+    m = len(angle_shares)
+    if m < 2:
+        raise ValueError("need at least 2 copies to test any")
+    survivor = int(rng.integers(m))
+    outcomes = {
+        i: plus_state(prepared[i]).measure_rotated(0, reconstruct(angle_shares[i]), rng)[0]
+        for i in range(m) if i != survivor
+    }
+    return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
 
 
 def chain_branches(survivor_state: PureState, others: Sequence[PureState], survivor: int) -> list[tuple[dict[int, int], float, PureState]]:

@@ -9,7 +9,7 @@ import pytest
 
 import mpdqc.cli as cli
 from mpdqc.cli import main, validate
-from mpdqc.protocol import AbortInfo, Transcript
+from mpdqc.protocol import AbortInfo, Transcript, message_counts
 
 
 def write_config(tmp_path, **config):
@@ -40,6 +40,38 @@ def test_validate_register_budget_ignores_the_column_count():
     assert validate({"mode": "honest-run", "seed": 0, "n_wires": 22, "n_columns": 2, "reference_qubits": 1}) == []
     errors = validate({"mode": "honest-run", "seed": 0, "n_wires": 22, "n_columns": 2, "reference_qubits": 2})
     assert errors and "register budget" in errors[0]
+
+
+def test_validate_message_budget_bounds_copies_and_columns():
+    # the largest configs the other tests accept fit the budget
+    assert validate({"mode": "honest-run", "seed": 0, "n_wires": 4, "n_columns": 200}) == []
+    assert validate({"mode": "honest-run", "seed": 0, "n_wires": 22, "n_columns": 2, "reference_qubits": 1}) == []
+    big_copies = {"mode": "honest-run", "seed": 0, "n_wires": 2, "n_columns": 2, "m_copies": 10 ** 8}
+    big_columns = {"mode": "honest-run", "seed": 0, "n_wires": 2, "n_columns": 10 ** 7}
+    assert validate(big_copies) == [
+        f"2x2 with m_copies {10 ** 8}: one protocol run sends {sum(message_counts(2, 2, 10 ** 8).values())} "
+        f"messages, over the message budget of {cli.MESSAGE_BUDGET}"
+    ]
+    errors = validate(big_columns)
+    assert len(errors) == 1 and errors[0].startswith(f"2x{10 ** 7} with m_copies 10: one protocol run sends ")
+    for mode in ("blindness", "server-sim-equiv", "client-sim-equiv", "intermediate-equiv"):
+        config = {"mode": mode, "seed": 0, "n_wires": 2, "n_columns": 10 ** 7}
+        if mode == "blindness":
+            config["scenarios"] = {"a": {}, "b": {}}
+        assert any("over the message budget" in e for e in validate(config)), mode
+
+
+def test_main_refuses_an_over_budget_config_before_running_it(tmp_path, monkeypatch, capsys):
+    # validate must stop these: run as they are, they exhaust the host's memory
+    def never(*args, **kwargs):
+        raise AssertionError("an over-budget config reached the runner")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    for extra in ({"m_copies": 10 ** 8}, {"n_columns": 10 ** 7}):
+        config = {"mode": "honest-run", "seed": 0, "n_wires": 2, "n_columns": 2, **extra}
+        assert main(["--config", write_config(tmp_path, **config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "over the message budget" in err and not (tmp_path / "out").exists()
 
 
 def test_validate_rewrite_budget_admits_what_fits():

@@ -258,9 +258,9 @@ def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
     kernel = mpdqc.oracle.verify_client
     calls = []
 
-    def counted(angle_shares, measure, rng):
+    def counted(angle_shares, prepared, rng):
         calls.append(angle_shares[0][0].tag[1:3])  # (node, contributor) of the theta tag
-        return kernel(angle_shares, measure, rng)
+        return kernel(angle_shares, prepared, rng)
 
     for module in (mpdqc.oracle, mpdqc.protocol, mpdqc.harness):
         if getattr(module, "verify_client", None) is kernel:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, corrected_angle
 from mpdqc.oracle import (
+    P0,
     OracleLedger,
     SecretShare,
     a_tag,
@@ -17,6 +18,7 @@ from mpdqc.oracle import (
 )
 from mpdqc.quantum import flip, octant, plus_state
 from mpdqc.rsp import theta_input
+from reference import register_copy_test
 
 RNG = np.random.default_rng(31)
 
@@ -100,24 +102,20 @@ def test_batched_shares_need_one_tag_per_secret():
 
 
 def _honest_copies(client: int, m: int, rng) -> tuple[list, list]:
-    angle_shares, qubits = [], []
+    """Share sets and prepared angles of m honest copies: each prepared as declared."""
+    angle_shares, prepared = [], []
     for i in range(m):
         theta = int(rng.integers(8))
         angle_shares.append(share_secret(theta, 2, 8, rng, theta_tag(1, client, i)))
-        qubits.append(plus_state(theta))
-    return angle_shares, qubits
-
-
-def _measure(qubits, rng):
-    """The copy test's measurement callback over a list of one-qubit copies."""
-    return lambda i, theta: qubits[i].measure_rotated(0, theta, rng)[0]
+        prepared.append(theta)
+    return angle_shares, prepared
 
 
 def test_honest_copies_always_pass():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        angle_shares, qubits = _honest_copies(1, 3, rng)
-        result = verify_client(angle_shares, _measure(qubits, rng), rng)
+        angle_shares, prepared = _honest_copies(1, 3, rng)
+        result = verify_client(angle_shares, prepared, rng)
         assert result.accepted
         assert all(b == 0 for b in result.outcomes.values())
 
@@ -125,10 +123,10 @@ def test_honest_copies_always_pass():
 def test_opposite_angle_always_fails():
     rng = np.random.default_rng(4)
     for _ in range(30):
-        angle_shares, qubits = _honest_copies(1, 2, rng)
+        angle_shares, prepared = _honest_copies(1, 2, rng)
         # the client lies by pi on every copy: the tested one is caught
-        qubits = [q.z_rot(0, 4) for q in qubits]
-        result = verify_client(angle_shares, _measure(qubits, rng), rng)
+        prepared = [octant(p + 4) for p in prepared]
+        result = verify_client(angle_shares, prepared, rng)
         assert not result.accepted
 
 
@@ -137,9 +135,9 @@ def test_small_deviation_is_caught_at_the_expected_rate():
     rejections = 0
     trials = 3000
     for _ in range(trials):
-        angle_shares, qubits = _honest_copies(1, 2, rng)
-        qubits = [q.z_rot(0, 1) for q in qubits]
-        if not verify_client(angle_shares, _measure(qubits, rng), rng).accepted:
+        angle_shares, prepared = _honest_copies(1, 2, rng)
+        prepared = [octant(p + 1) for p in prepared]
+        if not verify_client(angle_shares, prepared, rng).accepted:
             rejections += 1
     rate = rejections / trials
     expected = np.sin(np.pi / 8) ** 2
@@ -150,8 +148,8 @@ def test_survivor_choice_is_uniformish():
     rng = np.random.default_rng(6)
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(600):
-        angle_shares, qubits = _honest_copies(2, 3, rng)
-        result = verify_client(angle_shares, _measure(qubits, rng), rng)
+        angle_shares, prepared = _honest_copies(2, 3, rng)
+        result = verify_client(angle_shares, prepared, rng)
         counts[result.survivor] += 1
         assert result.survivor not in result.outcomes
     for c in counts.values():
@@ -160,9 +158,42 @@ def test_survivor_choice_is_uniformish():
 
 def test_verification_needs_at_least_two_copies():
     rng = np.random.default_rng(7)
-    angle_shares, qubits = _honest_copies(1, 1, rng)
+    angle_shares, prepared = _honest_copies(1, 1, rng)
     with pytest.raises(ValueError):
-        verify_client(angle_shares, _measure(qubits, rng), rng)
+        verify_client(angle_shares, prepared, rng)
+    angle_shares, prepared = _honest_copies(1, 3, rng)
+    with pytest.raises(ValueError):
+        verify_client(angle_shares, prepared[:2], rng)
+
+
+def test_pass_table_is_the_kernel_probability():
+    # P0[(p - d) % 8] is the kernel's outcome-0 probability of |+_p> in the
+    # basis of angle d, for all 64 pairs; an honest copy passes with exactly 1
+    for p in range(8):
+        for d in range(8):
+            kernel_p0 = plus_state(p).project_rotated(0, d, 0)[0]
+            assert abs(P0[(p - d) % 8] - kernel_p0) < 1e-15
+    assert P0[0] == 1.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 10])
+@pytest.mark.parametrize("deviation", [0, 1, 4])
+def test_closed_form_copy_test_equals_the_register_reference(m, deviation):
+    # the same survivor and outcomes as measuring one register per copy,
+    # and the generator ends in the same state: the draw order is unchanged
+    for trial in range(60):
+        setup = np.random.default_rng([m, deviation, trial])
+        angle_shares, declared = _honest_copies(1, m, setup)
+        deviated = set(setup.choice(m, size=int(setup.integers(1, m + 1)), replace=False).tolist())
+        prepared = [octant(p + deviation) if i in deviated else p for i, p in enumerate(declared)]
+        rng_fast, rng_slow = np.random.default_rng([trial, 1]), np.random.default_rng([trial, 1])
+        if trial % 2:  # start mid-word in the 32-bit draw buffer
+            rng_fast.integers(2)
+            rng_slow.integers(2)
+        fast = verify_client(angle_shares, prepared, rng_fast)
+        slow = register_copy_test(angle_shares, prepared, rng_slow)
+        assert (fast.survivor, fast.outcomes, fast.accepted) == (slow.survivor, slow.outcomes, slow.accepted)
+        assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
 
 
 # ----------------------------------------------------------------- ledger

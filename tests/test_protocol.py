@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mpdqc.protocol import (
     Transcript,
     _qubit_payload,
     contributors,
+    message_counts,
     run_full_protocol,
 )
 from mpdqc.quantum import PureState, plus_state
@@ -166,6 +168,34 @@ def test_more_copies_mean_more_traffic():
     _, _, small = run_once(2, 2, seed=3, m_copies=2)
     _, _, large = run_once(2, 2, seed=3, m_copies=5)
     assert len(large.transcript.messages) > len(small.transcript.messages)
+
+
+@pytest.mark.parametrize("m_copies", [2, 10])
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 2), (2, 3), (4, 3), (4, 5)])
+def test_message_counts_match_an_honest_run(n_wires, n_columns, m_copies):
+    _, _, run = run_once(n_wires, n_columns, seed=16, m_copies=m_copies)
+    assert not run.aborted
+    counted = Counter(m.variant for m in run.transcript.messages)
+    assert {v: counted[v] for v in VARIANTS} == message_counts(n_wires, n_columns, m_copies)
+
+
+def test_opened_copies_never_become_registers(monkeypatch):
+    added = []
+    add_register = QuantumSystem.add_register
+
+    def counted(self, state, labels, owners):
+        added.append(labels[0])
+        return add_register(self, state, labels, owners)
+
+    monkeypatch.setattr(QuantumSystem, "add_register", counted)
+    pattern, _, run = run_once(4, 3, seed=17, m_copies=10)
+    assert not run.aborted
+    # one input register, one survivor per (measured node, contributor):
+    # 4 contributors at each of the 8 measured nodes but the 4 inputs,
+    # whose owners pad the input itself; then the 4 graph_state outputs
+    assert len(added) == 1 + (4 * 8 - 4) + 4
+    assert added[0] == "in:1" and sum(label.startswith("copy:") for label in added) == 4 * 8 - 4
+    assert not [label for label in run.system.owner if label.startswith("copy:")]
 
 
 def test_delta_announcements_match_the_ledger():
