@@ -56,3 +56,16 @@ def test_first_round_of_tiny_sample_2x2_succeeds():
         assert workload.op(k, inputs) is None, (k, inputs[0])
     assert kinds == [*workload.KINDS * workload.trials_per_round, "pool"]
     assert workload.round == 1
+    assert workload.digest() == {
+        "scope": "round 0 (5 trials x 6 ops + pooling)",
+        "ops": 30,
+        "pooled_tv_max": {"teleport": 0.5, "delayed": 0.5, "simulator-resource": 0.5, "coalition": 0.6},
+        "tv_bound": 3.241508,
+        "tv_bound_rule": "sqrt(2 (8 ln 2 + ln 1e9) / n), n = trials per side (Bretagnolle-Huber-Carol)",
+        "min_fidelity": "1.000000000",
+        "messages": {
+            "DeltaAnnounce": 30, "OutcomeVector": 90, "OutputKeys": 25, "OutputQubit": 25,
+            "QubitTransfer": 75, "ResultBroadcast": 30, "ShareDistribution": 475,
+        },
+        "summaries_sha": "c4552cb3538b272a",
+    }

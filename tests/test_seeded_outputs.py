@@ -118,3 +118,14 @@ def test_coalition_views_are_pinned():
         assert not run.abort
         views.append(coalition_view_summary(run, coalition, rng))
     assert sha(views) == "fa8f018f63e68ccdf96776d9ee50683b79c80a0f6d22e330e1f51baafe4083d9"
+
+
+def test_simulated_client_transcripts_are_pinned():
+    # the scenario of test_coalition_views_are_pinned, runs 0-4: every
+    # message the simulator records, including its fake share distributions
+    pattern, psi = scenario(2, 2, 2, 62)
+    digest = hashlib.sha256()
+    for i in range(5):
+        run = run_simulated_client_world(pattern, psi, {2}, np.random.default_rng([62, i]), m_copies=2)
+        digest.update(run.transcript.to_jsonl().encode())
+    assert digest.hexdigest() == "ef96569a75a84b249fdedda1bf9b4771d67c9c62e9aba66916e99658fdbffed2"
