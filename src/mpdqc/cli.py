@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -267,7 +268,7 @@ def _mode_honest_run(settings: dict, debug: bool) -> dict:
             "metric": "output fidelity vs direct pattern execution",
             "value": 0.0,
             "aborted": True,
-            "abort": {"stage": run.abort.stage, "node": run.abort.node, "client": run.abort.client, "reason": run.abort.reason},
+            "abort": asdict(run.abort),
             "transcript": run.transcript,
             "details": {},
         }

@@ -36,7 +36,6 @@ output state.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
@@ -53,15 +52,16 @@ from .brickwork import (
     read_outputs,
     reference_execute,
 )
-from .oracle import a_tag, r_tag, share_secret, theta_tag, verify_client
+from .oracle import SecretShare, a_tag, r_tag, share_secret, theta_tag, verify_client
 from .protocol import (
+    COPY_TEST_FAILED,
+    AbortInfo,
     ProtocolRun,
-    ServerStrategy,
     Session,
     Transcript,
     contributors,
-    entangle,
     run_full_protocol,
+    share_payload,
 )
 from .quantum import PureState, flip, octant, plus_state, weighted_trace_norm
 from .rsp import run_chain, theta_input
@@ -222,25 +222,13 @@ def blindness_check(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class IntermediateRun:
-    version: str
-    chain_t: dict[int, dict[int, int]]
-    delta: dict[int, int]
-    b: dict[int, int]
-    keys: dict[int, tuple[int, int]]
-    output_state: PureState
-    n_ref: int
-
-
 def run_intermediate_protocol(
     pattern: MeasurementPattern,
     input_state: PureState,
     rng: np.random.Generator,
     version: str,
-    server_strategy: ServerStrategy | None = None,
-) -> IntermediateRun:
-    """Run one of the rewritten protocol versions.
+) -> ProtocolRun:
+    """Run one of the rewritten protocol versions; they exchange no messages.
 
     "teleport": every client contribution is delivered as an EPR half; the
     retained halves are rotated and measured during preparation, so the
@@ -266,7 +254,6 @@ def run_intermediate_protocol(
     flow = compute_flow(graph)
     n = graph.n_wires
     measured = flow.order
-    strategy = server_strategy or ServerStrategy()
     system, ref_labels = input_system(input_state, [f"client:{k}" for k in range(1, n + 1)])
 
     epr = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -312,7 +299,7 @@ def run_intermediate_protocol(
     for j in measured:
         registers = {k: f"send:{j}:{k}" for k in range(1, n + 1)}
         chain_t[j], node_label[j] = run_chain(system, registers, graph.survivor(j), rng)
-    handle = entangle(system, graph, node_label, chain_t, strategy)
+    graph_state(system, graph, node_label)
 
     def node_r(j: int) -> int:
         return parity(r_bits[(j, k)] for k in range(1, n + 1))
@@ -351,11 +338,7 @@ def run_intermediate_protocol(
             eff = [octant(theta_hat[(j, k)] + 4 * r_bits[(j, k)]) for k in range(1, n + 1)]
             pad = theta_input(eff, graph.survivor(j), chain_t[j], a_of(j))
             delta[j] = octant(phi_corrected(j) + 4 * node_r(j) + flip(pad, a_of(j)))
-        handle.classical["delta"][j] = delta[j]
-        if strategy.before_measurement:
-            strategy.before_measurement(handle, j)
         b[j] = system.measure_rotated(node_label[j], delta[j], rng)
-        handle.classical["b"][j] = b[j]
         if delayed and not a_at_end:
             solve_and_reveal(j)
 
@@ -367,11 +350,9 @@ def run_intermediate_protocol(
         for j in measured:
             solve_and_reveal(j)
 
-    if strategy.before_output_send:
-        strategy.before_output_send(handle)
     keys = {j: flow.output_key(j, s_bit, a_of) for j in graph.output_nodes}
     output_state = read_outputs(system, graph, node_label, keys, ref_labels)
-    return IntermediateRun(version, chain_t, delta, b, keys, output_state, len(ref_labels))
+    return ProtocolRun(Transcript(), system, chain_t, delta, b, keys, output_state)
 
 
 def rewrite_peak_qubits(version: str, n_wires: int, n_columns: int, n_ref: int) -> int:
@@ -403,27 +384,14 @@ def run_simulated_server_world(
     pattern: MeasurementPattern,
     input_state: PureState,
     rng: np.random.Generator,
-    server_strategy: ServerStrategy | None = None,
-) -> IntermediateRun:
+) -> ProtocolRun:
     """The server faces a secret-free simulator; an ideal resource does the rest."""
-    return run_intermediate_protocol(pattern, input_state, rng, "simulator-resource", server_strategy)
+    return run_intermediate_protocol(pattern, input_state, rng, "simulator-resource")
 
 
 # ----------------------------------------------------------------------
 # client-side simulator
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class SimClientRun:
-    transcript: Transcript
-    chain_t: dict[int, dict[int, int]]
-    delta: dict[int, int]
-    b: dict[int, int]
-    keys: dict[int, tuple[int, int]]
-    output_state: PureState | None
-    n_ref: int
-    abort: bool
 
 
 def run_simulated_client_world(
@@ -433,7 +401,7 @@ def run_simulated_client_world(
     rng: np.random.Generator,
     *,
     m_copies: int = 10,
-) -> SimClientRun:
+) -> ProtocolRun:
     """Simulate the coalition's protocol interface without honest secrets.
 
     The simulator plays the server, the oracle, and every honest client.
@@ -463,7 +431,6 @@ def run_simulated_client_world(
         raise ValueError("at least one client must stay honest")
     measured = flow.order
     system, ref_labels = input_system(input_state, [f"client:{k}" if k in coalition else "simulator" for k in range(1, n + 1)])
-    n_ref = len(ref_labels)
 
     transcript = Transcript()
     record = transcript.record
@@ -477,11 +444,8 @@ def run_simulated_client_world(
         """The simulator plays an honest client sharing a secret: the coalition
         only ever sees uniform pieces, so fresh uniform values are exact."""
         for c in sorted(coalition):
-            piece_value = int(rng.integers(modulus))
-            record(
-                f"client:{owner}", f"client:{c}", "ShareDistribution",
-                {**context, "share": {"owner": c, "tag": list(tag), "value": piece_value, "modulus": modulus}},
-            )
+            share = share_payload(SecretShare(c, tag, int(rng.integers(modulus)), modulus))
+            record(f"client:{owner}", f"client:{c}", "ShareDistribution", {**context, "share": share})
 
     for k in range(1, n + 1):
         if k in coalition:
@@ -492,7 +456,6 @@ def run_simulated_client_world(
 
     # ----------------------------------------------------- preparation
     chain_t: dict[int, dict[int, int]] = {}
-    aborted = False
     for j in measured:
         for k in contributors(graph, j):
             if k in coalition:
@@ -500,8 +463,8 @@ def run_simulated_client_world(
                 copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
                 survivor_label = session.offer_test_copies(j, k, copy_angles)
                 if survivor_label is None:
-                    aborted = True
-                    break
+                    abort = AbortInfo("verification", j, k, COPY_TEST_FAILED)
+                    return ProtocolRun(transcript, system, chain_t, {}, {}, {}, None, abort)
                 # the surviving coalition copy is absorbed by the simulator;
                 # nothing downstream depends on it
                 system.measure_computational(survivor_label, rng)
@@ -512,8 +475,6 @@ def run_simulated_client_world(
                 survivor = int(rng.integers(m_copies))
                 record("server", "all", "OutcomeVector", {"kind": "survivor", "node": j, "contributor": k, "survivor": survivor})
                 record("server", "all", "OutcomeVector", {"kind": "verification", "node": j, "contributor": k, "outcomes": [(i, 0) for i in range(m_copies) if i != survivor]})
-        if aborted:
-            break
         if j in graph.input_nodes and j in coalition:
             pad_theta[j] = int(rng.integers(8))
             session.send_padded_input(j, pad_a[j], pad_theta[j])
@@ -521,9 +482,6 @@ def run_simulated_client_world(
         t = {reg: int(rng.integers(2)) for reg in range(1, n + 1) if reg != graph.survivor(j)}
         chain_t[j] = t
         record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
-
-    if aborted:
-        return SimClientRun(transcript, chain_t, {}, {}, {}, None, n_ref, True)
 
     # ------------------------------------------------------------ rounds
     delta: dict[int, int] = {}
@@ -573,7 +531,7 @@ def run_simulated_client_world(
             record("server", f"client:{c}", "OutputQubit", {"node": j})
             record("oracle", f"client:{c}", "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
 
-    return SimClientRun(transcript, chain_t, delta, b, keys, resource_output, n_ref, False)
+    return ProtocolRun(transcript, system, chain_t, delta, b, keys, resource_output)
 
 
 def check_no_secret_leak(transcript: Transcript, coalition: Iterable[int], n_clients: int) -> None:
@@ -609,7 +567,7 @@ def check_no_secret_leak(transcript: Transcript, coalition: Iterable[int], n_cli
 # ----------------------------------------------------------------------
 
 
-def observable_summary(run: ProtocolRun | IntermediateRun | SimClientRun, rng: np.random.Generator) -> dict[str, int]:
+def observable_summary(run: ProtocolRun, rng: np.random.Generator) -> dict[str, int]:
     """Flatten a run into small discrete observables for distribution tests.
 
     Chain outcomes, announced angles, measurement results, output keys, and
@@ -626,7 +584,7 @@ def observable_summary(run: ProtocolRun | IntermediateRun | SimClientRun, rng: n
     return out
 
 
-def _announcements(run: ProtocolRun | IntermediateRun | SimClientRun) -> dict[str, int]:
+def _announcements(run: ProtocolRun) -> dict[str, int]:
     """The public part of a run: chain outcomes, announced angles and measurement results."""
     out = {f"t:{j}:{reg}": bit for j, t in sorted(run.chain_t.items()) for reg, bit in sorted(t.items())}
     out.update((f"delta:{j}", d) for j, d in sorted(run.delta.items()))
@@ -635,7 +593,7 @@ def _announcements(run: ProtocolRun | IntermediateRun | SimClientRun) -> dict[st
 
 
 def coalition_view_summary(
-    run: ProtocolRun | SimClientRun,
+    run: ProtocolRun,
     coalition: Iterable[int],
     rng: np.random.Generator,
 ) -> dict[str, int]:
@@ -690,13 +648,11 @@ def observe(
     """
     if world == "base":
         run = run_full_protocol(pattern, input_state, rng, m_copies=m_copies)
-        aborted = run.aborted
     elif world == "simulated-client":
         run = run_simulated_client_world(pattern, input_state, coalition, rng, m_copies=m_copies)
-        aborted = run.abort
     else:
-        run, aborted = run_intermediate_protocol(pattern, input_state, rng, world), False
-    if aborted:
+        run = run_intermediate_protocol(pattern, input_state, rng, world)
+    if run.aborted:
         raise RuntimeError(f"honest {world} run aborted")
     if coalition is None:
         return observable_summary(run, rng), run.output_state

@@ -88,13 +88,6 @@ def share_payload(share: SecretShare) -> dict:
     return {"owner": share.owner, "tag": list(share.tag), "value": share.value, "modulus": share.modulus}
 
 
-@dataclass
-class ClientSecrets:
-    a: int
-    pad_theta: int
-    copy_angles: dict[tuple[int, int], int] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class AbortInfo:
     stage: str
@@ -148,18 +141,23 @@ class ServerStrategy:
 
 @dataclass
 class ProtocolRun:
-    pattern: MeasurementPattern
-    n_ref: int
+    """What one run in any of the five worlds returns.
+
+    The full protocol, the three rewrites (whose transcript is empty: they
+    exchange no messages) and the coalition simulator all fill it in.
+    output_state is None if the run aborted; ledger is None where a
+    simulator plays the oracle.
+    """
+
     transcript: Transcript
-    ledger: OracleLedger
     system: QuantumSystem
     chain_t: dict[int, dict[int, int]]
     delta: dict[int, int]
     b: dict[int, int]
     keys: dict[int, tuple[int, int]]
-    client_secrets: dict[int, ClientSecrets]
-    abort: AbortInfo | None
     output_state: PureState | None
+    abort: AbortInfo | None = None
+    ledger: OracleLedger | None = None
 
     @property
     def aborted(self) -> bool:
@@ -305,24 +303,6 @@ class Session:
         return labels[result.survivor]
 
 
-def entangle(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[int, str], chain_t: dict, strategy: ServerStrategy) -> ServerHandle:
-    """The server's graph state (brickwork.graph_state), then the after_entangle hook.
-
-    node_label maps each measured node to its prepared qubit and gains the
-    output nodes: fresh |+> held by the server or, on a single-column
-    graph, the inputs, which never leave their clients. The returned
-    handle's classical log starts from chain_t. CZs are applied on first
-    touch, so the hooks see the full graph state through any handle call,
-    while an honest run measuring column by column only ever holds about
-    one column plus the inputs' reference qubits at once.
-    """
-    graph_state(system, graph, node_label)
-    handle = ServerHandle(system, node_label, {"t": chain_t, "delta": {}, "b": {}})
-    if strategy.after_entangle:
-        strategy.after_entangle(handle)
-    return handle
-
-
 def run_full_protocol(
     pattern: MeasurementPattern,
     input_state: PureState,
@@ -345,7 +325,6 @@ def run_full_protocol(
     if m_copies < 2:
         raise ValueError("m_copies must be >= 2: the copy test opens all copies but one")
     system, ref_labels = input_system(input_state, [_client(k) for k in range(1, n + 1)])
-    n_ref = len(ref_labels)
 
     ledger = OracleLedger(pattern, n)
     transcript = Transcript()
@@ -353,35 +332,42 @@ def run_full_protocol(
     strategy = server_strategy or ServerStrategy()
 
     # ----------------------------------------------------------- secrets
-    secrets: dict[int, ClientSecrets] = {}
+    pad_a: dict[int, int] = {}
+    pad_theta: dict[int, int] = {}
     for k in range(1, n + 1):
-        secrets[k] = ClientSecrets(a=int(rng.integers(2)), pad_theta=int(rng.integers(8)))
-    # every copy angle in one draw, in (node, contributor, copy) order
-    slots = [(j, k, i) for j in graph.measured_nodes for k in contributors(graph, j) for i in range(m_copies)]
-    for (j, k, i), theta in zip(slots, rng.integers(8, size=len(slots)).tolist()):
-        secrets[k].copy_angles[(j, i)] = theta
+        pad_a[k], pad_theta[k] = int(rng.integers(2)), int(rng.integers(8))
+    # every copy angle in one draw, one row per (node, contributor) batch
+    n_batches = sum(len(contributors(graph, j)) for j in graph.measured_nodes)
+    copy_angles = iter(rng.integers(8, size=(n_batches, m_copies)).tolist())
 
     for k in range(1, n + 1):
-        session.hand_out(k, share_secret(secrets[k].a, n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})
+        session.hand_out(k, share_secret(pad_a[k], n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})
 
     # ------------------------------------------------------- preparation
     node_label: dict[int, str] = {}
     for j in graph.measured_nodes:
         registers: dict[int, str] = {}
         for k in contributors(graph, j):
-            survivor = session.offer_test_copies(j, k, [secrets[k].copy_angles[(j, i)] for i in range(m_copies)])
+            survivor = session.offer_test_copies(j, k, next(copy_angles))
             if survivor is None:
-                abort = AbortInfo(stage="verification", node=j, client=k, reason=COPY_TEST_FAILED)
-                return ProtocolRun(pattern, n_ref, transcript, ledger, system, dict(ledger.chain_t), {}, {}, {}, secrets, abort, None)
+                abort = AbortInfo("verification", j, k, COPY_TEST_FAILED)
+                return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, abort, ledger)
             registers[k] = survivor
         if j in graph.input_nodes:
-            session.send_padded_input(j, secrets[j].a, secrets[j].pad_theta)
+            session.send_padded_input(j, pad_a[j], pad_theta[j])
             registers[j] = f"in:{j}"
         t, node_label[j] = run_chain(system, registers, graph.survivor(j), rng)
         transcript.record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
         ledger.register_chain(j, t)
 
-    handle = entangle(system, graph, node_label, dict(ledger.chain_t), strategy)
+    # node_label gains the outputs: fresh |+> held by the server or, on a
+    # single-column graph, the inputs. CZs are applied on first touch, so
+    # the hooks see the full graph state through any handle call, while an
+    # honest run only ever holds about one column plus the references.
+    graph_state(system, graph, node_label)
+    handle = ServerHandle(system, node_label, {"t": dict(ledger.chain_t), "delta": {}, "b": {}})
+    if strategy.after_entangle:
+        strategy.after_entangle(handle)
 
     # -------------------------------------------------- measurement rounds
     deltas: dict[int, int] = {}
@@ -416,7 +402,7 @@ def run_full_protocol(
         transcript.record("oracle", _client(c), "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
 
     output_state = read_outputs(system, graph, node_label, keys, ref_labels)
-    return ProtocolRun(pattern, n_ref, transcript, ledger, system, dict(ledger.chain_t), deltas, outcomes_b, keys, secrets, None, output_state)
+    return ProtocolRun(transcript, system, dict(ledger.chain_t), deltas, outcomes_b, keys, output_state, ledger=ledger)
 
 
 def _qubit_payload(system: QuantumSystem, label: str, base: dict, debug_secrets: bool) -> dict:

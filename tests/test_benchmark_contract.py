@@ -46,7 +46,9 @@ def test_first_op_of_each_tiny_workload_succeeds(name):
 
 def test_first_round_of_tiny_sample_2x2_succeeds():
     # every sampled kind (the rewrites, both coalition worlds) and then the
-    # pooling op, which reads SimClientRun.abort and cli._pool_distance
+    # pooling op, which reads cli._pool_distance; the simulator's run.abort
+    # is read as a truth value, and the rewrites' empty transcripts add no
+    # messages to the digest
     workloads = load("workloads")
     workload = workloads.WORKLOADS["sample-2x2"](0, True, workloads.PhaseHooks())
     kinds = []

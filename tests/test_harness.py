@@ -23,8 +23,8 @@ from mpdqc.harness import (
     sample,
     view_distance,
 )
-from mpdqc.oracle import share_secret, theta_tag
-from mpdqc.protocol import Transcript, run_full_protocol, share_payload
+from mpdqc.oracle import VerificationResult, share_secret, theta_tag
+from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, Transcript, run_full_protocol, share_payload
 from mpdqc.quantum import DensityMatrix, PureState, trace_distance
 from reference import sampled_prepared_density
 
@@ -109,7 +109,6 @@ def test_rewritten_protocols_compute_the_same_thing(version):
     expected = reference_execute(pattern, psi, np.random.default_rng(0))
     for seed in range(4):
         run = run_intermediate_protocol(pattern, psi, np.random.default_rng(seed), version)
-        assert run.version == version
         assert run.output_state.fidelity(expected) >= 1 - 1e-9
 
 
@@ -120,7 +119,7 @@ def test_simulated_server_world_handles_references():
     expected = reference_execute(pattern, psi, np.random.default_rng(0))
     run = run_simulated_server_world(pattern, psi, np.random.default_rng(9))
     assert run.output_state.fidelity(expected) >= 1 - 1e-9
-    assert run.n_ref == 1
+    assert run.output_state.num_qubits == 3
 
 
 def test_observable_summary_fields():
@@ -237,6 +236,39 @@ def test_observe_summarizes_each_world_and_raises_on_abort(monkeypatch):
     monkeypatch.setattr(harness, "run_full_protocol", lambda *args, **kwargs: SimpleNamespace(aborted=True))
     with pytest.raises(RuntimeError, match="honest base run aborted"):
         observe("base", pattern, psi, np.random.default_rng(5))
+
+
+def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
+    # the full protocol and the coalition simulator both run
+    # protocol.verify_client; rejecting every batch must stop both at the
+    # first tested (node, contributor) with the same abort record
+    import mpdqc.protocol
+
+    kernel = mpdqc.protocol.verify_client
+    tested = []
+
+    def reject(angle_shares, prepared, rng):
+        tested.append(angle_shares[0][0].tag[1:3])  # (node, contributor) of the theta tag
+        result = kernel(angle_shares, prepared, rng)
+        return VerificationResult(False, result.survivor, dict.fromkeys(result.outcomes, 1))
+
+    monkeypatch.setattr(mpdqc.protocol, "verify_client", reject)
+    pattern = random_pattern(build_brickwork(2, 3), np.random.default_rng(4))
+    psi = random_state(2)
+    worlds = {
+        "base": lambda rng: run_full_protocol(pattern, psi, rng, m_copies=3),
+        "simulated-client": lambda rng: run_simulated_client_world(pattern, psi, {2}, rng, m_copies=3),
+    }
+    for world, run_world in worlds.items():
+        tested.clear()
+        run = run_world(np.random.default_rng(8))
+        assert len(tested) == 1, world
+        node, client = tested[0]
+        assert run.abort == AbortInfo("verification", node, client, COPY_TEST_FAILED), world
+        assert run.aborted and run.output_state is None, world
+        assert run.transcript.messages[-1].variant == "Abort", world
+        with pytest.raises(RuntimeError, match=f"honest {world} run aborted"):
+            observe(world, pattern, psi, np.random.default_rng(8), m_copies=3, coalition=frozenset({2}))
 
 
 def test_copy_test_rejection_extremes():

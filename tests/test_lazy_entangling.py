@@ -10,8 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from mpdqc import harness
-from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, input_system, random_pattern, reference_execute
+from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, random_pattern, reference_execute
 from mpdqc.cli import REGISTER_BUDGET, main
 from mpdqc.harness import rewrite_peak_qubits, run_intermediate_protocol
 from mpdqc.protocol import run_full_protocol
@@ -101,20 +100,11 @@ def test_honest_runs_stay_width_bounded(tmp_path, n_columns, n_ref):
 
 @pytest.mark.parametrize("n_ref", [0, 1])
 @pytest.mark.parametrize("n_wires,n_columns", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 2)])
-def test_rewrites_stay_within_their_register_bound(monkeypatch, n_wires, n_columns, n_ref):
-    systems = []
-
-    def spy(*args):
-        system, ref_labels = input_system(*args)
-        systems.append(system)
-        return system, ref_labels
-
-    monkeypatch.setattr(harness, "input_system", spy)
+def test_rewrites_stay_within_their_register_bound(n_wires, n_columns, n_ref):
     pattern, psi, _ = scenario(n_wires, n_columns, n_ref, 0)
     for version in ("teleport", "delayed", "simulator-resource"):
         bound = rewrite_peak_qubits(version, n_wires, n_columns, n_ref)
         if bound > REGISTER_BUDGET:
             continue  # validate() turns the config away before anything runs
-        systems.clear()
-        run_intermediate_protocol(pattern, psi, np.random.default_rng(n_ref), version)
-        assert 0 < systems[0].peak_qubits <= bound, version
+        run = run_intermediate_protocol(pattern, psi, np.random.default_rng(n_ref), version)
+        assert 0 < run.system.peak_qubits <= bound, version

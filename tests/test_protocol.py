@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, random_pattern, reference_execute
+from mpdqc.oracle import SecretShare, reconstruct
 from mpdqc.protocol import (
     VARIANTS,
     QuantumSystem,
@@ -158,10 +159,17 @@ def test_copy_angles_are_the_scalar_draws_in_node_contributor_copy_order():
     random_state(4, rng)
     for _ in range(graph.n_wires):  # each client's pad flip and pad angle
         rng.integers(2), rng.integers(8)
-    for j in graph.measured_nodes:
-        for k in contributors(graph, j):
-            for i in range(5):
-                assert run.client_secrets[k].copy_angles[(j, i)] == int(rng.integers(8))
+    # the opened copies' pieces go to the server and the survivor's to the
+    # oracle: between them, all n pieces of every copy's angle
+    pieces: dict[tuple[int, int, int], list[SecretShare]] = {}
+    for m in run.transcript.messages:
+        if m.payload.get("kind") in ("opened-angle", "survivor-angle"):
+            copy = (m.payload["node"], m.payload["contributor"], m.payload["copy"])
+            pieces.setdefault(copy, []).append(SecretShare(**m.payload["share"]))
+    copies = [(j, k, i) for j in graph.measured_nodes for k in contributors(graph, j) for i in range(5)]
+    assert sorted(pieces) == sorted(copies)
+    for copy in copies:
+        assert reconstruct(pieces[copy]) == int(rng.integers(8)), copy
 
 
 def test_more_copies_mean_more_traffic():
