@@ -28,7 +28,7 @@ from .harness import (
     copy_test_rejection,
     clopper_pearson,
     empirical_tv,
-    exact_view_projections,
+    exact_view_amplitudes,
     marginal_distances,
     observe,
     rewrite_peak_qubits,
@@ -156,10 +156,10 @@ def validate(config: dict) -> list[str]:
         if "scenarios" in entry.fields:
             if not graph.measured_nodes:
                 errors.append("n_columns must be >= 2 for blindness: a single column measures nothing")
-            elif exact_view_projections(graph) > EXACT_VIEW_BUDGET:
+            elif exact_view_amplitudes(graph, n_ref) > EXACT_VIEW_BUDGET:
                 errors.append(
-                    f"n_wires x n_columns = {graph.n_wires}x{graph.n_columns}: blindness needs "
-                    f"{exact_view_projections(graph)} exact-view projections, over the budget of {EXACT_VIEW_BUDGET}"
+                    f"n_wires x n_columns = {graph.n_wires}x{graph.n_columns} with {n_ref} reference qubits: blindness "
+                    f"needs {exact_view_amplitudes(graph, n_ref)} exact-view amplitudes, over the budget of {EXACT_VIEW_BUDGET}"
                 )
     return errors
 
@@ -304,9 +304,9 @@ def _mode_blindness(settings: dict, debug: bool) -> dict:
         "metric": "max exact server-view trace distance over checkpoints",
         "value": worst,
         "passed": worst <= settings["threshold"],
-        # view_projections counts both scenarios' enumerations
+        # view_amplitudes counts both scenarios' row arrays
         "details": {"checkpoints": {k: float(v) for k, v in distances.items()}, "view_classes": classes,
-                    "view_projections": 2 * exact_view_projections(pattern_a.graph)},
+                    "view_amplitudes": 2 * exact_view_amplitudes(pattern_a.graph, settings["reference_qubits"])},
     }
 
 

@@ -22,9 +22,10 @@ uniform angles, outcome-0 measurements, survivor indices) are distributed
 identically in every scenario and independently of the effective secrets,
 so they drop out of every view distance; the preparation-equivalence tests
 pin down exactly this reduction. The views are filed by Z-twin class, the
-announced angles mod 4, so only theta in 0..3 is laid out, each (theta, a)
-combination on the protocol's own graph state (brickwork.graph_state), and
-r is not enumerated; the Z twins theta + 4 enter as dephasing.
+announced angles mod 4, so only theta in 0..3 is laid out, all (theta, a)
+combinations as rows of one array built on the protocol's own graph state
+(brickwork.graph_state), and r is not enumerated; the Z twins theta + 4
+enter as dephasing.
 
 Both simulation checks are sampled, and every sampled verdict follows one
 rule: `sample` runs trial i of a world on its own generator,
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,26 +65,29 @@ from .protocol import (
     run_full_protocol,
     share_payload,
 )
-from .quantum import PureState, flip, octant, plus_state, weighted_trace_norm
+from .quantum import _PHASE, _PHASE_CONJ, PureState, flip, octant, weighted_trace_norm
 from .rsp import run_chain, theta_input
 
 # ----------------------------------------------------------------------
 # exact server view and blindness
 # ----------------------------------------------------------------------
 
-EXACT_VIEW_BUDGET = 2 ** 17
+# 2^23 amplitudes, 128 MiB per row array: 2x4 with one reference qubit
+# fits, 2x5 (2^28) and 4x3 (2^32) do not
+EXACT_VIEW_BUDGET = 2 ** 23
 
 
-def exact_view_projections(graph: BrickworkGraph) -> int:
-    """Rotated projections exact_server_views makes on a graph.
+def exact_view_amplitudes(graph: BrickworkGraph, n_ref: int) -> int:
+    """Amplitudes in the row array exact_server_views lays out and walks.
 
     4 pad angles per measured node and 2 flip bits per measured input give
-    4^M 2^I secret combinations; each walks M rounds, projecting both
-    outcomes of every branch: 2^(M+1) - 2 projections.
+    4^M 2^I secret combinations, each one state of the N nodes and n_ref
+    reference qubits: 4^M 2^I 2^(N + n_ref). A round halves every row and
+    at most doubles the rows, so no later row array is larger.
     """
     m = len(graph.measured_nodes)
     flips = sum(1 for j in graph.measured_nodes if j in graph.input_nodes)
-    return 4 ** m * 2 ** flips * (2 ** (m + 1) - 2)
+    return 4 ** m * 2 ** flips * 2 ** (graph.num_nodes + n_ref)
 
 
 def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, dict[tuple, np.ndarray]]:
@@ -104,11 +109,15 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     and the outcome is the flow bit s; the Z twins of the measured nodes
     still live at a checkpoint are averaged at the end by dephasing them.
 
-    Each (theta, a) combination is laid out as the protocol does it: inputs
-    padded by Z(theta), then X if a, |+_theta> for the other measured nodes,
-    then brickwork.graph_state; it is read once, nodes in label order, then
-    the reference qubits. The measured nodes lead in label order and are
-    measured in it, so the node being measured is always qubit 0.
+    All (theta, a) combinations are walked at once, as rows of one array.
+    X Z(theta) is Z(-theta) X up to phase and Z commutes with CZ, so a
+    combination is its flip assignment's graph state (brickwork.graph_state
+    after X^a on the inputs) under Z(flip(theta, a)) on the measured nodes;
+    each row reads the nodes in label order, then the reference qubits.
+    The measured nodes lead and are measured in label order, so a round
+    projects every row's qubit 0 onto both outcomes: each (combination,
+    outcome path) row becomes two rows half as wide. A branch whose
+    conditional probability is below 1e-14 is dropped with its subtree.
     """
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
@@ -116,65 +125,104 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     if not measured:
         raise ValueError("nothing is measured; the server view is empty")
 
-    cost = exact_view_projections(graph)
+    n_nodes = graph.num_nodes
+    cost = exact_view_amplitudes(graph, max(input_state.num_qubits - graph.n_wires, 0))
     if cost > EXACT_VIEW_BUDGET:
-        raise ValueError(f"exact enumeration needs {cost} projections, over the budget of {EXACT_VIEW_BUDGET}")
+        raise ValueError(f"exact enumeration needs {cost} amplitudes, over the budget of {EXACT_VIEW_BUDGET}")
 
-    options = [[(theta, a) for theta in range(4) for a in ((0, 1) if j in graph.input_nodes else (0,))] for j in measured]
-    weight = 1.0 / float(np.prod([len(opt) for opt in options]))
-
-    checkpoints = ["prepared", *(f"round:{i}" for i in range(1, len(measured) + 1)), "delivered"]
-    views: dict[str, dict[tuple, np.ndarray]] = {cp: {} for cp in checkpoints}
-
-    def accumulate(checkpoint: str, label: tuple, matrix: np.ndarray) -> None:
-        bucket = views[checkpoint]
-        bucket[label] = bucket[label] + matrix if label in bucket else matrix
-
-    for combo in product(*options):
-        secret = dict(zip(measured, combo))
+    theta, a = _pad_layout(graph, measured)
+    flipped = [j for j in measured if j in graph.input_nodes]
+    assignments = [dict(zip(flipped, bits)) for bits in product((0, 1), repeat=len(flipped))]
+    states = []
+    for flips in assignments:
         system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+        for j in (j for j, bit in flips.items() if bit):
+            system.apply_x(f"in:{j}")
         node_label: dict[int, str] = {}
-        for j, (theta_j, a_j) in secret.items():
-            if j in graph.input_nodes:
-                system.apply_z_rot(f"in:{j}", theta_j)
-                if a_j:
-                    system.apply_x(f"in:{j}")
-            else:
-                node_label[j] = f"node:{j}"
-                system.add_register(plus_state(theta_j), [node_label[j]], ["server"])
         graph_state(system, graph, node_label)
-        state = system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
-        accumulate("prepared", (), weight * state.density(range(graph.num_nodes)).matrix)
+        states.append(system.state_of([node_label[j] for j in range(1, n_nodes + 1)] + ref_labels).amps)
+    # combination c has flip assignment c // 4^M (_pad_layout)
+    assignment = np.arange(len(theta)) // 4 ** len(measured)
+    pad = np.where(a == 1, -theta, theta) % 8
+    node_bits = (np.arange(2 ** n_nodes)[:, None] >> (n_nodes - np.array(measured))) & 1
+    rows = np.array(states)[assignment].reshape(len(theta), 2 ** n_nodes, -1)
+    rows *= _PHASE[(pad @ node_bits.T) % 8][:, :, None]
+    rows = rows.reshape(len(theta), -1)
 
-        def a_of(j: int) -> int:
-            return secret[j][1]
+    weight = 1.0 / len(theta)
+    views = {"prepared": _class_matrices(rows, np.zeros(len(rows), dtype=np.int64), 0, n_nodes, weight)}
+    combo = np.arange(len(theta))
+    path = np.zeros(len(theta), dtype=np.int64)  # bit idx: the outcome s of round idx + 1
+    code = np.zeros(len(theta), dtype=np.int64)  # the class label, base 4
+    norm2 = np.ones(len(theta))
+    position = {j: idx for idx, j in enumerate(measured)}
+    for idx, j in enumerate(measured):
+        # the corrected angle depends on the flips and the outcomes only: one
+        # flow.adapted_angle per (flip assignment, outcome path)
+        corrected = np.array([
+            [flow.adapted_angle(j, angles[j], lambda i: (s >> position[i]) & 1, lambda i: flips.get(i, 0)) for s in range(2 ** idx)]
+            for flips in assignments
+        ])
+        delta = (corrected[assignment[combo], path] + pad[combo, idx]) % 8
+        code = 4 * code + delta % 4
+        rows = _project_first(rows, delta)
+        as_reals = rows.view(np.float64)
+        branch2 = np.einsum("ij,ij->i", as_reals, as_reals)
+        keep = branch2 >= 1e-14 * np.tile(norm2, 2)
+        combo, path, code = (np.concatenate(pair)[keep] for pair in ((combo, combo), (path, path | (1 << idx)), (code, code)))
+        rows, norm2 = (rows, branch2) if keep.all() else (rows[keep], branch2[keep])
+        views[f"round:{idx + 1}"] = _class_matrices(rows, code, idx + 1, n_nodes - idx - 1, weight)
+    # no node is left: each class matrix is 1x1, its weight
+    views["delivered"] = _class_matrices(rows, code, len(measured), 0, weight)
 
-        def walk(state: PureState, idx: int, label: tuple, w: float, s_bits: dict[int, int]) -> None:
-            if idx == len(measured):
-                accumulate("delivered", label, np.array([[w]], dtype=complex))
-                return
-            j = measured[idx]
-            theta_j, a_j = secret[j]
-            phi_c = flow.adapted_angle(j, angles[j], s_bits.__getitem__, a_of)
-            delta_j = octant(phi_c + flip(theta_j, a_j))
-            new_label = label + (delta_j % 4,)
-            for s in (0, 1):
-                p_branch, post = state.project_rotated(0, delta_j, s)
-                if p_branch < 1e-14:
-                    continue
-                w_branch = w * p_branch
-                accumulate(f"round:{idx + 1}", new_label, w_branch * post.density(range(graph.num_nodes - idx - 1)).matrix)
-                walk(post, idx + 1, new_label, w_branch, {**s_bits, j: s})
-
-        walk(state, 0, (), weight, {})
-
-    for i, checkpoint in enumerate(checkpoints[:len(measured)]):
+    for i, checkpoint in enumerate(list(views)[:len(measured)]):
         # keep the entries whose row and column agree on the live measured nodes, which lead
         live = np.arange(2 ** (graph.num_nodes - i)) >> (graph.num_nodes - len(measured))
         mask = live[:, None] == live[None, :]
         views[checkpoint] = {label: matrix * mask for label, matrix in views[checkpoint].items()}
 
     return views
+
+
+def _pad_layout(graph: BrickworkGraph, measured: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every secret combination, one row each: theta and a, both (4^M 2^I, M).
+
+    theta runs over 0..3 on every measured node, a over the flip bits of
+    the measured inputs (0 elsewhere), flips slowest: combination c has
+    flip assignment c // 4^M, in product((0, 1), repeat=I) order.
+    """
+    inputs = [idx for idx, j in enumerate(measured) if j in graph.input_nodes]
+    grid = np.indices((2,) * len(inputs) + (4,) * len(measured)).reshape(len(inputs) + len(measured), -1).T
+    a = np.zeros((len(grid), len(measured)), dtype=np.int64)
+    a[:, inputs] = grid[:, :len(inputs)]
+    return grid[:, len(inputs):], a
+
+
+def _project_first(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Project each row's qubit 0 onto <+_delta| and <-_delta| (unnormalized): outcome 0's rows, then outcome 1's."""
+    psi = rows.reshape(len(rows), 2, -1)
+    turned = psi[:, 1] * _PHASE_CONJ[delta][:, None]
+    out = np.empty((2, *turned.shape), dtype=complex)
+    np.add(psi[:, 0], turned, out=out[0])
+    np.subtract(psi[:, 0], turned, out=out[1])
+    out /= sqrt(2)
+    return out.reshape(2 * len(rows), -1)
+
+
+def _class_matrices(rows: np.ndarray, code: np.ndarray, n_rounds: int, n_live: int, weight: float) -> dict[tuple, np.ndarray]:
+    """weight * B B^H per class label, B the label's rows side by side, each as (2^n_live nodes, the rest)."""
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+    matrices = {}
+    for start, stop in zip(starts, [*starts[1:], len(order)]):
+        group = rows[order[start:stop]].reshape(stop - start, 2 ** n_live, -1).transpose(1, 0, 2).reshape(2 ** n_live, -1)
+        matrices[_label(code[order[start]], n_rounds)] = weight * (group @ group.conj().T)
+    return matrices
+
+
+def _label(code: int, n_rounds: int) -> tuple:
+    """The class label a base-4 code spells, one digit per round."""
+    return tuple((int(code) >> 2 * (n_rounds - 1 - i)) & 3 for i in range(n_rounds))
 
 
 def view_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:

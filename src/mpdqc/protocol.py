@@ -97,12 +97,11 @@ class AbortInfo:
 
 
 class ServerHandle:
-    """The adversary's interface: act on server-owned qubits, read its log."""
+    """The adversary's interface: act on server-owned qubits."""
 
-    def __init__(self, system: QuantumSystem, node_label: dict[int, str], classical: dict):
+    def __init__(self, system: QuantumSystem, node_label: dict[int, str]):
         self._system = system
         self._node_label = node_label
-        self.classical = classical
 
     def _label(self, node: int) -> str:
         lab = self._node_label[node]
@@ -365,7 +364,7 @@ def run_full_protocol(
     # the hooks see the full graph state through any handle call, while an
     # honest run only ever holds about one column plus the references.
     graph_state(system, graph, node_label)
-    handle = ServerHandle(system, node_label, {"t": dict(ledger.chain_t), "delta": {}, "b": {}})
+    handle = ServerHandle(system, node_label)
     if strategy.after_entangle:
         strategy.after_entangle(handle)
 
@@ -377,13 +376,11 @@ def run_full_protocol(
             session.hand_out(k, share_secret(int(rng.integers(2)), n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
         delta_j = ledger.delta(j)
         deltas[j] = delta_j
-        handle.classical["delta"][j] = delta_j
         transcript.record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta_j})
         if strategy.before_measurement:
             strategy.before_measurement(handle, j)
         b_j = system.measure_rotated(node_label[j], delta_j, rng)
         outcomes_b[j] = b_j
-        handle.classical["b"][j] = b_j
         transcript.record("server", "all", "ResultBroadcast", {"node": j, "b": b_j})
         ledger.register_outcome(j, b_j)
 

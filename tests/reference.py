@@ -3,19 +3,21 @@
 Nothing here is run by the program itself: exhaustive enumeration of the
 preparation chain, the input pad written out gate by gate, the explicit
 step list the chain had before it was written as one rule, the copy test
-measured on one-qubit registers, state equality up to global phase, and a
-Monte-Carlo estimate of the server's state after entangling.
+measured on one-qubit registers, state equality up to global phase, a
+Monte-Carlo estimate of the server's state after entangling, and the exact
+server views walked one secret combination at a time.
 """
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from mpdqc.brickwork import MeasurementPattern
+from mpdqc.brickwork import MeasurementPattern, compute_flow, graph_state, input_system
 from mpdqc.oracle import SecretShare, VerificationResult, reconstruct
 from mpdqc.protocol import ServerStrategy, run_full_protocol
-from mpdqc.quantum import PureState, plus_state
+from mpdqc.quantum import PureState, flip, octant, plus_state
 from mpdqc.rsp import chain_steps
 
 
@@ -134,3 +136,73 @@ def sampled_prepared_density(
         if run.aborted:
             raise RuntimeError("honest run aborted")
     return acc / trials
+
+
+def walked_exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, dict[tuple, np.ndarray]]:
+    """harness.exact_server_views, one secret combination and one recursive walk at a time.
+
+    Each (theta, a) combination, theta in 0..3, is laid out as the protocol
+    does it: inputs padded by Z(theta), then X if a, |+_theta> for the
+    other measured nodes, then brickwork.graph_state. The walk projects the
+    leading node onto both outcomes s of every branch, drops a branch whose
+    conditional probability is below 1e-14 with its subtree, and files the
+    branch under the announced angles mod 4; the live measured nodes' Z
+    twins are dephased at the end.
+    """
+    graph, angles = pattern.graph, pattern.angles
+    flow = compute_flow(graph)
+    measured = flow.order
+    options = [[(theta, a) for theta in range(4) for a in ((0, 1) if j in graph.input_nodes else (0,))] for j in measured]
+    weight = 1.0 / float(np.prod([len(opt) for opt in options]))
+
+    checkpoints = ["prepared", *(f"round:{i}" for i in range(1, len(measured) + 1)), "delivered"]
+    views: dict[str, dict[tuple, np.ndarray]] = {cp: {} for cp in checkpoints}
+
+    def accumulate(checkpoint: str, label: tuple, matrix: np.ndarray) -> None:
+        bucket = views[checkpoint]
+        bucket[label] = bucket[label] + matrix if label in bucket else matrix
+
+    for combo in product(*options):
+        secret = dict(zip(measured, combo))
+        system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+        node_label: dict[int, str] = {}
+        for j, (theta_j, a_j) in secret.items():
+            if j in graph.input_nodes:
+                system.apply_z_rot(f"in:{j}", theta_j)
+                if a_j:
+                    system.apply_x(f"in:{j}")
+            else:
+                node_label[j] = f"node:{j}"
+                system.add_register(plus_state(theta_j), [node_label[j]], ["server"])
+        graph_state(system, graph, node_label)
+        state = system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
+        accumulate("prepared", (), weight * state.density(range(graph.num_nodes)).matrix)
+
+        def a_of(j: int) -> int:
+            return secret[j][1]
+
+        def walk(state: PureState, idx: int, label: tuple, w: float, s_bits: dict[int, int]) -> None:
+            if idx == len(measured):
+                accumulate("delivered", label, np.array([[w]], dtype=complex))
+                return
+            j = measured[idx]
+            theta_j, a_j = secret[j]
+            phi_c = flow.adapted_angle(j, angles[j], s_bits.__getitem__, a_of)
+            delta_j = octant(phi_c + flip(theta_j, a_j))
+            new_label = label + (delta_j % 4,)
+            for s in (0, 1):
+                p_branch, post = state.project_rotated(0, delta_j, s)
+                if p_branch < 1e-14:
+                    continue
+                w_branch = w * p_branch
+                accumulate(f"round:{idx + 1}", new_label, w_branch * post.density(range(graph.num_nodes - idx - 1)).matrix)
+                walk(post, idx + 1, new_label, w_branch, {**s_bits, j: s})
+
+        walk(state, 0, (), weight, {})
+
+    for i, checkpoint in enumerate(checkpoints[:len(measured)]):
+        live = np.arange(2 ** (graph.num_nodes - i)) >> (graph.num_nodes - len(measured))
+        mask = live[:, None] == live[None, :]
+        views[checkpoint] = {label: matrix * mask for label, matrix in views[checkpoint].items()}
+
+    return views

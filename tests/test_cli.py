@@ -108,9 +108,11 @@ def test_validate_requires_blindness_scenarios():
     assert validate(base)
     ok = {**base, "scenarios": {"a": {}, "b": {}}}
     assert validate(ok) == []
-    # 30,720 and 122,880 exact-view projections fit the budget
+    # 2x3, 4x2, and 2x4 with up to one reference qubit fit the amplitude budget
     assert validate({**ok, "n_columns": 3}) == []
     assert validate({**ok, "n_wires": 4}) == []
+    assert validate({**ok, "n_columns": 4}) == []
+    assert validate({**ok, "n_columns": 4, "reference_qubits": 1}) == []
 
 
 def test_validate_rejects_bad_deviation_and_threshold():
@@ -191,8 +193,14 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
              "scenarios": {"a": {}, "b": {"input": [[1, 0]] * 8}}},
             "scenarios.b.input",
         ),
-        # 2x4 needs 4^6 * 2^2 * (2^7 - 2) = 2,064,384 exact-view projections
-        ({"mode": "blindness", "n_wires": 2, "n_columns": 4, "scenarios": {"a": {}, "b": {}}}, "2x4: blindness needs 2064384 exact-view projections"),
+        # the exact views hold 4^M 2^I 2^(N + reference_qubits) amplitudes: 2x5 needs
+        # 4^8 * 2^2 * 2^10 = 2^28, 4x3 4^8 * 2^4 * 2^12 = 2^32, 2x4 with two reference qubits 2^24
+        ({"mode": "blindness", "n_wires": 2, "n_columns": 5, "scenarios": {"a": {}, "b": {}}}, "2x5 with 0 reference qubits: blindness needs 268435456 exact-view amplitudes"),
+        ({"mode": "blindness", "n_wires": 4, "n_columns": 3, "scenarios": {"a": {}, "b": {}}}, "4x3 with 0 reference qubits: blindness needs 4294967296 exact-view amplitudes"),
+        (
+            {"mode": "blindness", "n_wires": 2, "n_columns": 4, "reference_qubits": 2, "scenarios": {"a": {}, "b": {}}},
+            "2x4 with 2 reference qubits: blindness needs 16777216 exact-view amplitudes",
+        ),
         ({"mode": "blindness", "n_wires": 2, "n_columns": 1, "scenarios": {"a": {}, "b": {}}}, "n_columns"),
         # a 41-qubit live register would need 32 TiB per statevector
         ({"mode": "honest-run", "n_wires": 40, "n_columns": 2}, "n_wires + reference_qubits + 1 = 40 + 0 + 1"),
@@ -250,6 +258,7 @@ def test_protocol_abort_exits_3(tmp_path, monkeypatch):
     ],
     ids=[
         "long-angles", "short-input", "input-with-reference", "scenario-input", "blindness-over-budget",
+        "blindness-4x3-over-budget", "blindness-2x4-references-over-budget",
         "blindness-one-column", "honest-over-register-budget", "reference-over-register-budget",
         "client-sim-over-register-budget", "intermediate-over-register-budget", "blindness-over-register-budget",
         "server-sim-4x3-over-rewrite-budget", "server-sim-2x7-over-rewrite-budget", "server-sim-reference-over-rewrite-budget",
@@ -424,7 +433,7 @@ def test_blindness_mode_reports_the_view_size_at_2x3(tmp_path):
     details = json.loads((out / "report.json").read_text())["details"]
     # one class per announced-angle sequence mod 4: 4^i after round i
     assert details["view_classes"] == {"prepared": 1, "round:1": 4, "round:2": 16, "round:3": 64, "round:4": 256, "delivered": 256}
-    assert details["view_projections"] == 2 * 30_720
+    assert details["view_amplitudes"] == 2 * 65_536
 
 
 def test_equivalence_modes_smoke(tmp_path):

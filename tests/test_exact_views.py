@@ -5,15 +5,19 @@ on brickwork.graph_state and before they were filed by class: one eager
 PureState per (theta, r, a) combination, theta over all 8 octants, laid out
 by hand with position bookkeeping, one label (delta, b) per round. It is
 kept here only, as the slow path the class views are checked against.
+reference.walked_exact_server_views is the class enumeration the batched
+views replaced, one secret combination and one recursive walk at a time.
 """
 from itertools import product
 
 import numpy as np
 import pytest
 
+from mpdqc import harness
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, random_pattern
-from mpdqc.harness import EXACT_VIEW_BUDGET, blindness_check, exact_server_views, exact_view_projections, view_distance
+from mpdqc.harness import EXACT_VIEW_BUDGET, blindness_check, exact_server_views, exact_view_amplitudes, view_distance
 from mpdqc.quantum import PureState, flip, octant, plus_state
+from reference import walked_exact_server_views
 
 
 def eager_exact_server_views(
@@ -141,26 +145,60 @@ def test_a_broken_pad_leaks_through_the_classes():
     assert max(view_distance(a[cp], b[cp]) for cp in a) > 0.1
 
 
-@pytest.mark.parametrize("n_columns,expected", [(2, 384), (3, 30_720)])
-def test_the_projection_count_is_the_work_done(monkeypatch, n_columns, expected):
+@pytest.mark.parametrize("n_columns,n_ref", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+def test_batched_views_match_the_walked_enumeration(n_columns, n_ref):
+    """Same class labels at every checkpoint, and entries within 1e-12."""
     graph = build_brickwork(2, n_columns)
-    assert exact_view_projections(graph) == expected
-    calls = []
-    project = PureState.project_rotated
+    rng = np.random.default_rng([n_columns, n_ref])
+    pattern = random_pattern(graph, rng)
+    psi = random_input(2 + n_ref, rng)
+    batched = exact_server_views(pattern, psi)
+    walked = walked_exact_server_views(pattern, psi)
+    assert list(batched) == list(walked)
+    for checkpoint, buckets in walked.items():
+        assert set(batched[checkpoint]) == set(buckets), checkpoint
+        for label, matrix in buckets.items():
+            assert np.max(np.abs(batched[checkpoint][label] - matrix)) <= 1e-12, (checkpoint, label)
 
-    def counted(self, *args):
-        calls.append(args)
-        return project(self, *args)
 
-    monkeypatch.setattr(PureState, "project_rotated", counted)
+def test_a_zeroed_pad_leaks_through_the_batched_views(monkeypatch):
+    """Negative control on the shipped path: with every theta laid out as 0 the views tell |00> from |11>."""
+    layout = harness._pad_layout
+
+    def unpadded(*args):
+        theta, a = layout(*args)
+        return np.zeros_like(theta), a
+
+    monkeypatch.setattr(harness, "_pad_layout", unpadded)
+    pattern = MeasurementPattern(build_brickwork(2, 2), {1: 1, 2: 3})
+    a, b = (exact_server_views(pattern, PureState.computational(bits)) for bits in ("00", "11"))
+    assert max(view_distance(a[cp], b[cp]) for cp in a) > 0.1
+
+
+@pytest.mark.parametrize("n_columns,n_ref,expected", [(2, 0, 1_024), (2, 1, 2_048), (3, 0, 65_536)])
+def test_the_largest_row_array_is_the_amplitude_count(monkeypatch, n_columns, n_ref, expected):
+    graph = build_brickwork(2, n_columns)
+    assert exact_view_amplitudes(graph, n_ref) == expected
+    sizes = []
+    project = harness._project_first
+
+    def measured(rows, delta):
+        out = project(rows, delta)
+        sizes.extend((rows.size, out.size))
+        return out
+
+    monkeypatch.setattr(harness, "_project_first", measured)
     rng = np.random.default_rng(n_columns)
-    exact_server_views(random_pattern(graph, rng), random_input(2, rng))
-    assert len(calls) == expected
+    exact_server_views(random_pattern(graph, rng), random_input(2 + n_ref, rng))
+    assert max(sizes) == expected
 
 
-def test_the_projection_budget_admits_4x2_but_not_2x4():
-    assert exact_view_projections(build_brickwork(4, 2)) == 122_880 <= EXACT_VIEW_BUDGET
-    assert exact_view_projections(build_brickwork(2, 4)) == 2_064_384 > EXACT_VIEW_BUDGET
+def test_the_amplitude_budget_admits_2x4_but_not_2x5_or_4x3():
+    assert exact_view_amplitudes(build_brickwork(4, 2), 0) == 2 ** 20 <= EXACT_VIEW_BUDGET
+    assert exact_view_amplitudes(build_brickwork(2, 4), 1) == 2 ** 23 <= EXACT_VIEW_BUDGET
+    assert exact_view_amplitudes(build_brickwork(2, 4), 2) > EXACT_VIEW_BUDGET
+    assert exact_view_amplitudes(build_brickwork(2, 5), 0) == 2 ** 28 > EXACT_VIEW_BUDGET
+    assert exact_view_amplitudes(build_brickwork(4, 3), 0) == 2 ** 32 > EXACT_VIEW_BUDGET
 
 
 def test_server_views_at_2x3_are_scenario_independent():
@@ -169,6 +207,15 @@ def test_server_views_at_2x3_are_scenario_independent():
     pattern_a = MeasurementPattern(graph, {j: 0 for j in graph.measured_nodes})
     pattern_b = random_pattern(graph, np.random.default_rng(2026))
     distances = blindness_check(pattern_a, PureState.computational("00"), pattern_b, PureState.computational("11"))
+    assert max(distances.values()) <= 1e-9
+
+
+def test_server_views_at_4x2_are_scenario_independent():
+    """A3 on a 4x2 graph: zero pattern on |0000> vs random pattern on |1111>."""
+    graph = build_brickwork(4, 2)
+    pattern_a = MeasurementPattern(graph, {j: 0 for j in graph.measured_nodes})
+    pattern_b = random_pattern(graph, np.random.default_rng(2026))
+    distances = blindness_check(pattern_a, PureState.computational("0000"), pattern_b, PureState.computational("1111"))
     assert max(distances.values()) <= 1e-9
 
 
