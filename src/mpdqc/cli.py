@@ -5,8 +5,8 @@ three artifacts into the output directory: transcript.jsonl (the message
 log of a representative run, empty for modes that have none), report.json
 (machine-readable result), and summary.txt (human-readable result).
 
-Exit codes: 0 success, 1 bad config, 2 a security/correctness threshold
-was violated, 3 the protocol aborted.
+Exit codes: 0 success, 1 bad config or an --out that cannot be a directory,
+2 a security/correctness threshold was violated, 3 the protocol aborted.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .brickwork import MeasurementPattern, build_brickwork, random_pattern, refe
 from .harness import (
     EXACT_VIEW_BUDGET,
     blindness_check,
-    copy_test_rejection,
     clopper_pearson,
     empirical_tv,
     exact_view_amplitudes,
@@ -34,8 +33,8 @@ from .harness import (
     rewrite_peak_qubits,
     sample,
 )
-from .protocol import message_counts, run_full_protocol
-from .quantum import PureState
+from .protocol import AbortInfo, Session, Transcript, message_counts, run_full_protocol
+from .quantum import PureState, QuantumSystem, octant
 
 # largest live register a config may ask for: n_wires + reference_qubits
 # + 1 qubits, the input register plus the one node joining it at a time
@@ -358,9 +357,16 @@ def _mode_client_sim_equiv(settings: dict, debug: bool) -> dict:
 
 def _mode_protocol1_detection(settings: dict, debug: bool) -> dict:
     trials, deviation, half_width = settings["trials"], settings["deviation"], settings["threshold"]
-    results = sample(lambda rng: copy_test_rejection(deviation, 1, rng), trials, settings["seed"], 2)
-    rejections = sum(r for r, _ in results)
-    tested = sum(t for _, t in results)
+
+    def rejected(rng: np.random.Generator) -> bool:
+        """Client 1 declares one uniform angle for a batch of two copies but
+        prepares both `deviation` octants off; the protocol's copy test, on a
+        fresh two-client session, opens one of them."""
+        theta = int(rng.integers(8))
+        session = Session(QuantumSystem(), Transcript(), rng, 2)
+        return isinstance(session.offer_test_copies(0, 1, [theta] * 2, [octant(theta + deviation)] * 2), AbortInfo)
+
+    rejections, tested = sum(sample(rejected, trials, settings["seed"], 2)), trials
     rate = rejections / tested
     expected = float(np.sin(deviation * np.pi / 8) ** 2)
     lo, hi = clopper_pearson(rejections, tested)
@@ -394,13 +400,12 @@ MODES = {
 
 
 def run_experiment(config: dict, seed: int, out_dir: Path, debug_secrets: bool = False) -> int:
-    """Run one validated config and write the artifacts. Returns the exit code."""
+    """Run one validated config and write the artifacts into the existing out_dir. Returns the exit code."""
     mode = config["mode"]
     entry = MODES[mode]
     settings = entry.settings({**config, "seed": seed})
     result = entry.run(settings, debug_secrets)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     transcript = result.pop("transcript", None)
     (out_dir / "transcript.jsonl").write_text(transcript.to_jsonl() if transcript is not None else "")
 
@@ -467,7 +472,13 @@ def main(argv: list[str] | None = None) -> int:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 1
-    return run_experiment(config, config["seed"], Path(args.out), debug_secrets=args.debug_secrets)
+    out_dir = Path(args.out)
+    try:  # before the run, so that a bad --out costs no experiment
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path, or a file on its way
+        print(f"output error: cannot create directory {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 1
+    return run_experiment(config, config["seed"], out_dir, debug_secrets=args.debug_secrets)
 
 
 if __name__ == "__main__":

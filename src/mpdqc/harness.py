@@ -42,7 +42,6 @@ from math import sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .brickwork import (
     BrickworkGraph,
@@ -54,9 +53,8 @@ from .brickwork import (
     read_outputs,
     reference_execute,
 )
-from .oracle import SecretShare, a_tag, r_tag, share_secret, theta_tag, verify_client
+from .oracle import SecretShare, a_tag, blind_angle, r_tag, share_secret, theta_tag
 from .protocol import (
-    COPY_TEST_FAILED,
     AbortInfo,
     ProtocolRun,
     Session,
@@ -116,8 +114,9 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     each row reads the nodes in label order, then the reference qubits.
     The measured nodes lead and are measured in label order, so a round
     projects every row's qubit 0 onto both outcomes: each (combination,
-    outcome path) row becomes two rows half as wide. A branch whose
-    conditional probability is below 1e-14 is dropped with its subtree.
+    outcome path) row becomes two rows half as wide. With causal flow every
+    measured node has an unmeasured successor, so each outcome has
+    conditional probability exactly 1/2 and no branch is ever empty.
     """
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
@@ -154,7 +153,6 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     combo = np.arange(len(theta))
     path = np.zeros(len(theta), dtype=np.int64)  # bit idx: the outcome s of round idx + 1
     code = np.zeros(len(theta), dtype=np.int64)  # the class label, base 4
-    norm2 = np.ones(len(theta))
     position = {j: idx for idx, j in enumerate(measured)}
     for idx, j in enumerate(measured):
         # the corrected angle depends on the flips and the outcomes only: one
@@ -163,14 +161,11 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
             [flow.adapted_angle(j, angles[j], lambda i: (s >> position[i]) & 1, lambda i: flips.get(i, 0)) for s in range(2 ** idx)]
             for flips in assignments
         ])
-        delta = (corrected[assignment[combo], path] + pad[combo, idx]) % 8
-        code = 4 * code + delta % 4
+        # r is not enumerated: the class label absorbs its 4 r
+        delta = blind_angle(corrected[assignment[combo], path], 0, theta[combo, idx], a[combo, idx])
+        code = np.tile(4 * code + delta % 4, 2)
         rows = _project_first(rows, delta)
-        as_reals = rows.view(np.float64)
-        branch2 = np.einsum("ij,ij->i", as_reals, as_reals)
-        keep = branch2 >= 1e-14 * np.tile(norm2, 2)
-        combo, path, code = (np.concatenate(pair)[keep] for pair in ((combo, combo), (path, path | (1 << idx)), (code, code)))
-        rows, norm2 = (rows, branch2) if keep.all() else (rows[keep], branch2[keep])
+        combo, path = np.tile(combo, 2), np.concatenate((path, path | (1 << idx)))
         views[f"round:{idx + 1}"] = _class_matrices(rows, code, idx + 1, n_nodes - idx - 1, weight)
     # no node is left: each class matrix is 1x1, its weight
     views["delivered"] = _class_matrices(rows, code, len(measured), 0, weight)
@@ -385,7 +380,7 @@ def run_intermediate_protocol(
         else:
             eff = [octant(theta_hat[(j, k)] + 4 * r_bits[(j, k)]) for k in range(1, n + 1)]
             pad = theta_input(eff, graph.survivor(j), chain_t[j], a_of(j))
-            delta[j] = octant(phi_corrected(j) + 4 * node_r(j) + flip(pad, a_of(j)))
+            delta[j] = blind_angle(phi_corrected(j), node_r(j), pad, a_of(j))
         b[j] = system.measure_rotated(node_label[j], delta[j], rng)
         if delayed and not a_at_end:
             solve_and_reveal(j)
@@ -509,10 +504,9 @@ def run_simulated_client_world(
             if k in coalition:
                 # the simulator plays the server in the coalition's copy test
                 copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
-                survivor_label = session.offer_test_copies(j, k, copy_angles)
-                if survivor_label is None:
-                    abort = AbortInfo("verification", j, k, COPY_TEST_FAILED)
-                    return ProtocolRun(transcript, system, chain_t, {}, {}, {}, None, abort)
+                survivor_label = session.offer_test_copies(j, k, copy_angles, copy_angles)
+                if isinstance(survivor_label, AbortInfo):
+                    return ProtocolRun(transcript, system, chain_t, {}, {}, {}, None, survivor_label)
                 # the surviving coalition copy is absorbed by the simulator;
                 # nothing downstream depends on it
                 system.measure_computational(survivor_label, rng)
@@ -726,33 +720,12 @@ def marginal_distances(summaries_a: Sequence[dict], summaries_b: Sequence[dict])
 
 def clopper_pearson(successes: int, trials: int, alpha: float = 0.01) -> tuple[float, float]:
     """Exact binomial confidence interval."""
+    # imported here: scipy.stats takes most of a second to load, and only protocol1-detection needs it
+    from scipy.stats import beta as beta_dist
+
     if trials <= 0:
         raise ValueError("no trials")
     lo = 0.0 if successes == 0 else float(beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
     return lo, hi
 
-
-# ----------------------------------------------------------------------
-# copy-test detection rates
-# ----------------------------------------------------------------------
-
-
-def copy_test_rejection(deviation: int, trials: int, rng: np.random.Generator) -> tuple[int, int]:
-    """(rejections, tested copies) for a client whose states are off by a fixed octant.
-
-    Each trial shares a uniform angle honestly between two clients, but
-    prepares both copies `deviation` octants away from the declaration,
-    then runs the protocol's copy test, oracle.verify_client, in its closed
-    form: no qubit is built, and the one opened copy is tested against the
-    declared angle.
-    """
-    rejections = 0
-    tested = 0
-    for _ in range(trials):
-        theta = int(rng.integers(8))
-        shares = [share_secret(theta, 2, 8, rng, ("theta", 0, 1, i)) for i in range(2)]
-        result = verify_client(shares, [octant(theta + deviation)] * 2, rng)
-        tested += len(result.outcomes)
-        rejections += sum(result.outcomes.values())
-    return rejections, tested

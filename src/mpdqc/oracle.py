@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .brickwork import Flow, MeasurementPattern, compute_flow, parity
-from .quantum import flip, octant
 from .rsp import theta_input
 
 Tag = tuple
@@ -136,6 +135,19 @@ def verify_client(angle_shares: Sequence[Sequence[SecretShare]], prepared: Seque
     return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
 
 
+def blind_angle(corrected, r, theta, a):
+    """The blind measurement angle delta = phi' + 4 r + (-1)^a theta, mod 8.
+
+    phi' is the flow-corrected pattern angle, r the mask bit, theta the
+    node's pad angle and a its flip bit. The sign on theta matters: the
+    prepared qubit is padded by X^a Z(theta) with the X outermost, and
+    commuting the measurement past that X flip negates the Z angle it has
+    to compensate. Plain arithmetic, so it takes ints (and returns an int)
+    or integer arrays elementwise.
+    """
+    return (corrected + 4 * r + (-1) ** a * theta) % 8
+
+
 def theta_tag(node: int, client: int, copy: int = 0) -> Tag:
     return ("theta", node, client, copy)
 
@@ -238,15 +250,8 @@ class OracleLedger:
         return self.flow.adapted_angle(node, self.pattern.angles[node], self._s, self.node_flip)
 
     def delta(self, node: int) -> int:
-        """The blind measurement angle announced to the server for one node.
-
-        delta = phi' + 4 r + (-1)^a theta. The sign on theta matters: the
-        prepared qubit is padded by X^a Z(theta) with the X outermost, and
-        commuting the measurement past that X flip negates the Z angle it
-        has to compensate.
-        """
-        a = self.node_flip(node)
-        return octant(self.corrected_pattern_angle(node) + 4 * self.node_r(node) + flip(self.node_theta(node), a))
+        """The blind measurement angle announced to the server for one node (blind_angle)."""
+        return blind_angle(self.corrected_pattern_angle(node), self.node_r(node), self.node_theta(node), self.node_flip(node))
 
     def output_keys(self, node: int) -> tuple[int, int]:
         """(s_x, s_z) one-time-pad keys for an output node (see Flow.output_key)."""

@@ -14,7 +14,7 @@ through the Transcript, which is what the security harness inspects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -256,36 +256,37 @@ class Session:
         self.system.transfer(f"in:{node}", "server")
         self.transcript.record(_client(node), "server", "QubitTransfer", {"node": node, "purpose": "padded-input"})
 
-    def offer_test_copies(self, node: int, contributor: int, angles: list[int]) -> str | None:
+    def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> str | AbortInfo:
         """One contributor's copies for a node, through the copy test.
 
         The contributor shares each copy's declared angle among the clients
-        and hands the copies |+_angle> to the server, one QubitTransfer
-        each; oracle.verify_client then opens and measures all but one
-        survivor in closed form. An opened copy never meets another qubit,
-        so only the survivor becomes a register, owned by the server, once
-        the test has passed; under debug_secrets a copy's amplitudes are
-        those of plus_state(angle). Records the survivor, opened-angle,
+        and hands the server copy i as |+_prepared[i]>, one QubitTransfer
+        each; an honest contributor passes the same list twice.
+        oracle.verify_client then opens and measures all but one survivor
+        in closed form. An opened copy never meets another qubit, so only
+        the survivor becomes a register, owned by the server, once the test
+        has passed; under debug_secrets a copy's amplitudes are those of
+        plus_state(prepared[i]). Records the survivor, opened-angle,
         verification and, on failure, abort messages. Returns the
-        survivor's label once its angle shares went to the oracle, or None
-        if the test failed.
+        survivor's label once its angle shares went to the oracle, or the
+        AbortInfo of the failed test.
         """
         record, names, k = self.transcript.record, self.names, contributor
         where = {"node": node, "contributor": k}
-        copy_shares = share_secrets(angles, self.n_clients, 8, self.rng, [theta_tag(node, k, i) for i in range(len(angles))])
+        copy_shares = share_secrets(declared, self.n_clients, 8, self.rng, [theta_tag(node, k, i) for i in range(len(declared))])
         payloads = [[share_payload(piece) for piece in shares] for shares in copy_shares]
         for i, shares in enumerate(copy_shares):
             context = {"kind": "copy-angle", **where, "copy": i}
             for piece, share in zip(shares, payloads[i]):
                 if piece.owner != k:
                     record(names[k], names[piece.owner], "ShareDistribution", {**context, "share": share})
-        labels = [f"copy:{node}:{k}:{i}" for i in range(len(angles))]
-        for i, theta in enumerate(angles):
+        labels = [f"copy:{node}:{k}:{i}" for i in range(len(declared))]
+        for i, theta in enumerate(prepared):
             payload = {**where, "copy": i, "purpose": "test-copy", "label": labels[i]}
             if self.debug_secrets:
                 payload["amplitudes"] = _amplitude_pairs(plus_state(theta).amps)
             record(names[k], "server", "QubitTransfer", payload)
-        result = verify_client(copy_shares, angles, self.rng)
+        result = verify_client(copy_shares, prepared, self.rng)
         # the server learns the survivor before the other copies are opened;
         # recording afterwards gives the same log, as recording draws nothing
         record("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
@@ -295,9 +296,10 @@ class Session:
                 record(names[piece.owner], "server", "ShareDistribution", {**context, "share": share})
         record("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": sorted(result.outcomes.items())})
         if not result.accepted:
-            record("server", "all", "Abort", {"stage": "verification", "node": node, "client": k, "reason": COPY_TEST_FAILED})
-            return None
-        self.system.add_register(plus_state(angles[result.survivor]), [labels[result.survivor]], ["server"])
+            abort = AbortInfo("verification", node, k, COPY_TEST_FAILED)
+            record("server", "all", "Abort", asdict(abort))
+            return abort
+        self.system.add_register(plus_state(prepared[result.survivor]), [labels[result.survivor]], ["server"])
         self.submit(copy_shares[result.survivor], {"kind": "survivor-angle", **where, "copy": result.survivor}, payloads[result.survivor])
         return labels[result.survivor]
 
@@ -347,10 +349,10 @@ def run_full_protocol(
     for j in graph.measured_nodes:
         registers: dict[int, str] = {}
         for k in contributors(graph, j):
-            survivor = session.offer_test_copies(j, k, next(copy_angles))
-            if survivor is None:
-                abort = AbortInfo("verification", j, k, COPY_TEST_FAILED)
-                return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, abort, ledger)
+            angles = next(copy_angles)
+            survivor = session.offer_test_copies(j, k, angles, angles)
+            if isinstance(survivor, AbortInfo):
+                return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, survivor, ledger)
             registers[k] = survivor
         if j in graph.input_nodes:
             session.send_padded_input(j, pad_a[j], pad_theta[j])

@@ -13,10 +13,10 @@ import pytest
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, corrected_angle, random_pattern, reference_execute
 from mpdqc.cli import _pool_distance
-from mpdqc.harness import blindness_check, copy_test_rejection, observe, sample
+from mpdqc.harness import blindness_check, observe, sample
 from mpdqc.oracle import reconstruct, share_secret
-from mpdqc.protocol import run_full_protocol
-from mpdqc.quantum import PureState, flip, octant, plus_state
+from mpdqc.protocol import AbortInfo, Session, Transcript, run_full_protocol
+from mpdqc.quantum import PureState, QuantumSystem, flip, octant, plus_state
 from mpdqc.rsp import theta_input
 from reference import chain_branches, pad_input, undo_pad
 
@@ -115,16 +115,29 @@ def test_a3_server_views_are_scenario_independent(capsys):
 # --------------------------------------------------------------------- A4
 
 
+def deviating_batches(deviation: int, batches: int, rng) -> int:
+    """Rejections among batches of two copies, declared at a uniform angle but
+    prepared `deviation` octants off, each through Session.offer_test_copies
+    on a fresh two-client session; a batch opens one copy."""
+    rejections = 0
+    for _ in range(batches):
+        theta = int(rng.integers(8))
+        session = Session(QuantumSystem(), Transcript(), rng, 2)
+        rejections += isinstance(session.offer_test_copies(0, 1, [theta] * 2, [octant(theta + deviation)] * 2), AbortInfo)
+    return rejections
+
+
 def test_a4_copy_tests_catch_deviations(capsys):
     """Per-copy rejection rates at one- and four-octant deviations."""
     budget = 10.0
     start = time.perf_counter()
     rng = np.random.default_rng([SEED, 104])
-    rejections, tested = copy_test_rejection(1, 10000, rng)
+    tested, tested4 = 10000, 2000
+    rejections = deviating_batches(1, tested, rng)
     rate = rejections / tested
     center = float(np.sin(np.pi / 8) ** 2)
     lo, hi = center - 0.02, center + 0.02
-    rej4, tested4 = copy_test_rejection(4, 2000, rng)
+    rej4 = deviating_batches(4, tested4, rng)
     elapsed = time.perf_counter() - start
     ok = lo <= rate <= hi and rej4 == tested4 and elapsed < budget
     verdict(capsys, "A4", ok, f"deviation 1 rejected {rate:.4f} of {tested} copies (band [{lo:.4f}, {hi:.4f}]), deviation 4 rejected {rej4}/{tested4}, {elapsed:.1f}s")

@@ -324,6 +324,33 @@ def test_module_entry_point_exits_with_the_config_verdict(tmp_path):
     assert json.loads((out / "report.json").read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("blocked", ["a file", "a path under a file"])
+def test_an_out_that_cannot_be_a_directory_exits_1_before_the_run(tmp_path, monkeypatch, capsys, blocked):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran before its output directory existed")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken if blocked == "a file" else taken / "out"
+    cfg = write_config(tmp_path, mode="honest-run", seed=0, n_wires=2, n_columns=2)
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"output error: cannot create directory {out}: "), err
+    assert taken.read_text() == "kept\n"
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import, and only
+    # protocol1-detection (harness.clopper_pearson) uses it
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, mpdqc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "'scipy.stats'" not in done.stdout, done.stdout
+
+
 # ------------------------------------------------------------ honest mode
 
 

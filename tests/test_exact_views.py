@@ -175,6 +175,32 @@ def test_a_zeroed_pad_leaks_through_the_batched_views(monkeypatch):
     assert max(view_distance(a[cp], b[cp]) for cp in a) > 0.1
 
 
+@pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 2, 2), (2, 3, 1), (4, 2, 0)])
+@pytest.mark.parametrize("spec", ["random", "zeros", "ones"])
+def test_every_branch_has_conditional_probability_one_half(monkeypatch, n_wires, n_columns, n_ref, spec):
+    # with causal flow every measured node has an unmeasured successor, so
+    # each outcome of each round is equally likely and the views never
+    # need to drop an empty branch; a graph where one could be empty fails here
+    project = harness._project_first
+    ratios = []
+
+    def measured(rows, delta):
+        out = project(rows, delta)
+        before = np.sum(np.abs(rows) ** 2, axis=1)
+        ratios.append(np.sum(np.abs(out) ** 2, axis=1) / np.tile(before, 2))
+        return out
+
+    monkeypatch.setattr(harness, "_project_first", measured)
+    monkeypatch.setattr(harness, "_class_matrices", lambda *args: {})  # only the branches are looked at
+    graph = build_brickwork(n_wires, n_columns)
+    rng = np.random.default_rng(n_wires * 10 + n_columns)
+    n_qubits = n_wires + n_ref
+    state = random_input(n_qubits, rng) if spec == "random" else PureState.computational(("0" if spec == "zeros" else "1") * n_qubits)
+    exact_server_views(random_pattern(graph, rng), state)
+    assert len(ratios) == len(graph.measured_nodes)
+    assert max(np.max(np.abs(r - 0.5)) for r in ratios) <= 1e-12
+
+
 @pytest.mark.parametrize("n_columns,n_ref,expected", [(2, 0, 1_024), (2, 1, 2_048), (3, 0, 65_536)])
 def test_the_largest_row_array_is_the_amplitude_count(monkeypatch, n_columns, n_ref, expected):
     graph = build_brickwork(2, n_columns)

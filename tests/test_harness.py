@@ -11,7 +11,6 @@ from mpdqc.harness import (
     check_no_secret_leak,
     clopper_pearson,
     coalition_view_summary,
-    copy_test_rejection,
     empirical_tv,
     exact_server_views,
     marginal_distances,
@@ -110,6 +109,33 @@ def test_rewritten_protocols_compute_the_same_thing(version):
     for seed in range(4):
         run = run_intermediate_protocol(pattern, psi, np.random.default_rng(seed), version)
         assert run.output_state.fidelity(expected) >= 1 - 1e-9
+
+
+def test_dropping_theta_from_the_blind_angle_breaks_correctness_and_blindness(monkeypatch):
+    # negative control: every caller of oracle.blind_angle (the ledger, the
+    # teleport rewrite and the exact views) loses the pad angle theta
+    import mpdqc.oracle
+
+    graph = build_brickwork(2, 2)
+    pattern = MeasurementPattern(graph, {1: 1, 2: 3})
+    psi = random_state(2, np.random.default_rng(31))
+    expected = reference_execute(pattern, psi, np.random.default_rng(0))
+    worlds = {
+        "base": lambda: run_full_protocol(pattern, psi, np.random.default_rng(32)),
+        "teleport": lambda: run_intermediate_protocol(pattern, psi, np.random.default_rng(33), "teleport"),
+    }
+    zero = MeasurementPattern(graph, {1: 0, 2: 0})
+    zeros = PureState.computational("00")
+    for run in worlds.values():
+        assert run().output_state.fidelity(expected) >= 1 - 1e-9
+    assert max(blindness_check(zero, zeros, pattern, zeros).values()) <= 1e-9
+
+    kernel = mpdqc.oracle.blind_angle
+    for module in (mpdqc.oracle, harness):
+        monkeypatch.setattr(module, "blind_angle", lambda corrected, r, theta, a: kernel(corrected, r, 0 * theta, a))
+    for world, run in worlds.items():
+        assert run().output_state.fidelity(expected) < 1 - 1e-6, world
+    assert max(blindness_check(zero, zeros, pattern, zeros).values()) > 0.1
 
 
 def test_simulated_server_world_handles_references():
@@ -271,21 +297,14 @@ def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
             observe(world, pattern, psi, np.random.default_rng(8), m_copies=3, coalition=frozenset({2}))
 
 
-def test_copy_test_rejection_extremes():
-    rng = np.random.default_rng(9)
-    rejections, tested = copy_test_rejection(0, 300, rng)
-    assert (rejections, tested) == (0, 300)
-    rejections, tested = copy_test_rejection(4, 300, rng)
-    assert (rejections, tested) == (300, 300)
-
-
 def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
-    # A4 measures the kernel through copy_test_rejection; the protocol and
-    # the coalition simulator must run that same kernel, once per
+    # the protocol, the coalition simulator and protocol1-detection must
+    # all run the one kernel, through Session.offer_test_copies, once per
     # (measured node, contributor) whose copies are really tested
     import mpdqc.harness
     import mpdqc.oracle
     import mpdqc.protocol
+    from mpdqc.cli import MODES
 
     kernel = mpdqc.oracle.verify_client
     calls = []
@@ -310,5 +329,6 @@ def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
     assert not run_simulated_client_world(pattern, psi, {2}, rng, m_copies=3).abort
     assert calls == [(j, k) for j, k in contributions if k == 2]
     calls.clear()
-    copy_test_rejection(1, 25, rng)
+    detection = MODES["protocol1-detection"]
+    assert detection.run(detection.settings({"seed": 3, "trials": 25}), False)["details"]["tested"] == 25
     assert calls == [(0, 1)] * 25

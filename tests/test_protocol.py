@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ import pytest
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, random_pattern, reference_execute
 from mpdqc.oracle import SecretShare, reconstruct
 from mpdqc.protocol import (
+    COPY_TEST_FAILED,
     VARIANTS,
+    AbortInfo,
     QuantumSystem,
     ServerStrategy,
+    Session,
     Transcript,
     _qubit_payload,
     contributors,
     message_counts,
     run_full_protocol,
 )
-from mpdqc.quantum import PureState, plus_state
+from mpdqc.quantum import PureState, octant, plus_state
 from reference import states_equal
 
 RNG = np.random.default_rng(55)
@@ -206,6 +210,29 @@ def test_opened_copies_never_become_registers(monkeypatch):
     assert not [label for label in run.system.owner if label.startswith("copy:")]
 
 
+def test_the_copy_test_catches_copies_off_their_declared_angles():
+    # each batch: client 1 declares one angle for two copies, prepares both
+    # `deviation` octants off, and offers them on a fresh two-client session
+    rng = np.random.default_rng(9)
+    for deviation in (0, 4):
+        for _ in range(300):
+            theta = int(rng.integers(8))
+            prepared = [octant(theta + deviation)] * 2
+            session = Session(QuantumSystem(), Transcript(), rng, 2, debug_secrets=True)
+            result = session.offer_test_copies(0, 1, [theta] * 2, prepared)
+            messages = session.transcript.messages
+            sent = [m.payload["amplitudes"] for m in messages if m.variant == "QubitTransfer"]
+            assert sent == [[[z.real, z.imag] for z in plus_state(prepared[0]).amps]] * 2
+            if deviation == 0:
+                # cos^2(0) = 1: the opened copy always passes, the survivor goes to the server
+                assert session.system.owner == {result: "server"} and result.startswith("copy:0:1:")
+            else:
+                # cos^2(pi/2) = 0: the opened copy always fails and the run aborts
+                assert result == AbortInfo("verification", 0, 1, COPY_TEST_FAILED)
+                assert (messages[-1].variant, messages[-1].payload) == ("Abort", asdict(result))
+                assert not session.system.owner
+
+
 def test_delta_announcements_match_the_ledger():
     _, _, run = run_once(2, 3, seed=14)
     announced = {
@@ -321,6 +348,29 @@ def test_server_tampering_corrupts_the_output():
     run = run_full_protocol(pattern, psi, rng, m_copies=2, server_strategy=ServerStrategy(before_output_send=tamper))
     assert not run.aborted
     assert run.output_state.fidelity(expected) < 1 - 1e-3
+
+
+def test_before_measurement_fires_between_each_delta_and_its_result(monkeypatch):
+    # the server's mid-run hook sees node j after delta_j is announced and
+    # before b_j is broadcast, once per measured node, in flow order
+    events = []
+    record = Transcript.record
+
+    def logged(self, sender, receiver, variant, payload):
+        if variant in ("DeltaAnnounce", "ResultBroadcast"):
+            events.append((variant, payload["node"]))
+        return record(self, sender, receiver, variant, payload)
+
+    def before_measurement(handle, node):
+        handle.density([node])  # the server holds the node it is about to measure
+        events.append(("hook", node))
+
+    monkeypatch.setattr(Transcript, "record", logged)
+    _, _, run = run_once(2, 4, seed=26, server_strategy=ServerStrategy(before_measurement=before_measurement))
+    assert not run.aborted
+    order = run.ledger.flow.order
+    assert len(order) == 6
+    assert events == [(step, j) for j in order for step in ("DeltaAnnounce", "hook", "ResultBroadcast")]
 
 
 def test_debug_mode_exposes_amplitudes_and_clean_mode_does_not():
