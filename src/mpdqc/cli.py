@@ -279,7 +279,7 @@ def _mode_honest_run(settings: dict, debug: bool) -> dict:
         "passed": fidelity >= 1 - settings["threshold"],
         "transcript": run.transcript,
         "details": {
-            "messages": len(run.transcript.messages),
+            "messages": len(run.transcript),
             "deltas": {str(k): v for k, v in sorted(run.delta.items())},
             "outcomes": {str(k): v for k, v in sorted(run.b.items())},
             "peak_qubits": run.system.peak_qubits,

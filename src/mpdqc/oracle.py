@@ -50,36 +50,17 @@ class SecretShare(_Share):
         return super().__new__(cls, owner, tuple(tag), int(value) % modulus, modulus)
 
 
-def _split(value: int, pieces: list[int], modulus: int, tag: Tag) -> list[SecretShare]:
-    """Shares of one secret from its n - 1 random pieces; the last share closes the sum."""
-    last = (value - sum(pieces)) % modulus
-    return [SecretShare(k + 1, tag, v, modulus) for k, v in enumerate([*pieces, last])]
-
-
 def share_secret(value: int, n: int, modulus: int, rng: np.random.Generator, tag: Tag = ()) -> list[SecretShare]:
     """Split a secret into n additive shares mod `modulus`, one per client.
 
-    The n - 1 random pieces are scalar draws: for one secret a sized draw
-    costs more than it saves.
+    The n - 1 random pieces are scalar draws, and the last share closes the
+    sum: for one secret a sized draw costs more than it saves.
     """
     if n < 1:
         raise ValueError("need at least one share")
-    return _split(value, [int(rng.integers(modulus)) for _ in range(n - 1)], modulus, tag)
-
-
-def share_secrets(values: Sequence[int], n: int, modulus: int, rng: np.random.Generator, tags: Sequence[Tag]) -> list[list[SecretShare]]:
-    """Share a batch of secrets with one draw of all their random pieces.
-
-    Equal to [share_secret(v, n, modulus, rng, t) for v, t in zip(values,
-    tags)], draw for draw: a sized integers call yields the same stream as
-    that many scalar calls, in row order, so the rng ends in the same state.
-    """
-    if n < 1:
-        raise ValueError("need at least one share")
-    if len(values) != len(tags):
-        raise ValueError("one tag per secret")
-    pieces = rng.integers(modulus, size=(len(values), n - 1)).tolist()
-    return [_split(v, row, modulus, tag) for v, row, tag in zip(values, pieces, tags)]
+    pieces = [int(rng.integers(modulus)) for _ in range(n - 1)]
+    last = (value - sum(pieces)) % modulus
+    return [SecretShare(k + 1, tag, v, modulus) for k, v in enumerate([*pieces, last])]
 
 
 def reconstruct(shares: Sequence[SecretShare]) -> int:
@@ -108,30 +89,33 @@ class VerificationResult:
 P0 = tuple(float(np.cos(d * np.pi / 8) ** 2) for d in range(8))
 
 
-def verify_client(angle_shares: Sequence[Sequence[SecretShare]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
+def verify_client(shares: Sequence[Sequence[int]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
     """The copy test: check a batch of declared-angle copies from one client.
 
-    Copy i was prepared as |+_prepared[i]>; its declared angle is
-    reconstructed from its share set. One uniformly chosen survivor is left
-    untouched; every other copy is opened and measured in the basis its
-    declaration promises. An opened copy never meets another qubit, so its
-    outcome is drawn in closed form: 1 with probability 1 - P0 of the gap
-    between prepared and declared angle, 0 with certainty for an honest
-    copy. The survivor comes first, from rng.integers(m), then one uniform
-    per opened copy in index order, all in one rng.random(m - 1) call (for
-    PCG64 a sized draw equals as many scalar draws). Any outcome 1 rejects
-    the client. The survivor's index is returned so the caller can feed
-    that copy (and its still-secret shares) onward.
+    shares is an (m, n) array of share values mod 8, row i the n pieces of
+    copy i's declared angle, which the oracle reconstructs as the row sum
+    mod 8. Copy i was prepared as |+_prepared[i]>. One uniformly chosen
+    survivor is left untouched; every other copy is opened and measured in
+    the basis its declaration promises. An opened copy never meets another
+    qubit, so its outcome is drawn in closed form: 1 with probability
+    1 - P0 of the gap between prepared and declared angle, 0 with certainty
+    for an honest copy. The survivor comes first, from rng.integers(m),
+    then one uniform per opened copy in index order, all in one
+    rng.random(m - 1) call (for PCG64 a sized draw equals as many scalar
+    draws). Any outcome 1 rejects the client. The survivor's index is
+    returned so the caller can feed that copy (and its still-secret shares)
+    onward.
     """
-    m = len(angle_shares)
+    m = len(shares)
     if m < 2:
         raise ValueError("need at least 2 copies to test any")
     if len(prepared) != m:
         raise ValueError("one prepared angle per copy")
+    declared = [sum(row) % 8 for row in shares]
     survivor = int(rng.integers(m))
     opened = [i for i in range(m) if i != survivor]
     uniforms = rng.random(m - 1).tolist()
-    outcomes = {i: int(u >= P0[(prepared[i] - reconstruct(angle_shares[i])) % 8]) for i, u in zip(opened, uniforms)}
+    outcomes = {i: int(u >= P0[(prepared[i] - declared[i]) % 8]) for i, u in zip(opened, uniforms)}
     return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
 
 

@@ -23,10 +23,10 @@ from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_sy
 from .oracle import (
     OracleLedger,
     SecretShare,
+    VerificationResult,
     a_tag,
     r_tag,
     share_secret,
-    share_secrets,
     theta_tag,
     verify_client,
 )
@@ -43,7 +43,6 @@ VARIANTS = (
     "OutputKeys",
     "Abort",
 )
-_KNOWN_VARIANTS = frozenset(VARIANTS)
 
 
 class Message(NamedTuple):
@@ -60,17 +59,56 @@ class Message(NamedTuple):
 
 
 class Transcript:
-    """Ordered log of every classical message exchanged during a run."""
+    """Ordered log of every classical message exchanged during a run.
+
+    It holds Messages and deferred entries (one per copy test, see
+    CopyTest) in order. An entry reserves the seqs of its messages when it
+    is deferred, and reading `messages` builds them, once, in place. So
+    every reader (visible_to, to_jsonl) sees the same log as if each
+    message had been recorded when it was sent. `counts` (messages per
+    variant) and len() are exact without building anything.
+    """
 
     def __init__(self):
-        self.messages: list[Message] = []
+        self._messages: list[Message] = []
+        # deferred entries as (first seq, entry), and the Messages recorded
+        # after the first of them, in order; empty whenever all are built
+        self._pending: list[Message | tuple[int, CopyTest]] = []
+        self.counts: dict[str, int] = dict.fromkeys(VARIANTS, 0)
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
 
     def record(self, sender: str, receiver: str, variant: str, payload: dict) -> Message:
-        if variant not in _KNOWN_VARIANTS:
+        counts = self.counts
+        if variant not in counts:
             raise ValueError(f"unknown message variant {variant!r}")
-        msg = Message(len(self.messages), sender, receiver, variant, payload)
-        self.messages.append(msg)
+        msg = Message(self._size, sender, receiver, variant, payload)
+        self._size += 1
+        counts[variant] += 1
+        (self._pending or self._messages).append(msg)
         return msg
+
+    def defer(self, entry: CopyTest) -> None:
+        """Log an entry whose messages are built when the transcript is read."""
+        self._pending.append((self._size, entry))
+        for variant, count in entry.counts().items():
+            self.counts[variant] += count
+            self._size += count
+
+    @property
+    def messages(self) -> list[Message]:
+        """Every message in seq order; deferred entries are built on the first read after them."""
+        if self._pending:
+            for item in self._pending:
+                if isinstance(item, Message):
+                    self._messages.append(item)
+                else:
+                    seq, entry = item
+                    self._messages.extend(entry.messages(seq))
+            self._pending.clear()
+        return self._messages
 
     def visible_to(self, parties: set[str]) -> list[Message]:
         """Messages a set of parties sees: sent, received, or broadcast."""
@@ -81,7 +119,8 @@ class Transcript:
         return out
 
     def to_jsonl(self) -> str:
-        return "\n".join(m.to_json() for m in self.messages) + ("\n" if self.messages else "")
+        messages = self.messages
+        return "\n".join(m.to_json() for m in messages) + ("\n" if messages else "")
 
 
 def share_payload(share: SecretShare) -> dict:
@@ -170,6 +209,78 @@ def _client(k: int) -> str:
 COPY_TEST_FAILED = "test copy failed its declared basis"
 
 
+class CopyTest(NamedTuple):
+    """One contributor's copy test for one node, as a single transcript entry.
+
+    shares holds the (m, n) share values of the m declared copy angles,
+    row i closing copy i's angle mod 8; result is the oracle's verdict.
+    `messages` builds what the test sends, in the order it is sent: the
+    contributor's pieces of every angle to its peers, the m QubitTransfers
+    (under debug_secrets with the amplitudes of plus_state(prepared[i])),
+    the survivor, every piece of each opened angle to the server, the
+    verification outcomes, then the Abort or the survivor's pieces to the
+    oracle. Each share has one payload dict, shared by all its messages.
+    """
+
+    node: int
+    contributor: int
+    shares: list[list[int]]
+    prepared: list[int]
+    result: VerificationResult
+    debug_secrets: bool
+
+    def counts(self) -> dict[str, int]:
+        """Messages per variant, in closed form."""
+        m, n = len(self.shares), len(self.shares[0])
+        accepted = int(self.result.accepted)
+        return {
+            "ShareDistribution": (n - 1) * m + n * (m - 1) + n * accepted,
+            "QubitTransfer": m,
+            "OutcomeVector": 2,
+            "Abort": 1 - accepted,
+        }
+
+    def messages(self, seq: int) -> list[Message]:
+        """The test's messages, numbered from seq."""
+        node, k, result = self.node, self.contributor, self.result
+        names = {owner: _client(owner) for owner in range(1, len(self.shares[0]) + 1)}
+        where = {"node": node, "contributor": k}
+        # share_payload(SecretShare(owner, theta_tag(node, k, i), value, 8)),
+        # written out: a read builds thousands of them
+        payloads = [
+            [{"owner": owner, "tag": ["theta", node, k, i], "value": value, "modulus": 8} for owner, value in enumerate(row, 1)]
+            for i, row in enumerate(self.shares)
+        ]
+        out: list[Message] = []
+
+        def send(sender: str, receiver: str, variant: str, payload: dict) -> None:
+            out.append(Message(seq + len(out), sender, receiver, variant, payload))
+
+        for i, shares in enumerate(payloads):
+            context = {"kind": "copy-angle", **where, "copy": i}
+            for share in shares:
+                if share["owner"] != k:
+                    send(names[k], names[share["owner"]], "ShareDistribution", {**context, "share": share})
+        for i, theta in enumerate(self.prepared):
+            payload = {**where, "copy": i, "purpose": "test-copy", "label": f"copy:{node}:{k}:{i}"}
+            if self.debug_secrets:
+                payload["amplitudes"] = _amplitude_pairs(plus_state(theta).amps)
+            send(names[k], "server", "QubitTransfer", payload)
+        send("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
+        for i in result.outcomes:
+            context = {"kind": "opened-angle", **where, "copy": i}
+            for share in payloads[i]:
+                send(names[share["owner"]], "server", "ShareDistribution", {**context, "share": share})
+        send("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": sorted(result.outcomes.items())})
+        if not result.accepted:
+            send("server", "all", "Abort", asdict(AbortInfo("verification", node, k, COPY_TEST_FAILED)))
+        else:
+            context = {"kind": "survivor-angle", **where, "copy": result.survivor}
+            for share in payloads[result.survivor]:
+                send(names[share["owner"]], "oracle", "ShareDistribution", {**context, "share": share})
+        return out
+
+
 def contributors(graph: BrickworkGraph, node: int) -> list[int]:
     """Clients that offer test copies for a node; an input's owner contributes the padded input itself."""
     return [k for k in range(1, graph.n_wires + 1) if not (node in graph.input_nodes and k == node)]
@@ -231,15 +342,12 @@ class Session:
         self.names = {k: _client(k) for k in range(1, self.n_clients + 1)}
 
     def hand_out(self, owner: int, shares: list[SecretShare], context: dict) -> None:
-        """Client `owner` gives every other client its piece; each holder then submits its piece to the oracle."""
+        """Client `owner` gives every other client its piece; each holder then
+        submits its piece to the oracle, whose ledger registers it."""
         payloads = [share_payload(piece) for piece in shares]
         for piece, share in zip(shares, payloads):
             if piece.owner != owner:
                 self.transcript.record(self.names[owner], self.names[piece.owner], "ShareDistribution", {**context, "share": share})
-        self.submit(shares, context, payloads)
-
-    def submit(self, shares: list[SecretShare], context: dict, payloads: list[dict]) -> None:
-        """Each holder sends its piece (payload: its share_payload) to the oracle, whose ledger registers it."""
         for piece, share in zip(shares, payloads):
             self.transcript.record(self.names[piece.owner], "oracle", "ShareDistribution", {**context, "share": share})
             if self.ledger is not None:
@@ -259,49 +367,31 @@ class Session:
     def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> str | AbortInfo:
         """One contributor's copies for a node, through the copy test.
 
-        The contributor shares each copy's declared angle among the clients
-        and hands the server copy i as |+_prepared[i]>, one QubitTransfer
-        each; an honest contributor passes the same list twice.
-        oracle.verify_client then opens and measures all but one survivor
-        in closed form. An opened copy never meets another qubit, so only
-        the survivor becomes a register, owned by the server, once the test
-        has passed; under debug_secrets a copy's amplitudes are those of
-        plus_state(prepared[i]). Records the survivor, opened-angle,
-        verification and, on failure, abort messages. Returns the
-        survivor's label once its angle shares went to the oracle, or the
-        AbortInfo of the failed test.
+        The contributor shares each copy's declared angle among the clients,
+        all (m, n - 1) random pieces in one draw and each row closed to its
+        angle mod 8, and hands the server copy i as |+_prepared[i]>; an
+        honest contributor passes the same list twice. oracle.verify_client
+        then opens and measures all but one survivor in closed form. An
+        opened copy never meets another qubit, so only the survivor becomes
+        a register, owned by the server, once the test has passed, and its
+        pieces go to the oracle. The test is logged as one CopyTest entry,
+        whose messages are built when the transcript is read. Returns the
+        survivor's label, or the AbortInfo of the failed test.
         """
-        record, names, k = self.transcript.record, self.names, contributor
-        where = {"node": node, "contributor": k}
-        copy_shares = share_secrets(declared, self.n_clients, 8, self.rng, [theta_tag(node, k, i) for i in range(len(declared))])
-        payloads = [[share_payload(piece) for piece in shares] for shares in copy_shares]
-        for i, shares in enumerate(copy_shares):
-            context = {"kind": "copy-angle", **where, "copy": i}
-            for piece, share in zip(shares, payloads[i]):
-                if piece.owner != k:
-                    record(names[k], names[piece.owner], "ShareDistribution", {**context, "share": share})
-        labels = [f"copy:{node}:{k}:{i}" for i in range(len(declared))]
-        for i, theta in enumerate(prepared):
-            payload = {**where, "copy": i, "purpose": "test-copy", "label": labels[i]}
-            if self.debug_secrets:
-                payload["amplitudes"] = _amplitude_pairs(plus_state(theta).amps)
-            record(names[k], "server", "QubitTransfer", payload)
-        result = verify_client(copy_shares, prepared, self.rng)
-        # the server learns the survivor before the other copies are opened;
-        # recording afterwards gives the same log, as recording draws nothing
-        record("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
-        for i in result.outcomes:
-            context = {"kind": "opened-angle", **where, "copy": i}
-            for piece, share in zip(copy_shares[i], payloads[i]):
-                record(names[piece.owner], "server", "ShareDistribution", {**context, "share": share})
-        record("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": sorted(result.outcomes.items())})
+        k = contributor
+        pieces = self.rng.integers(8, size=(len(declared), self.n_clients - 1)).tolist()
+        shares = [[*row, (theta - sum(row)) % 8] for row, theta in zip(pieces, declared)]
+        result = verify_client(shares, prepared, self.rng)
+        self.transcript.defer(CopyTest(node, k, shares, list(prepared), result, self.debug_secrets))
         if not result.accepted:
-            abort = AbortInfo("verification", node, k, COPY_TEST_FAILED)
-            record("server", "all", "Abort", asdict(abort))
-            return abort
-        self.system.add_register(plus_state(prepared[result.survivor]), [labels[result.survivor]], ["server"])
-        self.submit(copy_shares[result.survivor], {"kind": "survivor-angle", **where, "copy": result.survivor}, payloads[result.survivor])
-        return labels[result.survivor]
+            return AbortInfo("verification", node, k, COPY_TEST_FAILED)
+        label = f"copy:{node}:{k}:{result.survivor}"
+        self.system.add_register(plus_state(prepared[result.survivor]), [label], ["server"])
+        if self.ledger is not None:
+            tag = theta_tag(node, k, result.survivor)
+            for owner, value in enumerate(shares[result.survivor], 1):
+                self.ledger.register_share(SecretShare(owner, tag, value, 8))
+        return label
 
 
 def run_full_protocol(

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from mpdqc.brickwork import MeasurementPattern, compute_flow, graph_state, input_system
-from mpdqc.oracle import SecretShare, VerificationResult, reconstruct
+from mpdqc.oracle import VerificationResult
 from mpdqc.protocol import ServerStrategy, run_full_protocol
 from mpdqc.quantum import PureState, flip, octant, plus_state
 from mpdqc.rsp import chain_steps
@@ -62,19 +62,20 @@ def input_chain_steps(n: int, owner: int) -> list[tuple[int, int]]:
     return steps
 
 
-def register_copy_test(angle_shares: Sequence[Sequence[SecretShare]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
+def register_copy_test(shares: Sequence[Sequence[int]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
     """oracle.verify_client measured through the statevector kernel.
 
-    Copy i becomes the register plus_state(prepared[i]); the survivor is
-    drawn first, then every other copy is measured with measure_rotated in
-    its declared basis, in index order, one uniform each.
+    shares[i] holds the values of copy i's pieces, summing to its declared
+    angle mod 8. Copy i becomes the register plus_state(prepared[i]); the
+    survivor is drawn first, then every other copy is measured with
+    measure_rotated in its declared basis, in index order, one uniform each.
     """
-    m = len(angle_shares)
+    m = len(shares)
     if m < 2:
         raise ValueError("need at least 2 copies to test any")
     survivor = int(rng.integers(m))
     outcomes = {
-        i: plus_state(prepared[i]).measure_rotated(0, reconstruct(angle_shares[i]), rng)[0]
+        i: plus_state(prepared[i]).measure_rotated(0, sum(shares[i]) % 8, rng)[0]
         for i in range(m) if i != survivor
     }
     return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)

@@ -23,7 +23,7 @@ from mpdqc.harness import (
     view_distance,
 )
 from mpdqc.oracle import VerificationResult, share_secret, theta_tag
-from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, Transcript, run_full_protocol, share_payload
+from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, Session, Transcript, run_full_protocol, share_payload
 from mpdqc.quantum import DensityMatrix, PureState, trace_distance
 from reference import sampled_prepared_density
 
@@ -264,6 +264,23 @@ def test_observe_summarizes_each_world_and_raises_on_abort(monkeypatch):
         observe("base", pattern, psi, np.random.default_rng(5))
 
 
+def _note_offered_batches(monkeypatch) -> list[tuple[int, int]]:
+    """(node, contributor) of every Session.offer_test_copies call, in call order.
+
+    The kernel sees only share values, so a patched kernel reads the batch
+    it is testing from the last entry.
+    """
+    offered = []
+    offer = Session.offer_test_copies
+
+    def noted(self, node, contributor, declared, prepared):
+        offered.append((node, contributor))
+        return offer(self, node, contributor, declared, prepared)
+
+    monkeypatch.setattr(Session, "offer_test_copies", noted)
+    return offered
+
+
 def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
     # the full protocol and the coalition simulator both run
     # protocol.verify_client; rejecting every batch must stop both at the
@@ -271,11 +288,11 @@ def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
     import mpdqc.protocol
 
     kernel = mpdqc.protocol.verify_client
-    tested = []
+    offered, tested = _note_offered_batches(monkeypatch), []
 
-    def reject(angle_shares, prepared, rng):
-        tested.append(angle_shares[0][0].tag[1:3])  # (node, contributor) of the theta tag
-        result = kernel(angle_shares, prepared, rng)
+    def reject(shares, prepared, rng):
+        tested.append(offered[-1])
+        result = kernel(shares, prepared, rng)
         return VerificationResult(False, result.survivor, dict.fromkeys(result.outcomes, 1))
 
     monkeypatch.setattr(mpdqc.protocol, "verify_client", reject)
@@ -307,11 +324,11 @@ def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
     from mpdqc.cli import MODES
 
     kernel = mpdqc.oracle.verify_client
-    calls = []
+    offered, calls = _note_offered_batches(monkeypatch), []
 
-    def counted(angle_shares, prepared, rng):
-        calls.append(angle_shares[0][0].tag[1:3])  # (node, contributor) of the theta tag
-        return kernel(angle_shares, prepared, rng)
+    def counted(shares, prepared, rng):
+        calls.append(offered[-1])
+        return kernel(shares, prepared, rng)
 
     for module in (mpdqc.oracle, mpdqc.protocol, mpdqc.harness):
         if getattr(module, "verify_client", None) is kernel:

@@ -12,11 +12,11 @@ from mpdqc.oracle import (
     r_tag,
     reconstruct,
     share_secret,
-    share_secrets,
     theta_tag,
     verify_client,
 )
-from mpdqc.quantum import flip, octant, plus_state
+from mpdqc.protocol import Session, Transcript
+from mpdqc.quantum import QuantumSystem, flip, octant, plus_state
 from mpdqc.rsp import theta_input
 from reference import register_copy_test
 
@@ -75,38 +75,44 @@ def test_secret_share_checks_reduces_and_freezes():
         share.value = 0
 
 
-@pytest.mark.parametrize("modulus", [2, 8])
+@pytest.mark.parametrize("m_copies", [2, 8])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_batched_shares_equal_sequential_shares(modulus, n):
-    # one sized draw of all pieces must give the same shares, and leave the
-    # generator in the same state, as one share_secret call per secret
-    for batch in range(1, 13):
-        values = [(7 * i + batch) % modulus for i in range(batch)]
-        tags = [theta_tag(1, 2, i) for i in range(batch)]
-        rng_a, rng_b = np.random.default_rng([n, batch]), np.random.default_rng([n, batch])
-        rng_a.integers(2)  # start the batch mid-word in the 32-bit draw buffer
-        rng_b.integers(2)
-        batched = share_secrets(values, n, modulus, rng_a, tags)
-        sequential = [share_secret(v, n, modulus, rng_b, t) for v, t in zip(values, tags)]
-        assert batched == sequential
-        assert all(reconstruct(shares) == v for shares, v in zip(batched, values))
+def test_batched_shares_equal_sequential_shares(m_copies, n):
+    # a copy test draws all (m, n - 1) pieces of its angles in one call and
+    # closes each row to its angle; the pieces it sends must be the shares of
+    # one share_secret call per angle, and the generator must end in the
+    # same state once the test's own survivor and opened-copy draws follow
+    for trial in range(6):
+        contributor = trial % n + 1
+        declared = [(7 * i + trial) % 8 for i in range(m_copies)]
+        rng_a, rng_b = np.random.default_rng([n, m_copies, trial]), np.random.default_rng([n, m_copies, trial])
+        if trial % 2:  # start the batch mid-word in the 32-bit draw buffer
+            rng_a.integers(2)
+            rng_b.integers(2)
+        session = Session(QuantumSystem(), Transcript(), rng_a, n)
+        session.offer_test_copies(3, contributor, declared, declared)
+        # the opened angles' pieces go to the server, the survivor's to the oracle
+        pieces = {}
+        for m in session.transcript.messages:
+            if m.payload.get("kind") in ("opened-angle", "survivor-angle"):
+                pieces.setdefault(m.payload["copy"], []).append(SecretShare(**m.payload["share"]))
+        sequential = [share_secret(v, n, 8, rng_b, theta_tag(3, contributor, i)) for i, v in enumerate(declared)]
+        rng_b.integers(m_copies)
+        rng_b.random(m_copies - 1)
+        assert [pieces[i] for i in range(m_copies)] == sequential
+        assert all(reconstruct(shares) == v for shares, v in zip(sequential, declared))
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-
-def test_batched_shares_need_one_tag_per_secret():
-    with pytest.raises(ValueError):
-        share_secrets([1, 2], 2, 8, np.random.default_rng(0), [theta_tag(1, 1, 0)])
 
 
 # ------------------------------------------------------------ verification
 
 
 def _honest_copies(client: int, m: int, rng) -> tuple[list, list]:
-    """Share sets and prepared angles of m honest copies: each prepared as declared."""
+    """Share rows (the values of each copy's pieces) and prepared angles of m honest copies: each prepared as declared."""
     angle_shares, prepared = [], []
     for i in range(m):
         theta = int(rng.integers(8))
-        angle_shares.append(share_secret(theta, 2, 8, rng, theta_tag(1, client, i)))
+        angle_shares.append([piece.value for piece in share_secret(theta, 2, 8, rng, theta_tag(1, client, i))])
         prepared.append(theta)
     return angle_shares, prepared
 

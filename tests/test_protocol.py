@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, random_pattern, reference_execute
-from mpdqc.oracle import SecretShare, reconstruct
+from mpdqc.oracle import SecretShare, a_tag, reconstruct, share_secret
 from mpdqc.protocol import (
     COPY_TEST_FAILED,
     VARIANTS,
@@ -187,8 +187,12 @@ def test_more_copies_mean_more_traffic():
 def test_message_counts_match_an_honest_run(n_wires, n_columns, m_copies):
     _, _, run = run_once(n_wires, n_columns, seed=16, m_copies=m_copies)
     assert not run.aborted
+    # the transcript's own counts are exact before any copy test is built
+    expected = message_counts(n_wires, n_columns, m_copies)
+    assert run.transcript.counts == expected and len(run.transcript) == sum(expected.values())
     counted = Counter(m.variant for m in run.transcript.messages)
-    assert {v: counted[v] for v in VARIANTS} == message_counts(n_wires, n_columns, m_copies)
+    assert {v: counted[v] for v in VARIANTS} == expected == run.transcript.counts
+    assert [m.seq for m in run.transcript.messages] == list(range(len(run.transcript)))
 
 
 def test_opened_copies_never_become_registers(monkeypatch):
@@ -231,6 +235,61 @@ def test_the_copy_test_catches_copies_off_their_declared_angles():
                 assert result == AbortInfo("verification", 0, 1, COPY_TEST_FAILED)
                 assert (messages[-1].variant, messages[-1].payload) == ("Abort", asdict(result))
                 assert not session.system.owner
+
+
+def test_reading_mid_run_changes_no_message():
+    # a read builds the pending copy tests in place; messages recorded and
+    # copy tests deferred after it go on numbering from there, and the log
+    # is the one a run that was never read early gives
+    def run(read_early: bool) -> tuple[Transcript, list]:
+        session = Session(QuantumSystem(), Transcript(), np.random.default_rng(8), 3)
+        session.hand_out(1, share_secret(1, 3, 2, session.rng, a_tag(1)), {"kind": "pad-flip", "client": 1})
+        session.offer_test_copies(1, 2, [3, 5, 7], [3, 5, 7])
+        early = list(session.transcript.messages) if read_early else []
+        session.hand_out(2, share_secret(0, 3, 2, session.rng, a_tag(2)), {"kind": "pad-flip", "client": 2})
+        session.transcript.record("server", "all", "ResultBroadcast", {"node": 1, "b": 0})
+        session.offer_test_copies(2, 3, [0, 4], [0, 4])
+        session.transcript.record("server", "all", "ResultBroadcast", {"node": 2, "b": 1})
+        return session.transcript, early
+
+    read, early = run(read_early=True)
+    unread, _ = run(read_early=False)
+    # the pad flip's 2 + 3 pieces; 3 copies: 2 peer pieces each, 3 transfers,
+    # 2 outcome vectors, 3 pieces per opened copy and 3 survivor pieces
+    assert len(early) == (2 + 3) + (3 * 2 + 3 + 2 + 2 * 3 + 3)
+    assert read.messages[: len(early)] == early
+    assert [m.seq for m in read.messages] == list(range(len(read))) == list(range(len(unread)))
+    assert read.to_jsonl() == unread.to_jsonl()
+    assert read.counts == unread.counts
+
+
+def test_a_copy_shares_one_payload_dict_between_its_messages():
+    # each piece of a copy angle is one dict, in the message to its holder
+    # and again when that copy is opened or survives; handing the coalition
+    # an honest contributor's own piece of its surviving angle must trip the
+    # leak check
+    from mpdqc.harness import check_no_secret_leak
+
+    _, _, run = run_once(2, 2, seed=24, m_copies=3)
+    by_piece: dict[tuple, list] = {}
+    for msg in run.transcript.messages:
+        share = msg.payload.get("share")
+        if msg.payload.get("kind") in ("copy-angle", "opened-angle", "survivor-angle"):
+            by_piece.setdefault((tuple(share["tag"]), share["owner"]), []).append(msg)
+    assert len(by_piece) == 2 * 2 * 3  # two batches of three copies, two pieces each
+    for (tag, owner), msgs in by_piece.items():
+        kinds = [m.payload["kind"] for m in msgs]
+        if owner == tag[2]:
+            # the contributor keeps its own piece until the copy is opened or survives
+            assert len(msgs) == 1 and kinds[0] in ("opened-angle", "survivor-angle")
+        else:
+            assert kinds[0] == "copy-angle" and kinds[1:] in (["opened-angle"], ["survivor-angle"])
+            assert msgs[0].payload["share"] is msgs[1].payload["share"]
+    check_no_secret_leak(run.transcript, {2}, 2)
+    own_piece = next(msgs[0] for (tag, owner), msgs in by_piece.items() if tag[2] == owner == 1 and msgs[0].payload["kind"] == "survivor-angle")
+    run.transcript.record("client:1", "client:2", "ShareDistribution", {**own_piece.payload})
+    with pytest.raises(AssertionError, match="complete share set"):
+        check_no_secret_leak(run.transcript, {2}, 2)
 
 
 def test_delta_announcements_match_the_ledger():

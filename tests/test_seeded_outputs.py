@@ -8,6 +8,7 @@ transcript digest also pins the order of the base protocol's messages.
 """
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from mpdqc.harness import (
     run_intermediate_protocol,
     run_simulated_client_world,
 )
-from mpdqc.protocol import run_full_protocol
-from mpdqc.quantum import PureState
+from mpdqc.protocol import COPY_TEST_FAILED, VARIANTS, AbortInfo, Session, Transcript, run_full_protocol
+from mpdqc.quantum import PureState, QuantumSystem, octant
 
 RUNS = 20
 
@@ -80,6 +81,32 @@ def test_message_json_is_the_full_record_with_sorted_keys(debug_secrets):
         lines.append(line + "\n")
     digest = WIDE_DIGESTS[debug_secrets]
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+# transcript.jsonl of one rejected copy test on a fresh three-client
+# Session (seed 77): client 2 offers five copies for node 4, each prepared
+# 4 octants off its declared angle, by debug_secrets
+ABORT_DIGESTS = {
+    False: "1531acc73e6537085d66bb5a755d4f2217298130559d0fc8e04c88f726ec0ed2",
+    True: "03773c7ebbf4162c672df6c00d693665593d668c5843383fe0be15e00b0a616d",
+}
+
+
+@pytest.mark.parametrize("debug_secrets", [False, True])
+def test_rejected_copy_test_transcript_is_pinned(debug_secrets):
+    session = Session(QuantumSystem(), Transcript(), np.random.default_rng(77), 3, debug_secrets=debug_secrets)
+    declared = [1, 6, 3, 0, 5]
+    abort = session.offer_test_copies(4, 2, declared, [octant(theta + 4) for theta in declared])
+    assert abort == AbortInfo("verification", 4, 2, COPY_TEST_FAILED)
+    assert not session.system.owner
+    # 2 peer pieces per copy, 3 pieces per opened copy, no survivor pieces
+    counts = {**dict.fromkeys(VARIANTS, 0), "ShareDistribution": 2 * 5 + 3 * 4, "QubitTransfer": 5, "OutcomeVector": 2, "Abort": 1}
+    transcript = session.transcript
+    assert transcript.counts == counts and len(transcript) == 30
+    assert hashlib.sha256(transcript.to_jsonl().encode()).hexdigest() == ABORT_DIGESTS[debug_secrets]
+    counted = Counter(m.variant for m in transcript.messages)
+    assert {v: counted[v] for v in VARIANTS} == counts
+    assert transcript.messages[-1].variant == "Abort"
 
 
 @pytest.mark.parametrize(
