@@ -62,6 +62,11 @@ class BrickworkGraph:
     def neighbors(self, node: int) -> frozenset[int]:
         return self._adjacency[node]
 
+    @cached_property
+    def flow(self) -> "Flow":
+        """The graph's causal flow (compute_flow), computed once per graph."""
+        return compute_flow(self)
+
 
 def build_brickwork(n_wires: int, n_columns: int) -> BrickworkGraph:
     """Brickwork layout: horizontal rails plus brick rungs.
@@ -130,7 +135,11 @@ class Flow:
         return 0 if pred is None else flip_of(pred)
 
     def adapted_angle(self, node: int, phi: int, s_bit: Callable[[int], int], flip_of: Callable[[int], int]) -> int:
-        """corrected_angle of a measured node, given its outcome and pad-flip bits."""
+        """corrected_angle of a measured node, given its outcome and pad-flip bits.
+
+        s_bit and flip_of may return integer arrays instead of bits; the
+        angle is then computed elementwise over their broadcast shape.
+        """
         return corrected_angle(phi, flip_of(node), self._pred_flip(node, flip_of), *self.parities(node, s_bit))
 
     def output_key(self, node: int, s_bit: Callable[[int], int], flip_of: Callable[[int], int]) -> tuple[int, int]:
@@ -163,9 +172,10 @@ def corrected_angle(phi: int, a_j: int, a_pred: int, s_x: int, s_z: int) -> int:
     s_x and s_z are the parities of the node's X and Z correction sets,
     a_j is the node's own input flip and a_pred the flip of its flow
     predecessor (both zero for nodes that are not inputs / have none).
+    Plain arithmetic, like oracle.blind_angle: it takes ints (and returns
+    an int) or integer arrays elementwise.
     """
-    sign = -1 if (a_j ^ s_x) & 1 else 1
-    return octant(sign * phi + 4 * (s_z & 1) + 4 * (a_pred & 1))
+    return (phi * (1 - 2 * ((a_j ^ s_x) & 1)) + 4 * (s_z & 1) + 4 * (a_pred & 1)) % 8
 
 
 @dataclass(frozen=True)
@@ -257,7 +267,7 @@ def reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: 
     returned state is the same (up to global phase) for every rng.
     """
     graph, angles = pattern.graph, pattern.angles
-    flow = compute_flow(graph)
+    flow = graph.flow
     system, ref_labels = input_system(input_state, ["environment"] * graph.n_wires)
     node_label: dict[int, str] = {}
     graph_state(system, graph, node_label)

@@ -17,6 +17,7 @@ import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -297,7 +298,9 @@ def _mode_blindness(settings: dict, debug: bool) -> dict:
     input_a = _build_input(sc["a"].get("input"), n_qubits, rng)
     input_b = _build_input(sc["b"].get("input"), n_qubits, rng)
     classes: dict[str, int] = {}
+    start = perf_counter()
     distances = blindness_check(pattern_a, input_a, pattern_b, input_b, classes)
+    seconds = perf_counter() - start
     worst = max(distances.values())
     return {
         "metric": "max exact server-view trace distance over checkpoints",
@@ -305,7 +308,8 @@ def _mode_blindness(settings: dict, debug: bool) -> dict:
         "passed": worst <= settings["threshold"],
         # view_amplitudes counts both scenarios' row arrays
         "details": {"checkpoints": {k: float(v) for k, v in distances.items()}, "view_classes": classes,
-                    "view_amplitudes": 2 * exact_view_amplitudes(pattern_a.graph, settings["reference_qubits"])},
+                    "view_amplitudes": 2 * exact_view_amplitudes(pattern_a.graph, settings["reference_qubits"]),
+                    "seconds": seconds},
     }
 
 

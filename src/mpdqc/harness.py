@@ -23,9 +23,11 @@ identically in every scenario and independently of the effective secrets,
 so they drop out of every view distance; the preparation-equivalence tests
 pin down exactly this reduction. The views are filed by Z-twin class, the
 announced angles mod 4, so only theta in 0..3 is laid out, all (theta, a)
-combinations as rows of one array built on the protocol's own graph state
-(brickwork.graph_state), and r is not enumerated; the Z twins theta + 4
-enter as dephasing.
+combinations as rows of one array, and r is not enumerated; the Z twins
+theta + 4 enter as dephasing. The protocol's own graph state
+(brickwork.graph_state) is built once per view and every flip assignment
+derived from it, and each checkpoint is one stacked-array step (see
+exact_server_views).
 
 Both simulation checks are sampled, and every sampled verdict follows one
 rule: `sample` runs trial i of a world on its own generator,
@@ -37,7 +39,6 @@ output state.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 from math import sqrt
 from typing import Callable, Iterable, Sequence
 
@@ -46,7 +47,6 @@ import numpy as np
 from .brickwork import (
     BrickworkGraph,
     MeasurementPattern,
-    compute_flow,
     graph_state,
     input_system,
     parity,
@@ -73,6 +73,10 @@ from .rsp import run_chain, theta_input
 # 2^23 amplitudes, 128 MiB per row array: 2x4 with one reference qubit
 # fits, 2x5 (2^28) and 4x3 (2^32) do not
 EXACT_VIEW_BUDGET = 2 ** 23
+# _class_matrices multiplies classes in chunks of about this many gathered
+# amplitudes (512 KiB), so a chunk and its conjugate stay in cache; every
+# 2x2 checkpoint is one chunk
+_GRAM_CHUNK = 2 ** 15
 
 
 def exact_view_amplitudes(graph: BrickworkGraph, n_ref: int) -> int:
@@ -105,21 +109,25 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     post-state at delta. So view_distance over classes equals the distance
     over labels. theta runs over 0..3, weight 1/4 per node, r not at all,
     and the outcome is the flow bit s; the Z twins of the measured nodes
-    still live at a checkpoint are averaged at the end by dephasing them.
+    still live at a checkpoint are averaged by dephasing them.
 
     All (theta, a) combinations are walked at once, as rows of one array.
     X Z(theta) is Z(-theta) X up to phase and Z commutes with CZ, so a
-    combination is its flip assignment's graph state (brickwork.graph_state
-    after X^a on the inputs) under Z(flip(theta, a)) on the measured nodes;
+    combination is its flip assignment's graph state under
+    Z(flip(theta, a)) on the measured nodes (_flipped_graph_states derives
+    every flip assignment's state from one brickwork.graph_state build);
     each row reads the nodes in label order, then the reference qubits.
     The measured nodes lead and are measured in label order, so a round
     projects every row's qubit 0 onto both outcomes: each (combination,
     outcome path) row becomes two rows half as wide. With causal flow every
     measured node has an unmeasured successor, so each outcome has
-    conditional probability exactly 1/2 and no branch is ever empty.
+    conditional probability exactly 1/2 and no branch is ever empty. Each
+    round's corrected angles come from one flow.adapted_angle call over the
+    whole (flip assignment, outcome path) grid, and each checkpoint's
+    classes from batched Gram products (_class_matrices).
     """
     graph, angles = pattern.graph, pattern.angles
-    flow = compute_flow(graph)
+    flow = graph.flow
     measured = flow.order
     if not measured:
         raise ValueError("nothing is measured; the server view is empty")
@@ -130,52 +138,37 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
         raise ValueError(f"exact enumeration needs {cost} amplitudes, over the budget of {EXACT_VIEW_BUDGET}")
 
     theta, a = _pad_layout(graph, measured)
-    flipped = [j for j in measured if j in graph.input_nodes]
-    assignments = [dict(zip(flipped, bits)) for bits in product((0, 1), repeat=len(flipped))]
-    states = []
-    for flips in assignments:
-        system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
-        for j in (j for j, bit in flips.items() if bit):
-            system.apply_x(f"in:{j}")
-        node_label: dict[int, str] = {}
-        graph_state(system, graph, node_label)
-        states.append(system.state_of([node_label[j] for j in range(1, n_nodes + 1)] + ref_labels).amps)
-    # combination c has flip assignment c // 4^M (_pad_layout)
+    # combination c has flip assignment c // 4^M (_pad_layout); flips[f] is the a row of assignment f
     assignment = np.arange(len(theta)) // 4 ** len(measured)
+    flips = a[::4 ** len(measured)]
     pad = np.where(a == 1, -theta, theta) % 8
     node_bits = (np.arange(2 ** n_nodes)[:, None] >> (n_nodes - np.array(measured))) & 1
-    rows = np.array(states)[assignment].reshape(len(theta), 2 ** n_nodes, -1)
+    rows = _flipped_graph_states(graph, input_state, flips)[assignment]
     rows *= _PHASE[(pad @ node_bits.T) % 8][:, :, None]
     rows = rows.reshape(len(theta), -1)
 
     weight = 1.0 / len(theta)
-    views = {"prepared": _class_matrices(rows, np.zeros(len(rows), dtype=np.int64), 0, n_nodes, weight)}
+    views = {"prepared": _class_matrices(rows, np.zeros(len(rows), dtype=np.int64), 0, n_nodes, len(measured), weight)}
     combo = np.arange(len(theta))
     path = np.zeros(len(theta), dtype=np.int64)  # bit idx: the outcome s of round idx + 1
     code = np.zeros(len(theta), dtype=np.int64)  # the class label, base 4
     position = {j: idx for idx, j in enumerate(measured)}
     for idx, j in enumerate(measured):
         # the corrected angle depends on the flips and the outcomes only: one
-        # flow.adapted_angle per (flip assignment, outcome path)
-        corrected = np.array([
-            [flow.adapted_angle(j, angles[j], lambda i: (s >> position[i]) & 1, lambda i: flips.get(i, 0)) for s in range(2 ** idx)]
-            for flips in assignments
-        ])
+        # (flip assignment, outcome path) grid
+        paths = np.arange(2 ** idx)
+        corrected = np.broadcast_to(
+            flow.adapted_angle(j, angles[j], lambda i: (paths >> position[i]) & 1, lambda i: flips[:, position[i], None]),
+            (len(flips), len(paths)),
+        )
         # r is not enumerated: the class label absorbs its 4 r
         delta = blind_angle(corrected[assignment[combo], path], 0, theta[combo, idx], a[combo, idx])
         code = np.tile(4 * code + delta % 4, 2)
         rows = _project_first(rows, delta)
         combo, path = np.tile(combo, 2), np.concatenate((path, path | (1 << idx)))
-        views[f"round:{idx + 1}"] = _class_matrices(rows, code, idx + 1, n_nodes - idx - 1, weight)
+        views[f"round:{idx + 1}"] = _class_matrices(rows, code, idx + 1, n_nodes - idx - 1, len(measured) - idx - 1, weight)
     # no node is left: each class matrix is 1x1, its weight
-    views["delivered"] = _class_matrices(rows, code, len(measured), 0, weight)
-
-    for i, checkpoint in enumerate(list(views)[:len(measured)]):
-        # keep the entries whose row and column agree on the live measured nodes, which lead
-        live = np.arange(2 ** (graph.num_nodes - i)) >> (graph.num_nodes - len(measured))
-        mask = live[:, None] == live[None, :]
-        views[checkpoint] = {label: matrix * mask for label, matrix in views[checkpoint].items()}
-
+    views["delivered"] = _class_matrices(rows, code, len(measured), 0, 0, weight)
     return views
 
 
@@ -193,6 +186,32 @@ def _pad_layout(graph: BrickworkGraph, measured: Sequence[int]) -> tuple[np.ndar
     return grid[:, len(inputs):], a
 
 
+def _flipped_graph_states(graph: BrickworkGraph, input_state: PureState, flips: np.ndarray) -> np.ndarray:
+    """The graph state after X on the flipped measured nodes, one (2^N, rest) array per row of flips.
+
+    flips is (F, M), one bit per measured node in label order. The graph
+    state is built once with no flips (input_system, graph_state). X_j
+    before the CZs is X_j Z_{N(j)} after them, since CZ_jk X_j = X_j Z_k
+    CZ_jk, so each flipped state is the built one with its node index
+    XORed by the flipped bits and negated where the flipped nodes'
+    neighbourhoods, counted with multiplicity, hold an odd number of ones. Only permutations and signs are involved, so each
+    state is exact up to one global sign.
+    """
+    n_nodes = graph.num_nodes
+    system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+    node_label: dict[int, str] = {}
+    graph_state(system, graph, node_label)
+    base = system.state_of([node_label[j] for j in range(1, n_nodes + 1)] + ref_labels).amps.reshape(2 ** n_nodes, -1)
+
+    measured = np.array(graph.measured_nodes, dtype=np.int64)
+    neighbours = np.array([[v in graph.neighbors(j) for v in range(1, n_nodes + 1)] for j in measured], dtype=np.int64)
+    index = np.arange(2 ** n_nodes)
+    node_bits = (index[:, None] >> (n_nodes - np.arange(1, n_nodes + 1))) & 1
+    x_index = index ^ (flips @ (1 << (n_nodes - measured)))[:, None]
+    z_sign = 1 - 2 * ((flips @ neighbours @ node_bits.T) % 2)
+    return base[x_index] * z_sign[:, :, None]
+
+
 def _project_first(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Project each row's qubit 0 onto <+_delta| and <-_delta| (unnormalized): outcome 0's rows, then outcome 1's."""
     psi = rows.reshape(len(rows), 2, -1)
@@ -204,34 +223,48 @@ def _project_first(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out.reshape(2 * len(rows), -1)
 
 
-def _class_matrices(rows: np.ndarray, code: np.ndarray, n_rounds: int, n_live: int, weight: float) -> dict[tuple, np.ndarray]:
-    """weight * B B^H per class label, B the label's rows side by side, each as (2^n_live nodes, the rest)."""
+def _class_matrices(rows: np.ndarray, code: np.ndarray, n_rounds: int, n_live: int, n_dephased: int, weight: float) -> dict[tuple, np.ndarray]:
+    """weight * B B^H per class label, B the label's rows side by side, each as (2^n_live nodes, the rest).
+
+    Pads run uniformly over 0..3, so every class holds the same number of
+    rows: the rows are sorted stably by code, stacked as (classes, 2^n_live,
+    rows * rest) and multiplied by batched Gram products, one per chunk of
+    about _GRAM_CHUNK gathered amplitudes. Unequal classes raise. The Z twins of the n_dephased leading live nodes are averaged:
+    the entries whose row and column differ on them are zeroed. The label
+    of a base-4 code is its digits, one per round.
+    """
     order = np.argsort(code, kind="stable")
-    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
-    matrices = {}
-    for start, stop in zip(starts, [*starts[1:], len(order)]):
-        group = rows[order[start:stop]].reshape(stop - start, 2 ** n_live, -1).transpose(1, 0, 2).reshape(2 ** n_live, -1)
-        matrices[_label(code[order[start]], n_rounds)] = weight * (group @ group.conj().T)
-    return matrices
-
-
-def _label(code: int, n_rounds: int) -> tuple:
-    """The class label a base-4 code spells, one digit per round."""
-    return tuple((int(code) >> 2 * (n_rounds - 1 - i)) & 3 for i in range(n_rounds))
+    codes = code[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    n_classes, size, dim = len(starts), len(codes) // len(starts), 2 ** n_live
+    if size * n_classes != len(codes) or np.any(starts != size * np.arange(n_classes)):
+        raise ValueError(f"the {n_classes} classes of {len(codes)} rows are not all the same size")
+    matrices = np.empty((n_classes, dim, dim), dtype=complex)
+    step = max(1, _GRAM_CHUNK // (size * rows.shape[1]))
+    for k in range(0, n_classes, step):
+        group = rows[order[k * size:(k + step) * size]].reshape(-1, size, dim, rows.shape[1] // dim)
+        group = group.transpose(0, 2, 1, 3).reshape(len(group), dim, -1)
+        np.matmul(group, group.conj().transpose(0, 2, 1), out=matrices[k:k + step])
+    matrices *= weight
+    if n_dephased:
+        live = np.arange(dim) >> (n_live - n_dephased)
+        matrices *= live[:, None] == live[None, :]
+    labels = (codes[starts, None] >> 2 * np.arange(n_rounds - 1, -1, -1)) & 3
+    return dict(zip(map(tuple, labels.tolist()), matrices))
 
 
 def view_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:
-    """Trace distance between two labeled view ensembles at one checkpoint."""
-    total = 0.0
-    for label in set(a) | set(b):
-        ma = a.get(label)
-        mb = b.get(label)
-        if ma is None:
-            ma = np.zeros_like(mb)
-        if mb is None:
-            mb = np.zeros_like(ma)
-        total += weighted_trace_norm(ma, mb)
-    return total
+    """Trace distance between two labeled view ensembles at one checkpoint.
+
+    Both sides are stacked over the union of their labels, a zero matrix
+    standing in for a label one side lacks, and compared in one
+    weighted_trace_norm call.
+    """
+    labels = a.keys() | b.keys()
+    if not labels:
+        return 0.0
+    zero = np.zeros_like(next(iter(a.values() or b.values())))
+    return weighted_trace_norm(np.array([a.get(label, zero) for label in labels]), np.array([b.get(label, zero) for label in labels]))
 
 
 def blindness_check(
@@ -294,7 +327,7 @@ def run_intermediate_protocol(
     a_at_end = version == "simulator-resource"
 
     graph, angles = pattern.graph, pattern.angles
-    flow = compute_flow(graph)
+    flow = graph.flow
     n = graph.n_wires
     measured = flow.order
     system, ref_labels = input_system(input_state, [f"client:{k}" for k in range(1, n + 1)])
@@ -464,7 +497,7 @@ def run_simulated_client_world(
     """
     graph, angles = pattern.graph, pattern.angles
     del angles  # the simulator never touches the pattern angles
-    flow = compute_flow(graph)
+    flow = graph.flow
     n = graph.n_wires
     coalition = frozenset(int(c) for c in coalition)
     if not coalition or not coalition <= set(range(1, n + 1)):

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .brickwork import Flow, MeasurementPattern, compute_flow, parity
+from .brickwork import Flow, MeasurementPattern, parity
 from .rsp import theta_input
 
 Tag = tuple
@@ -163,7 +163,7 @@ class OracleLedger:
     def __post_init__(self):
         if self.n_clients != self.pattern.graph.n_wires:
             raise ValueError("one client per wire")
-        self.flow = compute_flow(self.pattern.graph)
+        self.flow = self.pattern.graph.flow
 
     # ------------------------------------------------------------ intake
 

@@ -300,7 +300,11 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 def weighted_trace_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * trace norm of (a - b) for raw (possibly subnormalized) operators."""
+    """(1/2) * trace norm of (a - b) for raw (possibly subnormalized) operators.
+
+    a and b may be (K, d, d) stacks: the SVD is batched and the result is
+    the sum over the stack.
+    """
     sing = np.linalg.svd(a - b, compute_uv=False)
     return float(0.5 * np.sum(sing))
 

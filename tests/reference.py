@@ -4,8 +4,10 @@ Nothing here is run by the program itself: exhaustive enumeration of the
 preparation chain, the input pad written out gate by gate, the explicit
 step list the chain had before it was written as one rule, the copy test
 measured on one-qubit registers, state equality up to global phase, a
-Monte-Carlo estimate of the server's state after entangling, and the exact
-server views walked one secret combination at a time.
+Monte-Carlo estimate of the server's state after entangling, the exact
+server views walked one secret combination at a time, their graph states
+built once per flip assignment, and their distance summed one label at a
+time.
 """
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from mpdqc.brickwork import MeasurementPattern, compute_flow, graph_state, input_system
+from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system
 from mpdqc.oracle import VerificationResult
 from mpdqc.protocol import ServerStrategy, run_full_protocol
-from mpdqc.quantum import PureState, flip, octant, plus_state
+from mpdqc.quantum import PureState, flip, octant, plus_state, weighted_trace_norm
 from mpdqc.rsp import chain_steps
 
 
@@ -207,3 +209,38 @@ def walked_exact_server_views(pattern: MeasurementPattern, input_state: PureStat
         views[checkpoint] = {label: matrix * mask for label, matrix in views[checkpoint].items()}
 
     return views
+
+
+def built_flip_states(graph: BrickworkGraph, input_state: PureState, flips: np.ndarray) -> list[np.ndarray]:
+    """Per flip assignment, the graph state built with X on the flipped inputs before brickwork.graph_state.
+
+    flips is (F, M), one bit per measured node in label order, as
+    harness._flipped_graph_states takes it; only the measured inputs' bits
+    are read. Each state reads the nodes in label order, then the
+    reference qubits, as a (2^N, rest) array.
+    """
+    states = []
+    for row in flips:
+        system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+        for j, bit in zip(graph.measured_nodes, row):
+            if bit and j in graph.input_nodes:
+                system.apply_x(f"in:{j}")
+        node_label: dict[int, str] = {}
+        graph_state(system, graph, node_label)
+        state = system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
+        states.append(state.amps.reshape(2 ** graph.num_nodes, -1))
+    return states
+
+
+def labelwise_view_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:
+    """harness.view_distance, one weighted_trace_norm call per label, a zero matrix for a label one side lacks."""
+    total = 0.0
+    for label in set(a) | set(b):
+        ma = a.get(label)
+        mb = b.get(label)
+        if ma is None:
+            ma = np.zeros_like(mb)
+        if mb is None:
+            mb = np.zeros_like(ma)
+        total += weighted_trace_norm(ma, mb)
+    return total

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mpdqc import brickwork
 from mpdqc.brickwork import (
     BrickworkGraph,
     MeasurementPattern,
@@ -16,6 +17,7 @@ from mpdqc.brickwork import (
     random_pattern,
     reference_execute,
 )
+from mpdqc.oracle import OracleLedger
 from mpdqc.quantum import PureState, octant
 from reference import states_equal
 
@@ -123,6 +125,49 @@ def test_corrected_angle_identities():
         assert corrected_angle(phi, 1, 0, 1, 0) == phi
         assert corrected_angle(phi, 0, 0, 0, 1) == octant(phi + 4)
         assert corrected_angle(phi, 0, 1, 0, 0) == octant(phi + 4)
+
+
+def test_corrected_angle_on_arrays_equals_the_scalar_calls():
+    phi, a_j, a_pred, s_x, s_z = np.indices((8, 2, 2, 2, 2)).reshape(5, -1)
+    batched = corrected_angle(phi, a_j, a_pred, s_x, s_z)
+    scalar = [corrected_angle(*map(int, args)) for args in zip(phi, a_j, a_pred, s_x, s_z)]
+    assert all(type(angle) is int for angle in scalar)
+    assert batched.tolist() == scalar
+
+
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 3), (4, 2)])
+def test_adapted_angle_with_array_callables_equals_the_per_path_calls(n_wires, n_columns):
+    g = build_brickwork(n_wires, n_columns)
+    flow = g.flow
+    position = {j: idx for idx, j in enumerate(flow.order)}
+    inputs = [position[j] for j in flow.order if j in g.input_nodes]
+    # every outcome path times every flip assignment of the measured inputs
+    grid = np.indices((2,) * (len(flow.order) + len(inputs))).reshape(len(flow.order) + len(inputs), -1).T
+    s = grid[:, :len(flow.order)]
+    flips = np.zeros_like(s)
+    flips[:, inputs] = grid[:, len(flow.order):]
+    for j in flow.order:
+        for phi in range(8):
+            batched = flow.adapted_angle(j, phi, lambda i: s[:, position[i]], lambda i: flips[:, position[i]])
+            per_path = [
+                flow.adapted_angle(j, phi, lambda i: int(s[p, position[i]]), lambda i: int(flips[p, position[i]]))
+                for p in range(len(grid))
+            ]
+            assert np.broadcast_to(batched, len(grid)).tolist() == per_path, (j, phi)
+
+
+def test_the_flow_is_computed_once_per_graph(monkeypatch):
+    calls = []
+    monkeypatch.setattr(brickwork, "compute_flow", lambda graph: calls.append(graph) or compute_flow(graph))
+    g = build_brickwork(2, 3)
+    rng = np.random.default_rng(3)
+    p1, p2 = random_pattern(g, rng), random_pattern(g, rng)
+    assert p1.graph.flow is p2.graph.flow
+    assert OracleLedger(p1, n_clients=2).flow is OracleLedger(p2, n_clients=2).flow is g.flow
+    for pattern in (p1, p2):
+        reference_execute(pattern, random_state(2, rng), rng)
+    assert calls == [g]
+    assert g.flow == compute_flow(g)
 
 
 # -------------------------------------------------------------- patterns

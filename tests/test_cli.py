@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -461,6 +462,17 @@ def test_blindness_mode_reports_the_view_size_at_2x3(tmp_path):
     # one class per announced-angle sequence mod 4: 4^i after round i
     assert details["view_classes"] == {"prepared": 1, "round:1": 4, "round:2": 16, "round:3": 64, "round:4": 256, "delivered": 256}
     assert details["view_amplitudes"] == 2 * 65_536
+
+
+def test_blindness_mode_reports_the_check_wall_time(tmp_path):
+    cfg = write_config(
+        tmp_path, mode="blindness", seed=2, n_wires=2, n_columns=2,
+        scenarios={"a": {"angles": "zeros", "input": "zeros"}, "b": {"angles": "random", "input": "random"}},
+    )
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    seconds = json.loads((out / "report.json").read_text())["details"]["seconds"]
+    assert isinstance(seconds, float) and math.isfinite(seconds) and seconds >= 0
 
 
 def test_equivalence_modes_smoke(tmp_path):

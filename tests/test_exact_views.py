@@ -7,6 +7,9 @@ by hand with position bookkeeping, one label (delta, b) per round. It is
 kept here only, as the slow path the class views are checked against.
 reference.walked_exact_server_views is the class enumeration the batched
 views replaced, one secret combination and one recursive walk at a time.
+reference.built_flip_states and reference.labelwise_view_distance are the
+per-assignment graph-state builds and the per-label distance loop that the
+derived states and the stacked distance replaced.
 """
 from itertools import product
 
@@ -17,7 +20,7 @@ from mpdqc import harness
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, random_pattern
 from mpdqc.harness import EXACT_VIEW_BUDGET, blindness_check, exact_server_views, exact_view_amplitudes, view_distance
 from mpdqc.quantum import PureState, flip, octant, plus_state
-from reference import walked_exact_server_views
+from reference import built_flip_states, labelwise_view_distance, walked_exact_server_views
 
 
 def eager_exact_server_views(
@@ -249,3 +252,39 @@ def test_views_reject_an_input_register_smaller_than_the_graph():
     pattern = random_pattern(build_brickwork(2, 2), np.random.default_rng(0))
     with pytest.raises(ValueError, match="input register"):
         exact_server_views(pattern, PureState.computational("0"))
+
+
+@pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 2, 2), (2, 3, 0), (4, 2, 0)])
+def test_derived_flip_states_equal_the_built_ones(n_wires, n_columns, n_ref):
+    """Each flip assignment's state, derived from one graph-state build, is the built one up to one global sign."""
+    graph = build_brickwork(n_wires, n_columns)
+    psi = random_input(n_wires + n_ref, np.random.default_rng([n_wires, n_columns, n_ref]))
+    measured = graph.measured_nodes
+    inputs = [idx for idx, j in enumerate(measured) if j in graph.input_nodes]
+    flips = np.zeros((2 ** len(inputs), len(measured)), dtype=np.int64)
+    flips[:, inputs] = list(product((0, 1), repeat=len(inputs)))
+    derived = harness._flipped_graph_states(graph, psi, flips)
+    built = built_flip_states(graph, psi, flips)
+    assert len(derived) == len(built) == 2 ** n_wires
+    for state, reference in zip(derived, built):
+        assert np.array_equal(state, reference) or np.array_equal(state, -reference)
+
+
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 2), (2, 3), (4, 2)])
+def test_stacked_view_distance_equals_the_labelwise_sum(n_wires, n_columns):
+    graph = build_brickwork(n_wires, n_columns)
+    rng = np.random.default_rng([n_wires, n_columns, 5])
+    views = [exact_server_views(random_pattern(graph, rng), random_input(n_wires, rng)) for _ in range(2)]
+    for checkpoint in views[0]:
+        a, b = views[0][checkpoint], views[1][checkpoint]
+        one_sided = dict(list(b.items())[1:])  # b's first label is in a only
+        scaled = {label: 0.5 * matrix for label, matrix in b.items()}
+        for x, y in ((a, b), (a, one_sided), (one_sided, a), (a, scaled)):
+            assert abs(view_distance(x, y) - labelwise_view_distance(x, y)) <= 1e-12, checkpoint
+    assert view_distance({}, {}) == labelwise_view_distance({}, {}) == 0.0
+
+
+def test_classes_of_unequal_size_raise():
+    rows = np.ones((3, 2), dtype=complex)
+    with pytest.raises(ValueError, match="not all the same size"):
+        harness._class_matrices(rows, np.array([0, 0, 1]), 1, 1, 0, 1.0)
