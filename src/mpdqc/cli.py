@@ -33,6 +33,7 @@ from .harness import (
     observe,
     rewrite_peak_qubits,
     sample,
+    summary_fields,
 )
 from .protocol import AbortInfo, Session, Transcript, message_counts, run_full_protocol
 from .quantum import PureState, QuantumSystem, octant
@@ -46,6 +47,13 @@ REGISTER_BUDGET = 24
 # included (measured on honest 2x40 and 4x10 runs with m_copies 100 and
 # 400), so about 0.6 GB. Sampled modes hold one run at a time.
 MESSAGE_BUDGET = 10 ** 6
+# most summary fields a sampled mode may keep: trials x worlds x fields per
+# trial (harness.summary_fields; protocol1-detection keeps one bool per
+# trial). Kept, a field costs about 90 bytes, its key string and dict slot,
+# and pooling copies it once more: about 120 bytes per field at the peak
+# (tracemalloc peaks over 2,000 trials of intermediate-equiv on 2x2 and of
+# client-sim-equiv on 2x4), so about 0.6 GB, as for messages.
+SUMMARY_BUDGET = 5 * 10 ** 6
 
 
 class Mode(NamedTuple):
@@ -130,6 +138,15 @@ def validate(config: dict) -> list[str]:
                         f"{mode} runs the {version} rewrite, which holds up to {peak} live qubits at "
                         f"{n_wires}x{n_columns} with {n_ref} reference qubits, over the register budget of {REGISTER_BUDGET}"
                     )
+    if "trials" in entry.fields and not failed & {"trials", "n_wires", "n_columns", "reference_qubits"}:
+        worlds = len(entry.scenario_ids)
+        fields = summary_fields(settings["n_wires"], settings["n_columns"], settings["reference_qubits"]) if "n_wires" in entry.fields else 1
+        kept = settings["trials"] * worlds * fields
+        if kept > SUMMARY_BUDGET:
+            errors.append(
+                f"trials {settings['trials']} x {worlds} worlds x {fields} summary fields: {mode} keeps {kept} values, "
+                f"over the summary budget of {SUMMARY_BUDGET}"
+            )
     coalition = settings.get("coalition")
     if coalition is not None:
         n_wires = 0 if "n_wires" in failed else settings["n_wires"]

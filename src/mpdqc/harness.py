@@ -53,16 +53,8 @@ from .brickwork import (
     read_outputs,
     reference_execute,
 )
-from .oracle import SecretShare, a_tag, blind_angle, r_tag, share_secret, theta_tag
-from .protocol import (
-    AbortInfo,
-    ProtocolRun,
-    Session,
-    Transcript,
-    contributors,
-    run_full_protocol,
-    share_payload,
-)
+from .oracle import SecretShare, VerificationResult, a_tag, blind_angle, r_tag, share_secret, theta_tag
+from .protocol import AbortInfo, CopyTest, ProtocolRun, Session, Transcript, contributors, run_full_protocol
 from .quantum import _PHASE, _PHASE_CONJ, PureState, flip, octant, weighted_trace_norm
 from .rsp import run_chain, theta_input
 
@@ -516,19 +508,18 @@ def run_simulated_client_world(
     pad_a: dict[int, int] = {}
     pad_theta: dict[int, int] = {}
 
-    def fake_distribution(owner: int, modulus: int, tag: tuple, context: dict) -> None:
-        """The simulator plays an honest client sharing a secret: the coalition
-        only ever sees uniform pieces, so fresh uniform values are exact."""
-        for c in sorted(coalition):
-            share = share_payload(SecretShare(c, tag, int(rng.integers(modulus)), modulus))
-            record(f"client:{owner}", f"client:{c}", "ShareDistribution", {**context, "share": share})
+    def honest_shares(modulus: int, tag: tuple) -> list[SecretShare]:
+        """An honest client's share set as the simulator plays it: a fresh
+        uniform piece for each coalition member, drawn in member order, and 0
+        for each honest holder. The coalition holds at most n - 1 pieces,
+        which are jointly uniform whatever the secret, so this is exact."""
+        return [SecretShare(h, tag, int(rng.integers(modulus)) if h in coalition else 0, modulus) for h in range(1, n + 1)]
 
     for k in range(1, n + 1):
         if k in coalition:
             pad_a[k] = int(rng.integers(2))
-            session.hand_out(k, share_secret(pad_a[k], n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})
-        else:
-            fake_distribution(k, 2, a_tag(k), {"kind": "pad-flip", "client": k})
+        shares = share_secret(pad_a[k], n, 2, rng, a_tag(k)) if k in coalition else honest_shares(2, a_tag(k))
+        session.hand_out(k, shares, {"kind": "pad-flip", "client": k})
 
     # ----------------------------------------------------- preparation
     chain_t: dict[int, dict[int, int]] = {}
@@ -544,12 +535,12 @@ def run_simulated_client_world(
                 # nothing downstream depends on it
                 system.measure_computational(survivor_label, rng)
             else:
-                for i in range(m_copies):
-                    context = {"kind": "copy-angle", "node": j, "contributor": k, "copy": i}
-                    fake_distribution(k, 8, theta_tag(j, k, i), context)
+                # an honest contributor's copy test passes; the coalition
+                # forwards its pieces of the opened copies and the survivor
+                rows = [[piece.value for piece in honest_shares(8, theta_tag(j, k, i))] for i in range(m_copies)]
                 survivor = int(rng.integers(m_copies))
-                record("server", "all", "OutcomeVector", {"kind": "survivor", "node": j, "contributor": k, "survivor": survivor})
-                record("server", "all", "OutcomeVector", {"kind": "verification", "node": j, "contributor": k, "outcomes": [(i, 0) for i in range(m_copies) if i != survivor]})
+                result = VerificationResult(True, survivor, {i: 0 for i in range(m_copies) if i != survivor})
+                transcript.defer(CopyTest(j, k, rows, [sum(row) % 8 for row in rows], result, False))
         if j in graph.input_nodes and j in coalition:
             pad_theta[j] = int(rng.integers(8))
             session.send_padded_input(j, pad_a[j], pad_theta[j])
@@ -565,10 +556,8 @@ def run_simulated_client_world(
     for j in measured:
         for k in range(1, n + 1):
             r_claims[(j, k)] = r_bit = int(rng.integers(2))
-            if k in coalition:
-                session.hand_out(k, share_secret(r_bit, n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
-            else:
-                fake_distribution(k, 2, r_tag(j, k), {"kind": "mask-bit", "node": j, "client": k})
+            shares = share_secret(r_bit, n, 2, rng, r_tag(j, k)) if k in coalition else honest_shares(2, r_tag(j, k))
+            session.hand_out(k, shares, {"kind": "mask-bit", "node": j, "client": k})
         coalition_mask = parity(r_claims[(j, c)] for c in coalition)
         delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
         record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta[j]})
@@ -657,6 +646,15 @@ def observable_summary(run: ProtocolRun, rng: np.random.Generator) -> dict[str, 
         for i in range(state.num_qubits):
             out[f"out:{i}"], state = state.measure_rotated(0, 0, rng)
     return out
+
+
+def summary_fields(n_wires: int, n_columns: int, n_ref: int) -> int:
+    """Fields of observable_summary on an n_wires x n_columns graph with n_ref
+    reference qubits (coalition_view_summary holds no more): per measured node
+    n_wires - 1 chain outcomes, delta and b; per output a key; per output
+    qubit a readout. It takes the shape, so cli.validate need not build the graph.
+    """
+    return (n_wires + 1) * n_wires * (n_columns - 1) + 2 * n_wires + n_ref
 
 
 def _announcements(run: ProtocolRun) -> dict[str, int]:

@@ -146,34 +146,37 @@ def a_tag(client: int) -> Tag:
 
 @dataclass
 class OracleLedger:
-    """The oracle's view of one run: registered shares, outcomes, chain results."""
+    """The oracle's view of one run, one client per wire: registered secrets, outcomes, chain results."""
 
     pattern: MeasurementPattern
-    n_clients: int
+    n_clients: int = field(init=False)
     flow: Flow = field(init=False)
-    shares: dict[Tag, dict[int, SecretShare]] = field(default_factory=dict)
+    # each registered secret's value, by tag; a contributed angle is filed
+    # by (node, client) alone, whichever copy survived the copy test
+    secrets: dict[Tag, int] = field(default_factory=dict)
     outcomes: dict[int, int] = field(default_factory=dict)
     chain_t: dict[int, dict[int, int]] = field(default_factory=dict)
-    # reconstructed secrets by tag, kept once a share set is complete (a
-    # complete set never changes: register_share refuses duplicates), and
-    # the theta tags registered per (node, client)
-    _secrets: dict[Tag, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _theta_tags: dict[tuple[int, int], list[Tag]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_clients != self.pattern.graph.n_wires:
-            raise ValueError("one client per wire")
+        self.n_clients = self.pattern.graph.n_wires
         self.flow = self.pattern.graph.flow
 
     # ------------------------------------------------------------ intake
 
-    def register_share(self, share: SecretShare) -> None:
-        slot = self.shares.setdefault(share.tag, {})
-        if share.owner in slot:
-            raise ValueError(f"duplicate share from client {share.owner} for {share.tag}")
-        if not slot and share.tag[:1] == ("theta",):
-            self._theta_tags.setdefault(share.tag[1:3], []).append(share.tag)
-        slot[share.owner] = share
+    def register_share(self, shares: Sequence[SecretShare]) -> None:
+        """Take one secret's complete share set, one piece from each client.
+
+        Refuses an incomplete or mixed set, and a secret already held: the
+        same tag twice, or a second surviving copy of one (node, client)'s angle.
+        """
+        if len(shares) != self.n_clients:
+            raise ValueError(f"{len(shares)} shares for {self.n_clients} clients")
+        value = reconstruct(shares)
+        tag = shares[0].tag
+        key = tag[:3] if tag[0] == "theta" else tag
+        if key in self.secrets:
+            raise ValueError(f"secret {key} already registered")
+        self.secrets[key] = value
 
     def register_chain(self, node: int, t: dict[int, int]) -> None:
         if node in self.chain_t:
@@ -187,15 +190,10 @@ class OracleLedger:
 
     # ----------------------------------------------------- reconstruction
 
-    def _secret(self, tag: Tag) -> int:
-        tag = tuple(tag)
-        if tag in self._secrets:
-            return self._secrets[tag]
-        slot = self.shares.get(tag)
-        if slot is None or len(slot) != self.n_clients:
-            raise ValueError(f"share set for {tag} incomplete")
-        value = self._secrets[tag] = reconstruct(list(slot.values()))
-        return value
+    def _secret(self, key: Tag) -> int:
+        if key not in self.secrets:
+            raise ValueError(f"no share set registered for {key}")
+        return self.secrets[key]
 
     def a_bit(self, client: int) -> int:
         return self._secret(a_tag(client))
@@ -204,21 +202,9 @@ class OracleLedger:
         """The pad flip bit of a node: a_j for inputs, 0 elsewhere."""
         return self.a_bit(node) if node in self.pattern.graph.input_nodes else 0
 
-    def _contributed_theta(self, node: int, client: int) -> int:
-        """The one angle from (node, client) whose shares were submitted.
-
-        Clients share many candidate copies of an angle but submit only the
-        shares of the copy that survived verification, so exactly one
-        complete set per (node, client) may be present.
-        """
-        tags = self._theta_tags.get((node, client), [])
-        if len(tags) != 1:
-            raise ValueError(f"expected one submitted angle for node {node} client {client}, found {len(tags)}")
-        return self._secret(tags[0])
-
     def node_theta(self, node: int) -> int:
-        """Effective secret angle of a node's prepared qubit, from shares and t."""
-        shares = [self._contributed_theta(node, k) for k in range(1, self.n_clients + 1)]
+        """Effective secret angle of a node's prepared qubit, from the contributed angles and t."""
+        shares = [self._secret(("theta", node, k)) for k in range(1, self.n_clients + 1)]
         return theta_input(shares, self.pattern.graph.survivor(node), self.chain_t[node], self.node_flip(node))
 
     def node_r(self, node: int) -> int:
@@ -230,12 +216,10 @@ class OracleLedger:
 
     # ------------------------------------------------------------ answers
 
-    def corrected_pattern_angle(self, node: int) -> int:
-        return self.flow.adapted_angle(node, self.pattern.angles[node], self._s, self.node_flip)
-
     def delta(self, node: int) -> int:
         """The blind measurement angle announced to the server for one node (blind_angle)."""
-        return blind_angle(self.corrected_pattern_angle(node), self.node_r(node), self.node_theta(node), self.node_flip(node))
+        corrected = self.flow.adapted_angle(node, self.pattern.angles[node], self._s, self.node_flip)
+        return blind_angle(corrected, self.node_r(node), self.node_theta(node), self.node_flip(node))
 
     def output_keys(self, node: int) -> tuple[int, int]:
         """(s_x, s_z) one-time-pad keys for an output node (see Flow.output_key)."""

@@ -343,24 +343,31 @@ class Session:
 
     def hand_out(self, owner: int, shares: list[SecretShare], context: dict) -> None:
         """Client `owner` gives every other client its piece; each holder then
-        submits its piece to the oracle, whose ledger registers it."""
+        submits its piece to the oracle, whose ledger registers the set."""
+        self._send_pieces(owner, shares, context)
+        if self.ledger is not None:
+            self.ledger.register_share(shares)
+
+    def _send_pieces(self, owner: int, shares: list[SecretShare], context: dict) -> None:
+        """Record the peer messages of `shares`, then each holder's submission to the oracle."""
         payloads = [share_payload(piece) for piece in shares]
         for piece, share in zip(shares, payloads):
             if piece.owner != owner:
                 self.transcript.record(self.names[owner], self.names[piece.owner], "ShareDistribution", {**context, "share": share})
         for piece, share in zip(shares, payloads):
             self.transcript.record(self.names[piece.owner], "oracle", "ShareDistribution", {**context, "share": share})
-            if self.ledger is not None:
-                self.ledger.register_share(piece)
 
     def send_padded_input(self, node: int, a: int, theta: int) -> None:
         """The input's owner pads qubit in:node by X^a Z(theta), shares theta and hands the qubit to the server."""
         self.system.apply_z_rot(f"in:{node}", theta)
         if a:
             self.system.apply_x(f"in:{node}")
-        for piece in share_secret(theta, self.n_clients, 8, self.rng, theta_tag(node, node, 0)):
+        shares = share_secret(theta, self.n_clients, 8, self.rng, theta_tag(node, node, 0))
+        for piece in shares:
             # one piece at a time: its peer message, then its oracle submission
-            self.hand_out(node, [piece], {"kind": "pad-angle", "node": node})
+            self._send_pieces(node, [piece], {"kind": "pad-angle", "node": node})
+        if self.ledger is not None:
+            self.ledger.register_share(shares)
         self.system.transfer(f"in:{node}", "server")
         self.transcript.record(_client(node), "server", "QubitTransfer", {"node": node, "purpose": "padded-input"})
 
@@ -389,8 +396,7 @@ class Session:
         self.system.add_register(plus_state(prepared[result.survivor]), [label], ["server"])
         if self.ledger is not None:
             tag = theta_tag(node, k, result.survivor)
-            for owner, value in enumerate(shares[result.survivor], 1):
-                self.ledger.register_share(SecretShare(owner, tag, value, 8))
+            self.ledger.register_share([SecretShare(owner, tag, value, 8) for owner, value in enumerate(shares[result.survivor], 1)])
         return label
 
 
@@ -417,7 +423,7 @@ def run_full_protocol(
         raise ValueError("m_copies must be >= 2: the copy test opens all copies but one")
     system, ref_labels = input_system(input_state, [_client(k) for k in range(1, n + 1)])
 
-    ledger = OracleLedger(pattern, n)
+    ledger = OracleLedger(pattern)
     transcript = Transcript()
     session = Session(system, transcript, rng, n, ledger, debug_secrets)
     strategy = server_strategy or ServerStrategy()

@@ -295,8 +295,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) * trace norm of (a - b); the Helstrom distinguishing bound."""
     if a.matrix.shape != b.matrix.shape:
         raise ValueError("dimension mismatch")
-    sing = np.linalg.svd(a.matrix - b.matrix, compute_uv=False)
-    return float(0.5 * np.sum(sing))
+    return weighted_trace_norm(a.matrix, b.matrix)
 
 
 def weighted_trace_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -163,7 +163,7 @@ def test_the_flow_is_computed_once_per_graph(monkeypatch):
     rng = np.random.default_rng(3)
     p1, p2 = random_pattern(g, rng), random_pattern(g, rng)
     assert p1.graph.flow is p2.graph.flow
-    assert OracleLedger(p1, n_clients=2).flow is OracleLedger(p2, n_clients=2).flow is g.flow
+    assert OracleLedger(p1).flow is OracleLedger(p2).flow is g.flow
     for pattern in (p1, p2):
         reference_execute(pattern, random_state(2, rng), rng)
     assert calls == [g]

@@ -62,6 +62,32 @@ def test_validate_message_budget_bounds_copies_and_columns():
         assert any("over the message budget" in e for e in validate(config)), mode
 
 
+def test_validate_summary_budget_bounds_trials(tmp_path, monkeypatch, capsys):
+    # a sampled mode keeps trials x worlds x summary fields values
+    config = {"mode": "intermediate-equiv", "seed": 0, "n_wires": 2, "n_columns": 2, "trials": 10 ** 8}
+    assert validate(config) == [
+        f"trials {10 ** 8} x 3 worlds x 10 summary fields: intermediate-equiv keeps {3 * 10 ** 9} values, "
+        f"over the summary budget of {cli.SUMMARY_BUDGET}"
+    ]
+    assert validate({**config, "trials": cli.SUMMARY_BUDGET // 30}) == []
+    assert len(validate({**config, "trials": cli.SUMMARY_BUDGET // 30 + 1})) == 1
+    # protocol1-detection keeps one outcome per trial
+    detection = {"mode": "protocol1-detection", "seed": 0, "trials": cli.SUMMARY_BUDGET}
+    assert validate(detection) == []
+    assert validate({**detection, "trials": cli.SUMMARY_BUDGET + 1})[0].startswith(f"trials {cli.SUMMARY_BUDGET + 1} x 1 worlds x 1 ")
+    # the default 10^4 trials fit the largest graph each rewrite admits, and 2x40 without one
+    for mode, shape in (("server-sim-equiv", (2, 6)), ("intermediate-equiv", (4, 2)), ("client-sim-equiv", (2, 40))):
+        assert validate({"mode": mode, "seed": 0, "n_wires": shape[0], "n_columns": shape[1]}) == [], mode
+
+    def never(*args, **kwargs):
+        raise AssertionError("an over-budget config reached the runner")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    assert main(["--config", write_config(tmp_path, **config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: trials ") and "over the summary budget" in err
+
+
 def test_main_refuses_an_over_budget_config_before_running_it(tmp_path, monkeypatch, capsys):
     # validate must stop these: run as they are, they exhaust the host's memory
     def never(*args, **kwargs):

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from mpdqc.harness import (
     run_simulated_client_world,
     run_simulated_server_world,
     sample,
+    summary_fields,
     view_distance,
 )
 from mpdqc.oracle import VerificationResult, share_secret, theta_tag
@@ -158,6 +160,18 @@ def test_observable_summary_fields():
     assert all(isinstance(v, int) for v in summary.values())
 
 
+@pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 1, 0), (2, 2, 0), (2, 3, 1), (4, 2, 0), (4, 3, 1)])
+def test_summary_fields_counts_each_summary(n_wires, n_columns, n_ref):
+    rng = np.random.default_rng(n_columns)
+    pattern = random_pattern(build_brickwork(n_wires, n_columns), rng)
+    psi = random_state(n_wires + n_ref, rng)
+    summary = observable_summary(run_full_protocol(pattern, psi, rng, m_copies=2), rng)
+    assert len(summary) == summary_fields(n_wires, n_columns, n_ref)
+    coalition = {1}
+    simulated = run_simulated_client_world(pattern, psi, coalition, rng, m_copies=2)
+    assert len(coalition_view_summary(simulated, coalition, rng)) < len(summary)
+
+
 # ------------------------------------------------------ client simulation
 
 
@@ -194,6 +208,30 @@ def test_simulator_rejects_improper_coalitions():
         run_simulated_client_world(pattern, psi, {1, 2}, np.random.default_rng(0))
     with pytest.raises(ValueError):
         run_simulated_client_world(pattern, psi, set(), np.random.default_rng(0))
+
+
+def test_simulated_coalition_view_holds_the_real_messages():
+    # messages the coalition sees, counted per (sender, receiver, variant,
+    # kind) with its members merged under one name, in a real and a
+    # simulated run; the one known gap: the simulator shares no honest
+    # input's pad angle, so those pieces sent to the coalition and the
+    # coalition's pad-angle submissions to the oracle fall short
+    for n_wires, coalition in ((2, {2}), (4, {1, 3})):
+        rng = np.random.default_rng(n_wires)
+        pattern = random_pattern(build_brickwork(n_wires, 2), rng)
+        psi = random_state(n_wires, rng)
+        names = {f"client:{c}" for c in coalition}
+
+        def seen(run) -> Counter:
+            party = {name: "coalition" for name in names}
+            messages = run.transcript.visible_to(names)
+            return Counter((party.get(m.sender, m.sender), party.get(m.receiver, m.receiver), m.variant, m.payload.get("kind")) for m in messages)
+
+        real = seen(run_full_protocol(pattern, psi, np.random.default_rng(1), m_copies=3))
+        simulated = seen(run_simulated_client_world(pattern, psi, coalition, np.random.default_rng(1), m_copies=3))
+        gap = {(f"client:{h}", "coalition", "ShareDistribution", "pad-angle") for h in range(1, n_wires + 1) if h not in coalition}
+        gap.add(("coalition", "oracle", "ShareDistribution", "pad-angle"))
+        assert {key for key in real.keys() | simulated.keys() if real[key] != simulated[key]} == gap, coalition
 
 
 def test_leak_checker_flags_raw_secret_fields():

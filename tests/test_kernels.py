@@ -1,4 +1,4 @@
-"""The view-based PureState kernels and the ledger cache, pinned against the slow paths they replaced.
+"""The view-based PureState kernels, pinned against the slow paths they replaced.
 
 The reference kernels below are the ones PureState used before its
 one-qubit operations worked on the (2^q, 2, 2^(n-q-1)) view: moveaxis +
@@ -20,8 +20,6 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mpdqc.brickwork import MeasurementPattern, build_brickwork
-from mpdqc.oracle import OracleLedger, a_tag, r_tag, reconstruct, share_secret, theta_tag
 from mpdqc.quantum import DensityMatrix, PureState, octant_to_radians, plus_state
 
 SIZES = range(1, 11)
@@ -185,42 +183,3 @@ def test_reduced_density_rejects_bad_keep_sets():
         state.density([0, 3])
     assert isinstance(state.density([2, 0, 2]), DensityMatrix)
 
-
-# ------------------------------------------------------------ ledger cache
-
-
-def test_ledger_cache_agrees_with_reconstruction_after_every_registration():
-    rng = np.random.default_rng(12)
-    pattern = MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0})
-    ledger = OracleLedger(pattern, n_clients=2)
-    pieces = []
-    for client in (1, 2):
-        pieces += share_secret(int(rng.integers(2)), 2, 2, rng, a_tag(client))
-        for node in (1, 2):
-            pieces += share_secret(int(rng.integers(8)), 2, 8, rng, theta_tag(node, client, copy=3))
-            pieces += share_secret(int(rng.integers(2)), 2, 2, rng, r_tag(node, client))
-    for i in rng.permutation(len(pieces)):
-        ledger.register_share(pieces[i])
-        for tag, slot in ledger.shares.items():
-            if len(slot) == 2:
-                uncached = reconstruct(list(slot.values()))
-                assert ledger._secret(tag) == uncached  # fills the cache on first read
-                assert ledger._secret(tag) == uncached  # served from it
-    assert ledger._secrets.keys() == ledger.shares.keys()
-    with pytest.raises(ValueError):
-        ledger.register_share(pieces[0])
-    assert ledger._secret(pieces[0].tag) == reconstruct([p for p in pieces if p.tag == pieces[0].tag])
-
-
-def test_ledger_finds_the_one_submitted_angle_per_node_and_client():
-    rng = np.random.default_rng(13)
-    pattern = MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0})
-    ledger = OracleLedger(pattern, n_clients=2)
-    for piece in share_secret(5, 2, 8, rng, theta_tag(1, 2, copy=7)):
-        ledger.register_share(piece)
-    assert ledger._contributed_theta(1, 2) == 5
-    with pytest.raises(ValueError, match="found 0"):
-        ledger._contributed_theta(1, 1)
-    ledger.register_share(share_secret(3, 2, 8, rng, theta_tag(1, 2, copy=8))[0])
-    with pytest.raises(ValueError, match="found 2"):
-        ledger._contributed_theta(1, 2)

@@ -214,16 +214,13 @@ def _filled_ledger(phi, a_bits, thetas, r_bits, t_bits, rng):
     """
     graph = build_brickwork(2, 2)
     pattern = MeasurementPattern(graph, dict(phi))
-    ledger = OracleLedger(pattern, n_clients=2)
+    ledger = OracleLedger(pattern)
     for client, a in a_bits.items():
-        for piece in share_secret(a, 2, 2, rng, a_tag(client)):
-            ledger.register_share(piece)
+        ledger.register_share(share_secret(a, 2, 2, rng, a_tag(client)))
     for (node, client), theta in thetas.items():
-        for piece in share_secret(theta, 2, 8, rng, theta_tag(node, client, copy=4)):
-            ledger.register_share(piece)
+        ledger.register_share(share_secret(theta, 2, 8, rng, theta_tag(node, client, copy=4)))
     for (node, client), r in r_bits.items():
-        for piece in share_secret(r, 2, 2, rng, r_tag(node, client)):
-            ledger.register_share(piece)
+        ledger.register_share(share_secret(r, 2, 2, rng, r_tag(node, client)))
     for node, t in t_bits.items():
         ledger.register_chain(node, t)
     return ledger
@@ -277,17 +274,55 @@ def test_ledger_rejects_duplicate_registration():
     rng = np.random.default_rng(10)
     graph = build_brickwork(2, 2)
     pattern = MeasurementPattern(graph, {1: 0, 2: 0})
-    ledger = OracleLedger(pattern, n_clients=2)
-    pieces = share_secret(1, 2, 2, rng, a_tag(1))
-    ledger.register_share(pieces[0])
-    with pytest.raises(ValueError):
-        ledger.register_share(pieces[0])
+    ledger = OracleLedger(pattern)
+    ledger.register_share(share_secret(1, 2, 2, rng, a_tag(1)))
+    with pytest.raises(ValueError, match="already registered"):
+        ledger.register_share(share_secret(0, 2, 2, rng, a_tag(1)))
+    assert ledger.a_bit(1) == 1
     ledger.register_chain(1, {2: 0})
     with pytest.raises(ValueError):
         ledger.register_chain(1, {2: 1})
     ledger.register_outcome(1, 0)
     with pytest.raises(ValueError):
         ledger.register_outcome(1, 1)
+
+
+def test_ledger_refuses_incomplete_and_mixed_share_sets():
+    rng = np.random.default_rng(12)
+    pattern = MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0})
+    ledger = OracleLedger(pattern)
+    pieces = share_secret(1, 2, 2, rng, a_tag(1))
+    other = share_secret(1, 2, 2, rng, a_tag(2))
+    wide = share_secret(5, 2, 8, rng, a_tag(1))
+    refused = {
+        "one piece": [pieces[0]],
+        "three pieces": [*pieces, other[0]],
+        "one owner twice": [pieces[0], pieces[0]],
+        "two tags": [pieces[0], other[1]],
+        "two moduli": [pieces[0], wide[1]],
+    }
+    for name, shares in refused.items():
+        with pytest.raises(ValueError):
+            ledger.register_share(shares)
+        assert ledger.secrets == {}, name
+    ledger.register_share(pieces[::-1])
+    assert ledger.secrets == {a_tag(1): reconstruct(pieces)} == {a_tag(1): 1}
+
+
+def test_ledger_finds_the_one_submitted_angle_per_node_and_client():
+    # a contributed angle is filed by (node, client), whichever copy
+    # survived, so a second surviving copy is refused on arrival
+    rng = np.random.default_rng(13)
+    pattern = MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0})
+    ledger = OracleLedger(pattern)
+    ledger.register_share(share_secret(5, 2, 8, rng, theta_tag(1, 2, copy=7)))
+    assert ledger.secrets == {("theta", 1, 2): 5}
+    with pytest.raises(ValueError, match="already registered"):
+        ledger.register_share(share_secret(3, 2, 8, rng, theta_tag(1, 2, copy=8)))
+    ledger.register_share(share_secret(1, 2, 8, rng, theta_tag(1, 1, copy=8)))
+    assert ledger.secrets == {("theta", 1, 2): 5, ("theta", 1, 1): 1}
+    with pytest.raises(ValueError, match="no share set"):
+        ledger.node_theta(2)
 
 
 def test_dump_secrets_reports_reconstructed_values():
