@@ -67,7 +67,7 @@ def test_first_round_of_tiny_sample_2x2_succeeds():
         "min_fidelity": "1.000000000",
         "messages": {
             "DeltaAnnounce": 30, "OutcomeVector": 90, "OutputKeys": 25, "OutputQubit": 25,
-            "QubitTransfer": 75, "ResultBroadcast": 30, "ShareDistribution": 475,
+            "QubitTransfer": 85, "ResultBroadcast": 30, "ShareDistribution": 525,
         },
         "summaries_sha": "c4552cb3538b272a",
     }

@@ -149,10 +149,11 @@ def test_coalition_views_are_pinned():
 
 def test_simulated_client_transcripts_are_pinned():
     # the scenario of test_coalition_views_are_pinned, runs 0-4: every
-    # message the simulator records, including its fake share distributions
+    # message the simulator records, including the honest clients' share
+    # sets and copy tests it plays
     pattern, psi = scenario(2, 2, 2, 62)
     digest = hashlib.sha256()
     for i in range(5):
         run = run_simulated_client_world(pattern, psi, {2}, np.random.default_rng([62, i]), m_copies=2)
         digest.update(run.transcript.to_jsonl().encode())
-    assert digest.hexdigest() == "ef96569a75a84b249fdedda1bf9b4771d67c9c62e9aba66916e99658fdbffed2"
+    assert digest.hexdigest() == "42a20d3da0af55ee7aed131fca67d8eb1a07ea57d2f091ea720869e3a70e92d0"
