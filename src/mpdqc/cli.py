@@ -154,7 +154,10 @@ def validate(config: dict) -> list[str]:
             errors.append("coalition must be a nonempty list of client indices")
         elif not all(_is_int(c) and 1 <= c <= n_wires for c in coalition):
             errors.append("coalition members must be client indices in 1..n_wires")
-        elif len(set(coalition)) >= n_wires:
+        elif len(set(coalition)) < len(coalition):
+            twice = sorted({c for c in coalition if coalition.count(c) > 1})
+            errors.append(f"coalition lists client {', '.join(map(str, twice))} more than once")
+        elif len(coalition) >= n_wires:
             errors.append("at least one client must stay outside the coalition")
     specs = {"": settings}
     if "scenarios" in entry.fields:

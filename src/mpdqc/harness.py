@@ -53,7 +53,7 @@ from .brickwork import (
     read_outputs,
     reference_execute,
 )
-from .oracle import SecretShare, VerificationResult, a_tag, blind_angle, r_tag, share_secret, theta_tag
+from .oracle import VerificationResult, a_tag, blind_angle, close_shares, r_tag
 from .protocol import AbortInfo, CopyTest, ProtocolRun, Session, Transcript, contributors, run_full_protocol
 from .quantum import _PHASE, _PHASE_CONJ, PureState, flip, octant, weighted_trace_norm
 from .rsp import run_chain, theta_input
@@ -508,18 +508,20 @@ def run_simulated_client_world(
     pad_a: dict[int, int] = {}
     pad_theta: dict[int, int] = {}
 
-    def honest_shares(modulus: int, tag: tuple) -> list[SecretShare]:
-        """An honest client's share set as the simulator plays it: a fresh
-        uniform piece for each coalition member, drawn in member order, and 0
-        for each honest holder. The coalition holds at most n - 1 pieces,
-        which are jointly uniform whatever the secret, so this is exact."""
-        return [SecretShare(h, tag, int(rng.integers(modulus)) if h in coalition else 0, modulus) for h in range(1, n + 1)]
+    def share_values(k: int, secret: int, modulus: int) -> list[int]:
+        """Client k's share values as the simulator plays them. A coalition
+        member shares its own secret. An honest client gives each coalition
+        member a fresh uniform piece, drawn in member order, and each honest
+        holder 0: the coalition holds at most n - 1 pieces, which are jointly
+        uniform whatever the secret, so this is exact."""
+        if k in coalition:
+            return close_shares(secret, [int(rng.integers(modulus)) for _ in range(n - 1)], modulus)
+        return [int(rng.integers(modulus)) if h in coalition else 0 for h in range(1, n + 1)]
 
     for k in range(1, n + 1):
         if k in coalition:
             pad_a[k] = int(rng.integers(2))
-        shares = share_secret(pad_a[k], n, 2, rng, a_tag(k)) if k in coalition else honest_shares(2, a_tag(k))
-        session.hand_out(k, shares, {"kind": "pad-flip", "client": k})
+        session.hand_out(k, a_tag(k), share_values(k, pad_a.get(k, 0), 2), 2, {"kind": "pad-flip", "client": k})
 
     # ----------------------------------------------------- preparation
     chain_t: dict[int, dict[int, int]] = {}
@@ -537,7 +539,7 @@ def run_simulated_client_world(
             else:
                 # an honest contributor's copy test passes; the coalition
                 # forwards its pieces of the opened copies and the survivor
-                rows = [[piece.value for piece in honest_shares(8, theta_tag(j, k, i))] for i in range(m_copies)]
+                rows = [share_values(k, 0, 8) for _ in range(m_copies)]
                 survivor = int(rng.integers(m_copies))
                 result = VerificationResult(True, survivor, {i: 0 for i in range(m_copies) if i != survivor})
                 transcript.defer(CopyTest(j, k, rows, [sum(row) % 8 for row in rows], result, False))
@@ -556,8 +558,7 @@ def run_simulated_client_world(
     for j in measured:
         for k in range(1, n + 1):
             r_claims[(j, k)] = r_bit = int(rng.integers(2))
-            shares = share_secret(r_bit, n, 2, rng, r_tag(j, k)) if k in coalition else honest_shares(2, r_tag(j, k))
-            session.hand_out(k, shares, {"kind": "mask-bit", "node": j, "client": k})
+            session.hand_out(k, r_tag(j, k), share_values(k, r_bit, 2), 2, {"kind": "mask-bit", "node": j, "client": k})
         coalition_mask = parity(r_claims[(j, c)] for c in coalition)
         delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
         record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta[j]})

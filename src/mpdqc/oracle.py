@@ -50,6 +50,11 @@ class SecretShare(_Share):
         return super().__new__(cls, owner, tuple(tag), int(value) % modulus, modulus)
 
 
+def close_shares(value: int, pieces: Sequence[int], modulus: int) -> list[int]:
+    """A secret's n share values: the n - 1 random pieces, then the one closing their sum to value mod `modulus`."""
+    return [*pieces, (value - sum(pieces)) % modulus]
+
+
 def share_secret(value: int, n: int, modulus: int, rng: np.random.Generator, tag: Tag = ()) -> list[SecretShare]:
     """Split a secret into n additive shares mod `modulus`, one per client.
 
@@ -58,9 +63,8 @@ def share_secret(value: int, n: int, modulus: int, rng: np.random.Generator, tag
     """
     if n < 1:
         raise ValueError("need at least one share")
-    pieces = [int(rng.integers(modulus)) for _ in range(n - 1)]
-    last = (value - sum(pieces)) % modulus
-    return [SecretShare(k + 1, tag, v, modulus) for k, v in enumerate([*pieces, last])]
+    values = close_shares(value, [int(rng.integers(modulus)) for _ in range(n - 1)], modulus)
+    return [SecretShare(k, tag, v, modulus) for k, v in enumerate(values, 1)]
 
 
 def reconstruct(shares: Sequence[SecretShare]) -> int:
@@ -146,7 +150,7 @@ def a_tag(client: int) -> Tag:
 
 @dataclass
 class OracleLedger:
-    """The oracle's view of one run, one client per wire: registered secrets, outcomes, chain results."""
+    """The oracle's view of one run, one client per wire: secrets filed from their pieces' values, outcomes, chain results."""
 
     pattern: MeasurementPattern
     n_clients: int = field(init=False)
@@ -163,20 +167,21 @@ class OracleLedger:
 
     # ------------------------------------------------------------ intake
 
-    def register_share(self, shares: Sequence[SecretShare]) -> None:
-        """Take one secret's complete share set, one piece from each client.
+    def register_share(self, tag: Tag, values: Sequence[int], modulus: int) -> None:
+        """File one secret from the n pieces its holders submitted, piece k from client k.
 
-        Refuses an incomplete or mixed set, and a secret already held: the
-        same tag twice, or a second surviving copy of one (node, client)'s angle.
+        Refuses a piece count other than n, a modulus other than 2 or 8, and
+        a secret already held: the same tag twice, or a second surviving
+        copy of one (node, client)'s angle.
         """
-        if len(shares) != self.n_clients:
-            raise ValueError(f"{len(shares)} shares for {self.n_clients} clients")
-        value = reconstruct(shares)
-        tag = shares[0].tag
+        if len(values) != self.n_clients:
+            raise ValueError(f"{len(values)} pieces for {self.n_clients} clients")
+        if modulus not in (2, 8):
+            raise ValueError("share modulus must be 2 (bits) or 8 (octants)")
         key = tag[:3] if tag[0] == "theta" else tag
         if key in self.secrets:
             raise ValueError(f"secret {key} already registered")
-        self.secrets[key] = value
+        self.secrets[key] = sum(values) % modulus
 
     def register_chain(self, node: int, t: dict[int, int]) -> None:
         if node in self.chain_t:

@@ -22,11 +22,10 @@ import numpy as np
 from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_system, read_outputs
 from .oracle import (
     OracleLedger,
-    SecretShare,
     VerificationResult,
     a_tag,
+    close_shares,
     r_tag,
-    share_secret,
     theta_tag,
     verify_client,
 )
@@ -61,19 +60,20 @@ class Message(NamedTuple):
 class Transcript:
     """Ordered log of every classical message exchanged during a run.
 
-    It holds Messages and deferred entries (one per copy test, see
-    CopyTest) in order. An entry reserves the seqs of its messages when it
-    is deferred, and reading `messages` builds them, once, in place. So
-    every reader (visible_to, to_jsonl) sees the same log as if each
-    message had been recorded when it was sent. `counts` (messages per
-    variant) and len() are exact without building anything.
+    It holds Messages and deferred entries (one per hand-out, see HandOut,
+    and one per copy test, see CopyTest) in order. An entry reserves the
+    seqs of its messages when it is deferred, and reading `messages` builds
+    them, once, in place. So every reader (visible_to, to_jsonl) sees the
+    same log as if each message had been recorded when it was sent.
+    `counts` (messages per variant) and len() are exact without building
+    anything.
     """
 
     def __init__(self):
         self._messages: list[Message] = []
         # deferred entries as (first seq, entry), and the Messages recorded
         # after the first of them, in order; empty whenever all are built
-        self._pending: list[Message | tuple[int, CopyTest]] = []
+        self._pending: list[Message | tuple[int, HandOut | CopyTest]] = []
         self.counts: dict[str, int] = dict.fromkeys(VARIANTS, 0)
         self._size = 0
 
@@ -90,7 +90,7 @@ class Transcript:
         (self._pending or self._messages).append(msg)
         return msg
 
-    def defer(self, entry: CopyTest) -> None:
+    def defer(self, entry: HandOut | CopyTest) -> None:
         """Log an entry whose messages are built when the transcript is read."""
         self._pending.append((self._size, entry))
         for variant, count in entry.counts().items():
@@ -123,8 +123,9 @@ class Transcript:
         return "\n".join(m.to_json() for m in messages) + ("\n" if messages else "")
 
 
-def share_payload(share: SecretShare) -> dict:
-    return {"owner": share.owner, "tag": list(share.tag), "value": share.value, "modulus": share.modulus}
+def share_payloads(tag: tuple, values: list[int], modulus: int) -> list[dict]:
+    """The payload of each piece of one secret, piece k held by client k."""
+    return [{"owner": owner, "tag": list(tag), "value": value, "modulus": modulus} for owner, value in enumerate(values, 1)]
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,30 @@ def _client(k: int) -> str:
 COPY_TEST_FAILED = "test copy failed its declared basis"
 
 
+class HandOut(NamedTuple):
+    """One handed-out secret as a single transcript entry; values[k - 1] is
+    client k's piece. `messages` builds the owner's piece for each other
+    client, then each holder's submission to the oracle, in holder order;
+    the messages of a piece share one payload dict."""
+
+    owner: int
+    tag: tuple
+    values: list[int]
+    modulus: int
+    context: dict
+
+    def counts(self) -> dict[str, int]:
+        """Messages per variant, in closed form."""
+        return {"ShareDistribution": 2 * len(self.values) - 1}
+
+    def messages(self, seq: int) -> list[Message]:
+        """The hand-out's messages, numbered from seq."""
+        owner, context = _client(self.owner), self.context
+        pieces = [(_client(k), share) for k, share in enumerate(share_payloads(self.tag, self.values, self.modulus), 1)]
+        sent = [(owner, holder, share) for holder, share in pieces if holder != owner] + [(holder, "oracle", share) for holder, share in pieces]
+        return [Message(seq + i, *route, "ShareDistribution", {**context, "share": share}) for i, (*route, share) in enumerate(sent)]
+
+
 class CopyTest(NamedTuple):
     """One contributor's copy test for one node, as a single transcript entry.
 
@@ -245,12 +270,7 @@ class CopyTest(NamedTuple):
         node, k, result = self.node, self.contributor, self.result
         names = {owner: _client(owner) for owner in range(1, len(self.shares[0]) + 1)}
         where = {"node": node, "contributor": k}
-        # share_payload(SecretShare(owner, theta_tag(node, k, i), value, 8)),
-        # written out: a read builds thousands of them
-        payloads = [
-            [{"owner": owner, "tag": ["theta", node, k, i], "value": value, "modulus": 8} for owner, value in enumerate(row, 1)]
-            for i, row in enumerate(self.shares)
-        ]
+        payloads = [share_payloads(theta_tag(node, k, i), row, 8) for i, row in enumerate(self.shares)]
         out: list[Message] = []
 
         def send(sender: str, receiver: str, variant: str, payload: dict) -> None:
@@ -325,9 +345,9 @@ class Session:
     """What the clients' protocol steps act on during one run.
 
     ledger is None where a simulator plays the oracle. debug_secrets adds
-    the amplitudes of unentangled qubits to QubitTransfer payloads.
-    Each share's payload dict is built once and shared by every message
-    that carries that share.
+    the amplitudes of unentangled qubits to QubitTransfer payloads. Each
+    hand-out and copy test is one deferred entry (HandOut, CopyTest), and
+    each share's payload dict is shared by every message that carries it.
     """
 
     system: QuantumSystem
@@ -341,33 +361,28 @@ class Session:
     def __post_init__(self):
         self.names = {k: _client(k) for k in range(1, self.n_clients + 1)}
 
-    def hand_out(self, owner: int, shares: list[SecretShare], context: dict) -> None:
-        """Client `owner` gives every other client its piece; each holder then
-        submits its piece to the oracle, whose ledger registers the set."""
-        self._send_pieces(owner, shares, context)
+    def hand_out(self, owner: int, tag: tuple, values: list[int], modulus: int, context: dict) -> None:
+        """Client `owner` hands out a secret given as its n share values,
+        piece k for client k: every other client gets its piece, each holder
+        submits its piece to the oracle, and the ledger files the values."""
+        self.transcript.defer(HandOut(owner, tag, values, modulus, context))
         if self.ledger is not None:
-            self.ledger.register_share(shares)
-
-    def _send_pieces(self, owner: int, shares: list[SecretShare], context: dict) -> None:
-        """Record the peer messages of `shares`, then each holder's submission to the oracle."""
-        payloads = [share_payload(piece) for piece in shares]
-        for piece, share in zip(shares, payloads):
-            if piece.owner != owner:
-                self.transcript.record(self.names[owner], self.names[piece.owner], "ShareDistribution", {**context, "share": share})
-        for piece, share in zip(shares, payloads):
-            self.transcript.record(self.names[piece.owner], "oracle", "ShareDistribution", {**context, "share": share})
+            self.ledger.register_share(tag, values, modulus)
 
     def send_padded_input(self, node: int, a: int, theta: int) -> None:
         """The input's owner pads qubit in:node by X^a Z(theta), shares theta and hands the qubit to the server."""
         self.system.apply_z_rot(f"in:{node}", theta)
         if a:
             self.system.apply_x(f"in:{node}")
-        shares = share_secret(theta, self.n_clients, 8, self.rng, theta_tag(node, node, 0))
-        for piece in shares:
+        tag, context = theta_tag(node, node, 0), {"kind": "pad-angle", "node": node}
+        values = close_shares(theta, [int(self.rng.integers(8)) for _ in range(self.n_clients - 1)], 8)
+        for owner, share in enumerate(share_payloads(tag, values, 8), 1):
             # one piece at a time: its peer message, then its oracle submission
-            self._send_pieces(node, [piece], {"kind": "pad-angle", "node": node})
+            if owner != node:
+                self.transcript.record(self.names[node], self.names[owner], "ShareDistribution", {**context, "share": share})
+            self.transcript.record(self.names[owner], "oracle", "ShareDistribution", {**context, "share": share})
         if self.ledger is not None:
-            self.ledger.register_share(shares)
+            self.ledger.register_share(tag, values, 8)
         self.system.transfer(f"in:{node}", "server")
         self.transcript.record(_client(node), "server", "QubitTransfer", {"node": node, "purpose": "padded-input"})
 
@@ -387,7 +402,7 @@ class Session:
         """
         k = contributor
         pieces = self.rng.integers(8, size=(len(declared), self.n_clients - 1)).tolist()
-        shares = [[*row, (theta - sum(row)) % 8] for row, theta in zip(pieces, declared)]
+        shares = [close_shares(theta, row, 8) for row, theta in zip(pieces, declared)]
         result = verify_client(shares, prepared, self.rng)
         self.transcript.defer(CopyTest(node, k, shares, list(prepared), result, self.debug_secrets))
         if not result.accepted:
@@ -395,8 +410,7 @@ class Session:
         label = f"copy:{node}:{k}:{result.survivor}"
         self.system.add_register(plus_state(prepared[result.survivor]), [label], ["server"])
         if self.ledger is not None:
-            tag = theta_tag(node, k, result.survivor)
-            self.ledger.register_share([SecretShare(owner, tag, value, 8) for owner, value in enumerate(shares[result.survivor], 1)])
+            self.ledger.register_share(theta_tag(node, k, result.survivor), shares[result.survivor], 8)
         return label
 
 
@@ -437,8 +451,9 @@ def run_full_protocol(
     n_batches = sum(len(contributors(graph, j)) for j in graph.measured_nodes)
     copy_angles = iter(rng.integers(8, size=(n_batches, m_copies)).tolist())
 
-    for k in range(1, n + 1):
-        session.hand_out(k, share_secret(pad_a[k], n, 2, rng, a_tag(k)), {"kind": "pad-flip", "client": k})
+    # every pad flip's n - 1 random pieces in one draw, one row per client
+    for k, pieces in enumerate(rng.integers(2, size=(n, n - 1)).tolist(), 1):
+        session.hand_out(k, a_tag(k), close_shares(pad_a[k], pieces, 2), 2, {"kind": "pad-flip", "client": k})
 
     # ------------------------------------------------------- preparation
     node_label: dict[int, str] = {}
@@ -470,8 +485,9 @@ def run_full_protocol(
     deltas: dict[int, int] = {}
     outcomes_b: dict[int, int] = {}
     for j in ledger.flow.order:
-        for k in range(1, n + 1):
-            session.hand_out(k, share_secret(int(rng.integers(2)), n, 2, rng, r_tag(j, k)), {"kind": "mask-bit", "node": j, "client": k})
+        # every client's mask bit and its n - 1 random pieces in one draw: row k is [r, pieces...]
+        for k, (r, *pieces) in enumerate(rng.integers(2, size=(n, n)).tolist(), 1):
+            session.hand_out(k, r_tag(j, k), close_shares(r, pieces, 2), 2, {"kind": "mask-bit", "node": j, "client": k})
         delta_j = ledger.delta(j)
         deltas[j] = delta_j
         transcript.record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta_j})

@@ -3,7 +3,8 @@
 Nothing here is run by the program itself: exhaustive enumeration of the
 preparation chain, the input pad written out gate by gate, the explicit
 step list the chain had before it was written as one rule, the copy test
-measured on one-qubit registers, state equality up to global phase, a
+measured on one-qubit registers, a share hand-out recorded message by
+message as it is sent, state equality up to global phase, a
 Monte-Carlo estimate of the server's state after entangling, the exact
 server views walked one secret combination at a time, their graph states
 built once per flip assignment, and their distance summed one label at a
@@ -18,7 +19,7 @@ import numpy as np
 
 from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system
 from mpdqc.oracle import VerificationResult
-from mpdqc.protocol import ServerStrategy, run_full_protocol
+from mpdqc.protocol import ServerStrategy, Session, Transcript, run_full_protocol
 from mpdqc.quantum import PureState, flip, octant, plus_state, weighted_trace_norm
 from mpdqc.rsp import chain_steps
 
@@ -81,6 +82,34 @@ def register_copy_test(shares: Sequence[Sequence[int]], prepared: Sequence[int],
         for i in range(m) if i != survivor
     }
     return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
+
+
+class EagerTranscript(Transcript):
+    """A Transcript that records every message of a deferred entry as soon as it is logged."""
+
+    def defer(self, entry) -> None:
+        for m in entry.messages(len(self)):
+            self.record(m.sender, m.receiver, m.variant, m.payload)
+
+
+class EagerSession(Session):
+    """A Session whose hand-outs record each message as it is sent.
+
+    Give it an EagerTranscript to record its copy tests as they are sent too.
+    """
+
+    def hand_out(self, owner: int, tag: tuple, values: list[int], modulus: int, context: dict) -> None:
+        """The owner's piece for every other client, then each holder's
+        submission to the oracle, in holder order; the two messages of a
+        piece carry one payload dict. Then the ledger files the values."""
+        payloads = [{"owner": k, "tag": list(tag), "value": value, "modulus": modulus} for k, value in enumerate(values, 1)]
+        for k, share in enumerate(payloads, 1):
+            if k != owner:
+                self.transcript.record(self.names[owner], self.names[k], "ShareDistribution", {**context, "share": share})
+        for k, share in enumerate(payloads, 1):
+            self.transcript.record(self.names[k], "oracle", "ShareDistribution", {**context, "share": share})
+        if self.ledger is not None:
+            self.ledger.register_share(tag, values, modulus)
 
 
 def chain_branches(survivor_state: PureState, others: Sequence[PureState], survivor: int) -> list[tuple[dict[int, int], float, PureState]]:

@@ -121,13 +121,26 @@ def test_validate_requires_enough_trials():
     assert any("trials" in e for e in errors)
 
 
-def test_validate_checks_the_coalition():
+def test_validate_checks_the_coalition(tmp_path, monkeypatch, capsys):
     base = {"mode": "client-sim-equiv", "seed": 0, "n_wires": 2, "n_columns": 2}
     assert validate(base) == []  # defaults to the last client
     assert validate({**base, "coalition": [1, 2]})
     assert validate({**base, "coalition": []})
     assert validate({**base, "coalition": [3]})
     assert validate({**base, "coalition": [1]}) == []
+    # a member listed twice is refused, not run as the smaller coalition
+    assert validate({**base, "coalition": [1, 1]}) == ["coalition lists client 1 more than once"]
+    wide = {**base, "n_wires": 4}
+    assert validate({**wide, "coalition": [1, 2]}) == []
+    assert validate({**wide, "coalition": [3, 1, 3, 1]}) == ["coalition lists client 1, 3 more than once"]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a config with a repeated coalition member reached the runner")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    config = write_config(tmp_path, **wide, coalition=[1, 1, 2])
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: coalition lists client 1 more than once")
 
 
 def test_validate_requires_blindness_scenarios():

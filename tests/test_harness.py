@@ -25,7 +25,7 @@ from mpdqc.harness import (
     view_distance,
 )
 from mpdqc.oracle import VerificationResult, share_secret, theta_tag
-from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, Session, Transcript, run_full_protocol, share_payload
+from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, Session, Transcript, run_full_protocol, share_payloads
 from mpdqc.quantum import DensityMatrix, PureState, trace_distance
 from reference import sampled_prepared_density
 
@@ -244,8 +244,8 @@ def test_leak_checker_flags_raw_secret_fields():
 def test_leak_checker_flags_complete_honest_share_sets():
     t = Transcript()
     pieces = share_secret(5, 2, 8, np.random.default_rng(0), theta_tag(1, 1, 0))
-    for piece in pieces:
-        t.record("client:1", "client:2", "ShareDistribution", {"kind": "copy-angle", "share": share_payload(piece)})
+    for share in share_payloads(theta_tag(1, 1, 0), [piece.value for piece in pieces], 8):
+        t.record("client:1", "client:2", "ShareDistribution", {"kind": "copy-angle", "share": share})
     with pytest.raises(AssertionError):
         check_no_secret_leak(t, {2}, 2)
     # the same traffic is fine if the secret belongs to the coalition itself

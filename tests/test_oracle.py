@@ -104,6 +104,25 @@ def test_batched_shares_equal_sequential_shares(m_copies, n):
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+@pytest.mark.parametrize("start", ["fresh", "after random()", "mid-word"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sized_bit_draws_equal_scalar_draws_in_row_order(n, start):
+    # run_full_protocol draws every pad flip's n - 1 pieces as one (n, n - 1)
+    # array, and each round's mask bits with their pieces as one (n, n)
+    # array; for PCG64 each equals as many scalar draws in row order and
+    # leaves the generator in the same state
+    for shape in ((n, n - 1), (n, n)):
+        sized, scalar = np.random.default_rng([n, *shape]), np.random.default_rng([n, *shape])
+        for rng in (sized, scalar):
+            if start == "after random()":
+                rng.random()
+            elif start == "mid-word":  # a lone bit leaves the rest of a 32-bit word buffered
+                rng.integers(2)
+        rows = sized.integers(2, size=shape).tolist()
+        assert rows == [[int(scalar.integers(2)) for _ in range(shape[1])] for _ in range(shape[0])]
+        assert sized.bit_generator.state == scalar.bit_generator.state
+
+
 # ------------------------------------------------------------ verification
 
 
@@ -205,6 +224,11 @@ def test_closed_form_copy_test_equals_the_register_reference(m, deviation):
 # ----------------------------------------------------------------- ledger
 
 
+def _register(ledger, value, modulus, tag, rng):
+    """File a secret at the ledger from the values of a fresh share set of it."""
+    ledger.register_share(tag, [piece.value for piece in share_secret(value, ledger.n_clients, modulus, rng)], modulus)
+
+
 def _filled_ledger(phi, a_bits, thetas, r_bits, t_bits, rng):
     """Build a two-client, two-column ledger with chosen secrets.
 
@@ -216,11 +240,11 @@ def _filled_ledger(phi, a_bits, thetas, r_bits, t_bits, rng):
     pattern = MeasurementPattern(graph, dict(phi))
     ledger = OracleLedger(pattern)
     for client, a in a_bits.items():
-        ledger.register_share(share_secret(a, 2, 2, rng, a_tag(client)))
+        _register(ledger, a, 2, a_tag(client), rng)
     for (node, client), theta in thetas.items():
-        ledger.register_share(share_secret(theta, 2, 8, rng, theta_tag(node, client, copy=4)))
+        _register(ledger, theta, 8, theta_tag(node, client, copy=4), rng)
     for (node, client), r in r_bits.items():
-        ledger.register_share(share_secret(r, 2, 2, rng, r_tag(node, client)))
+        _register(ledger, r, 2, r_tag(node, client), rng)
     for node, t in t_bits.items():
         ledger.register_chain(node, t)
     return ledger
@@ -275,9 +299,9 @@ def test_ledger_rejects_duplicate_registration():
     graph = build_brickwork(2, 2)
     pattern = MeasurementPattern(graph, {1: 0, 2: 0})
     ledger = OracleLedger(pattern)
-    ledger.register_share(share_secret(1, 2, 2, rng, a_tag(1)))
+    _register(ledger, 1, 2, a_tag(1), rng)
     with pytest.raises(ValueError, match="already registered"):
-        ledger.register_share(share_secret(0, 2, 2, rng, a_tag(1)))
+        _register(ledger, 0, 2, a_tag(1), rng)
     assert ledger.a_bit(1) == 1
     ledger.register_chain(1, {2: 0})
     with pytest.raises(ValueError):
@@ -288,25 +312,29 @@ def test_ledger_rejects_duplicate_registration():
 
 
 def test_ledger_refuses_incomplete_and_mixed_share_sets():
-    rng = np.random.default_rng(12)
+    # the ledger files a secret from the values of its n submitted pieces,
+    # piece k from client k, so two tags, two moduli or one owner twice
+    # cannot be said here; reconstruct refuses those share sets
+    # (test_reconstruct_rejects_inconsistent_share_sets)
     pattern = MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0})
     ledger = OracleLedger(pattern)
-    pieces = share_secret(1, 2, 2, rng, a_tag(1))
-    other = share_secret(1, 2, 2, rng, a_tag(2))
-    wide = share_secret(5, 2, 8, rng, a_tag(1))
     refused = {
-        "one piece": [pieces[0]],
-        "three pieces": [*pieces, other[0]],
-        "one owner twice": [pieces[0], pieces[0]],
-        "two tags": [pieces[0], other[1]],
-        "two moduli": [pieces[0], wide[1]],
+        "one piece": ([1], 2),
+        "three pieces": ([1, 0, 1], 2),
+        "modulus 4": ([1, 0], 4),
+        "modulus 3": ([1, 0], 3),
     }
-    for name, shares in refused.items():
+    for name, (values, modulus) in refused.items():
         with pytest.raises(ValueError):
-            ledger.register_share(shares)
+            ledger.register_share(a_tag(1), values, modulus)
         assert ledger.secrets == {}, name
-    ledger.register_share(pieces[::-1])
-    assert ledger.secrets == {a_tag(1): reconstruct(pieces)} == {a_tag(1): 1}
+    ledger.register_share(a_tag(1), [0, 1], 2)
+    assert ledger.secrets == {a_tag(1): 1}
+    # a secret already held is refused, and the held value stays
+    for values in ([0, 1], [1, 1]):
+        with pytest.raises(ValueError, match="already registered"):
+            ledger.register_share(a_tag(1), values, 2)
+    assert ledger.secrets == {a_tag(1): 1}
 
 
 def test_ledger_finds_the_one_submitted_angle_per_node_and_client():
@@ -315,11 +343,11 @@ def test_ledger_finds_the_one_submitted_angle_per_node_and_client():
     rng = np.random.default_rng(13)
     pattern = MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0})
     ledger = OracleLedger(pattern)
-    ledger.register_share(share_secret(5, 2, 8, rng, theta_tag(1, 2, copy=7)))
+    _register(ledger, 5, 8, theta_tag(1, 2, copy=7), rng)
     assert ledger.secrets == {("theta", 1, 2): 5}
     with pytest.raises(ValueError, match="already registered"):
-        ledger.register_share(share_secret(3, 2, 8, rng, theta_tag(1, 2, copy=8)))
-    ledger.register_share(share_secret(1, 2, 8, rng, theta_tag(1, 1, copy=8)))
+        _register(ledger, 3, 8, theta_tag(1, 2, copy=8), rng)
+    _register(ledger, 1, 8, theta_tag(1, 1, copy=8), rng)
     assert ledger.secrets == {("theta", 1, 2): 5, ("theta", 1, 1): 1}
     with pytest.raises(ValueError, match="no share set"):
         ledger.node_theta(2)

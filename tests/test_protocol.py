@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, random_pattern, reference_execute
-from mpdqc.oracle import SecretShare, a_tag, reconstruct, share_secret
+from mpdqc.oracle import OracleLedger, SecretShare, a_tag, r_tag, reconstruct, share_secret, theta_tag
 from mpdqc.protocol import (
     COPY_TEST_FAILED,
     VARIANTS,
@@ -21,7 +21,7 @@ from mpdqc.protocol import (
     run_full_protocol,
 )
 from mpdqc.quantum import PureState, octant, plus_state
-from reference import states_equal
+from reference import EagerSession, EagerTranscript, states_equal
 
 RNG = np.random.default_rng(55)
 
@@ -237,16 +237,20 @@ def test_the_copy_test_catches_copies_off_their_declared_angles():
                 assert not session.system.owner
 
 
+def _share_values(value, n, modulus, rng) -> list[int]:
+    return [piece.value for piece in share_secret(value, n, modulus, rng)]
+
+
 def test_reading_mid_run_changes_no_message():
     # a read builds the pending copy tests in place; messages recorded and
     # copy tests deferred after it go on numbering from there, and the log
     # is the one a run that was never read early gives
     def run(read_early: bool) -> tuple[Transcript, list]:
         session = Session(QuantumSystem(), Transcript(), np.random.default_rng(8), 3)
-        session.hand_out(1, share_secret(1, 3, 2, session.rng, a_tag(1)), {"kind": "pad-flip", "client": 1})
+        session.hand_out(1, a_tag(1), _share_values(1, 3, 2, session.rng), 2, {"kind": "pad-flip", "client": 1})
         session.offer_test_copies(1, 2, [3, 5, 7], [3, 5, 7])
         early = list(session.transcript.messages) if read_early else []
-        session.hand_out(2, share_secret(0, 3, 2, session.rng, a_tag(2)), {"kind": "pad-flip", "client": 2})
+        session.hand_out(2, a_tag(2), _share_values(0, 3, 2, session.rng), 2, {"kind": "pad-flip", "client": 2})
         session.transcript.record("server", "all", "ResultBroadcast", {"node": 1, "b": 0})
         session.offer_test_copies(2, 3, [0, 4], [0, 4])
         session.transcript.record("server", "all", "ResultBroadcast", {"node": 2, "b": 1})
@@ -261,6 +265,81 @@ def test_reading_mid_run_changes_no_message():
     assert [m.seq for m in read.messages] == list(range(len(read))) == list(range(len(unread)))
     assert read.to_jsonl() == unread.to_jsonl()
     assert read.counts == unread.counts
+
+
+# one step of a four-client session: a hand-out, a recorded message or a copy test
+MIXED_STEPS = [
+    lambda s: s.hand_out(1, a_tag(1), _share_values(1, 4, 2, s.rng), 2, {"kind": "pad-flip", "client": 1}),
+    lambda s: s.hand_out(4, a_tag(4), _share_values(0, 4, 2, s.rng), 2, {"kind": "pad-flip", "client": 4}),
+    lambda s: s.offer_test_copies(5, 2, [3, 5, 7], [3, 5, 7]),
+    lambda s: s.hand_out(2, theta_tag(2, 2, 0), _share_values(6, 4, 8, s.rng), 8, {"kind": "pad-angle", "node": 2}),
+    lambda s: s.transcript.record("server", "all", "ResultBroadcast", {"node": 5, "b": 0}),
+    lambda s: s.hand_out(2, r_tag(5, 2), _share_values(1, 4, 2, s.rng), 2, {"kind": "mask-bit", "node": 5, "client": 2}),
+    lambda s: s.hand_out(3, r_tag(5, 3), _share_values(1, 4, 2, s.rng), 2, {"kind": "mask-bit", "node": 5, "client": 3}),
+    lambda s: s.offer_test_copies(6, 3, [0, 4], [0, 4]),
+    lambda s: s.transcript.record("oracle", "server", "DeltaAnnounce", {"node": 6, "delta": 5}),
+    # every copy four octants off its declaration: the opened ones fail
+    lambda s: s.offer_test_copies(7, 1, [1, 2, 6], [5, 6, 2]),
+]
+HANDED_OUT = ("pad-flip", "pad-angle", "mask-bit")
+
+
+@pytest.mark.parametrize("debug_secrets", [False, True])
+@pytest.mark.parametrize("read_after", [None, 0, 2, 5, 9])
+def test_deferred_hand_outs_equal_the_eager_writer(read_after, debug_secrets):
+    # a session that defers its hand-outs and copy tests logs, seq for seq,
+    # what the eager reference records as each message is sent, however
+    # often it is read along the way; both ledgers file the same secrets
+    def run(cls, transcript: Transcript, read: bool):
+        pattern = random_pattern(build_brickwork(4, 3), np.random.default_rng(2))
+        session = cls(QuantumSystem(), transcript, np.random.default_rng(30), 4, OracleLedger(pattern), debug_secrets)
+        early = None
+        for i, step in enumerate(MIXED_STEPS):
+            step(session)
+            if read and i <= read_after:
+                early = list(transcript.messages)
+                assert len(early) == len(transcript)
+        return session, early
+
+    deferred, early = run(Session, Transcript(), read_after is not None)
+    eager, _ = run(EagerSession, EagerTranscript(), False)
+    got, want = deferred.transcript, eager.transcript
+    assert (len(got), got.counts) == (len(want), want.counts)
+    assert got.to_jsonl() == want.to_jsonl()
+    assert [m.seq for m in got.messages] == list(range(len(want)))
+    if early is not None:
+        assert got.messages[: len(early)] == early
+    # five hand-outs and two surviving copies; the last copy test aborts
+    assert got.counts["Abort"] == 1
+    assert deferred.ledger.secrets == eager.ledger.secrets and len(deferred.ledger.secrets) == 5 + 2
+    # a handed-out piece is one dict: to its holder, then from it to the oracle
+    pieces: dict[int, list] = {}
+    for m in got.messages:
+        if m.payload.get("kind") in HANDED_OUT:
+            pieces.setdefault(id(m.payload["share"]), []).append(m)
+    assert len(pieces) == 5 * 4
+    for msgs in pieces.values():
+        assert msgs[-1].receiver == "oracle" and msgs[-1].sender == f"client:{msgs[-1].payload['share']['owner']}"
+        assert len(msgs) == 1 or (len(msgs) == 2 and msgs[0].receiver == msgs[1].sender)
+
+
+@pytest.mark.parametrize("m_copies", [2, 10])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (4, 3), (4, 5)])
+def test_the_ledger_holds_what_the_oracle_was_sent(shape, m_copies):
+    # every secret the ledger holds is the reconstruction of the pieces
+    # submitted to the oracle under its tag, one from each client
+    _, _, run = run_once(*shape, seed=61, m_copies=m_copies)
+    assert not run.aborted
+    submitted: dict[tuple, list[SecretShare]] = {}
+    for m in run.transcript.messages:
+        if m.variant == "ShareDistribution" and m.receiver == "oracle":
+            share = SecretShare(**m.payload["share"])
+            assert m.sender == f"client:{share.owner}"
+            submitted.setdefault(share.tag, []).append(share)
+    assert all(len(shares) == shape[0] for shares in submitted.values())
+    filed = {tag[:3] if tag[0] == "theta" else tag: reconstruct(shares) for tag, shares in submitted.items()}
+    assert len(filed) == len(submitted)  # one surviving copy per (node, client)
+    assert run.ledger.secrets == filed
 
 
 def test_a_copy_shares_one_payload_dict_between_its_messages():
