@@ -71,3 +71,27 @@ def test_first_round_of_tiny_sample_2x2_succeeds():
         },
         "summaries_sha": "c4552cb3538b272a",
     }
+
+
+def test_digests_of_the_tiny_honest_wide_and_exact_views_runs():
+    # the digest ops of each tiny workload, as perfbench/run.py prints them:
+    # a change that moves a draw or a message moves these
+    workloads = load("workloads")
+    digests = {}
+    for name in ("honest-wide", "exact-views"):
+        workload = workloads.WORKLOADS[name](0, True, workloads.PhaseHooks())
+        for k in range(workload.DIGEST_OPS):
+            assert workload.op(k, workload.inputs(k)) is None, (name, k)
+        digests[name] = workload.digest()
+    assert digests["honest-wide"] == {
+        "scope": "ops 0..2 (2x3, m_copies=2)",
+        "ops": 3,
+        "min_fidelity": "1.000000000",
+        "messages": {
+            "DeltaAnnounce": 12, "OutcomeVector": 48, "OutputKeys": 6, "OutputQubit": 6,
+            "QubitTransfer": 42, "ResultBroadcast": 12, "ShareDistribution": 216,
+        },
+        "outcomes_sha": "ed9c433f8e0b14d9",
+    }
+    zero = {"prepared": 0.0, "round:1": 0.0, "round:2": 0.0, "delivered": 0.0}
+    assert digests["exact-views"] == {"scope": "ops 0..1", "ops": 2, "view_distances": [zero, zero]}
