@@ -530,12 +530,12 @@ def run_simulated_client_world(
             if k in coalition:
                 # the simulator plays the server in the coalition's copy test
                 copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
-                survivor_label = session.offer_test_copies(j, k, copy_angles, copy_angles)
-                if isinstance(survivor_label, AbortInfo):
-                    return ProtocolRun(transcript, system, chain_t, {}, {}, {}, None, survivor_label)
-                # the surviving coalition copy is absorbed by the simulator;
-                # nothing downstream depends on it
-                system.measure_computational(survivor_label, rng)
+                survivor = session.offer_test_copies(j, k, copy_angles, copy_angles)
+                if isinstance(survivor, AbortInfo):
+                    return ProtocolRun(transcript, system, chain_t, {}, {}, {}, None, survivor)
+                # the simulator absorbs the surviving copy; this uniform stands
+                # for the measurement of it that the simulator's stream holds
+                rng.random()
             else:
                 # an honest contributor's copy test passes; the coalition
                 # forwards its pieces of the opened copies and the survivor

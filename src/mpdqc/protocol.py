@@ -29,8 +29,8 @@ from .oracle import (
     theta_tag,
     verify_client,
 )
-from .quantum import DensityMatrix, PureState, QuantumSystem, plus_state
-from .rsp import run_chain
+from .quantum import DensityMatrix, PureState, QuantumSystem, flip, plus_state
+from .rsp import closed_form_chain
 
 VARIANTS = (
     "QubitTransfer",
@@ -386,19 +386,19 @@ class Session:
         self.system.transfer(f"in:{node}", "server")
         self.transcript.record(_client(node), "server", "QubitTransfer", {"node": node, "purpose": "padded-input"})
 
-    def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> str | AbortInfo:
+    def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> int | AbortInfo:
         """One contributor's copies for a node, through the copy test.
 
         The contributor shares each copy's declared angle among the clients,
         all (m, n - 1) random pieces in one draw and each row closed to its
         angle mod 8, and hands the server copy i as |+_prepared[i]>; an
         honest contributor passes the same list twice. oracle.verify_client
-        then opens and measures all but one survivor in closed form. An
-        opened copy never meets another qubit, so only the survivor becomes
-        a register, owned by the server, once the test has passed, and its
-        pieces go to the oracle. The test is logged as one CopyTest entry,
-        whose messages are built when the transcript is read. Returns the
-        survivor's label, or the AbortInfo of the failed test.
+        then opens and measures all but one survivor in closed form; no copy
+        becomes a register, as the survivor's chain is in closed form too.
+        Once the test has passed, the survivor's pieces go to the oracle,
+        which files its declared angle. The test is logged as one CopyTest
+        entry, whose messages are built when the transcript is read. Returns
+        the survivor's prepared angle, or the AbortInfo of the failed test.
         """
         k = contributor
         pieces = self.rng.integers(8, size=(len(declared), self.n_clients - 1)).tolist()
@@ -407,11 +407,9 @@ class Session:
         self.transcript.defer(CopyTest(node, k, shares, list(prepared), result, self.debug_secrets))
         if not result.accepted:
             return AbortInfo("verification", node, k, COPY_TEST_FAILED)
-        label = f"copy:{node}:{k}:{result.survivor}"
-        self.system.add_register(plus_state(prepared[result.survivor]), [label], ["server"])
         if self.ledger is not None:
             self.ledger.register_share(theta_tag(node, k, result.survivor), shares[result.survivor], 8)
-        return label
+        return prepared[result.survivor]
 
 
 def run_full_protocol(
@@ -456,19 +454,26 @@ def run_full_protocol(
         session.hand_out(k, a_tag(k), close_shares(pad_a[k], pieces, 2), 2, {"kind": "pad-flip", "client": k})
 
     # ------------------------------------------------------- preparation
+    # chains in closed form: an input's padded qubit turns by the rest of its
+    # new pad (its own share zeroed), any other node gets |+_theta>
     node_label: dict[int, str] = {}
     for j in graph.measured_nodes:
-        registers: dict[int, str] = {}
+        prepared: dict[int, int] = {}
         for k in contributors(graph, j):
             angles = next(copy_angles)
             survivor = session.offer_test_copies(j, k, angles, angles)
             if isinstance(survivor, AbortInfo):
                 return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, survivor, ledger)
-            registers[k] = survivor
+            prepared[k] = survivor
         if j in graph.input_nodes:
             session.send_padded_input(j, pad_a[j], pad_theta[j])
-            registers[j] = f"in:{j}"
-        t, node_label[j] = run_chain(system, registers, graph.survivor(j), rng)
+        t, theta = closed_form_chain([prepared.get(k, 0) for k in range(1, n + 1)], graph.survivor(j), pad_a.get(j, 0), rng)
+        if j in graph.input_nodes:
+            node_label[j] = f"in:{j}"
+            system.apply_z_rot(node_label[j], flip(theta, pad_a[j]))
+        else:
+            node_label[j] = f"node:{j}"
+            system.add_register(plus_state(theta), [node_label[j]], ["server"])
         transcript.record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
         ledger.register_chain(j, t)
 

@@ -17,7 +17,8 @@ register n, whose own contribution is |+_theta^n> (psi = |+>, a = 0).
 
 t is the dict of computational outcomes keyed by measured register label.
 The closed form is pinned against exhaustive branch enumeration of the
-chain in the tests.
+chain in the tests. The base protocol runs it in closed form; the rewrites,
+whose registers are entangled EPR halves, run it on registers (`run_chain`).
 """
 from __future__ import annotations
 
@@ -65,11 +66,20 @@ def theta_aux(shares: Sequence[int], t: Mapping[int, int]) -> int:
     return theta_input(shares, len(shares), t, 0)
 
 
+def closed_form_chain(angles: Sequence[int], survivor: int, a: int, rng: np.random.Generator) -> tuple[dict[int, int], int]:
+    """The chain over lone |+_angles[k-1]> registers, in closed form; returns (t, theta).
+
+    Each target answers 0 or 1 with probability 1/2 whatever its control
+    holds: t[target] = u >= 1/2, one rng.random() each, as run_chain draws.
+    """
+    t = {target: int(rng.random() >= 0.5) for target, _ in chain_steps(len(angles), survivor)}
+    return t, theta_input(angles, survivor, t, a)
+
+
 def run_chain(system, registers: Mapping[int, str], survivor: int, rng: np.random.Generator) -> tuple[dict[int, int], str]:
     """Run the chain on labelled qubits of a QuantumSystem; returns (t, survivor label).
 
-    registers maps register 1..n to a live label. This is the one runner
-    every execution path uses.
+    registers maps register 1..n to a live label.
     """
     t: dict[int, int] = {}
     for target, control in chain_steps(len(registers), survivor):

@@ -83,6 +83,18 @@ def test_protocol_matches_the_eager_layout(n_wires, n_columns):
 
 
 @pytest.mark.parametrize("n_ref", [0, 1])
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 40), (4, 5), (4, 9), (6, 4)])
+def test_honest_runs_peak_at_one_qubit_past_the_inputs(n_wires, n_columns, n_ref):
+    # the inputs and references, plus one node while it is entangled in:
+    # 3, 5, 5 and 7 live qubits without a reference
+    for seed in SEEDS:
+        pattern, psi, rng = scenario(n_wires, n_columns, n_ref, seed)
+        run = run_full_protocol(pattern, psi, rng, m_copies=2)
+        assert not run.aborted
+        assert run.system.peak_qubits == n_wires + 1 + n_ref
+
+
+@pytest.mark.parametrize("n_ref", [0, 1])
 @pytest.mark.parametrize("n_columns", [5, 9])
 def test_honest_runs_stay_width_bounded(tmp_path, n_columns, n_ref):
     # 4x9 holds 36 nodes: an eager graph state would need 2^36 amplitudes

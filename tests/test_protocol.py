@@ -206,11 +206,10 @@ def test_opened_copies_never_become_registers(monkeypatch):
     monkeypatch.setattr(QuantumSystem, "add_register", counted)
     pattern, _, run = run_once(4, 3, seed=17, m_copies=10)
     assert not run.aborted
-    # one input register, one survivor per (measured node, contributor):
-    # 4 contributors at each of the 8 measured nodes but the 4 inputs,
-    # whose owners pad the input itself; then the 4 graph_state outputs
-    assert len(added) == 1 + (4 * 8 - 4) + 4
-    assert added[0] == "in:1" and sum(label.startswith("copy:") for label in added) == 4 * 8 - 4
+    # no copy becomes a register: one input register, one chain survivor
+    # per measured node off the input column (an input's chain turns the
+    # padded input itself), then the 4 graph_state outputs
+    assert added == ["in:1", *(f"node:{j}" for j in range(5, 13))]
     assert not [label for label in run.system.owner if label.startswith("copy:")]
 
 
@@ -228,8 +227,9 @@ def test_the_copy_test_catches_copies_off_their_declared_angles():
             sent = [m.payload["amplitudes"] for m in messages if m.variant == "QubitTransfer"]
             assert sent == [[[z.real, z.imag] for z in plus_state(prepared[0]).amps]] * 2
             if deviation == 0:
-                # cos^2(0) = 1: the opened copy always passes, the survivor goes to the server
-                assert session.system.owner == {result: "server"} and result.startswith("copy:0:1:")
+                # cos^2(0) = 1: the opened copy always passes; the survivor's
+                # prepared angle goes on to its chain, and no register is built
+                assert result == prepared[0] and not session.system.owner
             else:
                 # cos^2(pi/2) = 0: the opened copy always fails and the run aborts
                 assert result == AbortInfo("verification", 0, 1, COPY_TEST_FAILED)

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdqc.protocol import QuantumSystem
+from mpdqc.brickwork import build_brickwork, random_pattern
+from mpdqc.oracle import OracleLedger
+from mpdqc.protocol import AbortInfo, QuantumSystem, Session, Transcript
 from mpdqc.quantum import PureState, octant, plus_state
-from mpdqc.rsp import chain_steps, run_chain, theta_aux, theta_input
+from mpdqc.rsp import chain_steps, closed_form_chain, run_chain, theta_aux, theta_input
 from reference import chain_branches, input_chain_steps, pad_input, states_equal, undo_pad
 
 RNG = np.random.default_rng(13)
@@ -134,6 +136,83 @@ def test_input_chain_keeps_reference_entanglement():
     assert survivor == "in"
     recovered = undo_pad(system.state_of(["in", "ref"]), 0, a, theta_input(shares, owner, t, a))
     assert recovered.fidelity(bell) == pytest.approx(1.0)
+
+
+# --------------------------------------- closed-form chain vs the registers
+
+# what the survivor register pads: |+> (a non-input node's own copy), an
+# input qubit, or an input qubit half of a Bell pair with a reference qubit
+SURVIVOR_STATES = {
+    "plus": lambda rng: plus_state(0),
+    "qubit": lambda rng: random_state(1, rng),
+    "bell": lambda rng: PureState.computational("00").h(0).cnot(0, 1),
+}
+
+
+def register_chain(angles: list[int], survivor: int, a: int, psi: PureState, rng: np.random.Generator):
+    """run_chain on registers |+_angles[k-1]> and the survivor's X^a Z(angles[s-1]) psi; returns (t, system, survivor labels)."""
+    labels = ["survivor", "ref"][: psi.num_qubits]
+    system = QuantumSystem()
+    system.add_register(pad_input(psi, 0, a, angles[survivor - 1]), labels, ["server", "environment"][: psi.num_qubits])
+    registers = {survivor: labels[0]}
+    for k in range(1, len(angles) + 1):
+        if k != survivor:
+            registers[k] = f"reg:{k}"
+            system.add_register(plus_state(angles[k - 1]), [registers[k]], ["server"])
+    t, label = run_chain(system, registers, survivor, rng)
+    assert label == labels[0]
+    return t, system, labels
+
+
+@pytest.mark.parametrize("kind", sorted(SURVIVOR_STATES))
+@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_chain_equals_the_register_chain_draw_for_draw(n, a, kind):
+    # the same draws give the same t and leave the generator in the same
+    # state, and the survivor register holds X^a Z(theta) psi for the
+    # closed form's theta. The register's p0 is 1/2 less a few 1e-16, so
+    # its outcome and u >= 1/2 differ only for u in [p0, 1/2).
+    rng = np.random.default_rng([n, a, len(kind)])
+    for survivor in range(1, n + 1):
+        for seed in range(4):
+            angles = rng.integers(8, size=n).tolist()
+            psi = SURVIVOR_STATES[kind](rng)
+            physical, closed = np.random.default_rng([n, survivor, seed]), np.random.default_rng([n, survivor, seed])
+            t_registers, system, labels = register_chain(angles, survivor, a, psi, physical)
+            t, theta = closed_form_chain(angles, survivor, a, closed)
+            assert t == t_registers
+            assert physical.bit_generator.state == closed.bit_generator.state
+            assert system.state_of(labels).fidelity(pad_input(psi, 0, a, theta)) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("deviation", [1, 2, 4])
+def test_the_chain_follows_a_survivor_prepared_off_its_declared_angle(deviation):
+    # node 3 of a 2x3 graph: client 1 declares one angle for both copies but
+    # prepares copy 0 `deviation` octants off. When copy 0 survives, the
+    # honest copy 1 is opened and passes. The oracle files the declared
+    # angle; the chain must run on the prepared one the test returns.
+    pattern = random_pattern(build_brickwork(2, 3), np.random.default_rng(4))
+    passed = []
+    for seed in range(16):
+        rng = np.random.default_rng([deviation, seed])
+        declared = rng.integers(8, size=2).tolist()
+        session = Session(QuantumSystem(), Transcript(), rng, 2, OracleLedger(pattern))
+        dishonest = session.offer_test_copies(3, 1, [declared[0]] * 2, [octant(declared[0] + deviation), declared[0]])
+        honest = session.offer_test_copies(3, 2, [declared[1]] * 2, [declared[1]] * 2)
+        (survivor,) = [m.payload["survivor"] for m in session.transcript.messages if m.payload.get("kind") == "survivor" and m.payload["contributor"] == 1]
+        if isinstance(dishonest, AbortInfo):
+            assert survivor == 1  # the deviated copy was opened and caught
+            continue
+        assert dishonest == octant(declared[0] + deviation * (survivor == 0)) and honest == declared[1]
+        passed.append(survivor)
+        physical, closed = np.random.default_rng(seed), np.random.default_rng(seed)
+        t_registers, system, labels = register_chain([dishonest, honest], 2, 0, plus_state(0), physical)
+        t, theta = closed_form_chain([dishonest, honest], 2, 0, closed)
+        assert t == t_registers and system.state_of(labels).fidelity(plus_state(theta)) >= 1 - 1e-12
+        session.ledger.register_chain(3, t)
+        assert session.ledger.node_theta(3) == theta_input(declared, 2, t, 0)
+        assert (session.ledger.node_theta(3) == theta) == (survivor == 1)
+    assert passed.count(0) >= 4
 
 
 # -------------------------------------------------------- angle identities
