@@ -384,7 +384,8 @@ class Session:
         if self.ledger is not None:
             self.ledger.register_share(tag, values, 8)
         self.system.transfer(f"in:{node}", "server")
-        self.transcript.record(_client(node), "server", "QubitTransfer", {"node": node, "purpose": "padded-input"})
+        payload = _qubit_payload(self.system, f"in:{node}", {"node": node, "purpose": "padded-input"}, self.debug_secrets)
+        self.transcript.record(_client(node), "server", "QubitTransfer", payload)
 
     def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> int | AbortInfo:
         """One contributor's copies for a node, through the copy test.
@@ -513,7 +514,7 @@ def run_full_protocol(
             keys[j] = (0, 0)
             continue
         system.transfer(node_label[j], _client(c))
-        transcript.record("server", _client(c), "OutputQubit", _qubit_payload(system, node_label[j], {"node": j}, debug_secrets))
+        transcript.record("server", _client(c), "OutputQubit", _qubit_payload(system, node_label[j], {"node": j, "label": node_label[j]}, debug_secrets))
         keys[j] = s_x, s_z = ledger.output_keys(j)
         transcript.record("oracle", _client(c), "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
 
@@ -521,9 +522,8 @@ def run_full_protocol(
     return ProtocolRun(transcript, system, dict(ledger.chain_t), deltas, outcomes_b, keys, output_state, ledger=ledger)
 
 
-def _qubit_payload(system: QuantumSystem, label: str, base: dict, debug_secrets: bool) -> dict:
-    """QubitTransfer payloads carry amplitudes only in trusted-debug mode."""
-    payload = {**base, "label": label}
+def _qubit_payload(system: QuantumSystem, label: str, payload: dict, debug_secrets: bool) -> dict:
+    """A sent qubit's payload; in trusted-debug mode only, with its amplitudes, or "entangled"."""
     if debug_secrets:
         amps = system.lone_amplitudes(label)
         payload["amplitudes"] = "entangled" if amps is None else _amplitude_pairs(amps)

@@ -514,7 +514,10 @@ def test_before_measurement_fires_between_each_delta_and_its_result(monkeypatch)
 def test_debug_mode_exposes_amplitudes_and_clean_mode_does_not():
     _, _, debug_run = run_once(2, 2, seed=4, debug_secrets=True)
     transfers = [m for m in debug_run.transcript.messages if m.variant == "QubitTransfer"]
-    assert any("amplitudes" in m.payload for m in transfers)
+    assert all("amplitudes" in m.payload for m in transfers)
+    # a padded input shares its register with the other inputs until measured
+    padded = [m.payload for m in transfers if m.payload["purpose"] == "padded-input"]
+    assert padded == [{"node": j, "purpose": "padded-input", "amplitudes": "entangled"} for j in (1, 2)]
     _, _, clean_run = run_once(2, 2, seed=4)
     assert all("amplitudes" not in m.payload for m in clean_run.transcript.messages)
 

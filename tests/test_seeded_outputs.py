@@ -50,7 +50,7 @@ def test_honest_run_transcript_is_pinned(tmp_path):
 # transcript.jsonl of honest-run 4x3, seed 5, m_copies 10, by --debug-secrets
 WIDE_DIGESTS = {
     False: "446282d4b5e5a87a6c6c92fc2ace14b71aa58e1b2c29abe3a1d911c20c62901a",
-    True: "3d37839bd849f5f83d6025dfb40e3ee89dc913bbb9d17de9ca75cd1a05480f1b",
+    True: "7fab96010cd149162f34807a8be61c907b31af6543f0a4223df38a1195ae7d69",
 }
 
 
