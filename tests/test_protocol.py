@@ -213,6 +213,18 @@ def test_opened_copies_never_become_registers(monkeypatch):
     assert not [label for label in run.system.owner if label.startswith("copy:")]
 
 
+def test_an_honest_run_applies_no_chain_gate(monkeypatch):
+    # every chain runs in closed form: no CNOT and no computational-basis measurement
+    def refuse(*args):
+        raise AssertionError("chain gate on a register")
+
+    monkeypatch.setattr(QuantumSystem, "apply_cnot", refuse)
+    monkeypatch.setattr(QuantumSystem, "measure_computational", refuse)
+    for n_wires, n_columns in [(2, 2), (4, 3)]:
+        _, _, run = run_once(n_wires, n_columns, seed=18, n_ref=1)
+        assert not run.aborted
+
+
 def test_the_copy_test_catches_copies_off_their_declared_angles():
     # each batch: client 1 declares one angle for two copies, prepares both
     # `deviation` octants off, and offers them on a fresh two-client session
