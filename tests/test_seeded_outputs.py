@@ -157,3 +157,56 @@ def test_simulated_client_transcripts_are_pinned():
         run = run_simulated_client_world(pattern, psi, {2}, np.random.default_rng([62, i]), m_copies=2)
         digest.update(run.transcript.to_jsonl().encode())
     assert digest.hexdigest() == "42a20d3da0af55ee7aed131fca67d8eb1a07ea57d2f091ea720869e3a70e92d0"
+
+
+# transcript sha256 of honest runs on a Philox generator, and the next
+# 32-bit word it draws afterwards: a bit generator other than PCG64 is
+# drawn through the generator's own calls
+PHILOX_RUNS = [
+    ((2, 3), 2, 73, "02fcf2d3b2f315478d8d4a16b0028b619c50b96ef55a8e7fb727efbc78f5ca8a", 1376309489),
+    ((4, 3), 10, 74, "8f12feb6eb685e88c50eca8e386d7c0f3472105aa9843513b5e39e840ca04556", 3171209909),
+]
+
+
+@pytest.mark.parametrize("shape,m_copies,seed,digest,next_word", PHILOX_RUNS)
+def test_honest_runs_on_philox_are_pinned(shape, m_copies, seed, digest, next_word):
+    pattern, psi = scenario(*shape, shape[0], seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    run = run_full_protocol(pattern, psi, rng, m_copies=m_copies)
+    assert not run.aborted
+    assert hashlib.sha256(run.transcript.to_jsonl().encode()).hexdigest() == digest
+    assert int(rng.integers(2 ** 32)) == next_word
+
+
+# 4x3 runs (m_copies 10, scenario seed 71) whose honest copies fail with
+# probability 0.01 each, by generator seed and whether one bit is drawn
+# first: the abort, the transcript sha256 and the generator's final state
+ABORTED_RUNS = [
+    (
+        [71, 8], True, AbortInfo("verification", 7, 3, COPY_TEST_FAILED),
+        "6d9890aa773b435f76934b360ae216fa9b310f4277154de52b45bb1a35e8f119",
+        {"state": 72609314794911589358249711643810224103, "inc": 105929898363995196638823184033394376063}, 0, 1484132544,
+    ),
+    (
+        [71, 4], False, AbortInfo("verification", 2, 1, COPY_TEST_FAILED),
+        "e3456444e2cc636bbae13dca84eed29e320946cb958c386f0cf3e0369a11d390",
+        {"state": 259042035980181544660095310781250529886, "inc": 94775239940291261700166493831778778063}, 1, 2679034498,
+    ),
+]
+
+
+@pytest.mark.parametrize("seed,mid_word,abort,digest,pcg,has_uint32,uinteger", ABORTED_RUNS)
+def test_aborted_runs_are_pinned(monkeypatch, seed, mid_word, abort, digest, pcg, has_uint32, uinteger):
+    # an aborted run stops drawing at its failed copy test: the generator
+    # ends where the per-call draws of the run up to that test leave it
+    import mpdqc.oracle
+
+    monkeypatch.setattr(mpdqc.oracle, "P0", (0.99, *mpdqc.oracle.P0[1:]))
+    pattern, psi = scenario(4, 3, 4, 71)
+    rng = np.random.default_rng(seed)
+    if mid_word:
+        rng.integers(2)
+    run = run_full_protocol(pattern, psi, rng, m_copies=10)
+    assert run.abort == abort and run.output_state is None
+    assert hashlib.sha256(run.transcript.to_jsonl().encode()).hexdigest() == digest
+    assert rng.bit_generator.state == {"bit_generator": "PCG64", "state": pcg, "has_uint32": has_uint32, "uinteger": uinteger}
