@@ -275,7 +275,7 @@ def reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: 
     outcomes: dict[int, int] = {}
     for j in flow.order:
         delta = flow.adapted_angle(j, angles[j], outcomes.__getitem__, lambda _: 0)
-        outcomes[j] = system.measure_rotated(node_label[j], delta, rng)
+        outcomes[j] = system.measure_rotated(node_label[j], delta, rng.random())
 
     keys = {j: flow.parities(j, outcomes.__getitem__) for j in graph.output_nodes}
     return read_outputs(system, graph, node_label, keys, ref_labels)

@@ -339,7 +339,7 @@ def run_intermediate_protocol(
 
     def extract_a(j: int) -> None:
         system.apply_cnot(f"in:{j}", f"keep:{j}:{j}")
-        a_bits[j] = system.measure_computational(f"keep:{j}:{j}", rng)
+        a_bits[j] = system.measure_computational(f"keep:{j}:{j}", rng.random())
 
     if not a_at_end:
         for j in graph.input_nodes:
@@ -353,7 +353,7 @@ def run_intermediate_protocol(
         lab = retained(j, k)
         system.apply_z_rot(lab, theta_hat[(j, k)])
         system.apply_h(lab)
-        r_bits[(j, k)] = system.measure_computational(lab, rng)
+        r_bits[(j, k)] = system.measure_computational(lab, rng.random())
 
     if not delayed:
         for j in measured:
@@ -406,7 +406,7 @@ def run_intermediate_protocol(
             eff = [octant(theta_hat[(j, k)] + 4 * r_bits[(j, k)]) for k in range(1, n + 1)]
             pad = theta_input(eff, graph.survivor(j), chain_t[j], a_of(j))
             delta[j] = blind_angle(phi_corrected(j), node_r(j), pad, a_of(j))
-        b[j] = system.measure_rotated(node_label[j], delta[j], rng)
+        b[j] = system.measure_rotated(node_label[j], delta[j], rng.random())
         if delayed and not a_at_end:
             solve_and_reveal(j)
 
@@ -545,7 +545,7 @@ def run_simulated_client_world(
                 transcript.defer(CopyTest(j, k, rows, [sum(row) % 8 for row in rows], result, False))
         if j in graph.input_nodes and j in coalition:
             pad_theta[j] = int(rng.integers(8))
-            session.send_padded_input(j, pad_a[j], pad_theta[j])
+            session.send_padded_input(j, pad_a[j], pad_theta[j], [int(rng.integers(8)) for _ in range(n - 1)])
         # chain outcomes are uniform and carry no secret dependence
         t = {reg: int(rng.integers(2)) for reg in range(1, n + 1) if reg != graph.survivor(j)}
         chain_t[j] = t
@@ -645,7 +645,7 @@ def observable_summary(run: ProtocolRun, rng: np.random.Generator) -> dict[str, 
     state = run.output_state
     if state is not None:
         for i in range(state.num_qubits):
-            out[f"out:{i}"], state = state.measure_rotated(0, 0, rng)
+            out[f"out:{i}"], state = state.measure_rotated(0, 0, rng.random())
     return out
 
 
@@ -688,7 +688,7 @@ def coalition_view_summary(
             wire = idx + 1
             if wire not in coalition:
                 continue
-            bit, state = state.measure_rotated(idx - removed, 0, rng)
+            bit, state = state.measure_rotated(idx - removed, 0, rng.random())
             removed += 1
             out[f"out:{wire}"] = bit
     return out

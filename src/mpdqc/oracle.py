@@ -55,6 +55,12 @@ def close_shares(value: int, pieces: Sequence[int], modulus: int) -> list[int]:
     return [*pieces, (value - sum(pieces)) % modulus]
 
 
+def close_share_rows(values: np.ndarray, pieces: np.ndarray, modulus: int) -> np.ndarray:
+    """close_shares elementwise: the (..., n - 1) pieces closed to the (...) values, as (..., n) share values."""
+    closing = (values - pieces.sum(axis=-1)) % modulus
+    return np.concatenate([pieces, closing[..., None]], axis=-1)
+
+
 def share_secret(value: int, n: int, modulus: int, rng: np.random.Generator, tag: Tag = ()) -> list[SecretShare]:
     """Split a secret into n additive shares mod `modulus`, one per client.
 
@@ -93,34 +99,46 @@ class VerificationResult:
 P0 = tuple(float(np.cos(d * np.pi / 8) ** 2) for d in range(8))
 
 
-def verify_client(shares: Sequence[Sequence[int]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
-    """The copy test: check a batch of declared-angle copies from one client.
+def judge_copy_tests(shares: np.ndarray, prepared: np.ndarray, survivors, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The copy test's rule, on one batch or a stack of batches: (opened copies, their outcomes).
 
-    shares is an (m, n) array of share values mod 8, row i the n pieces of
-    copy i's declared angle, which the oracle reconstructs as the row sum
-    mod 8. Copy i was prepared as |+_prepared[i]>. One uniformly chosen
-    survivor is left untouched; every other copy is opened and measured in
-    the basis its declaration promises. An opened copy never meets another
-    qubit, so its outcome is drawn in closed form: 1 with probability
-    1 - P0 of the gap between prepared and declared angle, 0 with certainty
-    for an honest copy. The survivor comes first, from rng.integers(m),
-    then one uniform per opened copy in index order, all in one
-    rng.random(m - 1) call (for PCG64 a sized draw equals as many scalar
-    draws). Any outcome 1 rejects the client. The survivor's index is
-    returned so the caller can feed that copy (and its still-secret shares)
-    onward.
+    shares is an (..., m, n) array of share values mod 8, row i the n
+    pieces of copy i's declared angle, which the oracle reconstructs as the
+    row sum mod 8. Copy i was prepared as |+_prepared[..., i]>. survivors
+    (...) holds each batch's drawn survivor, which is left untouched, and
+    uniforms (..., m - 1) one drawn uniform per opened copy, in index order.
+    Every other copy is opened and measured in the basis its declaration
+    promises. An opened copy never meets another qubit, so its outcome is
+    in closed form: 1 iff its uniform u >= P0 of the gap between prepared
+    and declared angle, so always 0 for an honest copy. Both results are
+    (..., m - 1) arrays; a batch with any outcome 1 rejects its client.
+    """
+    m = shares.shape[-2]
+    declared = shares.sum(axis=-1) % 8
+    steps = np.arange(m - 1)
+    opened = steps + (steps >= np.expand_dims(survivors, -1))
+    gaps = np.take_along_axis((prepared - declared) % 8, opened, axis=-1)
+    return opened, (uniforms >= np.asarray(P0)[gaps]).astype(np.int64)
+
+
+def verify_client(shares: Sequence[Sequence[int]], prepared: Sequence[int], survivor: int, uniforms: Sequence[float]) -> VerificationResult:
+    """The copy test of one batch of declared-angle copies from one client (judge_copy_tests).
+
+    shares is the batch's (m, n) share values and prepared its m prepared
+    angles. The caller draws the survivor, rng.integers(m), and then the
+    m - 1 uniforms of the opened copies, rng.random(m - 1); for PCG64 a
+    sized draw equals as many scalar draws. The survivor's index is
+    returned so the caller can feed that copy (and its still-secret
+    shares) onward.
     """
     m = len(shares)
     if m < 2:
         raise ValueError("need at least 2 copies to test any")
     if len(prepared) != m:
         raise ValueError("one prepared angle per copy")
-    declared = [sum(row) % 8 for row in shares]
-    survivor = int(rng.integers(m))
-    opened = [i for i in range(m) if i != survivor]
-    uniforms = rng.random(m - 1).tolist()
-    outcomes = {i: int(u >= P0[(prepared[i] - declared[i]) % 8]) for i, u in zip(opened, uniforms)}
-    return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
+    opened, outcomes = judge_copy_tests(np.asarray(shares), np.asarray(prepared), survivor, np.asarray(uniforms))
+    outcomes = outcomes.tolist()
+    return VerificationResult(accepted=not any(outcomes), survivor=survivor, outcomes=dict(zip(opened.tolist(), outcomes)))
 
 
 def blind_angle(corrected, r, theta, a):

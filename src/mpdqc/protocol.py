@@ -9,22 +9,28 @@ sender structurally cannot keep a copy.
 A run follows four phases in a fixed order: secret setup and preparation
 (pads, test copies, verification, preparation chains), entangling, the
 measurement rounds, and output delivery. Every classical message goes
-through the Transcript, which is what the security harness inspects.
+through the Transcript, which is what the security harness inspects. The
+run's randomness is drawn before its first step, from the run's DrawPlan.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_system, read_outputs
+from .draws import Schedule, draw, rewind
 from .oracle import (
     OracleLedger,
     VerificationResult,
     a_tag,
+    close_share_rows,
     close_shares,
+    judge_copy_tests,
     r_tag,
     theta_tag,
     verify_client,
@@ -345,7 +351,8 @@ class Session:
     """What the clients' protocol steps act on during one run.
 
     ledger is None where a simulator plays the oracle. debug_secrets adds
-    the amplitudes of unentangled qubits to QubitTransfer payloads. Each
+    the amplitudes of unentangled qubits to QubitTransfer payloads. rng is
+    drawn from by offer_test_copies only. Each
     hand-out and copy test is one deferred entry (HandOut, CopyTest), and
     each share's payload dict is shared by every message that carries it.
     """
@@ -369,13 +376,13 @@ class Session:
         if self.ledger is not None:
             self.ledger.register_share(tag, values, modulus)
 
-    def send_padded_input(self, node: int, a: int, theta: int) -> None:
-        """The input's owner pads qubit in:node by X^a Z(theta), shares theta and hands the qubit to the server."""
+    def send_padded_input(self, node: int, a: int, theta: int, pieces: list[int]) -> None:
+        """The input's owner pads qubit in:node by X^a Z(theta), shares theta from its n - 1 drawn pieces and hands the qubit to the server."""
         self.system.apply_z_rot(f"in:{node}", theta)
         if a:
             self.system.apply_x(f"in:{node}")
         tag, context = theta_tag(node, node, 0), {"kind": "pad-angle", "node": node}
-        values = close_shares(theta, [int(self.rng.integers(8)) for _ in range(self.n_clients - 1)], 8)
+        values = close_shares(theta, pieces, 8)
         for owner, share in enumerate(share_payloads(tag, values, 8), 1):
             # one piece at a time: its peer message, then its oracle submission
             if owner != node:
@@ -388,29 +395,139 @@ class Session:
         self.transcript.record(_client(node), "server", "QubitTransfer", payload)
 
     def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> int | AbortInfo:
-        """One contributor's copies for a node, through the copy test.
+        """One contributor's copies for a node, through the copy test, drawing as it goes.
 
         The contributor shares each copy's declared angle among the clients,
         all (m, n - 1) random pieces in one draw and each row closed to its
         angle mod 8, and hands the server copy i as |+_prepared[i]>; an
-        honest contributor passes the same list twice. oracle.verify_client
-        then opens and measures all but one survivor in closed form; no copy
-        becomes a register, as the survivor's chain is in closed form too.
-        Once the test has passed, the survivor's pieces go to the oracle,
-        which files its declared angle. The test is logged as one CopyTest
-        entry, whose messages are built when the transcript is read. Returns
-        the survivor's prepared angle, or the AbortInfo of the failed test.
+        honest contributor passes the same list twice. The survivor and the
+        opened copies' uniforms are drawn next, and oracle.verify_client
+        opens and measures all but the survivor in closed form. The coalition
+        simulator, protocol1-detection and A4 test copies this way;
+        run_full_protocol judges all its copy tests at once from its drawn
+        block. Returns what log_copy_test returns.
         """
-        k = contributor
-        pieces = self.rng.integers(8, size=(len(declared), self.n_clients - 1)).tolist()
+        m = len(declared)
+        pieces = self.rng.integers(8, size=(m, self.n_clients - 1)).tolist()
         shares = [close_shares(theta, row, 8) for row, theta in zip(pieces, declared)]
-        result = verify_client(shares, prepared, self.rng)
-        self.transcript.defer(CopyTest(node, k, shares, list(prepared), result, self.debug_secrets))
+        result = verify_client(shares, prepared, int(self.rng.integers(m)), self.rng.random(m - 1))
+        return self.log_copy_test(node, contributor, shares, list(prepared), result)
+
+    def log_copy_test(self, node: int, contributor: int, shares: list[list[int]], prepared: list[int], result: VerificationResult) -> int | AbortInfo:
+        """Log a judged copy test as one CopyTest entry, whose messages are built when the transcript is read.
+
+        No copy becomes a register, as the survivor's chain is in closed
+        form too. Once the test has passed, the survivor's pieces go to the
+        oracle, which files its declared angle. Returns the survivor's
+        prepared angle, or the AbortInfo of the failed test.
+        """
+        self.transcript.defer(CopyTest(node, contributor, shares, prepared, result, self.debug_secrets))
         if not result.accepted:
-            return AbortInfo("verification", node, k, COPY_TEST_FAILED)
+            return AbortInfo("verification", node, contributor, COPY_TEST_FAILED)
         if self.ledger is not None:
-            self.ledger.register_share(theta_tag(node, k, result.survivor), shares[result.survivor], 8)
+            self.ledger.register_share(theta_tag(node, contributor, result.survivor), shares[result.survivor], 8)
         return prepared[result.survivor]
+
+
+class DrawPlan(NamedTuple):
+    """Every generator call of an honest run, in order, and where each value lands.
+
+    The integer fields index the drawn integers and the uniform fields the
+    drawn uniforms (see draws.draw), shaped as the run reads them. With M
+    measured nodes, I of them inputs, and B copy batches of m copies:
+    pad_a, pad_theta (n,), copy_angles (B, m), flip_pieces (n, n - 1),
+    copy_pieces (B, m, n - 1), survivors (B,), input_pieces (I, n - 1) and
+    masks (M, n, n), row k of a round [r, pieces...]; tests (B, m - 1),
+    chains (M, n - 1) and measurements (M,). stops[b] counts the calls up to
+    and including batch b's copy test, where a run that fails it stops.
+    """
+
+    schedule: Schedule
+    pad_a: np.ndarray
+    pad_theta: np.ndarray
+    copy_angles: np.ndarray
+    flip_pieces: np.ndarray
+    copy_pieces: np.ndarray
+    survivors: np.ndarray
+    input_pieces: np.ndarray
+    masks: np.ndarray
+    tests: np.ndarray
+    chains: np.ndarray
+    measurements: np.ndarray
+    stops: list[int]
+
+
+@lru_cache(maxsize=32)
+def draw_plan(n_wires: int, n_columns: int, m_copies: int) -> DrawPlan:
+    """The DrawPlan of an honest n_wires x n_columns run with m_copies copies per batch.
+
+    It lists the calls in the order the run's steps take them: each
+    client's pad flip and pad angle, one scalar call each; every copy
+    angle; every pad flip's pieces. Then per measured node: each
+    contributor's angle pieces, survivor and opened-copy uniforms, the
+    padded input's pieces (an input node only, scalar calls), one scalar
+    uniform per chain target. Then per round its mask bits with their
+    pieces and the measurement's uniform. The measured nodes are 1..M in
+    order, the first n of them inputs, which the contributors of each
+    depend on; so the shape fixes the plan.
+    """
+    n, m = n_wires, m_copies
+    measured = n * (n_columns - 1)
+    inputs = n if measured else 0
+    calls: list[tuple[int, int] | int] = []
+    taken = {"ints": 0, "uniforms": 0}
+
+    def take(kind: str, bound: int | None, shape: tuple[int, ...]) -> np.ndarray:
+        """Add one call, integers(bound) or random() of this shape; return its values' indices."""
+        size = math.prod(shape)
+        calls.append(size if bound is None else (bound, size))
+        first = taken[kind]
+        taken[kind] += size
+        return np.arange(first, first + size).reshape(shape)
+
+    def ints(bound: int, *shape: int) -> np.ndarray:
+        return take("ints", bound, shape)
+
+    def uniforms(*shape: int) -> np.ndarray:
+        return take("uniforms", None, shape)
+
+    pads = [(ints(2), ints(8)) for _ in range(n)]
+    batches = n * measured - inputs
+    copy_angles = ints(8, batches, m)
+    flip_pieces = ints(2, n, n - 1)
+    copy_pieces, survivors, tests, stops, input_pieces, chains = [], [], [], [], [], []
+    for node in range(measured):
+        for _ in range(n - 1 if node < inputs else n):
+            copy_pieces.append(ints(8, m, n - 1))
+            survivors.append(ints(m))
+            tests.append(uniforms(m - 1))
+            stops.append(len(calls))
+        if node < inputs:
+            input_pieces.append([ints(8) for _ in range(n - 1)])
+        chains.append([uniforms() for _ in range(n - 1)])
+    masks, measurements = [], []
+    for _ in range(measured):
+        masks.append(ints(2, n, n))
+        measurements.append(uniforms())
+
+    def stacked(parts: list, *shape: int) -> np.ndarray:
+        return np.array(parts, dtype=np.intp).reshape(shape)
+
+    return DrawPlan(
+        Schedule(calls),
+        stacked([a for a, _ in pads], n),
+        stacked([theta for _, theta in pads], n),
+        copy_angles,
+        flip_pieces,
+        stacked(copy_pieces, batches, m, n - 1),
+        stacked(survivors, batches),
+        stacked(input_pieces, inputs, n - 1),
+        stacked(masks, measured, n, n),
+        stacked(tests, batches, m - 1),
+        stacked(chains, measured, n - 1),
+        stacked(measurements, measured),
+        stops,
+    )
 
 
 def run_full_protocol(
@@ -427,6 +544,13 @@ def run_full_protocol(
     input_state holds client k's input qubit at position k-1 plus optional
     trailing reference qubits that stay with the environment. m_copies is
     the batch size for the copy-based honesty test.
+
+    The run's randomness is drawn up front: draw_plan lists every generator
+    call its steps make, in order, and draws.draw takes them all at once,
+    as one block of raw words for PCG64. The steps then read their values
+    from the drawn arrays, and the physics draws nothing. All copy tests
+    are closed and judged at once (judge_copy_tests); a run whose copy
+    test fails rewinds rng to where the calls up to that test leave it.
     """
     graph = pattern.graph
     n = graph.n_wires
@@ -440,35 +564,46 @@ def run_full_protocol(
     transcript = Transcript()
     session = Session(system, transcript, rng, n, ledger, debug_secrets)
     strategy = server_strategy or ServerStrategy()
+    plan = draw_plan(n, graph.n_columns, m_copies)
+    drawn = draw(rng, plan.schedule)
+    ints, uniforms = drawn.ints, drawn.uniforms
 
     # ----------------------------------------------------------- secrets
-    pad_a: dict[int, int] = {}
-    pad_theta: dict[int, int] = {}
-    for k in range(1, n + 1):
-        pad_a[k], pad_theta[k] = int(rng.integers(2)), int(rng.integers(8))
-    # every copy angle in one draw, one row per (node, contributor) batch
-    n_batches = sum(len(contributors(graph, j)) for j in graph.measured_nodes)
-    copy_angles = iter(rng.integers(8, size=(n_batches, m_copies)).tolist())
-
-    # every pad flip's n - 1 random pieces in one draw, one row per client
-    for k, pieces in enumerate(rng.integers(2, size=(n, n - 1)).tolist(), 1):
-        session.hand_out(k, a_tag(k), close_shares(pad_a[k], pieces, 2), 2, {"kind": "pad-flip", "client": k})
+    flips = ints[plan.pad_a]
+    pad_a = dict(enumerate(flips.tolist(), 1))
+    pad_theta = dict(enumerate(ints[plan.pad_theta].tolist(), 1))
+    for k, values in enumerate(close_share_rows(flips, ints[plan.flip_pieces], 2).tolist(), 1):
+        session.hand_out(k, a_tag(k), values, 2, {"kind": "pad-flip", "client": k})
 
     # ------------------------------------------------------- preparation
+    # every copy test at once, one row per (node, contributor) batch; an
+    # honest contributor prepares each copy at its declared angle
+    angles = ints[plan.copy_angles]
+    shares = close_share_rows(angles, ints[plan.copy_pieces], 8)
+    survivors = ints[plan.survivors]
+    opened, outcomes = judge_copy_tests(shares, angles, survivors, uniforms[plan.tests])
+    shares, angles, survivors = shares.tolist(), angles.tolist(), survivors.tolist()
+    opened, outcomes = opened.tolist(), outcomes.tolist()
+    input_pieces = iter(ints[plan.input_pieces].tolist())
+    chain_uniforms = uniforms[plan.chains].tolist()
+
     # chains in closed form: an input's padded qubit turns by the rest of its
     # new pad (its own share zeroed), any other node gets |+_theta>
     node_label: dict[int, str] = {}
-    for j in graph.measured_nodes:
+    batch = 0
+    for pos, j in enumerate(graph.measured_nodes):
         prepared: dict[int, int] = {}
         for k in contributors(graph, j):
-            angles = next(copy_angles)
-            survivor = session.offer_test_copies(j, k, angles, angles)
+            result = VerificationResult(not any(outcomes[batch]), survivors[batch], dict(zip(opened[batch], outcomes[batch])))
+            survivor = session.log_copy_test(j, k, shares[batch], angles[batch], result)
             if isinstance(survivor, AbortInfo):
+                rewind(rng, drawn, plan.schedule, plan.stops[batch])
                 return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, survivor, ledger)
             prepared[k] = survivor
+            batch += 1
         if j in graph.input_nodes:
-            session.send_padded_input(j, pad_a[j], pad_theta[j])
-        t, theta = closed_form_chain([prepared.get(k, 0) for k in range(1, n + 1)], graph.survivor(j), pad_a.get(j, 0), rng)
+            session.send_padded_input(j, pad_a[j], pad_theta[j], next(input_pieces))
+        t, theta = closed_form_chain([prepared.get(k, 0) for k in range(1, n + 1)], graph.survivor(j), pad_a.get(j, 0), chain_uniforms[pos])
         if j in graph.input_nodes:
             node_label[j] = f"in:{j}"
             system.apply_z_rot(node_label[j], flip(theta, pad_a[j]))
@@ -488,18 +623,21 @@ def run_full_protocol(
         strategy.after_entangle(handle)
 
     # -------------------------------------------------- measurement rounds
+    # each round's mask bits, row k [r, pieces...] closed to r
+    masks = ints[plan.masks]
+    mask_shares = close_share_rows(masks[..., 0], masks[..., 1:], 2).tolist()
+    measure_uniforms = uniforms[plan.measurements].tolist()
     deltas: dict[int, int] = {}
     outcomes_b: dict[int, int] = {}
-    for j in ledger.flow.order:
-        # every client's mask bit and its n - 1 random pieces in one draw: row k is [r, pieces...]
-        for k, (r, *pieces) in enumerate(rng.integers(2, size=(n, n)).tolist(), 1):
-            session.hand_out(k, r_tag(j, k), close_shares(r, pieces, 2), 2, {"kind": "mask-bit", "node": j, "client": k})
+    for pos, j in enumerate(ledger.flow.order):
+        for k, values in enumerate(mask_shares[pos], 1):
+            session.hand_out(k, r_tag(j, k), values, 2, {"kind": "mask-bit", "node": j, "client": k})
         delta_j = ledger.delta(j)
         deltas[j] = delta_j
         transcript.record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta_j})
         if strategy.before_measurement:
             strategy.before_measurement(handle, j)
-        b_j = system.measure_rotated(node_label[j], delta_j, rng)
+        b_j = system.measure_rotated(node_label[j], delta_j, measure_uniforms[pos])
         outcomes_b[j] = b_j
         transcript.record("server", "all", "ResultBroadcast", {"node": j, "b": b_j})
         ledger.register_outcome(j, b_j)

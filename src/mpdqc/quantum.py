@@ -189,21 +189,24 @@ class PureState:
         """Project qubit q onto |outcome> and drop the qubit."""
         return _branch(self._view(q)[:, outcome & 1].reshape(-1))
 
-    def measure_rotated(self, q: int, delta: int, rng: np.random.Generator) -> tuple[int, "PureState"]:
-        """Measure qubit q in {|+_delta>, |-_delta>}; the qubit leaves the register.
+    def measure_rotated(self, q: int, delta: int, u: float) -> tuple[int, "PureState"]:
+        """Measure qubit q in {|+_delta>, |-_delta>} on a drawn uniform u; the qubit leaves the register.
 
-        p0 comes from the outcome-0 slice; only the drawn outcome's post-state is built.
+        The outcome is 0 iff u < p0. p0 comes from the outcome-0 slice; only
+        the drawn outcome's post-state is built. A caller with no drawn
+        uniform passes rng.random().
         """
         sub = self._rotated_slice(q, delta, 0)
         p0 = float(np.vdot(sub, sub).real)
-        if rng.random() < p0:
+        if u < p0:
             return 0, _branch(sub, p0)[1]
         return 1, self.project_rotated(q, delta, 1)[1]
 
-    def measure_computational(self, q: int, rng: np.random.Generator) -> tuple[int, "PureState"]:
+    def measure_computational(self, q: int, u: float) -> tuple[int, "PureState"]:
+        """Measure qubit q in the computational basis on a drawn uniform u, as measure_rotated."""
         sub = self._view(q)[:, 0].reshape(-1)
         p0 = float(np.vdot(sub, sub).real)
-        if rng.random() < p0:
+        if u < p0:
             return 0, _branch(sub, p0)[1]
         return 1, self.project_computational(q, 1)[1]
 
@@ -435,15 +438,15 @@ class QuantumSystem:
         if not self._labels[comp]:
             del self._states[comp], self._labels[comp]
 
-    def measure_rotated(self, label: str, delta: int, rng: np.random.Generator) -> int:
+    def measure_rotated(self, label: str, delta: int, u: float) -> int:
         c, q = self._touch(label)
-        outcome, self._states[c] = self._states[c].measure_rotated(q, delta, rng)
+        outcome, self._states[c] = self._states[c].measure_rotated(q, delta, u)
         self._drop(label)
         return outcome
 
-    def measure_computational(self, label: str, rng: np.random.Generator) -> int:
+    def measure_computational(self, label: str, u: float) -> int:
         c, q = self._touch(label)
-        outcome, self._states[c] = self._states[c].measure_computational(q, rng)
+        outcome, self._states[c] = self._states[c].measure_computational(q, u)
         self._drop(label)
         return outcome
 

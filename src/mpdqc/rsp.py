@@ -66,13 +66,15 @@ def theta_aux(shares: Sequence[int], t: Mapping[int, int]) -> int:
     return theta_input(shares, len(shares), t, 0)
 
 
-def closed_form_chain(angles: Sequence[int], survivor: int, a: int, rng: np.random.Generator) -> tuple[dict[int, int], int]:
+def closed_form_chain(angles: Sequence[int], survivor: int, a: int, uniforms: Sequence[float]) -> tuple[dict[int, int], int]:
     """The chain over lone |+_angles[k-1]> registers, in closed form; returns (t, theta).
 
     Each target answers 0 or 1 with probability 1/2 whatever its control
-    holds: t[target] = u >= 1/2, one rng.random() each, as run_chain draws.
+    holds: t[target] = u >= 1/2 on the target's drawn uniform, in
+    chain_steps order, where run_chain draws one rng.random() per
+    measurement. The caller draws the n - 1 uniforms.
     """
-    t = {target: int(rng.random() >= 0.5) for target, _ in chain_steps(len(angles), survivor)}
+    t = {target: int(u >= 0.5) for (target, _), u in zip(chain_steps(len(angles), survivor), uniforms)}
     return t, theta_input(angles, survivor, t, a)
 
 
@@ -84,5 +86,5 @@ def run_chain(system, registers: Mapping[int, str], survivor: int, rng: np.rando
     t: dict[int, int] = {}
     for target, control in chain_steps(len(registers), survivor):
         system.apply_cnot(registers[control], registers[target])
-        t[target] = system.measure_computational(registers[target], rng)
+        t[target] = system.measure_computational(registers[target], rng.random())
     return t, registers[survivor]

@@ -78,7 +78,7 @@ def register_copy_test(shares: Sequence[Sequence[int]], prepared: Sequence[int],
         raise ValueError("need at least 2 copies to test any")
     survivor = int(rng.integers(m))
     outcomes = {
-        i: plus_state(prepared[i]).measure_rotated(0, sum(shares[i]) % 8, rng)[0]
+        i: plus_state(prepared[i]).measure_rotated(0, sum(shares[i]) % 8, rng.random())[0]
         for i in range(m) if i != survivor
     }
     return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)

@@ -303,11 +303,7 @@ def test_observe_summarizes_each_world_and_raises_on_abort(monkeypatch):
 
 
 def _note_offered_batches(monkeypatch) -> list[tuple[int, int]]:
-    """(node, contributor) of every Session.offer_test_copies call, in call order.
-
-    The kernel sees only share values, so a patched kernel reads the batch
-    it is testing from the last entry.
-    """
+    """(node, contributor) of every Session.offer_test_copies call, in call order."""
     offered = []
     offer = Session.offer_test_copies
 
@@ -319,21 +315,34 @@ def _note_offered_batches(monkeypatch) -> list[tuple[int, int]]:
     return offered
 
 
-def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
-    # the full protocol and the coalition simulator both run
-    # protocol.verify_client; rejecting every batch must stop both at the
-    # first tested (node, contributor) with the same abort record
+def _patch_the_copy_test_rule(monkeypatch, rule) -> None:
+    """Replace oracle.judge_copy_tests wherever it is bound (verify_client reads oracle's binding)."""
+    import mpdqc.harness
+    import mpdqc.oracle
     import mpdqc.protocol
 
-    kernel = mpdqc.protocol.verify_client
-    offered, tested = _note_offered_batches(monkeypatch), []
+    kernel = mpdqc.oracle.judge_copy_tests
+    for module in (mpdqc.oracle, mpdqc.protocol, mpdqc.harness):
+        if getattr(module, "judge_copy_tests", None) is kernel:
+            monkeypatch.setattr(module, "judge_copy_tests", rule)
 
-    def reject(shares, prepared, rng):
-        tested.append(offered[-1])
-        result = kernel(shares, prepared, rng)
-        return VerificationResult(False, result.survivor, dict.fromkeys(result.outcomes, 1))
 
-    monkeypatch.setattr(mpdqc.protocol, "verify_client", reject)
+def _tested_batches(run) -> list[tuple[int, int]]:
+    """(node, contributor) of every copy test a run's transcript holds, in order."""
+    return [(m.payload["node"], m.payload["contributor"]) for m in run.transcript.messages if m.payload.get("kind") == "survivor"]
+
+
+def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
+    # the full protocol and the coalition simulator both judge copy tests
+    # by oracle.judge_copy_tests; rejecting every batch must stop both at
+    # the first tested (node, contributor) with the same abort record
+    from mpdqc.oracle import judge_copy_tests as kernel
+
+    def reject(shares, prepared, survivors, uniforms):
+        opened, outcomes = kernel(shares, prepared, survivors, uniforms)
+        return opened, np.ones_like(outcomes)
+
+    _patch_the_copy_test_rule(monkeypatch, reject)
     pattern = random_pattern(build_brickwork(2, 3), np.random.default_rng(4))
     psi = random_state(2)
     worlds = {
@@ -341,11 +350,10 @@ def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
         "simulated-client": lambda rng: run_simulated_client_world(pattern, psi, {2}, rng, m_copies=3),
     }
     for world, run_world in worlds.items():
-        tested.clear()
         run = run_world(np.random.default_rng(8))
-        assert len(tested) == 1, world
-        node, client = tested[0]
-        assert run.abort == AbortInfo("verification", node, client, COPY_TEST_FAILED), world
+        # node 1 is client 1's input, so client 2 tests the first batch
+        assert _tested_batches(run) == [(1, 2)], world
+        assert run.abort == AbortInfo("verification", 1, 2, COPY_TEST_FAILED), world
         assert run.aborted and run.output_state is None, world
         assert run.transcript.messages[-1].variant == "Abort", world
         with pytest.raises(RuntimeError, match=f"honest {world} run aborted"):
@@ -354,36 +362,36 @@ def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
 
 def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
     # the protocol, the coalition simulator and protocol1-detection must
-    # all run the one kernel, through Session.offer_test_copies, once per
-    # (measured node, contributor) whose copies are really tested
-    import mpdqc.harness
-    import mpdqc.oracle
-    import mpdqc.protocol
+    # all run the one rule, oracle.judge_copy_tests: the protocol once on
+    # the stack of all its batches, the others once per batch they really
+    # test, through Session.offer_test_copies
     from mpdqc.cli import MODES
+    from mpdqc.oracle import judge_copy_tests as kernel
 
-    kernel = mpdqc.oracle.verify_client
     offered, calls = _note_offered_batches(monkeypatch), []
 
-    def counted(shares, prepared, rng):
-        calls.append(offered[-1])
-        return kernel(shares, prepared, rng)
+    def counted(shares, prepared, survivors, uniforms):
+        calls.append(np.shape(survivors))
+        return kernel(shares, prepared, survivors, uniforms)
 
-    for module in (mpdqc.oracle, mpdqc.protocol, mpdqc.harness):
-        if getattr(module, "verify_client", None) is kernel:
-            monkeypatch.setattr(module, "verify_client", counted)
-
+    _patch_the_copy_test_rule(monkeypatch, counted)
     graph = build_brickwork(2, 3)
     rng = np.random.default_rng(12)
     pattern = random_pattern(graph, rng)
     psi = random_state(2, rng)
     contributions = [(j, k) for j in graph.measured_nodes for k in (1, 2) if not (j in graph.input_nodes and k == j)]
 
-    assert not run_full_protocol(pattern, psi, rng, m_copies=3).aborted
-    assert calls == contributions
+    run = run_full_protocol(pattern, psi, rng, m_copies=3)
+    assert not run.aborted
+    assert calls == [(len(contributions),)] and not offered
+    assert _tested_batches(run) == contributions
     calls.clear()
     assert not run_simulated_client_world(pattern, psi, {2}, rng, m_copies=3).abort
-    assert calls == [(j, k) for j, k in contributions if k == 2]
+    assert offered == [(j, k) for j, k in contributions if k == 2]
+    assert calls == [()] * len(offered)
+    offered.clear()
     calls.clear()
     detection = MODES["protocol1-detection"]
     assert detection.run(detection.settings({"seed": 3, "trials": 25}), False)["details"]["tested"] == 25
-    assert calls == [(0, 1)] * 25
+    assert offered == [(0, 1)] * 25
+    assert calls == [()] * 25

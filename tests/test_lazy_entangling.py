@@ -40,7 +40,7 @@ def eager_reference_execute(pattern: MeasurementPattern, input_state: PureState,
     for j in flow.order:
         delta = flow.adapted_angle(j, angles[j], outcomes.__getitem__, lambda _: 0)
         idx = pos[j]
-        outcomes[j], state = state.measure_rotated(idx, delta, rng)
+        outcomes[j], state = state.measure_rotated(idx, delta, rng.random())
         pos = {v: (i if i < idx else i - 1) for v, i in pos.items() if v != j}
         ref_pos = [i if i < idx else i - 1 for i in ref_pos]
 

@@ -136,11 +136,16 @@ def _honest_copies(client: int, m: int, rng) -> tuple[list, list]:
     return angle_shares, prepared
 
 
+def _draw_test(m: int, rng) -> tuple[int, list[float]]:
+    """The survivor and the opened copies' uniforms of an m-copy test, drawn as Session.offer_test_copies draws them."""
+    return int(rng.integers(m)), rng.random(m - 1).tolist()
+
+
 def test_honest_copies_always_pass():
     rng = np.random.default_rng(3)
     for _ in range(50):
         angle_shares, prepared = _honest_copies(1, 3, rng)
-        result = verify_client(angle_shares, prepared, rng)
+        result = verify_client(angle_shares, prepared, *_draw_test(3, rng))
         assert result.accepted
         assert all(b == 0 for b in result.outcomes.values())
 
@@ -151,7 +156,7 @@ def test_opposite_angle_always_fails():
         angle_shares, prepared = _honest_copies(1, 2, rng)
         # the client lies by pi on every copy: the tested one is caught
         prepared = [octant(p + 4) for p in prepared]
-        result = verify_client(angle_shares, prepared, rng)
+        result = verify_client(angle_shares, prepared, *_draw_test(2, rng))
         assert not result.accepted
 
 
@@ -162,7 +167,7 @@ def test_small_deviation_is_caught_at_the_expected_rate():
     for _ in range(trials):
         angle_shares, prepared = _honest_copies(1, 2, rng)
         prepared = [octant(p + 1) for p in prepared]
-        if not verify_client(angle_shares, prepared, rng).accepted:
+        if not verify_client(angle_shares, prepared, *_draw_test(2, rng)).accepted:
             rejections += 1
     rate = rejections / trials
     expected = np.sin(np.pi / 8) ** 2
@@ -174,7 +179,7 @@ def test_survivor_choice_is_uniformish():
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(600):
         angle_shares, prepared = _honest_copies(2, 3, rng)
-        result = verify_client(angle_shares, prepared, rng)
+        result = verify_client(angle_shares, prepared, *_draw_test(3, rng))
         counts[result.survivor] += 1
         assert result.survivor not in result.outcomes
     for c in counts.values():
@@ -185,10 +190,10 @@ def test_verification_needs_at_least_two_copies():
     rng = np.random.default_rng(7)
     angle_shares, prepared = _honest_copies(1, 1, rng)
     with pytest.raises(ValueError):
-        verify_client(angle_shares, prepared, rng)
+        verify_client(angle_shares, prepared, 0, [])
     angle_shares, prepared = _honest_copies(1, 3, rng)
     with pytest.raises(ValueError):
-        verify_client(angle_shares, prepared[:2], rng)
+        verify_client(angle_shares, prepared[:2], *_draw_test(3, rng))
 
 
 def test_pass_table_is_the_kernel_probability():
@@ -215,7 +220,7 @@ def test_closed_form_copy_test_equals_the_register_reference(m, deviation):
         if trial % 2:  # start mid-word in the 32-bit draw buffer
             rng_fast.integers(2)
             rng_slow.integers(2)
-        fast = verify_client(angle_shares, prepared, rng_fast)
+        fast = verify_client(angle_shares, prepared, *_draw_test(m, rng_fast))
         slow = register_copy_test(angle_shares, prepared, rng_slow)
         assert (fast.survivor, fast.outcomes, fast.accepted) == (slow.survivor, slow.outcomes, slow.accepted)
         assert rng_fast.bit_generator.state == rng_slow.bit_generator.state

@@ -67,7 +67,7 @@ def test_system_density_of_half_a_bell_pair():
 def test_system_measurement_removes_the_label():
     sys_ = QuantumSystem()
     sys_.add_register(PureState.computational("10"), ["a", "b"], ["server", "server"])
-    outcome = sys_.measure_computational("a", np.random.default_rng(0))
+    outcome = sys_.measure_computational("a", np.random.default_rng(0).random())
     assert outcome == 1
     with pytest.raises(KeyError):
         sys_.transfer("a", "client:1")

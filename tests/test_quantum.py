@@ -148,7 +148,7 @@ def test_projection_probabilities_sum_to_one():
 def test_measurement_removes_the_qubit():
     s = random_state(3)
     rng = np.random.default_rng(1)
-    outcome, post = s.measure_rotated(1, 3, rng)
+    outcome, post = s.measure_rotated(1, 3, rng.random())
     assert outcome in (0, 1)
     assert post.num_qubits == 2
     assert post.norm() == pytest.approx(1.0)
@@ -156,7 +156,7 @@ def test_measurement_removes_the_qubit():
 
 def test_computational_measurement_statistics():
     rng = np.random.default_rng(5)
-    ones = sum(PureState.computational("0").h(0).measure_computational(0, rng)[0] for _ in range(2000))
+    ones = sum(PureState.computational("0").h(0).measure_computational(0, rng.random())[0] for _ in range(2000))
     assert 850 < ones < 1150
 
 
@@ -168,7 +168,7 @@ def test_measurement_is_reproducible_for_a_fixed_seed():
         state = s
         bits = []
         while state.num_qubits:
-            b, state = state.measure_rotated(0, 2, rng)
+            b, state = state.measure_rotated(0, 2, rng.random())
             bits.append(b)
         runs.append(bits)
     assert runs[0] == runs[1]
@@ -281,7 +281,7 @@ def test_system_measuring_a_qubit_applies_its_pending_czs():
     # outcome s leaves b in |s>, where without the CZ it would stay |+>
     system = plus_pair()
     system.apply_cz("a", "b")
-    s = system.measure_rotated("a", 0, np.random.default_rng(3))
+    s = system.measure_rotated("a", 0, np.random.default_rng(3).random())
     assert states_equal(system.state_of(["b"]), PureState.computational(str(s)))
     assert system.peak_qubits == 2
 
@@ -340,9 +340,9 @@ def test_system_holds_only_live_components():
     system.apply_cnot("a", "b")
     assert len(system._states) == len(system._labels) == 2
     rng = np.random.default_rng(4)
-    system.measure_computational("c", rng)
+    system.measure_computational("c", rng.random())
     assert len(system._states) == len(system._labels) == 1
-    system.measure_computational("a", rng)
-    system.measure_computational("b", rng)
+    system.measure_computational("a", rng.random())
+    system.measure_computational("b", rng.random())
     assert not system._states and not system._labels
     assert system.peak_qubits == 2

@@ -179,7 +179,7 @@ def test_closed_form_chain_equals_the_register_chain_draw_for_draw(n, a, kind):
             psi = SURVIVOR_STATES[kind](rng)
             physical, closed = np.random.default_rng([n, survivor, seed]), np.random.default_rng([n, survivor, seed])
             t_registers, system, labels = register_chain(angles, survivor, a, psi, physical)
-            t, theta = closed_form_chain(angles, survivor, a, closed)
+            t, theta = closed_form_chain(angles, survivor, a, closed.random(n - 1))
             assert t == t_registers
             assert physical.bit_generator.state == closed.bit_generator.state
             assert system.state_of(labels).fidelity(pad_input(psi, 0, a, theta)) >= 1 - 1e-12
@@ -207,7 +207,7 @@ def test_the_chain_follows_a_survivor_prepared_off_its_declared_angle(deviation)
         passed.append(survivor)
         physical, closed = np.random.default_rng(seed), np.random.default_rng(seed)
         t_registers, system, labels = register_chain([dishonest, honest], 2, 0, plus_state(0), physical)
-        t, theta = closed_form_chain([dishonest, honest], 2, 0, closed)
+        t, theta = closed_form_chain([dishonest, honest], 2, 0, closed.random(1))
         assert t == t_registers and system.state_of(labels).fidelity(plus_state(theta)) >= 1 - 1e-12
         session.ledger.register_chain(3, t)
         assert session.ledger.node_theta(3) == theta_input(declared, 2, t, 0)
