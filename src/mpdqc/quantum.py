@@ -500,11 +500,20 @@ class QuantumSystem:
         return DensityMatrix(full.reshape(2 ** n, 2 ** n))
 
     def lone_amplitudes(self, label: str) -> np.ndarray | None:
-        """The qubit's amplitudes if it is in no component with another qubit, else None.
+        """The qubit's amplitudes if its reduced state is pure within 1e-12, else None.
 
         Its pending CZs are applied first, so a qubit that is only pending
-        entanglement reads as entangled.
+        entanglement reads as entangled. A qubit in a product with the rest
+        of its component reads as pure, whatever else the component holds.
+        A pure reduced state |a><a| fixes a up to a global phase; the phase
+        returned makes the |0> amplitude real and non-negative, or the |1>
+        amplitude real and positive if |0> has weight below 1e-12.
         """
-        c, _ = self._touch(label)
-        return self._states[c].amps if len(self._labels[c]) == 1 else None
+        c, q = self._touch(label)
+        rho = self._states[c].density([q]).matrix
+        if np.linalg.eigvalsh(rho)[-1] < 1 - 1e-12:
+            return None
+        i = int(rho[0, 0].real < 1e-12)
+        amps = rho[:, i] / np.sqrt(rho[i, i].real)
+        return amps / np.linalg.norm(amps)
 

@@ -527,11 +527,43 @@ def test_debug_mode_exposes_amplitudes_and_clean_mode_does_not():
     _, _, debug_run = run_once(2, 2, seed=4, debug_secrets=True)
     transfers = [m for m in debug_run.transcript.messages if m.variant == "QubitTransfer"]
     assert all("amplitudes" in m.payload for m in transfers)
-    # a padded input shares its register with the other inputs until measured
+    # the random two-qubit input entangles the two inputs
     padded = [m.payload for m in transfers if m.payload["purpose"] == "padded-input"]
     assert padded == [{"node": j, "purpose": "padded-input", "amplitudes": "entangled"} for j in (1, 2)]
     _, _, clean_run = run_once(2, 2, seed=4)
     assert all("amplitudes" not in m.payload for m in clean_run.transcript.messages)
+
+
+def _padded_inputs(run) -> dict[int, object]:
+    return {m.payload["node"]: m.payload["amplitudes"] for m in run.transcript.messages if m.payload.get("purpose") == "padded-input"}
+
+
+def test_debug_payload_shows_a_padded_product_input():
+    # inputs |+_0> and |+_2> share one register but are no entangled pair:
+    # each padded input is reported as X^a Z(theta)|+_phi>, its |0> amplitude
+    # real and non-negative
+    pattern = random_pattern(build_brickwork(2, 2), np.random.default_rng(6))
+    for seed in range(4):
+        run = run_full_protocol(pattern, plus_state(0).tensor(plus_state(2)), np.random.default_rng(seed), m_copies=2, debug_secrets=True)
+        padded = _padded_inputs(run)
+        assert sorted(padded) == [1, 2]
+        for node, phi in ((1, 0), (2, 2)):
+            expected = plus_state(phi).z_rot(0, run.ledger.secrets[("theta", node, node)])
+            if run.ledger.secrets[a_tag(node)]:
+                expected = expected.x(0)
+            amps = expected.amps * np.exp(-1j * np.angle(expected.amps[0]))
+            assert np.allclose([complex(*pair) for pair in padded[node]], amps, atol=1e-12)
+
+
+def test_debug_payload_reports_an_input_entangled_with_a_reference_as_entangled():
+    # in:1 holds half of a Bell pair with ref:1, in:2 is |+>
+    bell = np.zeros(8, dtype=complex)
+    bell[[0b000, 0b010]] = bell[[0b101, 0b111]] = 0.5  # (|0>|+>|0> + |1>|+>|1>) / sqrt(2)
+    pattern = random_pattern(build_brickwork(2, 2), np.random.default_rng(7))
+    run = run_full_protocol(pattern, PureState(bell), np.random.default_rng(1), m_copies=2, debug_secrets=True)
+    padded = _padded_inputs(run)
+    assert padded[1] == "entangled"
+    assert padded[2] != "entangled" and len(padded[2]) == 2
 
 
 def test_debug_payload_reports_a_pending_cz_pair_as_entangled():
