@@ -290,7 +290,7 @@ def _mode_honest_run(settings: dict, debug: bool) -> dict:
             "aborted": True,
             "abort": asdict(run.abort),
             "transcript": run.transcript,
-            "details": {},
+            "details": {"message_counts": dict(run.transcript.counts)},
         }
     expected = reference_execute(pattern, input_state, np.random.default_rng([seed, 1]))
     fidelity = run.output_state.fidelity(expected)
@@ -301,6 +301,7 @@ def _mode_honest_run(settings: dict, debug: bool) -> dict:
         "transcript": run.transcript,
         "details": {
             "messages": len(run.transcript),
+            "message_counts": dict(run.transcript.counts),
             "deltas": {str(k): v for k, v in sorted(run.delta.items())},
             "outcomes": {str(k): v for k, v in sorted(run.b.items())},
             "peak_qubits": run.system.peak_qubits,
@@ -461,6 +462,8 @@ def run_experiment(config: dict, seed: int, out_dir: Path, debug_secrets: bool =
     ]
     if report["trials"]:
         lines.insert(4, f"trials:    {report['trials']}")
+    if transcript is not None:
+        lines.append(f"messages:  {len(transcript)}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
     if aborted:

@@ -411,6 +411,20 @@ def test_honest_run_writes_all_artifacts(tmp_path):
     assert "PASS" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("n_wires,n_columns,m_copies", [(2, 3, 2), (4, 3, 10)])
+def test_honest_run_reports_its_message_counts(tmp_path, n_wires, n_columns, m_copies):
+    # details.message_counts per variant, read from Transcript.counts, and
+    # summary.txt's total: both as message_counts has them and as sent
+    cfg = write_config(tmp_path, mode="honest-run", seed=4, n_wires=n_wires, n_columns=n_columns, m_copies=m_copies)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    counts = json.loads((out / "report.json").read_text())["details"]["message_counts"]
+    assert counts == message_counts(n_wires, n_columns, m_copies)
+    sent = [json.loads(line)["variant"] for line in (out / "transcript.jsonl").read_text().splitlines()]
+    assert counts == {variant: sent.count(variant) for variant in counts}
+    assert f"messages:  {len(sent)}" in (out / "summary.txt").read_text().splitlines()
+
+
 def test_reports_are_reproducible(tmp_path):
     cfg = write_config(tmp_path, mode="honest-run", seed=5, n_wires=2, n_columns=3, m_copies=2)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
