@@ -54,8 +54,7 @@ class _Layout(NamedTuple):
     words: int
     halves: np.ndarray
     bounds: np.ndarray
-    checked: np.ndarray  # integer draws whose bound is not a power of two
-    thresholds: np.ndarray  # 2^32 mod bound, for those draws
+    thresholds: np.ndarray  # 2^32 mod bound: 0 for a power of two, which never rejects
     uniform_words: np.ndarray
     has_uint32: int
     last_high: int  # the half left in `uinteger` afterwards, indexed as in halves
@@ -100,14 +99,11 @@ def _lay_out(calls: tuple[Call, ...], has_uint32: int) -> _Layout:
                 halves.append(waiting)
                 waiting = None
     bound_array = np.array(bounds, dtype=np.uint64)
-    thresholds = (2 ** 32) % bound_array
-    checked = np.flatnonzero(thresholds)
     return _Layout(
         words,
         np.array(halves, dtype=np.intp),
         bound_array,
-        checked,
-        thresholds[checked],
+        2 ** 32 % bound_array,
         np.array(uniform_words, dtype=np.intp),
         int(waiting is not None),
         last_high,
@@ -134,7 +130,7 @@ def _decode(bitgen: np.random.PCG64, start: dict, layout: _Layout) -> tuple[np.n
     split[1:-1:2] = raw >> 32
     split[-1] = start["uinteger"]
     scaled = split[layout.halves] * layout.bounds
-    if layout.checked.size and np.any((scaled[layout.checked] & LOW32) < layout.thresholds):
+    if np.any((scaled & LOW32) < layout.thresholds):
         return None
     state = bitgen.state
     state["has_uint32"], state["uinteger"] = layout.has_uint32, int(split[layout.last_high])
