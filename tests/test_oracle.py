@@ -107,10 +107,10 @@ def test_batched_shares_equal_sequential_shares(m_copies, n):
 @pytest.mark.parametrize("start", ["fresh", "after random()", "mid-word"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_sized_bit_draws_equal_scalar_draws_in_row_order(n, start):
-    # run_full_protocol draws every pad flip's n - 1 pieces as one (n, n - 1)
-    # array, and each round's mask bits with their pieces as one (n, n)
-    # array; for PCG64 each equals as many scalar draws in row order and
-    # leaves the generator in the same state
+    # a run's draw plan lists every pad flip's n - 1 pieces as one (n, n - 1)
+    # call, and each round's mask bits with their pieces as one (n, n) call;
+    # for PCG64 each equals as many scalar draws in row order and leaves the
+    # generator in the same state
     for shape in ((n, n - 1), (n, n)):
         sized, scalar = np.random.default_rng([n, *shape]), np.random.default_rng([n, *shape])
         for rng in (sized, scalar):
