@@ -113,12 +113,10 @@ def judge_copy_tests(shares: np.ndarray, prepared: np.ndarray, survivors, unifor
     and declared angle, so always 0 for an honest copy. Both results are
     (..., m - 1) arrays; a batch with any outcome 1 rejects its client.
     """
-    m = shares.shape[-2]
-    declared = shares.sum(axis=-1) % 8
-    steps = np.arange(m - 1)
-    opened = steps + (steps >= np.expand_dims(survivors, -1))
-    gaps = np.take_along_axis((prepared - declared) % 8, opened, axis=-1)
-    return opened, (uniforms >= np.asarray(P0)[gaps]).astype(np.int64)
+    keep = np.arange(shares.shape[-2]) != np.asarray(survivors)[..., None]
+    gaps = (prepared - shares.sum(axis=-1))[keep] % 8
+    opened = keep.nonzero()[-1].reshape(uniforms.shape)
+    return opened, (uniforms >= np.asarray(P0)[gaps].reshape(uniforms.shape)).astype(np.int64)
 
 
 def verify_client(shares: Sequence[Sequence[int]], prepared: Sequence[int], survivor: int, uniforms: Sequence[float]) -> VerificationResult:
