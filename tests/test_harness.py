@@ -24,7 +24,7 @@ from mpdqc.harness import (
     summary_fields,
     view_distance,
 )
-from mpdqc.oracle import VerificationResult, share_secret, theta_tag
+from mpdqc.oracle import share_secret, theta_tag
 from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, Session, Transcript, run_full_protocol, share_payloads
 from mpdqc.quantum import DensityMatrix, PureState, trace_distance
 from reference import sampled_prepared_density
