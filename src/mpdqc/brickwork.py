@@ -1,12 +1,9 @@
-"""Brickwork graphs, their flow, measurement patterns, and their graph state.
+"""Brickwork graphs, their flow, measurement patterns, their graph state, and their direct execution.
 
 Node labeling is column-major and 1-based: column c (1-based) holds nodes
 (c-1)*n_wires + 1 .. c*n_wires, top to bottom. Column 1 nodes are the
 inputs, the last column's nodes are the outputs, and client k owns input
 node k and output node q + k where q = n_wires * (n_columns - 1).
-
-Every execution path builds its graph state on one QuantumSystem with
-input_system and graph_state, and reads its outputs with read_outputs.
 """
 from __future__ import annotations
 
@@ -17,7 +14,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .quantum import PureState, QuantumSystem, octant, plus_state
+from .quantum import _PHASE_CONJ, PureState, QuantumSystem, octant, plus_state
+
+_TELEPORT = np.array([[[1, c], [1, -c]] for c in _PHASE_CONJ]) / np.sqrt(2)  # [phi]: H Z(-phi)
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,21 @@ class BrickworkGraph:
     def flow(self) -> "Flow":
         """The graph's causal flow (compute_flow), computed once per graph."""
         return compute_flow(self)
+
+    @cached_property
+    def column_signs(self) -> tuple[np.ndarray | None, ...]:
+        """Per column, the +-1 its CZs put on each wire basis state (wire w is index bit n_wires - w), or None.
+
+        Raises ValueError unless the edges are the flow edges (j, j + n_wires) plus edges inside one column.
+        """
+        n, edges = self.n_wires, [sorted(e) for e in self.edges]
+        rungs = [(u, v) for u, v in edges if v - u != n]
+        if len(edges) - len(rungs) != n * (self.n_columns - 1) or any((u - 1) // n != (v - 1) // n for u, v in rungs):
+            raise ValueError("the edges must be the flow edges (j, j + n_wires) plus edges inside one column")
+        bits = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+        pairs = [frozenset((self.wire_of(u), self.wire_of(v)) for u, v in rungs if (u - 1) // n == c) for c in range(self.n_columns)]
+        table = {p: 1.0 - 2 * (sum(bits[:, a - 1] & bits[:, b - 1] for a, b in p) & 1) for p in set(pairs) if p}
+        return tuple(table.get(p) for p in pairs)
 
 
 def build_brickwork(n_wires: int, n_columns: int) -> BrickworkGraph:
@@ -258,24 +272,22 @@ def read_outputs(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[
 
 
 def reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: np.random.Generator) -> PureState:
-    """Run a pattern directly, with corrections applied in the clear.
+    """Run a pattern directly, as the circuit it computes on the wire register, column by column.
 
-    input_state holds one qubit per wire (qubit k-1 is input node k) plus
-    any number of trailing reference qubits that the graph never touches.
-    Returns the output register: output nodes in label order, then the
-    reference qubits. Outcome randomness only shuffles byproducts, so the
-    returned state is the same (up to global phase) for every rng.
+    Input node k is qubit k-1 of input_state; outputs come back in label
+    order, then any reference qubits. Each column applies its CZ signs, then,
+    unless it is the last, H Z(-phi_j) on node j's wire: CZ(j, f(j)) and
+    <+_phi_j| on j in the all-zero outcome branch. The renormalized result is
+    the pattern's output up to global phase. rng advances as if each measured
+    node drew one rng.random(); nothing is drawn.
     """
-    graph, angles = pattern.graph, pattern.angles
-    flow = graph.flow
-    system, ref_labels = input_system(input_state, ["environment"] * graph.n_wires)
-    node_label: dict[int, str] = {}
-    graph_state(system, graph, node_label)
-
-    outcomes: dict[int, int] = {}
-    for j in flow.order:
-        delta = flow.adapted_angle(j, angles[j], outcomes.__getitem__, lambda _: 0)
-        outcomes[j] = system.measure_rotated(node_label[j], delta, rng.random())
-
-    keys = {j: flow.parities(j, outcomes.__getitem__) for j in graph.output_nodes}
-    return read_outputs(system, graph, node_label, keys, ref_labels)
+    graph, n = pattern.graph, pattern.graph.n_wires
+    if input_state.num_qubits < n:
+        raise ValueError(f"input register has {input_state.num_qubits} qubits but the graph has {n} wires")
+    rng.random(len(graph.measured_nodes))
+    amps = input_state.amps
+    for c, signs in enumerate(graph.column_signs):
+        amps = amps if signs is None else (signs[:, None] * amps.reshape(1 << n, -1)).reshape(-1)
+        for j in graph.measured_nodes[c * n:(c + 1) * n]:
+            amps = np.matmul(_TELEPORT[pattern.angles[j]], amps.reshape(1 << graph.wire_of(j) - 1, 2, -1)).reshape(-1)
+    return PureState(amps)

@@ -1,6 +1,7 @@
 """Slow, explicit references the tests compare the program against.
 
-Nothing here is run by the program itself: exhaustive enumeration of the
+Nothing here is run by the program itself: a pattern executed as a
+measurement pattern on its graph state, exhaustive enumeration of the
 preparation chain, the input pad written out gate by gate, the explicit
 step list the chain had before it was written as one rule, the copy test
 measured on one-qubit registers, a share hand-out recorded message by
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system
+from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system, read_outputs
 from mpdqc.oracle import VerificationResult
 from mpdqc.protocol import ServerStrategy, Session, Transcript, run_full_protocol
 from mpdqc.quantum import PureState, flip, octant, plus_state, weighted_trace_norm
@@ -27,6 +28,30 @@ from mpdqc.rsp import chain_steps
 def states_equal(a: PureState, b: PureState, atol: float = 1e-9) -> bool:
     """State equality up to global phase."""
     return a.fidelity(b) >= 1.0 - atol
+
+
+def mbqc_reference_execute(pattern: MeasurementPattern, input_state: PureState, rng: np.random.Generator) -> PureState:
+    """brickwork.reference_execute run as the measurement pattern itself, with corrections applied in the clear.
+
+    The graph state is laid out on one QuantumSystem (input_system,
+    graph_state); each node is measured at its flow-adapted angle on one
+    rng.random() draw, and the outputs are decrypted by their flow keys
+    (read_outputs). Outcomes only shuffle byproducts, so the returned state
+    is the same, up to global phase, for every rng.
+    """
+    graph, angles = pattern.graph, pattern.angles
+    flow = graph.flow
+    system, ref_labels = input_system(input_state, ["environment"] * graph.n_wires)
+    node_label: dict[int, str] = {}
+    graph_state(system, graph, node_label)
+
+    outcomes: dict[int, int] = {}
+    for j in flow.order:
+        delta = flow.adapted_angle(j, angles[j], outcomes.__getitem__, lambda _: 0)
+        outcomes[j] = system.measure_rotated(node_label[j], delta, rng.random())
+
+    keys = {j: flow.parities(j, outcomes.__getitem__) for j in graph.output_nodes}
+    return read_outputs(system, graph, node_label, keys, ref_labels)
 
 
 def pad_input(state: PureState, qubit: int, a: int, theta: int) -> PureState:

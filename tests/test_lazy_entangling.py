@@ -1,20 +1,25 @@
-"""Graph-state CZs applied on first touch, pinned against the eager layout, and register bounds.
+"""Graph-state CZs applied on first touch, direct execution as a circuit, both pinned against the eager layout, and register bounds.
 
 eager_reference_execute is direct pattern execution with every node
 prepared and every CZ applied up front on one statevector of
 2^(wires x columns) amplitudes. It is kept here only, as the slow path the
-width-bounded execution is checked against.
+width-bounded execution is checked against. reference_execute runs the
+pattern's circuit on the wire register; it is pinned against this eager
+layout and against reference.mbqc_reference_execute, the same pattern run
+as MBQC on a QuantumSystem.
 """
 import json
 
 import numpy as np
 import pytest
 
-from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, random_pattern, reference_execute
+from mpdqc import brickwork
+from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, build_brickwork, compute_flow, random_pattern, reference_execute
 from mpdqc.cli import REGISTER_BUDGET, main
 from mpdqc.harness import rewrite_peak_qubits, run_intermediate_protocol
 from mpdqc.protocol import run_full_protocol
-from mpdqc.quantum import PureState, plus_state
+from mpdqc.quantum import PureState, QuantumSystem, plus_state
+from reference import mbqc_reference_execute
 
 SEEDS = range(3)
 
@@ -54,11 +59,15 @@ def eager_reference_execute(pattern: MeasurementPattern, input_state: PureState,
     return state.reorder([pos[j] for j in graph.output_nodes] + ref_pos)
 
 
+def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
+    v = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    return PureState(v / np.linalg.norm(v))
+
+
 def scenario(n_wires: int, n_columns: int, n_ref: int, seed: int):
     rng = np.random.default_rng([n_wires, n_columns, seed])
     pattern = random_pattern(build_brickwork(n_wires, n_columns), rng)
-    v = rng.normal(size=2 ** (n_wires + n_ref)) + 1j * rng.normal(size=2 ** (n_wires + n_ref))
-    return pattern, PureState(v / np.linalg.norm(v)), rng
+    return pattern, random_state(n_wires + n_ref, rng), rng
 
 
 @pytest.mark.parametrize("n_wires,n_columns", [(2, 5), (4, 3)])
@@ -69,6 +78,113 @@ def test_reference_execute_matches_the_eager_layout(n_wires, n_columns):
         lazy = reference_execute(pattern, psi, np.random.default_rng(seed + 10))
         assert lazy.num_qubits == n_wires + 1
         assert lazy.fidelity(eager) >= 1 - 1e-12
+
+
+# the eager layout holds every node at once: above this many qubits it is
+# not built (4x5, 6x4 and 8x3 hold 20, 24 and 24 nodes)
+EAGER_QUBITS = 16
+
+
+@pytest.mark.parametrize("n_ref", [0, 1, 2])
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 1), (2, 2), (2, 5), (4, 3), (4, 5), (6, 4), (8, 3)])
+def test_the_circuit_matches_the_mbqc_pin_and_the_eager_layout(n_wires, n_columns, n_ref):
+    for seed in SEEDS:
+        pattern, psi, _ = scenario(n_wires, n_columns, n_ref, seed)
+        circuit = reference_execute(pattern, psi, np.random.default_rng(seed))
+        assert circuit.num_qubits == n_wires + n_ref
+        assert circuit.fidelity(mbqc_reference_execute(pattern, psi, np.random.default_rng(seed + 10))) >= 1 - 1e-12
+        if pattern.graph.num_nodes + n_ref <= EAGER_QUBITS:
+            assert circuit.fidelity(eager_reference_execute(pattern, psi, np.random.default_rng(seed))) >= 1 - 1e-12
+
+
+def test_the_circuit_runs_a_hand_built_line_graph():
+    # one wire, four nodes: every edge is a flow edge and no column has a CZ
+    graph = BrickworkGraph(n_wires=1, n_columns=4, edges=frozenset({(1, 2), (2, 3), (3, 4)}))
+    assert graph.column_signs == (None,) * 4
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        pattern = random_pattern(graph, rng)
+        psi = random_state(2, rng)  # the wire and one reference qubit
+        assert reference_execute(pattern, psi, rng).fidelity(mbqc_reference_execute(pattern, psi, rng)) >= 1 - 1e-12
+
+
+def test_the_circuit_runs_czs_in_the_first_and_last_columns():
+    # the brickwork puts CZs in even columns only; any column may hold them
+    assert [s if s is None else s.tolist() for s in build_brickwork(2, 3).column_signs] == [None, [1, 1, 1, -1], None]
+    flow_edges = {(1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8)}
+    graph = BrickworkGraph(n_wires=2, n_columns=4, edges=frozenset(flow_edges | {(1, 2), (8, 7)}))
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        pattern = random_pattern(graph, rng)
+        psi = random_state(3, rng)
+        assert reference_execute(pattern, psi, rng).fidelity(mbqc_reference_execute(pattern, psi, rng)) >= 1 - 1e-12
+
+
+def _generator(kind: str) -> np.random.Generator:
+    if kind == "philox":
+        return np.random.Generator(np.random.Philox(11))
+    rng = np.random.Generator(np.random.PCG64(11))
+    if kind == "pcg64-half-word":
+        rng.integers(8)
+        assert rng.bit_generator.state["has_uint32"] == 1  # half of a 64-bit word is buffered
+    return rng
+
+
+def _state(rng: np.random.Generator) -> str:
+    """The bit generator's whole state, its arrays (Philox's counter and key) as lists."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", ["pcg64-fresh", "pcg64-half-word", "philox"])
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 1), (2, 4), (4, 3)])
+def test_the_circuit_leaves_the_generator_where_the_pattern_run_leaves_it(kind, n_wires, n_columns):
+    pattern, psi, _ = scenario(n_wires, n_columns, 1, 0)
+    circuit_rng, mbqc_rng = _generator(kind), _generator(kind)
+    reference_execute(pattern, psi, circuit_rng)
+    mbqc_reference_execute(pattern, psi, mbqc_rng)
+    assert _state(circuit_rng) == _state(mbqc_rng)
+    assert circuit_rng.integers(8, size=4).tolist() == mbqc_rng.integers(8, size=4).tolist()
+
+
+@pytest.mark.parametrize("edges", [
+    {(1, 3), (2, 4), (3, 5), (4, 6), (1, 4)},  # joins two columns, not a flow edge
+    {(1, 3), (2, 4), (3, 5), (4, 6), (5, 2)},  # the same, written backwards
+    {(1, 3), (2, 4), (3, 5), (4, 6), (1, 6)},  # skips a column
+    {(1, 3), (2, 4), (3, 5)},  # misses the flow edge (4, 6)
+])
+def test_the_circuit_refuses_an_edge_it_cannot_run(edges):
+    graph = BrickworkGraph(n_wires=2, n_columns=3, edges=frozenset(edges))
+    pattern = MeasurementPattern(graph, {j: 1 for j in graph.measured_nodes})
+    with pytest.raises(ValueError, match="flow edges"):
+        reference_execute(pattern, PureState.computational("00"), np.random.default_rng(0))
+
+
+def test_the_circuit_builds_no_quantum_system(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a QuantumSystem was built")
+
+    monkeypatch.setattr(QuantumSystem, "__init__", refuse)
+    pattern, psi, _ = scenario(4, 5, 1, 0)
+    assert reference_execute(pattern, psi, np.random.default_rng(0)).num_qubits == 5
+    with pytest.raises(AssertionError, match="QuantumSystem was built"):
+        mbqc_reference_execute(pattern, psi, np.random.default_rng(0))
+
+
+def test_a_consistent_angle_mistake_fails_against_the_circuit(monkeypatch):
+    # the protocol's ledger and the MBQC pin share corrected_angle, so a
+    # mistake in it reaches both and they still agree; the circuit reads
+    # no corrected angle, so A1's comparison catches it
+    honest = brickwork.corrected_angle
+    monkeypatch.setattr(brickwork, "corrected_angle", lambda phi, *bits: honest(phi + 1, *bits))
+    worst_circuit = worst_pin = 0.0
+    for seed in range(10):
+        pattern, psi, rng = scenario(2, 3, 0, seed)
+        run = run_full_protocol(pattern, psi, rng, m_copies=2)
+        assert not run.aborted
+        worst_circuit = max(worst_circuit, 1 - run.output_state.fidelity(reference_execute(pattern, psi, np.random.default_rng(1))))
+        worst_pin = max(worst_pin, 1 - run.output_state.fidelity(mbqc_reference_execute(pattern, psi, np.random.default_rng(1))))
+    assert worst_circuit > 1e-6
+    assert worst_pin <= 1e-12
 
 
 @pytest.mark.parametrize("n_wires,n_columns", [(2, 5), (4, 3)])
