@@ -18,7 +18,7 @@ EQUIV_2X3 = {"n_wires": 2, "n_columns": 3, "reference_qubits": 1, "seed": 4, "tr
 @pytest.mark.parametrize(
     "config,code,digest",
     [
-        ({"mode": "server-sim-equiv", **EQUIV_2X3}, 0, "412a867c2e0bc616c950b39bf2e25c8193bee163ad02fc92aeae0dc8b48b1ddf"),
+        ({"mode": "server-sim-equiv", **EQUIV_2X3}, 0, "1055e395de242a42716b8fd31ea2ea11b4b855c630eae4ef0a664461a46c5e55"),
         ({"mode": "client-sim-equiv", **EQUIV_2X3}, 0, "5cb7c7cfe41d7ba213c41530b69d889200b8c5f36c35ce6d418591bae28a7d31"),
         ({"mode": "intermediate-equiv", **EQUIV_2X3}, 0, "eae107d6cf663563a47e2aad00689c40d911f2b2202a283f3a327d5cdafc882c"),
         (
