@@ -176,6 +176,7 @@ class OracleLedger:
     secrets: dict[Tag, int] = field(default_factory=dict)
     outcomes: dict[int, int] = field(default_factory=dict)
     chain_t: dict[int, dict[int, int]] = field(default_factory=dict)
+    r: dict[int, int] = field(default_factory=dict, init=False)  # node_r, kept once filed: a secret never changes
 
     def __post_init__(self):
         self.n_clients = self.pattern.graph.n_wires
@@ -229,7 +230,9 @@ class OracleLedger:
         return theta_input(shares, self.pattern.graph.survivor(node), self.chain_t[node], self.node_flip(node))
 
     def node_r(self, node: int) -> int:
-        return parity(self._secret(r_tag(node, k)) for k in range(1, self.n_clients + 1))
+        if node not in self.r:
+            self.r[node] = parity(self._secret(r_tag(node, k)) for k in range(1, self.n_clients + 1))
+        return self.r[node]
 
     def _s(self, node: int) -> int:
         """Corrected outcome s_i = b_i xor r_i of a measured node."""

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdqc.brickwork import MeasurementPattern, build_brickwork, corrected_angle
+from mpdqc import oracle
+from mpdqc.brickwork import MeasurementPattern, build_brickwork, corrected_angle, parity, random_pattern
 from mpdqc.oracle import (
     P0,
     OracleLedger,
@@ -15,8 +16,8 @@ from mpdqc.oracle import (
     theta_tag,
     verify_client,
 )
-from mpdqc.protocol import Session, Transcript
-from mpdqc.quantum import QuantumSystem, flip, octant, plus_state
+from mpdqc.protocol import Session, Transcript, run_full_protocol
+from mpdqc.quantum import PureState, QuantumSystem, flip, octant, plus_state
 from mpdqc.rsp import theta_input
 from reference import register_copy_test
 
@@ -368,3 +369,39 @@ def test_dump_secrets_reports_reconstructed_values():
     assert dump["a"] == {1: 0, 2: 1}
     assert dump["r"] == {1: 0, 2: 1}
     assert dump["theta"][1] == ledger.node_theta(1)
+
+
+class RebuildingLedger(OracleLedger):
+    """The ledger with every node's mask r_i rebuilt from its filed pieces on each call."""
+
+    def node_r(self, node: int) -> int:
+        return parity(self._secret(r_tag(node, k)) for k in range(1, self.n_clients + 1))
+
+
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 2), (4, 3), (4, 5)])
+def test_the_ledger_builds_each_mask_once_and_answers_as_when_rebuilt(monkeypatch, n_wires, n_columns):
+    built = []
+    monkeypatch.setattr(oracle, "parity", lambda bits: built.append(1) or parity(bits))
+    rng = np.random.default_rng([n_wires, n_columns])
+    pattern = random_pattern(build_brickwork(n_wires, n_columns), rng)
+    v = rng.normal(size=2 ** n_wires) + 1j * rng.normal(size=2 ** n_wires)
+    run = run_full_protocol(pattern, PureState(v / np.linalg.norm(v)), rng, m_copies=3)
+    assert not run.aborted
+    measured, outputs = pattern.graph.measured_nodes, pattern.graph.output_nodes
+    assert len(built) == len(measured) and sorted(run.ledger.r) == list(measured)
+    rebuilt = RebuildingLedger(pattern)
+    rebuilt.secrets, rebuilt.outcomes, rebuilt.chain_t = run.ledger.secrets, run.ledger.outcomes, run.ledger.chain_t
+    assert {j: run.ledger.delta(j) for j in measured} == {j: rebuilt.delta(j) for j in measured} == run.delta
+    assert {j: run.ledger.output_keys(j) for j in outputs} == {j: rebuilt.output_keys(j) for j in outputs} == run.keys
+
+
+def test_a_mask_with_an_unfiled_piece_raises_and_is_not_kept():
+    rng = np.random.default_rng(14)
+    ledger = OracleLedger(MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0}))
+    _register(ledger, 1, 2, r_tag(1, 1), rng)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no share set"):
+            ledger.node_r(1)
+    assert ledger.r == {}
+    _register(ledger, 1, 2, r_tag(1, 2), rng)
+    assert ledger.node_r(1) == 0 and ledger.r == {1: 0}
