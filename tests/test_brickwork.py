@@ -19,7 +19,7 @@ from mpdqc.brickwork import (
 )
 from mpdqc.oracle import OracleLedger
 from mpdqc.quantum import PureState, octant
-from reference import states_equal
+from reference import mbqc_reference_execute, states_equal
 
 RNG = np.random.default_rng(7)
 
@@ -165,7 +165,7 @@ def test_the_flow_is_computed_once_per_graph(monkeypatch):
     assert p1.graph.flow is p2.graph.flow
     assert OracleLedger(p1).flow is OracleLedger(p2).flow is g.flow
     for pattern in (p1, p2):
-        reference_execute(pattern, random_state(2, rng), rng)
+        mbqc_reference_execute(pattern, random_state(2, rng), rng)
     assert calls == [g]
     assert g.flow == compute_flow(g)
 

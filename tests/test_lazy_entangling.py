@@ -70,47 +70,31 @@ def scenario(n_wires: int, n_columns: int, n_ref: int, seed: int):
     return pattern, random_state(n_wires + n_ref, rng), rng
 
 
-@pytest.mark.parametrize("n_wires,n_columns", [(2, 5), (4, 3)])
-def test_reference_execute_matches_the_eager_layout(n_wires, n_columns):
-    for seed in SEEDS:
-        pattern, psi, _ = scenario(n_wires, n_columns, 1, seed)
-        eager = eager_reference_execute(pattern, psi, np.random.default_rng(seed))
-        lazy = reference_execute(pattern, psi, np.random.default_rng(seed + 10))
-        assert lazy.num_qubits == n_wires + 1
-        assert lazy.fidelity(eager) >= 1 - 1e-12
-
-
 # the eager layout holds every node at once: above this many qubits it is
 # not built (4x5, 6x4 and 8x3 hold 20, 24 and 24 nodes)
 EAGER_QUBITS = 16
 
 
-@pytest.mark.parametrize("n_ref", [0, 1, 2])
 @pytest.mark.parametrize("n_wires,n_columns", [(2, 1), (2, 2), (2, 5), (4, 3), (4, 5), (6, 4), (8, 3)])
-def test_the_circuit_matches_the_mbqc_pin_and_the_eager_layout(n_wires, n_columns, n_ref):
-    for seed in SEEDS:
-        pattern, psi, _ = scenario(n_wires, n_columns, n_ref, seed)
-        circuit = reference_execute(pattern, psi, np.random.default_rng(seed))
-        assert circuit.num_qubits == n_wires + n_ref
-        assert circuit.fidelity(mbqc_reference_execute(pattern, psi, np.random.default_rng(seed + 10))) >= 1 - 1e-12
-        if pattern.graph.num_nodes + n_ref <= EAGER_QUBITS:
-            assert circuit.fidelity(eager_reference_execute(pattern, psi, np.random.default_rng(seed))) >= 1 - 1e-12
-
-
-def test_the_circuit_runs_a_hand_built_line_graph():
-    # one wire, four nodes: every edge is a flow edge and no column has a CZ
-    graph = BrickworkGraph(n_wires=1, n_columns=4, edges=frozenset({(1, 2), (2, 3), (3, 4)}))
-    assert graph.column_signs == (None,) * 4
-    rng = np.random.default_rng(5)
-    for _ in range(8):
-        pattern = random_pattern(graph, rng)
-        psi = random_state(2, rng)  # the wire and one reference qubit
-        assert reference_execute(pattern, psi, rng).fidelity(mbqc_reference_execute(pattern, psi, rng)) >= 1 - 1e-12
+def test_reference_execute_matches_the_eager_layout(n_wires, n_columns):
+    # and the same pattern run as MBQC on a QuantumSystem, at every size
+    for n_ref in (0, 1, 2):
+        for seed in SEEDS:
+            pattern, psi, _ = scenario(n_wires, n_columns, n_ref, seed)
+            circuit = reference_execute(pattern, psi, np.random.default_rng(seed + 10))
+            assert circuit.num_qubits == n_wires + n_ref
+            assert circuit.fidelity(mbqc_reference_execute(pattern, psi, np.random.default_rng(seed))) >= 1 - 1e-12
+            if pattern.graph.num_nodes + n_ref <= EAGER_QUBITS:
+                assert circuit.fidelity(eager_reference_execute(pattern, psi, np.random.default_rng(seed))) >= 1 - 1e-12
 
 
 def test_the_circuit_runs_czs_in_the_first_and_last_columns():
     # the brickwork puts CZs in even columns only; any column may hold them
     assert [s if s is None else s.tolist() for s in build_brickwork(2, 3).column_signs] == [None, [1, 1, 1, -1], None]
+    wide = build_brickwork(4, 9)
+    assert wide.column_signs is wide.column_signs  # built once per graph
+    assert wide.column_signs[1] is wide.column_signs[3] and wide.column_signs[5] is wide.column_signs[7]  # equal CZs, one array
+    assert not np.array_equal(wide.column_signs[1], wide.column_signs[5])
     flow_edges = {(1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8)}
     graph = BrickworkGraph(n_wires=2, n_columns=4, edges=frozenset(flow_edges | {(1, 2), (8, 7)}))
     rng = np.random.default_rng(6)
