@@ -68,7 +68,7 @@ class BrickworkGraph:
 
     @cached_property
     def column_signs(self) -> tuple[np.ndarray | None, ...]:
-        """Per column, the +-1 its CZs put on each wire basis state (wire w is index bit n_wires - w), or None.
+        """Per column, the +-1 its CZs put on each wire basis state (wire w is index bit n_wires - w); None without CZs.
 
         Raises ValueError unless the edges are the flow edges (j, j + n_wires) plus edges inside one column.
         """
@@ -76,7 +76,7 @@ class BrickworkGraph:
         rungs = [(u, v) for u, v in edges if v - u != n]
         if len(edges) - len(rungs) != n * (self.n_columns - 1) or any((u - 1) // n != (v - 1) // n for u, v in rungs):
             raise ValueError("the edges must be the flow edges (j, j + n_wires) plus edges inside one column")
-        bits = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+        bits = (np.arange(1 << n)[:, None] >> (n - np.arange(1, n + 1))) & 1
         pairs = [frozenset((self.wire_of(u), self.wire_of(v)) for u, v in rungs if (u - 1) // n == c) for c in range(self.n_columns)]
         table = {p: 1.0 - 2 * (sum(bits[:, a - 1] & bits[:, b - 1] for a, b in p) & 1) for p in set(pairs) if p}
         return tuple(table.get(p) for p in pairs)
