@@ -24,9 +24,13 @@ so they drop out of every view distance; the preparation-equivalence tests
 pin down exactly this reduction. The views are filed by Z-twin class, the
 announced angles mod 4, so only theta in 0..3 is laid out, all (theta, a)
 combinations as rows of one array, and r is not enumerated; the Z twins
-theta + 4 enter as dephasing. The protocol's own graph state
-(brickwork.graph_state) is built once per view and every flip assignment
-derived from it, and each checkpoint is one stacked-array step (see
+theta + 4 enter as dephasing. Everything that depends on the graph alone
+(which built amplitude and phase each row reads, and each round's
+announced angle as a function of the pattern angle) is one integer layout,
+built once per graph. A view builds the protocol's own graph state
+(brickwork.graph_state) once, reads every row from it through that layout,
+and returns each checkpoint as one array over all 4^i classes, so two
+views compare checkpoint by checkpoint in one call (see
 exact_server_views).
 
 Both simulation checks are sampled, and every sampled verdict follows one
@@ -39,8 +43,9 @@ output state.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from math import sqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,9 +70,9 @@ from .rsp import run_chain, theta_input
 # 2^23 amplitudes, 128 MiB per row array: 2x4 with one reference qubit
 # fits, 2x5 (2^28) and 4x3 (2^32) do not
 EXACT_VIEW_BUDGET = 2 ** 23
-# _class_matrices multiplies classes in chunks of about this many gathered
-# amplitudes (512 KiB), so a chunk and its conjugate stay in cache; every
-# 2x2 checkpoint is one chunk
+# _class_matrices multiplies rows in chunks of about this many gathered
+# amplitudes (512 KiB), so a chunk and its conjugate stay in cache and no
+# chunk grows with the view; every 2x2 checkpoint is one chunk
 _GRAM_CHUNK = 2 ** 15
 
 
@@ -84,15 +89,35 @@ def exact_view_amplitudes(graph: BrickworkGraph, n_ref: int) -> int:
     return 4 ** m * 2 ** flips * 2 ** (graph.num_nodes + n_ref)
 
 
-def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, dict[tuple, np.ndarray]]:
+class ViewLayout(NamedTuple):
+    """What exact_server_views reads from the graph alone, as integer arrays (_view_layout).
+
+    The R = 4^M 2^I prepared rows are the secret combinations of
+    _pad_layout, flip assignments slowest. Row c of the prepared array at
+    basis index i is the built graph state's entry gather[c, i] times
+    e^(i pi octant[c, i] / 4); both are (R, 2^N). Round k + 1 sees the rows
+    (combination c, outcome path p) at position p R + c, bit k' of p the
+    outcome s of round k' + 1; sign[k] and offset[k] hold one entry per
+    such row, and its announced angle is sign phi + offset mod 8, phi the
+    pattern angle of the node measured in that round.
+    """
+
+    gather: np.ndarray
+    octant: np.ndarray
+    sign: tuple[np.ndarray, ...]
+    offset: tuple[np.ndarray, ...]
+
+
+def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, np.ndarray]:
     """Enumerate the server's averaged view at every checkpoint, by Z-twin class.
 
-    Returns checkpoint -> class label -> subnormalized density matrix of
-    the server's remaining register (node qubits in label order). The label
-    is the tuple of announced angles mod 4 so far; checkpoint "prepared" is
-    right after entangling, "round:i" after the i-th measurement,
-    "delivered" after the outputs left the server (classical label only,
-    represented by 1x1 weight matrices).
+    Returns checkpoint -> a (4^i, d, d) array: the subnormalized density
+    matrix of the server's remaining register (node qubits in label order)
+    for each class code. The code of a class is its announced angles mod 4
+    as a base-4 number, the first round most significant; checkpoint
+    "prepared" (i = 0) is right after entangling, "round:i" after the i-th
+    measurement, "delivered" after the outputs left the server (classical
+    label only, 1x1 weight matrices).
 
     A class matrix sums 4^i equal (delta, b) label matrices: (d, b), (d + 4,
     1 - b), (d + 4, b) and (d, 1 - b) differ by the mask bit r and by the
@@ -101,26 +126,26 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     post-state at delta. So view_distance over classes equals the distance
     over labels. theta runs over 0..3, weight 1/4 per node, r not at all,
     and the outcome is the flow bit s; the Z twins of the measured nodes
-    still live at a checkpoint are averaged by dephasing them.
+    still live at a checkpoint are averaged by dephasing them. Every code
+    occurs, in exactly 2^I 2^i 4^(M - i) rows: for each flip assignment and
+    outcome path, theta -> delta mod 4 is a bijection.
 
     All (theta, a) combinations are walked at once, as rows of one array.
     X Z(theta) is Z(-theta) X up to phase and Z commutes with CZ, so a
     combination is its flip assignment's graph state under
-    Z(flip(theta, a)) on the measured nodes (_flipped_graph_states derives
-    every flip assignment's state from one brickwork.graph_state build);
-    each row reads the nodes in label order, then the reference qubits.
-    The measured nodes lead and are measured in label order, so a round
+    Z(flip(theta, a)) on the measured nodes, and the flip is an index XOR
+    and a sign of the one brickwork.graph_state build (_view_layout); each
+    row reads the nodes in label order, then the reference qubits. The
+    measured nodes lead and are measured in label order, so a round
     projects every row's qubit 0 onto both outcomes: each (combination,
     outcome path) row becomes two rows half as wide. With causal flow every
     measured node has an unmeasured successor, so each outcome has
-    conditional probability exactly 1/2 and no branch is ever empty. Each
-    round's corrected angles come from one flow.adapted_angle call over the
-    whole (flip assignment, outcome path) grid, and each checkpoint's
-    classes from batched Gram products (_class_matrices).
+    conditional probability exactly 1/2 and no branch is ever empty. The
+    announced angles come from the layout, and each checkpoint's classes
+    from batched Gram products (_class_matrices).
     """
     graph, angles = pattern.graph, pattern.angles
-    flow = graph.flow
-    measured = flow.order
+    measured = graph.flow.order
     if not measured:
         raise ValueError("nothing is measured; the server view is empty")
 
@@ -129,39 +154,93 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     if cost > EXACT_VIEW_BUDGET:
         raise ValueError(f"exact enumeration needs {cost} amplitudes, over the budget of {EXACT_VIEW_BUDGET}")
 
-    theta, a = _pad_layout(graph, measured)
-    # combination c has flip assignment c // 4^M (_pad_layout); flips[f] is the a row of assignment f
-    assignment = np.arange(len(theta)) // 4 ** len(measured)
-    flips = a[::4 ** len(measured)]
-    pad = np.where(a == 1, -theta, theta) % 8
-    node_bits = (np.arange(2 ** n_nodes)[:, None] >> (n_nodes - np.array(measured))) & 1
-    rows = _flipped_graph_states(graph, input_state, flips)[assignment]
-    rows *= _PHASE[(pad @ node_bits.T) % 8][:, :, None]
-    rows = rows.reshape(len(theta), -1)
-
-    weight = 1.0 / len(theta)
-    views = {"prepared": _class_matrices(rows, np.zeros(len(rows), dtype=np.int64), 0, n_nodes, len(measured), weight)}
-    combo = np.arange(len(theta))
-    path = np.zeros(len(theta), dtype=np.int64)  # bit idx: the outcome s of round idx + 1
-    code = np.zeros(len(theta), dtype=np.int64)  # the class label, base 4
-    position = {j: idx for idx, j in enumerate(measured)}
-    for idx, j in enumerate(measured):
-        # the corrected angle depends on the flips and the outcomes only: one
-        # (flip assignment, outcome path) grid
-        paths = np.arange(2 ** idx)
-        corrected = np.broadcast_to(
-            flow.adapted_angle(j, angles[j], lambda i: (paths >> position[i]) & 1, lambda i: flips[:, position[i], None]),
-            (len(flips), len(paths)),
-        )
-        # r is not enumerated: the class label absorbs its 4 r
-        delta = blind_angle(corrected[assignment[combo], path], 0, theta[combo, idx], a[combo, idx])
-        code = np.tile(4 * code + delta % 4, 2)
+    rows = _prepared_rows(graph, input_state)
+    layout = _view_layout(graph)
+    code = np.zeros(len(rows), dtype=np.int64)
+    views = {"prepared": _class_matrices(rows, code, 1, n_nodes, len(measured))}
+    for k, j in enumerate(measured):
+        delta = (layout.sign[k] * angles[j] + layout.offset[k]) % 8
+        code = 4 * code + delta % 4
+        code = np.concatenate((code, code))  # both outcomes' rows
         rows = _project_first(rows, delta)
-        combo, path = np.tile(combo, 2), np.concatenate((path, path | (1 << idx)))
-        views[f"round:{idx + 1}"] = _class_matrices(rows, code, idx + 1, n_nodes - idx - 1, len(measured) - idx - 1, weight)
+        views[f"round:{k + 1}"] = _class_matrices(rows, code, 4 ** (k + 1), n_nodes - k - 1, len(measured) - k - 1)
     # no node is left: each class matrix is 1x1, its weight
-    views["delivered"] = _class_matrices(rows, code, len(measured), 0, 0, weight)
+    views["delivered"] = _class_matrices(rows, code, 4 ** len(measured), 0, 0)
     return views
+
+
+def _prepared_rows(graph: BrickworkGraph, input_state: PureState) -> np.ndarray:
+    """Every secret combination's state right after entangling: row c of an (R, 2^N rest) array, as ViewLayout lays it out.
+
+    The protocol's own graph state is built once with no pad
+    (input_system, brickwork.graph_state), and each row reads it through
+    the layout. Every row carries the square root of its weight 1/R, so
+    the Gram products of _class_matrices come out weighted; R = 4^M 2^I
+    with I = n_wires even is a power of 4, so that scaling is exact.
+    """
+    n_nodes = graph.num_nodes
+    system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+    node_label: dict[int, str] = {}
+    graph_state(system, graph, node_label)
+    base = system.state_of([node_label[j] for j in range(1, n_nodes + 1)] + ref_labels).amps.reshape(2 ** n_nodes, -1)
+    layout = _view_layout(graph)
+    scaled = _PHASE / sqrt(len(layout.gather))
+    return (base * scaled[:, None, None])[layout.octant, layout.gather].reshape(len(layout.gather), -1)
+
+
+@lru_cache(maxsize=8)
+def _view_layout(graph: BrickworkGraph) -> ViewLayout:
+    """The ViewLayout of a graph, built once per graph (equal graphs share it); its arrays are read-only.
+
+    X_j before the CZs is X_j Z_{N(j)} after them, since CZ_jk X_j = X_j Z_k
+    CZ_jk. So a flip assignment's state is the built one read at its index
+    XORed by the flipped bits, negated where the flipped nodes'
+    neighbourhoods, counted with multiplicity, hold an odd number of ones:
+    4 in the octant. The pad adds Z(flip(theta, a)) on each measured node.
+    Only permutations and octant phases are involved, so each row is exact
+    up to one global phase: a sign, times e^(i pi theta / 4) per flipped
+    input, as X Z(theta) = e^(i pi theta / 4) Z(-theta) X. A round's announced angle is
+    blind_angle(flow.adapted_angle(...), 0, theta, a) with r absorbed into
+    the class; the corrected angle is +-phi plus a term in the flips and the
+    outcome path, so its phi = 0 call is the offset and the difference of
+    its phi = 1 and phi = 0 calls the sign.
+    """
+    flow, n_nodes = graph.flow, graph.num_nodes
+    measured = flow.order
+    theta, a = _pad_layout(graph, measured)
+    n_rows, n_pads = len(theta), 4 ** len(measured)
+    assignment = np.arange(n_rows) // n_pads
+    flips = a[::n_pads]  # flips[f] is the a row of assignment f
+
+    index = np.arange(2 ** n_nodes)
+    node_bits = (index[:, None] >> (n_nodes - np.arange(1, n_nodes + 1))) & 1
+    neighbours = np.array([[v in graph.neighbors(j) for v in range(1, n_nodes + 1)] for j in measured], dtype=np.int64)
+    x_index = index ^ (flips @ (1 << (n_nodes - np.array(measured))))[:, None]
+    z_bit = (flips @ neighbours @ node_bits.T) % 2
+    pad = np.where(a == 1, -theta, theta)
+    gather = x_index[assignment].astype(np.min_scalar_type(2 ** n_nodes - 1))
+    octant = ((pad @ node_bits[:, np.array(measured) - 1].T + 4 * z_bit[assignment]) % 8).astype(np.int8)
+
+    position = {j: k for k, j in enumerate(measured)}
+    sign, offset = [], []
+    for k, j in enumerate(measured):
+        paths = np.arange(2 ** k)
+
+        def corrected(phi: int) -> np.ndarray:
+            # one (flip assignment, outcome path) grid; the angle depends on nothing else
+            grid = flow.adapted_angle(j, phi, lambda i: (paths >> position[i]) & 1, lambda i: flips[:, position[i], None])
+            return np.broadcast_to(grid, (len(flips), len(paths)))
+
+        combo, path = np.tile(np.arange(n_rows), len(paths)), np.repeat(paths, n_rows)
+        at_zero = corrected(0)
+        # the phi = 1 and phi = 0 angles differ by 1 or 7 mod 8: the sign +1 or -1
+        sign.append(((corrected(1) - at_zero + 4) % 8 - 4)[assignment[combo], path].astype(np.int8))
+        # r is not enumerated: the class code absorbs its 4 r
+        offset.append(blind_angle(at_zero[assignment[combo], path], 0, theta[combo, k], a[combo, k]).astype(np.int8))
+    layout = ViewLayout(gather, octant, tuple(sign), tuple(offset))
+    for array in (gather, octant, *sign, *offset):
+        array.flags.writeable = False
+    return layout
 
 
 def _pad_layout(graph: BrickworkGraph, measured: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -178,32 +257,6 @@ def _pad_layout(graph: BrickworkGraph, measured: Sequence[int]) -> tuple[np.ndar
     return grid[:, len(inputs):], a
 
 
-def _flipped_graph_states(graph: BrickworkGraph, input_state: PureState, flips: np.ndarray) -> np.ndarray:
-    """The graph state after X on the flipped measured nodes, one (2^N, rest) array per row of flips.
-
-    flips is (F, M), one bit per measured node in label order. The graph
-    state is built once with no flips (input_system, graph_state). X_j
-    before the CZs is X_j Z_{N(j)} after them, since CZ_jk X_j = X_j Z_k
-    CZ_jk, so each flipped state is the built one with its node index
-    XORed by the flipped bits and negated where the flipped nodes'
-    neighbourhoods, counted with multiplicity, hold an odd number of ones. Only permutations and signs are involved, so each
-    state is exact up to one global sign.
-    """
-    n_nodes = graph.num_nodes
-    system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
-    node_label: dict[int, str] = {}
-    graph_state(system, graph, node_label)
-    base = system.state_of([node_label[j] for j in range(1, n_nodes + 1)] + ref_labels).amps.reshape(2 ** n_nodes, -1)
-
-    measured = np.array(graph.measured_nodes, dtype=np.int64)
-    neighbours = np.array([[v in graph.neighbors(j) for v in range(1, n_nodes + 1)] for j in measured], dtype=np.int64)
-    index = np.arange(2 ** n_nodes)
-    node_bits = (index[:, None] >> (n_nodes - np.arange(1, n_nodes + 1))) & 1
-    x_index = index ^ (flips @ (1 << (n_nodes - measured)))[:, None]
-    z_sign = 1 - 2 * ((flips @ neighbours @ node_bits.T) % 2)
-    return base[x_index] * z_sign[:, :, None]
-
-
 def _project_first(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Project each row's qubit 0 onto <+_delta| and <-_delta| (unnormalized): outcome 0's rows, then outcome 1's."""
     psi = rows.reshape(len(rows), 2, -1)
@@ -215,48 +268,46 @@ def _project_first(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out.reshape(2 * len(rows), -1)
 
 
-def _class_matrices(rows: np.ndarray, code: np.ndarray, n_rounds: int, n_live: int, n_dephased: int, weight: float) -> dict[tuple, np.ndarray]:
-    """weight * B B^H per class label, B the label's rows side by side, each as (2^n_live nodes, the rest).
+def _class_matrices(rows: np.ndarray, code: np.ndarray, n_classes: int, n_live: int, n_dephased: int) -> np.ndarray:
+    """B B^H for each class code 0..n_classes - 1, B the class's rows side by side, each as (2^n_live nodes, the rest).
 
-    Pads run uniformly over 0..3, so every class holds the same number of
-    rows: the rows are sorted stably by code, stacked as (classes, 2^n_live,
-    rows * rest) and multiplied by batched Gram products, one per chunk of
-    about _GRAM_CHUNK gathered amplitudes. Unequal classes raise. The Z twins of the n_dephased leading live nodes are averaged:
-    the entries whose row and column differ on them are zeroed. The label
-    of a base-4 code is its digits, one per round.
+    Every class must hold the same number of rows, or this raises. The rows
+    are sorted stably by code and multiplied by batched Gram products,
+    each over about _GRAM_CHUNK gathered amplitudes: several whole classes
+    or, summed, part of one. The Z twins of the n_dephased leading live
+    nodes are averaged: the entries whose row and column differ on them are
+    zeroed.
     """
-    order = np.argsort(code, kind="stable")
-    codes = code[order]
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    n_classes, size, dim = len(starts), len(codes) // len(starts), 2 ** n_live
-    if size * n_classes != len(codes) or np.any(starts != size * np.arange(n_classes)):
-        raise ValueError(f"the {n_classes} classes of {len(codes)} rows are not all the same size")
-    matrices = np.empty((n_classes, dim, dim), dtype=complex)
-    step = max(1, _GRAM_CHUNK // (size * rows.shape[1]))
+    size = len(code) // n_classes
+    counts = np.bincount(code, minlength=n_classes)
+    if len(counts) != n_classes or (counts != size).any():
+        raise ValueError(f"the {n_classes} classes of {len(code)} rows are not all the same size")
+    order = np.argsort(code, kind="stable").reshape(n_classes, size)
+    dim, width = 2 ** n_live, rows.shape[1]
+    part = min(size, max(1, _GRAM_CHUNK // width))  # rows of one class per product
+    step = max(1, _GRAM_CHUNK // (part * width))  # classes per product
+    matrices = np.zeros((n_classes, dim, dim), dtype=complex)
     for k in range(0, n_classes, step):
-        group = rows[order[k * size:(k + step) * size]].reshape(-1, size, dim, rows.shape[1] // dim)
-        group = group.transpose(0, 2, 1, 3).reshape(len(group), dim, -1)
-        np.matmul(group, group.conj().transpose(0, 2, 1), out=matrices[k:k + step])
-    matrices *= weight
+        for start in range(0, size, part):
+            group = rows[order[k:k + step, start:start + part]].reshape(-1, part, dim, width // dim)
+            group = group.transpose(0, 2, 1, 3).reshape(len(group), dim, -1)
+            matrices[k:k + step] += group @ group.conj().transpose(0, 2, 1)
     if n_dephased:
         live = np.arange(dim) >> (n_live - n_dephased)
         matrices *= live[:, None] == live[None, :]
-    labels = (codes[starts, None] >> 2 * np.arange(n_rounds - 1, -1, -1)) & 3
-    return dict(zip(map(tuple, labels.tolist()), matrices))
+    return matrices
 
 
-def view_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:
-    """Trace distance between two labeled view ensembles at one checkpoint.
+def view_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance between two view ensembles at one checkpoint, class array against class array.
 
-    Both sides are stacked over the union of their labels, a zero matrix
-    standing in for a label one side lacks, and compared in one
-    weighted_trace_norm call.
+    Both are (classes, d, d) arrays of one shape, as exact_server_views
+    returns them, compared in one weighted_trace_norm call; arrays of
+    different shapes raise instead of broadcasting.
     """
-    labels = a.keys() | b.keys()
-    if not labels:
-        return 0.0
-    zero = np.zeros_like(next(iter(a.values() or b.values())))
-    return weighted_trace_norm(np.array([a.get(label, zero) for label in labels]), np.array([b.get(label, zero) for label in labels]))
+    if a.shape != b.shape:
+        raise ValueError(f"view arrays of shapes {a.shape} and {b.shape} do not compare")
+    return weighted_trace_norm(a, b)
 
 
 def blindness_check(
@@ -271,7 +322,7 @@ def blindness_check(
     The scenarios must share the public interface: graph dimensions and
     input register size. Everything else (inputs, pattern angles) may
     differ; blindness means every returned distance is numerically zero.
-    `classes` receives the number of class labels compared per checkpoint.
+    `classes` receives the number of classes compared per checkpoint.
     """
     ga, gb = pattern_a.graph, pattern_b.graph
     if (ga.n_wires, ga.n_columns) != (gb.n_wires, gb.n_columns):
@@ -281,7 +332,7 @@ def blindness_check(
     va = exact_server_views(pattern_a, input_a)
     vb = exact_server_views(pattern_b, input_b)
     if classes is not None:
-        classes.update((cp, len(va[cp].keys() | vb[cp].keys())) for cp in va)
+        classes.update((cp, len(va[cp])) for cp in va)
     return {cp: view_distance(va[cp], vb[cp]) for cp in va}
 
 

@@ -7,9 +7,9 @@ step list the chain had before it was written as one rule, the copy test
 measured on one-qubit registers, a share hand-out recorded message by
 message as it is sent, state equality up to global phase, a
 Monte-Carlo estimate of the server's state after entangling, the exact
-server views walked one secret combination at a time, their graph states
-built once per flip assignment, and their distance summed one label at a
-time.
+server views walked one secret combination at a time and filed by label,
+each combination's graph state built gate by gate, and their distance
+summed one label at a time.
 """
 from __future__ import annotations
 
@@ -195,16 +195,38 @@ def sampled_prepared_density(
     return acc / trials
 
 
+def built_secret_state(graph: BrickworkGraph, input_state: PureState, secret: dict[int, tuple[int, int]]) -> PureState:
+    """The server's register right after entangling, built gate by gate for one secret combination.
+
+    secret maps every measured node to (theta, a): an input is padded by
+    Z(theta), then X if a; any other measured node is |+_theta>; then
+    brickwork.graph_state. The state reads the nodes in label order, then
+    the reference qubits.
+    """
+    system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+    node_label: dict[int, str] = {}
+    for j, (theta_j, a_j) in secret.items():
+        if j in graph.input_nodes:
+            system.apply_z_rot(f"in:{j}", theta_j)
+            if a_j:
+                system.apply_x(f"in:{j}")
+        else:
+            node_label[j] = f"node:{j}"
+            system.add_register(plus_state(theta_j), [node_label[j]], ["server"])
+    graph_state(system, graph, node_label)
+    return system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
+
+
 def walked_exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, dict[tuple, np.ndarray]]:
-    """harness.exact_server_views, one secret combination and one recursive walk at a time.
+    """harness.exact_server_views, one secret combination and one recursive walk at a time, filed by label.
 
     Each (theta, a) combination, theta in 0..3, is laid out as the protocol
-    does it: inputs padded by Z(theta), then X if a, |+_theta> for the
-    other measured nodes, then brickwork.graph_state. The walk projects the
-    leading node onto both outcomes s of every branch, drops a branch whose
-    conditional probability is below 1e-14 with its subtree, and files the
-    branch under the announced angles mod 4; the live measured nodes' Z
-    twins are dephased at the end.
+    does it (built_secret_state). The walk projects the leading node onto
+    both outcomes s of every branch, drops a branch whose conditional
+    probability is below 1e-14 with its subtree, and files the branch under
+    its label, the tuple of announced angles mod 4; the live measured
+    nodes' Z twins are dephased at the end. labeled_classes files
+    harness.exact_server_views the same way.
     """
     graph, angles = pattern.graph, pattern.angles
     flow = compute_flow(graph)
@@ -221,18 +243,7 @@ def walked_exact_server_views(pattern: MeasurementPattern, input_state: PureStat
 
     for combo in product(*options):
         secret = dict(zip(measured, combo))
-        system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
-        node_label: dict[int, str] = {}
-        for j, (theta_j, a_j) in secret.items():
-            if j in graph.input_nodes:
-                system.apply_z_rot(f"in:{j}", theta_j)
-                if a_j:
-                    system.apply_x(f"in:{j}")
-            else:
-                node_label[j] = f"node:{j}"
-                system.add_register(plus_state(theta_j), [node_label[j]], ["server"])
-        graph_state(system, graph, node_label)
-        state = system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
+        state = built_secret_state(graph, input_state, secret)
         accumulate("prepared", (), weight * state.density(range(graph.num_nodes)).matrix)
 
         def a_of(j: int) -> int:
@@ -265,25 +276,17 @@ def walked_exact_server_views(pattern: MeasurementPattern, input_state: PureStat
     return views
 
 
-def built_flip_states(graph: BrickworkGraph, input_state: PureState, flips: np.ndarray) -> list[np.ndarray]:
-    """Per flip assignment, the graph state built with X on the flipped inputs before brickwork.graph_state.
+def class_label(code: int, n_rounds: int) -> tuple[int, ...]:
+    """The label of class `code` after n_rounds rounds: its base-4 digits, the first round's most significant."""
+    return tuple((code >> 2 * (n_rounds - 1 - k)) & 3 for k in range(n_rounds))
 
-    flips is (F, M), one bit per measured node in label order, as
-    harness._flipped_graph_states takes it; only the measured inputs' bits
-    are read. Each state reads the nodes in label order, then the
-    reference qubits, as a (2^N, rest) array.
-    """
-    states = []
-    for row in flips:
-        system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
-        for j, bit in zip(graph.measured_nodes, row):
-            if bit and j in graph.input_nodes:
-                system.apply_x(f"in:{j}")
-        node_label: dict[int, str] = {}
-        graph_state(system, graph, node_label)
-        state = system.state_of([node_label[j] for j in range(1, graph.num_nodes + 1)] + ref_labels)
-        states.append(state.amps.reshape(2 ** graph.num_nodes, -1))
-    return states
+
+def labeled_classes(classes: np.ndarray) -> dict[tuple, np.ndarray]:
+    """A checkpoint's (4^i, d, d) class array as the label dict the walked enumeration files: label -> matrix."""
+    n_rounds = (len(classes).bit_length() - 1) // 2
+    if len(classes) != 4 ** n_rounds:
+        raise ValueError(f"{len(classes)} classes are not a power of 4")
+    return {class_label(code, n_rounds): matrix for code, matrix in enumerate(classes)}
 
 
 def labelwise_view_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:

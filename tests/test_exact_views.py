@@ -6,10 +6,12 @@ PureState per (theta, r, a) combination, theta over all 8 octants, laid out
 by hand with position bookkeeping, one label (delta, b) per round. It is
 kept here only, as the slow path the class views are checked against.
 reference.walked_exact_server_views is the class enumeration the batched
-views replaced, one secret combination and one recursive walk at a time.
-reference.built_flip_states and reference.labelwise_view_distance are the
-per-assignment graph-state builds and the per-label distance loop that the
-derived states and the stacked distance replaced.
+views replaced, one secret combination and one recursive walk at a time,
+and reference.labeled_classes files a class array by the same labels.
+reference.built_secret_state is one combination's graph state built gate
+by gate, which the prepared rows read from one build, and
+reference.labelwise_view_distance the per-label distance loop that the
+one-call distance replaced.
 """
 from itertools import product
 
@@ -20,7 +22,7 @@ from mpdqc import harness
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, random_pattern
 from mpdqc.harness import EXACT_VIEW_BUDGET, blindness_check, exact_server_views, exact_view_amplitudes, view_distance
 from mpdqc.quantum import PureState, flip, octant, plus_state
-from reference import built_flip_states, labelwise_view_distance, walked_exact_server_views
+from reference import built_secret_state, labeled_classes, labelwise_view_distance, walked_exact_server_views
 
 
 def eager_exact_server_views(
@@ -125,7 +127,7 @@ def test_views_match_the_eager_enumeration(n_ref):
         rng = np.random.default_rng([n_ref, seed])
         pattern = random_pattern(graph, rng)
         psi = random_input(2 + n_ref, rng)
-        classes = exact_server_views(pattern, psi)
+        classes = {cp: labeled_classes(array) for cp, array in exact_server_views(pattern, psi).items()}
         eager = eager_exact_server_views(pattern, psi)
         assert list(classes) == list(eager)
         for checkpoint, buckets in eager.items():
@@ -145,7 +147,7 @@ def test_a_broken_pad_leaks_through_the_classes():
         summed_into_classes(eager_exact_server_views(pattern, PureState.computational(bits), pad_angles=(0,)))
         for bits in ("00", "11")
     )
-    assert max(view_distance(a[cp], b[cp]) for cp in a) > 0.1
+    assert max(labelwise_view_distance(a[cp], b[cp]) for cp in a) > 0.1
 
 
 @pytest.mark.parametrize("n_columns,n_ref", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
@@ -155,7 +157,7 @@ def test_batched_views_match_the_walked_enumeration(n_columns, n_ref):
     rng = np.random.default_rng([n_columns, n_ref])
     pattern = random_pattern(graph, rng)
     psi = random_input(2 + n_ref, rng)
-    batched = exact_server_views(pattern, psi)
+    batched = {cp: labeled_classes(array) for cp, array in exact_server_views(pattern, psi).items()}
     walked = walked_exact_server_views(pattern, psi)
     assert list(batched) == list(walked)
     for checkpoint, buckets in walked.items():
@@ -164,8 +166,9 @@ def test_batched_views_match_the_walked_enumeration(n_columns, n_ref):
             assert np.max(np.abs(batched[checkpoint][label] - matrix)) <= 1e-12, (checkpoint, label)
 
 
-def test_a_zeroed_pad_leaks_through_the_batched_views(monkeypatch):
-    """Negative control on the shipped path: with every theta laid out as 0 the views tell |00> from |11>."""
+def test_a_zeroed_pad_leaks_through_the_batched_views(monkeypatch, fresh_view_layouts):
+    """Negative control on the shipped path: with every theta laid out as 0 the announced angles
+    are no longer uniform, so the classes are unequal and the views refuse to compare |00> with |11>."""
     layout = harness._pad_layout
 
     def unpadded(*args):
@@ -174,8 +177,9 @@ def test_a_zeroed_pad_leaks_through_the_batched_views(monkeypatch):
 
     monkeypatch.setattr(harness, "_pad_layout", unpadded)
     pattern = MeasurementPattern(build_brickwork(2, 2), {1: 1, 2: 3})
-    a, b = (exact_server_views(pattern, PureState.computational(bits)) for bits in ("00", "11"))
-    assert max(view_distance(a[cp], b[cp]) for cp in a) > 0.1
+    for bits in ("00", "11"):
+        with pytest.raises(ValueError, match="not all the same size"):
+            exact_server_views(pattern, PureState.computational(bits))
 
 
 @pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 2, 2), (2, 3, 1), (4, 2, 0)])
@@ -254,20 +258,25 @@ def test_views_reject_an_input_register_smaller_than_the_graph():
         exact_server_views(pattern, PureState.computational("0"))
 
 
-@pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 2, 2), (2, 3, 0), (4, 2, 0)])
+@pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 0), (4, 2, 0)])
 def test_derived_flip_states_equal_the_built_ones(n_wires, n_columns, n_ref):
-    """Each flip assignment's state, derived from one graph-state build, is the built one up to one global sign."""
+    """Each prepared row, read from one graph-state build through the layout, is the state built
+    for its (theta, a) up to one global sign, once the phase e^(i pi theta / 4) of X Z(theta) =
+    e^(i pi theta / 4) Z(-theta) X is put back for each flipped input. Rows run over the flips
+    slowest, in product((0, 1), repeat=I) order, then theta over 0..3 per measured node, the
+    first node's slowest."""
     graph = build_brickwork(n_wires, n_columns)
     psi = random_input(n_wires + n_ref, np.random.default_rng([n_wires, n_columns, n_ref]))
     measured = graph.measured_nodes
-    inputs = [idx for idx, j in enumerate(measured) if j in graph.input_nodes]
-    flips = np.zeros((2 ** len(inputs), len(measured)), dtype=np.int64)
-    flips[:, inputs] = list(product((0, 1), repeat=len(inputs)))
-    derived = harness._flipped_graph_states(graph, psi, flips)
-    built = built_flip_states(graph, psi, flips)
-    assert len(derived) == len(built) == 2 ** n_wires
-    for state, reference in zip(derived, built):
-        assert np.array_equal(state, reference) or np.array_equal(state, -reference)
+    rows = harness._prepared_rows(graph, psi)
+    assert len(rows) == 2 ** n_wires * 4 ** len(measured)
+    rows = rows * np.sqrt(len(rows))  # each row carries the square root of its weight
+    secrets = product(product((0, 1), repeat=n_wires), product(range(4), repeat=len(measured)))
+    for row, (flips, thetas) in zip(rows, secrets, strict=True):
+        a = dict(zip(graph.input_nodes, flips))
+        built = built_secret_state(graph, psi, {j: (theta, a.get(j, 0)) for j, theta in zip(measured, thetas)}).amps
+        row = row * np.exp(1j * np.pi / 4 * np.dot(flips, thetas[:n_wires]))
+        assert min(np.max(np.abs(row - built)), np.max(np.abs(row + built))) <= 1e-12, (flips, thetas)
 
 
 @pytest.mark.parametrize("n_wires,n_columns", [(2, 2), (2, 3), (4, 2)])
@@ -277,14 +286,51 @@ def test_stacked_view_distance_equals_the_labelwise_sum(n_wires, n_columns):
     views = [exact_server_views(random_pattern(graph, rng), random_input(n_wires, rng)) for _ in range(2)]
     for checkpoint in views[0]:
         a, b = views[0][checkpoint], views[1][checkpoint]
-        one_sided = dict(list(b.items())[1:])  # b's first label is in a only
-        scaled = {label: 0.5 * matrix for label, matrix in b.items()}
-        for x, y in ((a, b), (a, one_sided), (one_sided, a), (a, scaled)):
-            assert abs(view_distance(x, y) - labelwise_view_distance(x, y)) <= 1e-12, checkpoint
-    assert view_distance({}, {}) == labelwise_view_distance({}, {}) == 0.0
+        zeroed = b.copy()
+        zeroed[0] = 0  # one class zeroed
+        for x, y in ((a, b), (a, zeroed), (zeroed, a), (a, 0.5 * b)):
+            assert abs(view_distance(x, y) - labelwise_view_distance(labeled_classes(x), labeled_classes(y))) <= 1e-12, checkpoint
+
+
+def test_view_distance_refuses_arrays_of_different_shapes():
+    """weighted_trace_norm would broadcast one class against four; view_distance raises instead."""
+    views = exact_server_views(random_pattern(build_brickwork(2, 2), np.random.default_rng(7)), random_input(2, np.random.default_rng(8)))
+    one, four = views["round:1"][:1], views["round:1"]
+    assert harness.weighted_trace_norm(one, four) >= 0  # broadcasts without complaint
+    for a, b in ((one, four), (four, one), (four, views["round:2"])):
+        with pytest.raises(ValueError, match="shapes"):
+            view_distance(a, b)
+
+
+def test_equal_graphs_build_the_layout_once(fresh_view_layouts):
+    first, second = build_brickwork(2, 2), build_brickwork(2, 2)
+    assert first is not second and first == second
+    rng = np.random.default_rng(9)
+    for graph in (first, second):
+        exact_server_views(random_pattern(graph, rng), random_input(2, rng))
+    info = harness._view_layout.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert harness._view_layout(first) is harness._view_layout(second)
+
+
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 2), (2, 3), (4, 2)])
+def test_the_layout_holds_only_integer_arrays(n_wires, n_columns):
+    graph = build_brickwork(n_wires, n_columns)
+    layout = harness._view_layout(graph)
+    n_rows, n_measured = 2 ** n_wires * 4 ** len(graph.measured_nodes), len(graph.measured_nodes)
+    assert layout.gather.shape == layout.octant.shape == (n_rows, 2 ** graph.num_nodes)
+    assert [len(s) for s in layout.sign] == [len(o) for o in layout.offset] == [n_rows * 2 ** k for k in range(n_measured)]
+    arrays = [layout.gather, layout.octant, *layout.sign, *layout.offset]
+    assert len(arrays) == sum(len(field) if isinstance(field, tuple) else 1 for field in layout)
+    for array in arrays:
+        assert isinstance(array, np.ndarray) and np.issubdtype(array.dtype, np.integer)
+        assert not array.flags.writeable
+    assert set(np.unique(np.concatenate(layout.sign))) <= {-1, 1}
 
 
 def test_classes_of_unequal_size_raise():
     rows = np.ones((3, 2), dtype=complex)
     with pytest.raises(ValueError, match="not all the same size"):
-        harness._class_matrices(rows, np.array([0, 0, 1]), 1, 1, 0, 1.0)
+        harness._class_matrices(rows, np.array([0, 0, 1]), 2, 1, 0)
+    with pytest.raises(ValueError, match="not all the same size"):
+        harness._class_matrices(rows[:2], np.array([0, 2]), 2, 1, 0)

@@ -49,17 +49,18 @@ def small_pattern(seed=0, angles=None):
 
 def test_exact_views_conserve_probability():
     views = exact_server_views(small_pattern(angles={1: 3, 2: 5}), PureState.computational("10"))
-    for checkpoint, buckets in views.items():
-        total = sum(np.trace(m).real for m in buckets.values())
+    for checkpoint, classes in views.items():
+        total = np.trace(classes, axis1=1, axis2=2).real.sum()
         assert total == pytest.approx(1.0, abs=1e-9), checkpoint
 
 
 def test_exact_views_have_the_expected_checkpoints():
     views = exact_server_views(small_pattern(angles={1: 0, 2: 0}), PureState.computational("00"))
     assert set(views) == {"prepared", "round:1", "round:2", "delivered"}
-    assert list(views["prepared"]) == [()]
-    # after both rounds every class label carries one angle mod 4 per node
-    assert all(len(label) == 2 for label in views["round:2"])
+    assert views["prepared"].shape == (1, 16, 16)
+    # after both rounds one class per pair of angles mod 4, each a matrix of the two live nodes
+    assert views["round:2"].shape == (16, 4, 4)
+    assert views["delivered"].shape == (16, 1, 1)
 
 
 def test_input_differences_are_invisible_to_the_server():
@@ -88,7 +89,7 @@ def test_exact_views_refuse_oversized_graphs():
 def test_sampled_prepared_state_matches_the_enumeration():
     pattern = small_pattern(angles={1: 3, 2: 6})
     psi = PureState.computational("01")
-    exact = exact_server_views(pattern, psi)["prepared"][()]
+    exact = exact_server_views(pattern, psi)["prepared"][0]
     sampled = sampled_prepared_density(pattern, psi, 1000, np.random.default_rng(2))
     assert trace_distance(DensityMatrix(exact), DensityMatrix(sampled)) < 0.05
 
@@ -113,9 +114,9 @@ def test_rewritten_protocols_compute_the_same_thing(version):
         assert run.output_state.fidelity(expected) >= 1 - 1e-9
 
 
-def test_dropping_theta_from_the_blind_angle_breaks_correctness_and_blindness(monkeypatch):
+def test_dropping_theta_from_the_blind_angle_breaks_correctness_and_blindness(monkeypatch, fresh_view_layouts):
     # negative control: every caller of oracle.blind_angle (the ledger, the
-    # teleport rewrite and the exact views) loses the pad angle theta
+    # teleport rewrite and the exact views' layout) loses the pad angle theta
     import mpdqc.oracle
 
     graph = build_brickwork(2, 2)
@@ -135,9 +136,12 @@ def test_dropping_theta_from_the_blind_angle_breaks_correctness_and_blindness(mo
     kernel = mpdqc.oracle.blind_angle
     for module in (mpdqc.oracle, harness):
         monkeypatch.setattr(module, "blind_angle", lambda corrected, r, theta, a: kernel(corrected, r, 0 * theta, a))
+    harness._view_layout.cache_clear()  # a layout reads blind_angle when it is built
     for world, run in worlds.items():
         assert run().output_state.fidelity(expected) < 1 - 1e-6, world
-    assert max(blindness_check(zero, zeros, pattern, zeros).values()) > 0.1
+    # the announced angles stop being uniform, so the view classes are unequal and the check refuses
+    with pytest.raises(ValueError, match="not all the same size"):
+        blindness_check(zero, zeros, pattern, zeros)
 
 
 def test_simulated_server_world_handles_references():
