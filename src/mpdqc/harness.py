@@ -271,23 +271,28 @@ def _project_first(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
 def _class_matrices(rows: np.ndarray, code: np.ndarray, n_classes: int, n_live: int, n_dephased: int) -> np.ndarray:
     """B B^H for each class code 0..n_classes - 1, B the class's rows side by side, each as (2^n_live nodes, the rest).
 
-    Every class must hold the same number of rows, or this raises. The rows
-    are sorted stably by code and multiplied by batched Gram products,
-    each over about _GRAM_CHUNK gathered amplitudes: several whole classes
-    or, summed, part of one. The Z twins of the n_dephased leading live
-    nodes are averaged: the entries whose row and column differ on them are
-    zeroed.
+    Every class present must hold the same number of rows, or this raises;
+    a code no row carries gets a zero matrix. The honest views carry every
+    code, but a broken pad leaves some out, and the distance must still
+    see it. The rows are sorted stably by code and multiplied by batched
+    Gram products, each over about _GRAM_CHUNK gathered amplitudes:
+    several whole classes or, summed, part of one. The Z twins of the
+    n_dephased leading live nodes are averaged: the entries whose row and
+    column differ on them are zeroed.
     """
-    size = len(code) // n_classes
     counts = np.bincount(code, minlength=n_classes)
-    if len(counts) != n_classes or (counts != size).any():
-        raise ValueError(f"the {n_classes} classes of {len(code)} rows are not all the same size")
-    order = np.argsort(code, kind="stable").reshape(n_classes, size)
+    if len(counts) != n_classes:
+        raise ValueError(f"class codes run past the {n_classes} classes")
+    present = np.flatnonzero(counts)
+    size = counts[present[0]]
+    if (counts[present] != size).any():
+        raise ValueError(f"the {len(present)} classes of {len(code)} rows are not all the same size")
+    order = np.argsort(code, kind="stable").reshape(len(present), size)
     dim, width = 2 ** n_live, rows.shape[1]
     part = min(size, max(1, _GRAM_CHUNK // width))  # rows of one class per product
     step = max(1, _GRAM_CHUNK // (part * width))  # classes per product
-    matrices = np.zeros((n_classes, dim, dim), dtype=complex)
-    for k in range(0, n_classes, step):
+    matrices = np.zeros((len(present), dim, dim), dtype=complex)
+    for k in range(0, len(present), step):
         for start in range(0, size, part):
             group = rows[order[k:k + step, start:start + part]].reshape(-1, part, dim, width // dim)
             group = group.transpose(0, 2, 1, 3).reshape(len(group), dim, -1)
@@ -295,6 +300,10 @@ def _class_matrices(rows: np.ndarray, code: np.ndarray, n_classes: int, n_live: 
     if n_dephased:
         live = np.arange(dim) >> (n_live - n_dephased)
         matrices *= live[:, None] == live[None, :]
+    if len(present) < n_classes:
+        complete = np.zeros((n_classes, dim, dim), dtype=complex)
+        complete[present] = matrices
+        return complete
     return matrices
 
 

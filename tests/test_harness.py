@@ -139,9 +139,7 @@ def test_dropping_theta_from_the_blind_angle_breaks_correctness_and_blindness(mo
     harness._view_layout.cache_clear()  # a layout reads blind_angle when it is built
     for world, run in worlds.items():
         assert run().output_state.fidelity(expected) < 1 - 1e-6, world
-    # the announced angles stop being uniform, so the view classes are unequal and the check refuses
-    with pytest.raises(ValueError, match="not all the same size"):
-        blindness_check(zero, zeros, pattern, zeros)
+    assert max(blindness_check(zero, zeros, pattern, zeros).values()) > 0.1
 
 
 def test_simulated_server_world_handles_references():
