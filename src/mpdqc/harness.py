@@ -58,7 +58,7 @@ from .brickwork import (
     read_outputs,
     reference_execute,
 )
-from .oracle import VerificationResult, a_tag, blind_angle, close_shares, r_tag
+from .oracle import OracleLedger, VerificationResult, a_tag, blind_angle, close_shares, r_tag, theta_tag
 from .protocol import AbortInfo, CopyTest, ProtocolRun, Session, Transcript, contributors, run_full_protocol
 from .quantum import _PHASE, _PHASE_CONJ, PureState, flip, octant, weighted_trace_norm
 from .rsp import run_chain, theta_input
@@ -372,16 +372,19 @@ def run_intermediate_protocol(
     party facing the server uses no secret at all (EPR halves, uniform
     angles), and every secret-dependent step runs afterwards inside an
     ideal resource that also decrypts the outputs.
+
+    Each version files every flip a, mask bit r and effective angle
+    theta + 4 r, every chain and every outcome in the oracle's ledger, which
+    gives the teleport angles, the delayed solves' corrected angles and the keys.
     """
     if version not in ("teleport", "delayed", "simulator-resource"):
         raise ValueError(f"unknown version {version!r}")
     delayed = version != "teleport"
     a_at_end = version == "simulator-resource"
 
-    graph, angles = pattern.graph, pattern.angles
-    flow = graph.flow
+    graph = pattern.graph
     n = graph.n_wires
-    measured = flow.order
+    measured = graph.flow.order
     system, ref_labels = input_system(input_state, [f"client:{k}" for k in range(1, n + 1)])
 
     epr = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -395,11 +398,11 @@ def run_intermediate_protocol(
         # pair, after which the input register is the qubit still to measure
         return f"in:{j}" if (j in graph.input_nodes and k == j) else f"keep:{j}:{k}"
 
-    a_bits: dict[int, int] = {}
+    ledger = OracleLedger(pattern)
 
     def extract_a(j: int) -> None:
         system.apply_cnot(f"in:{j}", f"keep:{j}:{j}")
-        a_bits[j] = system.measure_computational(f"keep:{j}:{j}", rng.random())
+        ledger.file(a_tag(j), system.measure_computational(f"keep:{j}:{j}", rng.random()))
 
     if not a_at_end:
         for j in graph.input_nodes:
@@ -407,13 +410,14 @@ def run_intermediate_protocol(
                 extract_a(j)
 
     theta_hat: dict[tuple[int, int], int] = {}
-    r_bits: dict[tuple[int, int], int] = {}
 
     def reveal(j: int, k: int) -> None:
         lab = retained(j, k)
         system.apply_z_rot(lab, theta_hat[(j, k)])
         system.apply_h(lab)
-        r_bits[(j, k)] = system.measure_computational(lab, rng.random())
+        r = system.measure_computational(lab, rng.random())
+        ledger.file(r_tag(j, k), r)
+        ledger.file(theta_tag(j, k), octant(theta_hat[(j, k)] + 4 * r))
 
     if not delayed:
         for j in measured:
@@ -422,24 +426,12 @@ def run_intermediate_protocol(
                 reveal(j, k)
 
     # ------------------------------------------------- server-side actions
-    chain_t: dict[int, dict[int, int]] = {}
     node_label: dict[int, str] = {}
     for j in measured:
         registers = {k: f"send:{j}:{k}" for k in range(1, n + 1)}
-        chain_t[j], node_label[j] = run_chain(system, registers, graph.survivor(j), rng)
+        t, node_label[j] = run_chain(system, registers, graph.survivor(j), rng)
+        ledger.register_chain(j, t)
     graph_state(system, graph, node_label)
-
-    def node_r(j: int) -> int:
-        return parity(r_bits[(j, k)] for k in range(1, n + 1))
-
-    def s_bit(j: int) -> int:
-        return b[j] ^ node_r(j)
-
-    def a_of(j: int) -> int:
-        return a_bits.get(j, 0)
-
-    def phi_corrected(j: int) -> int:
-        return flow.adapted_angle(j, angles[j], s_bit, a_of)
 
     def solve_and_reveal(j: int) -> None:
         """Pick fresh uniform angles, solve the one that matches delta, measure."""
@@ -450,23 +442,17 @@ def run_intermediate_protocol(
         # the chain's closed form with the target's share zeroed sums the
         # others' signed angles
         others = [0 if k == target else theta_hat[(j, k)] for k in range(1, n + 1)]
-        acc = delta[j] - phi_corrected(j) - theta_input(others, target, chain_t[j], 0)
+        acc = delta[j] - ledger.corrected_angle(j) - theta_input(others, target, ledger.chain_t[j], 0)
         # the pad's X flip (input case) negates the angle the pad rotation
         # must hit, so the solved angle absorbs the same sign
-        theta_hat[(j, target)] = flip(octant(acc), a_of(j))
+        theta_hat[(j, target)] = flip(octant(acc), ledger.node_flip(j))
         for k in range(1, n + 1):
             reveal(j, k)
 
     delta: dict[int, int] = {}
-    b: dict[int, int] = {}
     for j in measured:
-        if delayed:
-            delta[j] = int(rng.integers(8))
-        else:
-            eff = [octant(theta_hat[(j, k)] + 4 * r_bits[(j, k)]) for k in range(1, n + 1)]
-            pad = theta_input(eff, graph.survivor(j), chain_t[j], a_of(j))
-            delta[j] = blind_angle(phi_corrected(j), node_r(j), pad, a_of(j))
-        b[j] = system.measure_rotated(node_label[j], delta[j], rng.random())
+        delta[j] = int(rng.integers(8)) if delayed else ledger.delta(j)
+        ledger.register_outcome(j, system.measure_rotated(node_label[j], delta[j], rng.random()))
         if delayed and not a_at_end:
             solve_and_reveal(j)
 
@@ -478,9 +464,9 @@ def run_intermediate_protocol(
         for j in measured:
             solve_and_reveal(j)
 
-    keys = {j: flow.output_key(j, s_bit, a_of) for j in graph.output_nodes}
+    keys = {j: ledger.output_keys(j) for j in graph.output_nodes}
     output_state = read_outputs(system, graph, node_label, keys, ref_labels)
-    return ProtocolRun(Transcript(), system, chain_t, delta, b, keys, output_state)
+    return ProtocolRun(Transcript(), system, dict(ledger.chain_t), delta, dict(ledger.outcomes), keys, output_state, ledger=ledger)
 
 
 def rewrite_peak_qubits(version: str, n_wires: int, n_columns: int, n_ref: int) -> int:
@@ -542,14 +528,16 @@ def run_simulated_client_world(
     hands the bare inputs to the ideal resource, and announces the output
     keys implied by the recorded outcomes and masks. Padding the
     resource's outputs by those keys and the coalition's decryption
-    cancel exactly, so the run ends with the resource's outputs.
+    cancel exactly, so the run ends with the resource's outputs. As the
+    real run does, it sends no output that is also an input.
+
+    The keys come from the oracle's ledger, where the simulator files the
+    chains, its claimed mask bits and outcomes, and each flip a key needs.
 
     The coalition itself is played honestly here; input_state carries the
     honest inputs, the coalition inputs, and optional reference qubits.
     """
-    graph, angles = pattern.graph, pattern.angles
-    del angles  # the simulator never touches the pattern angles
-    flow = graph.flow
+    graph = pattern.graph  # the simulator never reads the pattern angles
     n = graph.n_wires
     coalition = frozenset(int(c) for c in coalition)
     if not coalition or not coalition <= set(range(1, n + 1)):
@@ -557,7 +545,7 @@ def run_simulated_client_world(
     honest = [k for k in range(1, n + 1) if k not in coalition]
     if not honest:
         raise ValueError("at least one client must stay honest")
-    measured = flow.order
+    measured = graph.flow.order
     system, ref_labels = input_system(input_state, [f"client:{k}" if k in coalition else "simulator" for k in range(1, n + 1)])
 
     transcript = Transcript()
@@ -584,7 +572,7 @@ def run_simulated_client_world(
         session.hand_out(k, a_tag(k), share_values(k, pad_a.get(k, 0), 2), 2, {"kind": "pad-flip", "client": k})
 
     # ----------------------------------------------------- preparation
-    chain_t: dict[int, dict[int, int]] = {}
+    ledger = OracleLedger(pattern)
     for j in measured:
         for k in contributors(graph, j):
             if k in coalition:
@@ -592,7 +580,7 @@ def run_simulated_client_world(
                 copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
                 survivor = session.offer_test_copies(j, k, copy_angles, copy_angles)
                 if isinstance(survivor, AbortInfo):
-                    return ProtocolRun(transcript, system, chain_t, {}, {}, {}, None, survivor)
+                    return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, survivor, ledger)
                 # the simulator absorbs the surviving copy; this uniform stands
                 # for the measurement of it that the simulator's stream holds
                 rng.random()
@@ -608,22 +596,22 @@ def run_simulated_client_world(
             session.send_padded_input(j, pad_a[j], pad_theta[j], [int(rng.integers(8)) for _ in range(n - 1)])
         # chain outcomes are uniform and carry no secret dependence
         t = {reg: int(rng.integers(2)) for reg in range(1, n + 1) if reg != graph.survivor(j)}
-        chain_t[j] = t
+        ledger.register_chain(j, t)
         record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
 
     # ------------------------------------------------------------ rounds
     delta: dict[int, int] = {}
-    b: dict[int, int] = {}
-    r_claims: dict[tuple[int, int], int] = {}
     for j in measured:
         for k in range(1, n + 1):
-            r_claims[(j, k)] = r_bit = int(rng.integers(2))
+            r_bit = int(rng.integers(2))
+            ledger.file(r_tag(j, k), r_bit)
             session.hand_out(k, r_tag(j, k), share_values(k, r_bit, 2), 2, {"kind": "mask-bit", "node": j, "client": k})
-        coalition_mask = parity(r_claims[(j, c)] for c in coalition)
+        coalition_mask = parity(ledger.secrets[r_tag(j, c)] for c in coalition)
         delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
         record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta[j]})
-        b[j] = int(rng.integers(2))
-        record("server", "all", "ResultBroadcast", {"node": j, "b": b[j]})
+        b = int(rng.integers(2))
+        ledger.register_outcome(j, b)
+        record("server", "all", "ResultBroadcast", {"node": j, "b": b})
 
     # ------------------------------------------------------------ outputs
     for c in sorted(coalition):
@@ -635,20 +623,19 @@ def run_simulated_client_world(
     ideal_input = system.state_of([f"in:{k}" for k in range(1, n + 1)] + ref_labels)
     resource_output = reference_execute(pattern, ideal_input, rng)
 
-    def s_bit(i: int) -> int:
-        return b[i] ^ parity(r_claims[(i, k)] for k in range(1, n + 1))
-
-    def a_of(j: int) -> int:
-        if j not in graph.input_nodes:
-            return 0
-        # an honest client's flip is a fresh uniform bit; the draw is made
-        # for coalition inputs too, which keeps the simulator's rng stream
-        fresh = int(rng.integers(2))
-        return pad_a.get(j, fresh)
-
     keys: dict[int, tuple[int, int]] = {}
     for j in graph.output_nodes:
-        keys[j] = s_x, s_z = flow.output_key(j, s_bit, a_of)
+        if j in graph.input_nodes:
+            # as in the real run, an output that is an input never left its owner
+            keys[j] = (0, 0)
+            continue
+        pred = graph.flow.f_inv[j]
+        if pred in graph.input_nodes:
+            # the key needs the predecessor's flip: an honest client's is a
+            # fresh uniform bit, drawn for coalition inputs too, which keeps
+            # the simulator's rng stream
+            ledger.file(a_tag(pred), pad_a.get(pred, int(rng.integers(2))))
+        keys[j] = s_x, s_z = ledger.output_keys(j)
         c = graph.wire_of(j)
         if c in coalition:
             # the coalition's output arrives padded by these keys, and its
@@ -656,7 +643,7 @@ def run_simulated_client_world(
             record("server", f"client:{c}", "OutputQubit", {"node": j})
             record("oracle", f"client:{c}", "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
 
-    return ProtocolRun(transcript, system, chain_t, delta, b, keys, resource_output)
+    return ProtocolRun(transcript, system, dict(ledger.chain_t), delta, dict(ledger.outcomes), keys, resource_output, ledger=ledger)
 
 
 def check_no_secret_leak(transcript: Transcript, coalition: Iterable[int], n_clients: int) -> None:

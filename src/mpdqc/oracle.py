@@ -9,10 +9,12 @@ mix: a bit enters an angle only as 4 * bit.
 The ledger is the oracle's working memory for one protocol run. It knows
 the measurement pattern (the computation is not hidden from the oracle,
 only from the server), receives shares and measurement outcomes as the run
-progresses, and answers exactly two kinds of questions: the measurement
-angle delta_j to announce to the server, and the final output keys per
-output node. Measured outcomes are append-only; nothing can be rewritten
-after the fact.
+progresses, and answers three kinds of questions: the measurement angle
+delta_j to announce to the server, the flow-corrected angle it starts
+from, and the final output keys per output node. Measured outcomes are
+append-only; nothing can be rewritten after the fact. Every world keeps
+one; only the full protocol files its secrets from their pieces
+(register_share), the others file values (file).
 """
 from __future__ import annotations
 
@@ -195,10 +197,14 @@ class OracleLedger:
             raise ValueError(f"{len(values)} pieces for {self.n_clients} clients")
         if modulus not in (2, 8):
             raise ValueError("share modulus must be 2 (bits) or 8 (octants)")
+        self.file(tag, sum(values) % modulus)
+
+    def file(self, tag: Tag, value: int) -> None:
+        """File one secret's value under its tag, refusing a secret already held (see register_share)."""
         key = tag[:3] if tag[0] == "theta" else tag
         if key in self.secrets:
             raise ValueError(f"secret {key} already registered")
-        self.secrets[key] = sum(values) % modulus
+        self.secrets[key] = value
 
     def register_chain(self, node: int, t: dict[int, int]) -> None:
         if node in self.chain_t:
@@ -240,10 +246,13 @@ class OracleLedger:
 
     # ------------------------------------------------------------ answers
 
+    def corrected_angle(self, node: int) -> int:
+        """The flow-corrected pattern angle phi' of a measured node (Flow.adapted_angle)."""
+        return self.flow.adapted_angle(node, self.pattern.angles[node], self._s, self.node_flip)
+
     def delta(self, node: int) -> int:
         """The blind measurement angle announced to the server for one node (blind_angle)."""
-        corrected = self.flow.adapted_angle(node, self.pattern.angles[node], self._s, self.node_flip)
-        return blind_angle(corrected, self.node_r(node), self.node_theta(node), self.node_flip(node))
+        return blind_angle(self.corrected_angle(node), self.node_r(node), self.node_theta(node), self.node_flip(node))
 
     def output_keys(self, node: int) -> tuple[int, int]:
         """(s_x, s_z) one-time-pad keys for an output node (see Flow.output_key)."""

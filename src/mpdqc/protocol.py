@@ -190,8 +190,8 @@ class ProtocolRun:
 
     The full protocol, the three rewrites (whose transcript is empty: they
     exchange no messages) and the coalition simulator all fill it in.
-    output_state is None if the run aborted; ledger is None where a
-    simulator plays the oracle.
+    output_state is None if the run aborted. ledger is the oracle's
+    ledger of the run; every world keeps one.
     """
 
     transcript: Transcript

@@ -155,20 +155,26 @@ def test_the_circuit_builds_no_quantum_system(monkeypatch):
 
 
 def test_a_consistent_angle_mistake_fails_against_the_circuit(monkeypatch):
-    # the protocol's ledger and the MBQC pin share corrected_angle, so a
-    # mistake in it reaches both and they still agree; the circuit reads
-    # no corrected angle, so A1's comparison catches it
+    # the oracle's ledger, which announces the angles of the protocol and
+    # of its teleport rewrite, and the MBQC pin share corrected_angle, so a
+    # mistake in it reaches all three and they still agree; the circuit
+    # reads no corrected angle, so A1's comparison catches it in both worlds
     honest = brickwork.corrected_angle
     monkeypatch.setattr(brickwork, "corrected_angle", lambda phi, *bits: honest(phi + 1, *bits))
-    worst_circuit = worst_pin = 0.0
-    for seed in range(10):
-        pattern, psi, rng = scenario(2, 3, 0, seed)
-        run = run_full_protocol(pattern, psi, rng, m_copies=2)
-        assert not run.aborted
-        worst_circuit = max(worst_circuit, 1 - run.output_state.fidelity(reference_execute(pattern, psi, np.random.default_rng(1))))
-        worst_pin = max(worst_pin, 1 - run.output_state.fidelity(mbqc_reference_execute(pattern, psi, np.random.default_rng(1))))
-    assert worst_circuit > 1e-6
-    assert worst_pin <= 1e-12
+    worlds = {
+        "base": lambda pattern, psi, rng: run_full_protocol(pattern, psi, rng, m_copies=2),
+        "teleport": lambda pattern, psi, rng: run_intermediate_protocol(pattern, psi, rng, "teleport"),
+    }
+    for world, run_world in worlds.items():
+        worst_circuit = worst_pin = 0.0
+        for seed in range(10):
+            pattern, psi, rng = scenario(2, 3, 0, seed)
+            run = run_world(pattern, psi, rng)
+            assert not run.aborted
+            worst_circuit = max(worst_circuit, 1 - run.output_state.fidelity(reference_execute(pattern, psi, np.random.default_rng(1))))
+            worst_pin = max(worst_pin, 1 - run.output_state.fidelity(mbqc_reference_execute(pattern, psi, np.random.default_rng(1))))
+        assert worst_circuit > 1e-6, world
+        assert worst_pin <= 1e-12, world
 
 
 @pytest.mark.parametrize("n_wires,n_columns", [(2, 5), (4, 3)])

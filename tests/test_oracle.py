@@ -315,6 +315,15 @@ def test_ledger_rejects_duplicate_registration():
     ledger.register_outcome(1, 0)
     with pytest.raises(ValueError):
         ledger.register_outcome(1, 1)
+    # a value filed directly is refused the same way: one tag twice, or a
+    # second angle for one (node, client) under another copy index
+    ledger.file(r_tag(1, 2), 1)
+    with pytest.raises(ValueError, match="already registered"):
+        ledger.file(r_tag(1, 2), 0)
+    ledger.file(theta_tag(1, 2), 5)
+    with pytest.raises(ValueError, match="already registered"):
+        ledger.file(theta_tag(1, 2, copy=3), 5)
+    assert ledger.secrets[r_tag(1, 2)] == 1 and ledger.secrets[("theta", 1, 2)] == 5
 
 
 def test_ledger_refuses_incomplete_and_mixed_share_sets():
