@@ -58,7 +58,7 @@ from .brickwork import (
     read_outputs,
     reference_execute,
 )
-from .oracle import OracleLedger, VerificationResult, a_tag, blind_angle, close_shares, r_tag, theta_tag
+from .oracle import OracleLedger, a_tag, blind_angle, close_shares, r_tag, theta_tag
 from .protocol import AbortInfo, CopyTest, ProtocolRun, Session, Transcript, contributors, run_full_protocol
 from .quantum import _PHASE, _PHASE_CONJ, PureState, flip, octant, weighted_trace_norm
 from .rsp import run_chain, theta_input
@@ -539,14 +539,15 @@ def run_simulated_client_world(
     """
     graph = pattern.graph  # the simulator never reads the pattern angles
     n = graph.n_wires
+    clients = range(1, n + 1)
     coalition = frozenset(int(c) for c in coalition)
-    if not coalition or not coalition <= set(range(1, n + 1)):
+    if not coalition or not coalition <= set(clients):
         raise ValueError("coalition must be a nonempty subset of the clients")
-    honest = [k for k in range(1, n + 1) if k not in coalition]
+    honest = [k for k in clients if k not in coalition]
     if not honest:
         raise ValueError("at least one client must stay honest")
     measured = graph.flow.order
-    system, ref_labels = input_system(input_state, [f"client:{k}" if k in coalition else "simulator" for k in range(1, n + 1)])
+    system, ref_labels = input_system(input_state, [f"client:{k}" if k in coalition else "simulator" for k in clients])
 
     transcript = Transcript()
     record = transcript.record
@@ -564,12 +565,14 @@ def run_simulated_client_world(
         uniform whatever the secret, so this is exact."""
         if k in coalition:
             return close_shares(secret, [int(rng.integers(modulus)) for _ in range(n - 1)], modulus)
-        return [int(rng.integers(modulus)) if h in coalition else 0 for h in range(1, n + 1)]
+        return [int(rng.integers(modulus)) if h in coalition else 0 for h in clients]
 
-    for k in range(1, n + 1):
+    flip_values = []
+    for k in clients:
         if k in coalition:
             pad_a[k] = int(rng.integers(2))
-        session.hand_out(k, a_tag(k), share_values(k, pad_a.get(k, 0), 2), 2, {"kind": "pad-flip", "client": k})
+        flip_values.append(share_values(k, pad_a.get(k, 0), 2))
+    session.hand_out(clients, [a_tag(k) for k in clients], flip_values, 2, [{"kind": "pad-flip", "client": k} for k in clients])
 
     # ----------------------------------------------------- preparation
     ledger = OracleLedger(pattern)
@@ -589,23 +592,26 @@ def run_simulated_client_world(
                 # forwards its pieces of the opened copies and the survivor
                 rows = [share_values(k, 0, 8) for _ in range(m_copies)]
                 survivor = int(rng.integers(m_copies))
-                result = VerificationResult(True, survivor, {i: 0 for i in range(m_copies) if i != survivor})
-                transcript.defer(CopyTest(j, k, rows, [sum(row) % 8 for row in rows], result, False))
+                opened = np.array([[i for i in range(m_copies) if i != survivor]])
+                prepared = np.array([[sum(row) % 8 for row in rows]])
+                transcript.defer(CopyTest(j, [k], 0, np.array([rows]), prepared, np.array([survivor]), opened, np.zeros_like(opened), False, False))
         if j in graph.input_nodes and j in coalition:
             pad_theta[j] = int(rng.integers(8))
             session.send_padded_input(j, pad_a[j], pad_theta[j], [int(rng.integers(8)) for _ in range(n - 1)])
         # chain outcomes are uniform and carry no secret dependence
-        t = {reg: int(rng.integers(2)) for reg in range(1, n + 1) if reg != graph.survivor(j)}
+        t = {reg: int(rng.integers(2)) for reg in clients if reg != graph.survivor(j)}
         ledger.register_chain(j, t)
         record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
 
     # ------------------------------------------------------------ rounds
     delta: dict[int, int] = {}
     for j in measured:
-        for k in range(1, n + 1):
+        mask_values = []
+        for k in clients:
             r_bit = int(rng.integers(2))
             ledger.file(r_tag(j, k), r_bit)
-            session.hand_out(k, r_tag(j, k), share_values(k, r_bit, 2), 2, {"kind": "mask-bit", "node": j, "client": k})
+            mask_values.append(share_values(k, r_bit, 2))
+        session.hand_out(clients, [r_tag(j, k) for k in clients], mask_values, 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
         coalition_mask = parity(ledger.secrets[r_tag(j, c)] for c in coalition)
         delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
         record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta[j]})

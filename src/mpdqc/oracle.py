@@ -88,13 +88,6 @@ def reconstruct(shares: Sequence[SecretShare]) -> int:
     return sum(values) % moduli[0]
 
 
-@dataclass
-class VerificationResult:
-    accepted: bool
-    survivor: int
-    outcomes: dict[int, int]
-
-
 # P0[d]: the probability that a copy prepared d octants away from its
 # declared angle answers 0 in the declared basis, cos^2(d pi / 8); exactly 1
 # for an honest copy
@@ -119,26 +112,6 @@ def judge_copy_tests(shares: np.ndarray, prepared: np.ndarray, survivors, unifor
     gaps = (prepared - shares.sum(axis=-1))[keep] % 8
     opened = keep.nonzero()[-1].reshape(uniforms.shape)
     return opened, (uniforms >= np.asarray(P0)[gaps].reshape(uniforms.shape)).astype(np.int64)
-
-
-def verify_client(shares: Sequence[Sequence[int]], prepared: Sequence[int], survivor: int, uniforms: Sequence[float]) -> VerificationResult:
-    """The copy test of one batch of declared-angle copies from one client (judge_copy_tests).
-
-    shares is the batch's (m, n) share values and prepared its m prepared
-    angles. The caller draws the survivor, rng.integers(m), and then the
-    m - 1 uniforms of the opened copies, rng.random(m - 1); for PCG64 a
-    sized draw equals as many scalar draws. The survivor's index is
-    returned so the caller can feed that copy (and its still-secret
-    shares) onward.
-    """
-    m = len(shares)
-    if m < 2:
-        raise ValueError("need at least 2 copies to test any")
-    if len(prepared) != m:
-        raise ValueError("one prepared angle per copy")
-    opened, outcomes = judge_copy_tests(np.asarray(shares), np.asarray(prepared), survivor, np.asarray(uniforms))
-    outcomes = outcomes.tolist()
-    return VerificationResult(accepted=not any(outcomes), survivor=survivor, outcomes=dict(zip(opened.tolist(), outcomes)))
 
 
 def blind_angle(corrected, r, theta, a):

@@ -9,8 +9,9 @@ sender structurally cannot keep a copy.
 A run follows four phases in a fixed order: secret setup and preparation
 (pads, test copies, verification, preparation chains), entangling, the
 measurement rounds, and output delivery. Every classical message goes
-through the Transcript, which is what the security harness inspects. The
-run's randomness is drawn before its first step, from the run's DrawPlan.
+through the Transcript, which the harness inspects; an honest run logs
+each node's copy tests, its pad flips and each round's mask bits as one
+entry. Its randomness is drawn before its first step, from its DrawPlan.
 """
 from __future__ import annotations
 
@@ -18,23 +19,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_system, read_outputs
 from .draws import Schedule, draw, rewind
-from .oracle import (
-    OracleLedger,
-    VerificationResult,
-    a_tag,
-    close_share_rows,
-    close_shares,
-    judge_copy_tests,
-    r_tag,
-    theta_tag,
-    verify_client,
-)
+from .oracle import OracleLedger, a_tag, close_share_rows, close_shares, judge_copy_tests, r_tag, theta_tag
 from .quantum import DensityMatrix, PureState, QuantumSystem, flip, plus_state
 from .rsp import closed_form_chain
 
@@ -66,11 +57,11 @@ class Message(NamedTuple):
 class Transcript:
     """Ordered log of every classical message exchanged during a run.
 
-    It holds Messages and deferred entries (one per hand-out, see HandOut,
-    and one per copy test, see CopyTest) in order. An entry reserves the
-    seqs of its messages when it is deferred, and reading `messages` builds
-    them, once, in place. So every reader (visible_to, to_jsonl) sees the
-    same log as if each message had been recorded when it was sent.
+    It holds Messages and deferred entries in order, a HandOut per stack of
+    secrets handed out together and a CopyTest per node's copy tests. An
+    entry reserves its messages' seqs when it is deferred, and reading
+    `messages` builds them, once, in place. So every reader (visible_to,
+    to_jsonl) sees the log as if each message was recorded when sent.
     `counts` (messages per variant) and len() are exact without building
     anything.
     """
@@ -217,93 +208,109 @@ COPY_TEST_FAILED = "test copy failed its declared basis"
 
 
 class HandOut(NamedTuple):
-    """One handed-out secret as a single transcript entry; values[k - 1] is
-    client k's piece. `messages` builds the owner's piece for each other
-    client, then each holder's submission to the oracle, in holder order;
-    the messages of a piece share one payload dict."""
+    """A stack of handed-out secrets as one transcript entry, as an honest
+    run hands out its n pad flips and each round's n mask bits. Secret s is
+    client owners[s]'s, tagged tags[s], with context contexts[s] and piece
+    k of values[s] for client k. `messages` builds, secret by secret, the
+    owner's piece for each other client, then each holder's submission to
+    the oracle; the messages of a piece share one payload dict."""
 
-    owner: int
-    tag: tuple
-    values: list[int]
+    owners: Sequence[int]
+    tags: list[tuple]
+    values: list[list[int]]
     modulus: int
-    context: dict
+    contexts: list[dict]
 
     def counts(self) -> dict[str, int]:
         """Messages per variant, in closed form."""
-        return {"ShareDistribution": 2 * len(self.values) - 1}
+        return {"ShareDistribution": len(self.values) * (2 * len(self.values[0]) - 1)}
 
     def messages(self, seq: int) -> list[Message]:
-        """The hand-out's messages, numbered from seq."""
-        owner, context = _client(self.owner), self.context
-        pieces = [(_client(k), share) for k, share in enumerate(share_payloads(self.tag, self.values, self.modulus), 1)]
-        sent = [(owner, holder, share) for holder, share in pieces if holder != owner] + [(holder, "oracle", share) for holder, share in pieces]
-        return [Message(seq + i, *route, "ShareDistribution", {**context, "share": share}) for i, (*route, share) in enumerate(sent)]
+        """The stack's messages, numbered from seq."""
+        out: list[Message] = []
+        for owner, tag, values, context in zip(self.owners, self.tags, self.values, self.contexts):
+            owner, pieces = _client(owner), [(_client(k), share) for k, share in enumerate(share_payloads(tag, values, self.modulus), 1)]
+            for sender, receiver, share in [(owner, holder, share) for holder, share in pieces if holder != owner] + [(holder, "oracle", share) for holder, share in pieces]:
+                out.append(Message(seq + len(out), sender, receiver, "ShareDistribution", {**context, "share": share}))
+        return out
 
 
 class CopyTest(NamedTuple):
-    """One contributor's copy test for one node, as a single transcript entry.
+    """One measured node's copy tests as one transcript entry: its judged
+    batches of m copies, batch first + b being client contributors[b]'s.
 
-    shares holds the (m, n) share values of the m declared copy angles,
-    row i closing copy i's angle mod 8; result is the oracle's verdict.
-    `messages` builds what the test sends, in the order it is sent: the
-    contributor's pieces of every angle to its peers, the m QubitTransfers
-    (under debug_secrets with the amplitudes of plus_state(prepared[i])),
-    the survivor, every piece of each opened angle to the server, the
-    verification outcomes, then the Abort or the survivor's pieces to the
-    oracle. Each share has one payload dict, shared by all its messages.
+    The arrays stack batches on their first axis; an honest run's entries
+    all hold the run's arrays, and Session.offer_test_copies logs a stack
+    of one. shares (.., m, n) has row i closing copy i's declared angle mod
+    8, and copy i is sent as |+_prepared[.., i]>; survivors, opened and
+    outcomes (.., m - 1) are oracle.judge_copy_tests's verdict. Every batch
+    but the last passed; failed says whether the last failed. `counts`
+    reads only ints. `messages` converts the entry's rows once and builds,
+    batch by batch and in sending order: the contributor's pieces of each
+    angle to its peers, the m QubitTransfers (with their amplitudes under
+    debug_secrets), the survivor, each opened angle's pieces to the server,
+    the outcomes, then the Abort or the survivor's pieces to the oracle.
+    The messages of a share carry one payload dict.
     """
 
     node: int
-    contributor: int
-    shares: list[list[int]]
-    prepared: list[int]
-    result: VerificationResult
+    contributors: list[int]
+    first: int
+    shares: np.ndarray
+    prepared: np.ndarray
+    survivors: np.ndarray
+    opened: np.ndarray
+    outcomes: np.ndarray
+    failed: bool
     debug_secrets: bool
 
     def counts(self) -> dict[str, int]:
         """Messages per variant, in closed form."""
-        m, n = len(self.shares), len(self.shares[0])
-        accepted = int(self.result.accepted)
+        batches, (_, m, n) = len(self.contributors), self.shares.shape
         return {
-            "ShareDistribution": (n - 1) * m + n * (m - 1) + n * accepted,
-            "QubitTransfer": m,
-            "OutcomeVector": 2,
-            "Abort": 1 - accepted,
+            "ShareDistribution": batches * ((n - 1) * m + n * (m - 1)) + n * (batches - self.failed),
+            "QubitTransfer": batches * m,
+            "OutcomeVector": 2 * batches,
+            "Abort": int(self.failed),
         }
 
     def messages(self, seq: int) -> list[Message]:
-        """The test's messages, numbered from seq."""
-        node, k, result = self.node, self.contributor, self.result
-        names = {owner: _client(owner) for owner in range(1, len(self.shares[0]) + 1)}
-        where = {"node": node, "contributor": k}
-        payloads = [share_payloads(theta_tag(node, k, i), row, 8) for i, row in enumerate(self.shares)]
+        """The stack's messages, numbered from seq."""
+        node = self.node
+        rows = slice(self.first, self.first + len(self.contributors))
+        shares, prepared, survivors, opened, outcomes = (a[rows].tolist() for a in (self.shares, self.prepared, self.survivors, self.opened, self.outcomes))
+        names = {owner: _client(owner) for owner in range(1, self.shares.shape[2] + 1)}
+        failing = len(self.contributors) - 1 if self.failed else -1
         out: list[Message] = []
 
         def send(sender: str, receiver: str, variant: str, payload: dict) -> None:
             out.append(Message(seq + len(out), sender, receiver, variant, payload))
 
-        for i, shares in enumerate(payloads):
-            context = {"kind": "copy-angle", **where, "copy": i}
-            for share in shares:
-                if share["owner"] != k:
-                    send(names[k], names[share["owner"]], "ShareDistribution", {**context, "share": share})
-        for i, theta in enumerate(self.prepared):
-            payload = {**where, "copy": i, "purpose": "test-copy", "label": f"copy:{node}:{k}:{i}"}
-            if self.debug_secrets:
-                payload["amplitudes"] = _amplitude_pairs(plus_state(theta).amps)
-            send(names[k], "server", "QubitTransfer", payload)
-        send("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
-        for i in result.outcomes:
-            context = {"kind": "opened-angle", **where, "copy": i}
-            for share in payloads[i]:
-                send(names[share["owner"]], "server", "ShareDistribution", {**context, "share": share})
-        send("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": sorted(result.outcomes.items())})
-        if not result.accepted:
-            send("server", "all", "Abort", asdict(AbortInfo("verification", node, k, COPY_TEST_FAILED)))
-        else:
-            context = {"kind": "survivor-angle", **where, "copy": result.survivor}
-            for share in payloads[result.survivor]:
-                send(names[share["owner"]], "oracle", "ShareDistribution", {**context, "share": share})
+        for b, k in enumerate(self.contributors):
+            where = {"node": node, "contributor": k}
+            payloads = [share_payloads(theta_tag(node, k, i), row, 8) for i, row in enumerate(shares[b])]
+            for i, pieces in enumerate(payloads):
+                context = {"kind": "copy-angle", **where, "copy": i}
+                for share in pieces:
+                    if share["owner"] != k:
+                        send(names[k], names[share["owner"]], "ShareDistribution", {**context, "share": share})
+            for i, theta in enumerate(prepared[b]):
+                payload = {**where, "copy": i, "purpose": "test-copy", "label": f"copy:{node}:{k}:{i}"}
+                if self.debug_secrets:
+                    payload["amplitudes"] = _amplitude_pairs(plus_state(theta).amps)
+                send(names[k], "server", "QubitTransfer", payload)
+            send("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": survivors[b]})
+            for i in opened[b]:
+                context = {"kind": "opened-angle", **where, "copy": i}
+                for share in payloads[i]:
+                    send(names[share["owner"]], "server", "ShareDistribution", {**context, "share": share})
+            send("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": list(zip(opened[b], outcomes[b]))})
+            if b == failing:
+                send("server", "all", "Abort", asdict(AbortInfo("verification", node, k, COPY_TEST_FAILED)))
+            else:
+                context = {"kind": "survivor-angle", **where, "copy": survivors[b]}
+                for share in payloads[survivors[b]]:
+                    send(names[share["owner"]], "oracle", "ShareDistribution", {**context, "share": share})
         return out
 
 
@@ -352,8 +359,8 @@ class Session:
 
     ledger is None where a simulator plays the oracle. debug_secrets adds
     the amplitudes of unentangled qubits to QubitTransfer payloads. rng is
-    drawn from by offer_test_copies only. Each
-    hand-out and copy test is one deferred entry (HandOut, CopyTest), and
+    drawn from by offer_test_copies only. A stack of hand-outs is one
+    deferred HandOut and a node's copy tests one deferred CopyTest, and
     each share's payload dict is shared by every message that carries it.
     """
 
@@ -368,13 +375,15 @@ class Session:
     def __post_init__(self):
         self.names = {k: _client(k) for k in range(1, self.n_clients + 1)}
 
-    def hand_out(self, owner: int, tag: tuple, values: list[int], modulus: int, context: dict) -> None:
-        """Client `owner` hands out a secret given as its n share values,
-        piece k for client k: every other client gets its piece, each holder
-        submits its piece to the oracle, and the ledger files the values."""
-        self.transcript.defer(HandOut(owner, tag, values, modulus, context))
+    def hand_out(self, owners: Sequence[int], tags: list[tuple], values: list[list[int]], modulus: int, contexts: list[dict]) -> None:
+        """Each client owners[s] hands out its secret tags[s], given as its n
+        share values values[s], piece k for client k: every other client
+        gets its piece, each holder submits its piece to the oracle, and the
+        ledger files the values, one register_share call per secret."""
+        self.transcript.defer(HandOut(owners, tags, values, modulus, contexts))
         if self.ledger is not None:
-            self.ledger.register_share(tag, values, modulus)
+            for tag, row in zip(tags, values):
+                self.ledger.register_share(tag, row, modulus)
 
     def send_padded_input(self, node: int, a: int, theta: int, pieces: list[int]) -> None:
         """The input's owner pads qubit in:node by X^a Z(theta), shares theta from its n - 1 drawn pieces and hands the qubit to the server."""
@@ -401,32 +410,40 @@ class Session:
         all (m, n - 1) random pieces in one draw and each row closed to its
         angle mod 8, and hands the server copy i as |+_prepared[i]>; an
         honest contributor passes the same list twice. The survivor and the
-        opened copies' uniforms are drawn next, and oracle.verify_client
-        opens and measures all but the survivor in closed form. The coalition
-        simulator, protocol1-detection and A4 test copies this way;
-        run_full_protocol judges all its copy tests at once from its drawn
-        block. Returns what log_copy_test returns.
+        opened copies' uniforms are drawn next, and oracle.judge_copy_tests
+        opens and measures all but the survivor in closed form. The test is
+        logged as a CopyTest stack of one batch. The coalition simulator,
+        protocol1-detection and A4 test copies this way; run_full_protocol
+        judges all its copy tests at once from its drawn block. Returns the
+        survivor's prepared angle, or the AbortInfo of the failed test.
         """
         m = len(declared)
-        pieces = self.rng.integers(8, size=(m, self.n_clients - 1)).tolist()
-        shares = [close_shares(theta, row, 8) for row, theta in zip(pieces, declared)]
-        result = verify_client(shares, prepared, int(self.rng.integers(m)), self.rng.random(m - 1))
-        return self.log_copy_test(node, contributor, shares, list(prepared), result)
+        if m < 2:
+            raise ValueError("need at least 2 copies to test any")
+        rows = [close_shares(theta, row, 8) for theta, row in zip(declared, self.rng.integers(8, size=(m, self.n_clients - 1)).tolist())]
+        survivor = int(self.rng.integers(m))
+        shares, angles = np.array([rows]), np.array([prepared])
+        opened, outcomes = judge_copy_tests(shares[0], angles[0], survivor, self.rng.random(m - 1))
+        test = CopyTest(node, [contributor], 0, shares, angles, np.array([survivor]), opened[None], outcomes[None], bool(np.count_nonzero(outcomes)), self.debug_secrets)
+        abort = self.log_copy_tests(test, [survivor], [rows[survivor]])
+        return prepared[survivor] if abort is None else abort
 
-    def log_copy_test(self, node: int, contributor: int, shares: list[list[int]], prepared: list[int], result: VerificationResult) -> int | AbortInfo:
-        """Log a judged copy test as one CopyTest entry, whose messages are built when the transcript is read.
+    def log_copy_tests(self, test: CopyTest, survivors: list[int], rows: list[list[int]]) -> AbortInfo | None:
+        """Log one node's judged copy tests as one CopyTest entry, whose messages are built when the transcript is read.
 
-        No copy becomes a register, as the survivor's chain is in closed
-        form too. Once the test has passed, the survivor's pieces go to the
-        oracle, which files its declared angle. Returns the survivor's
-        prepared angle, or the AbortInfo of the failed test.
+        survivors and rows, indexed as the entry's arrays, hold each batch's
+        survivor and its share values as ints; the oracle files each passed
+        survivor's declared angle. No copy becomes a register, as the
+        survivor's chain is in closed form too. Returns the AbortInfo of a
+        failed last batch, else None.
         """
-        self.transcript.defer(CopyTest(node, contributor, shares, prepared, result, self.debug_secrets))
-        if not result.accepted:
-            return AbortInfo("verification", node, contributor, COPY_TEST_FAILED)
+        self.transcript.defer(test)
         if self.ledger is not None:
-            self.ledger.register_share(theta_tag(node, contributor, result.survivor), shares[result.survivor], 8)
-        return prepared[result.survivor]
+            for b, k in enumerate(test.contributors[: len(test.contributors) - test.failed], test.first):
+                self.ledger.register_share(theta_tag(test.node, k, survivors[b]), rows[b], 8)
+        if test.failed:
+            return AbortInfo("verification", test.node, test.contributors[-1], COPY_TEST_FAILED)
+        return None
 
 
 class DrawPlan(NamedTuple):
@@ -549,8 +566,9 @@ def run_full_protocol(
     call its steps make, in order, and draws.draw takes them all at once,
     as one block of raw words for PCG64. The steps then read their values
     from the drawn arrays, and the physics draws nothing. All copy tests
-    are closed and judged at once (judge_copy_tests); a run whose copy
-    test fails rewinds rng to where the calls up to that test leave it.
+    are closed and judged at once (judge_copy_tests) and logged a node at a
+    time up to a failed batch, after which rng is rewound to where the
+    calls up to that batch leave it.
     """
     graph = pattern.graph
     n = graph.n_wires
@@ -569,21 +587,24 @@ def run_full_protocol(
     ints, uniforms = drawn.ints, drawn.uniforms
 
     # ----------------------------------------------------------- secrets
+    clients = range(1, n + 1)
     flips = ints[plan.pad_a]
     pad_a = dict(enumerate(flips.tolist(), 1))
     pad_theta = dict(enumerate(ints[plan.pad_theta].tolist(), 1))
-    for k, values in enumerate(close_share_rows(flips, ints[plan.flip_pieces], 2).tolist(), 1):
-        session.hand_out(k, a_tag(k), values, 2, {"kind": "pad-flip", "client": k})
+    flip_shares = close_share_rows(flips, ints[plan.flip_pieces], 2).tolist()
+    session.hand_out(clients, [a_tag(k) for k in clients], flip_shares, 2, [{"kind": "pad-flip", "client": k} for k in clients])
 
     # ------------------------------------------------------- preparation
-    # every copy test at once, one row per (node, contributor) batch; an
-    # honest contributor prepares each copy at its declared angle
+    # every copy test at once, one row per (node, contributor) batch, each
+    # honest copy at its declared angle; `stop` is the first failed batch,
+    # kept and chosen each batch's survivor row and angle, gathered at once
     angles = ints[plan.copy_angles]
     shares = close_share_rows(angles, ints[plan.copy_pieces], 8)
     survivors = ints[plan.survivors]
     opened, outcomes = judge_copy_tests(shares, angles, survivors, uniforms[plan.tests])
-    shares, angles, survivors = shares.tolist(), angles.tolist(), survivors.tolist()
-    opened, outcomes = opened.tolist(), outcomes.tolist()
+    stop = int(outcomes.argmax()) // (m_copies - 1) if np.count_nonzero(outcomes) else len(survivors)
+    batches, survivor_list = np.arange(len(survivors)), survivors.tolist()
+    kept, chosen = shares[batches, survivors].tolist(), angles[batches, survivors].tolist()
     input_pieces = iter(ints[plan.input_pieces].tolist())
     chain_uniforms = uniforms[plan.chains].tolist()
 
@@ -592,18 +613,19 @@ def run_full_protocol(
     node_label: dict[int, str] = {}
     batch = 0
     for pos, j in enumerate(graph.measured_nodes):
-        prepared: dict[int, int] = {}
-        for k in contributors(graph, j):
-            result = VerificationResult(not any(outcomes[batch]), survivors[batch], dict(zip(opened[batch], outcomes[batch])))
-            survivor = session.log_copy_test(j, k, shares[batch], angles[batch], result)
-            if isinstance(survivor, AbortInfo):
-                rewind(rng, drawn, plan.schedule, plan.stops[batch])
-                return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, survivor, ledger)
-            prepared[k] = survivor
-            batch += 1
+        tested = contributors(graph, j)
+        end = min(batch + len(tested), stop + 1)
+        tested = tested[: end - batch]
+        test = CopyTest(j, tested, batch, shares, angles, survivors, opened, outcomes, end > stop, debug_secrets)
+        abort = session.log_copy_tests(test, survivor_list, kept)
+        if abort is not None:
+            rewind(rng, drawn, plan.schedule, plan.stops[stop])
+            return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, abort, ledger)
+        prepared = dict(zip(tested, chosen[batch:end]))
+        batch = end
         if j in graph.input_nodes:
             session.send_padded_input(j, pad_a[j], pad_theta[j], next(input_pieces))
-        t, theta = closed_form_chain([prepared.get(k, 0) for k in range(1, n + 1)], graph.survivor(j), pad_a.get(j, 0), chain_uniforms[pos])
+        t, theta = closed_form_chain([prepared.get(k, 0) for k in clients], graph.survivor(j), pad_a.get(j, 0), chain_uniforms[pos])
         if j in graph.input_nodes:
             node_label[j] = f"in:{j}"
             system.apply_z_rot(node_label[j], flip(theta, pad_a[j]))
@@ -630,8 +652,7 @@ def run_full_protocol(
     deltas: dict[int, int] = {}
     outcomes_b: dict[int, int] = {}
     for pos, j in enumerate(ledger.flow.order):
-        for k, values in enumerate(mask_shares[pos], 1):
-            session.hand_out(k, r_tag(j, k), values, 2, {"kind": "mask-bit", "node": j, "client": k})
+        session.hand_out(clients, [r_tag(j, k) for k in clients], mask_shares[pos], 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
         delta_j = ledger.delta(j)
         deltas[j] = delta_j
         transcript.record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta_j})

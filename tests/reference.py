@@ -4,8 +4,9 @@ Nothing here is run by the program itself: a pattern executed as a
 measurement pattern on its graph state, exhaustive enumeration of the
 preparation chain, the input pad written out gate by gate, the explicit
 step list the chain had before it was written as one rule, the copy test
-measured on one-qubit registers, a share hand-out recorded message by
-message as it is sent, state equality up to global phase, a
+of one batch (verify_client) and the same test measured on one-qubit
+registers, a share hand-out and a copy test recorded message by message
+as they are sent, state equality up to global phase, a
 Monte-Carlo estimate of the server's state after entangling, the exact
 server views walked one secret combination at a time and filed by label,
 each combination's graph state built gate by gate, and their distance
@@ -13,14 +14,15 @@ summed one label at a time.
 """
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system, read_outputs
-from mpdqc.oracle import VerificationResult
-from mpdqc.protocol import ServerStrategy, Session, Transcript, run_full_protocol
+from mpdqc.oracle import judge_copy_tests, theta_tag
+from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, CopyTest, HandOut, Message, ServerStrategy, Session, Transcript, run_full_protocol
 from mpdqc.quantum import PureState, flip, octant, plus_state, weighted_trace_norm
 from mpdqc.rsp import chain_steps
 
@@ -90,8 +92,33 @@ def input_chain_steps(n: int, owner: int) -> list[tuple[int, int]]:
     return steps
 
 
+@dataclass
+class VerificationResult:
+    accepted: bool
+    survivor: int
+    outcomes: dict[int, int]
+
+
+def verify_client(shares: Sequence[Sequence[int]], prepared: Sequence[int], survivor: int, uniforms: Sequence[float]) -> VerificationResult:
+    """The copy test of one batch of declared-angle copies from one client (oracle.judge_copy_tests on one batch).
+
+    shares is the batch's (m, n) share values and prepared its m prepared
+    angles. The caller draws the survivor, rng.integers(m), and then the
+    m - 1 uniforms of the opened copies, rng.random(m - 1); for PCG64 a
+    sized draw equals as many scalar draws.
+    """
+    m = len(shares)
+    if m < 2:
+        raise ValueError("need at least 2 copies to test any")
+    if len(prepared) != m:
+        raise ValueError("one prepared angle per copy")
+    opened, outcomes = judge_copy_tests(np.asarray(shares), np.asarray(prepared), survivor, np.asarray(uniforms))
+    outcomes = outcomes.tolist()
+    return VerificationResult(accepted=not any(outcomes), survivor=survivor, outcomes=dict(zip(opened.tolist(), outcomes)))
+
+
 def register_copy_test(shares: Sequence[Sequence[int]], prepared: Sequence[int], rng: np.random.Generator) -> VerificationResult:
-    """oracle.verify_client measured through the statevector kernel.
+    """verify_client measured through the statevector kernel.
 
     shares[i] holds the values of copy i's pieces, summing to its declared
     angle mod 8. Copy i becomes the register plus_state(prepared[i]); the
@@ -109,12 +136,81 @@ def register_copy_test(shares: Sequence[Sequence[int]], prepared: Sequence[int],
     return VerificationResult(accepted=not any(outcomes.values()), survivor=survivor, outcomes=outcomes)
 
 
-class EagerTranscript(Transcript):
-    """A Transcript that records every message of a deferred entry as soon as it is logged."""
+def _piece(owner: int, tag: tuple, value: int, modulus: int) -> dict:
+    return {"owner": owner, "tag": list(tag), "value": value, "modulus": modulus}
 
-    def defer(self, entry) -> None:
-        for m in entry.messages(len(self)):
-            self.record(m.sender, m.receiver, m.variant, m.payload)
+
+def record_hand_out(transcript: Transcript, owner: int, tag: tuple, values: Sequence[int], modulus: int, context: dict) -> None:
+    """One handed-out secret, recorded as it is sent: the owner's piece for
+    every other client, then each holder's submission to the oracle, in
+    holder order; the two messages of a piece carry one payload dict."""
+    payloads = [_piece(k, tag, value, modulus) for k, value in enumerate(values, 1)]
+    for k, share in enumerate(payloads, 1):
+        if k != owner:
+            transcript.record(f"client:{owner}", f"client:{k}", "ShareDistribution", {**context, "share": share})
+    for k, share in enumerate(payloads, 1):
+        transcript.record(f"client:{k}", "oracle", "ShareDistribution", {**context, "share": share})
+
+
+def copy_test_messages(seq: int, node: int, k: int, shares: Sequence[Sequence[int]], prepared: Sequence[int], result: VerificationResult, debug_secrets: bool) -> list[Message]:
+    """One contributor's copy test for one node, message by message as it is sent, numbered from seq.
+
+    shares holds the (m, n) share values of the m declared copy angles and
+    result the oracle's verdict. The contributor's pieces of every angle go
+    to its peers, then the m QubitTransfers (under debug_secrets with the
+    amplitudes of plus_state(prepared[i])), the survivor, every piece of
+    each opened angle to the server, the verification outcomes, then the
+    Abort or the survivor's pieces to the oracle. Each share has one
+    payload dict, shared by all its messages.
+    """
+    where = {"node": node, "contributor": k}
+    payloads = [[_piece(owner, theta_tag(node, k, i), value, 8) for owner, value in enumerate(row, 1)] for i, row in enumerate(shares)]
+    out: list[Message] = []
+
+    def send(sender: str, receiver: str, variant: str, payload: dict) -> None:
+        out.append(Message(seq + len(out), sender, receiver, variant, payload))
+
+    for i, pieces in enumerate(payloads):
+        for share in pieces:
+            if share["owner"] != k:
+                send(f"client:{k}", f"client:{share['owner']}", "ShareDistribution", {"kind": "copy-angle", **where, "copy": i, "share": share})
+    for i, theta in enumerate(prepared):
+        payload = {**where, "copy": i, "purpose": "test-copy", "label": f"copy:{node}:{k}:{i}"}
+        if debug_secrets:
+            payload["amplitudes"] = [[float(z.real), float(z.imag)] for z in plus_state(theta).amps]
+        send(f"client:{k}", "server", "QubitTransfer", payload)
+    send("server", "all", "OutcomeVector", {"kind": "survivor", **where, "survivor": result.survivor})
+    for i in result.outcomes:
+        for share in payloads[i]:
+            send(f"client:{share['owner']}", "server", "ShareDistribution", {"kind": "opened-angle", **where, "copy": i, "share": share})
+    send("server", "all", "OutcomeVector", {"kind": "verification", **where, "outcomes": sorted(result.outcomes.items())})
+    if not result.accepted:
+        send("server", "all", "Abort", asdict(AbortInfo("verification", node, k, COPY_TEST_FAILED)))
+    else:
+        for share in payloads[result.survivor]:
+            send(f"client:{share['owner']}", "oracle", "ShareDistribution", {"kind": "survivor-angle", **where, "copy": result.survivor, "share": share})
+    return out
+
+
+class EagerTranscript(Transcript):
+    """A Transcript that records every message of a deferred entry as soon as it is logged.
+
+    A HandOut goes secret by secret through record_hand_out, a CopyTest
+    batch by batch through copy_test_messages, each batch judged from its
+    own outcomes rather than the entry's `failed`.
+    """
+
+    def defer(self, entry: HandOut | CopyTest) -> None:
+        if isinstance(entry, HandOut):
+            for owner, tag, values, context in zip(entry.owners, entry.tags, entry.values, entry.contexts):
+                record_hand_out(self, owner, tag, values, entry.modulus, context)
+            return
+        for b, k in enumerate(entry.contributors, entry.first):
+            outcomes = dict(zip(entry.opened[b].tolist(), entry.outcomes[b].tolist()))
+            result = VerificationResult(not any(outcomes.values()), int(entry.survivors[b]), outcomes)
+            batch = copy_test_messages(len(self), entry.node, k, entry.shares[b].tolist(), entry.prepared[b].tolist(), result, entry.debug_secrets)
+            for m in batch:
+                self.record(m.sender, m.receiver, m.variant, m.payload)
 
 
 class EagerSession(Session):
@@ -123,18 +219,12 @@ class EagerSession(Session):
     Give it an EagerTranscript to record its copy tests as they are sent too.
     """
 
-    def hand_out(self, owner: int, tag: tuple, values: list[int], modulus: int, context: dict) -> None:
-        """The owner's piece for every other client, then each holder's
-        submission to the oracle, in holder order; the two messages of a
-        piece carry one payload dict. Then the ledger files the values."""
-        payloads = [{"owner": k, "tag": list(tag), "value": value, "modulus": modulus} for k, value in enumerate(values, 1)]
-        for k, share in enumerate(payloads, 1):
-            if k != owner:
-                self.transcript.record(self.names[owner], self.names[k], "ShareDistribution", {**context, "share": share})
-        for k, share in enumerate(payloads, 1):
-            self.transcript.record(self.names[k], "oracle", "ShareDistribution", {**context, "share": share})
-        if self.ledger is not None:
-            self.ledger.register_share(tag, values, modulus)
+    def hand_out(self, owners: Sequence[int], tags: list[tuple], values: list[list[int]], modulus: int, contexts: list[dict]) -> None:
+        """Each secret in turn through record_hand_out; then the ledger files its values."""
+        for owner, tag, row, context in zip(owners, tags, values, contexts):
+            record_hand_out(self.transcript, owner, tag, row, modulus, context)
+            if self.ledger is not None:
+                self.ledger.register_share(tag, row, modulus)
 
 
 def chain_branches(survivor_state: PureState, others: Sequence[PureState], survivor: int) -> list[tuple[dict[int, int], float, PureState]]:

@@ -1,4 +1,6 @@
 """The block decoder against the generator's own calls, and runs that draw through it."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mpdqc.brickwork import build_brickwork, random_pattern, reference_execute
 from mpdqc.draws import Schedule, draw, draw_by_calls
 from mpdqc.protocol import draw_plan, message_counts, run_full_protocol
 from mpdqc.quantum import PureState
+from reference import EagerTranscript
 
 # PCG64's LCG multiplier: the state steps to s * MULT + inc mod 2^128, and
 # a step that lands on 0 outputs the word 0
@@ -197,3 +200,45 @@ def test_the_plan_reads_every_drawn_value_once(n_wires, n_columns, m_copies):
     assert plan.stops == sorted(set(plan.stops)) and len(plan.stops) == batches
     assert all(isinstance(plan.schedule.calls[stop - 1], int) for stop in plan.stops)
     assert draw_plan(n_wires, n_columns, m_copies) is plan
+
+
+def test_a_batch_failing_inside_a_node_stack_stops_the_run_there(monkeypatch):
+    # on 4x3, node 5 is the first non-input node: its four contributor
+    # batches are 12..15 of the run, and the judge fails the second (client
+    # 2's). The run logs node 5's stack up to that batch, ends with its
+    # Abort and leaves the generator where the calls up to it leave it
+    import mpdqc.protocol
+    from mpdqc.oracle import judge_copy_tests as kernel
+    from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo
+
+    def failing(shares, prepared, survivors, uniforms):
+        opened, outcomes = kernel(shares, prepared, survivors, uniforms)
+        outcomes = outcomes.copy()
+        outcomes[13, -1] = 1
+        return opened, outcomes
+
+    monkeypatch.setattr(mpdqc.protocol, "judge_copy_tests", failing)
+    pattern, psi = scenario(4, 3, 47)
+    graph = pattern.graph
+    plan = draw_plan(4, 3, 3)
+    for i, how in enumerate(STARTS):
+        block, fallback = run_twice(monkeypatch, pattern, psi, [47, i], how, m_copies=3)
+        assert_same_runs(block, fallback)
+        run, rng = block
+        assert run.abort == AbortInfo("verification", 5, 2, COPY_TEST_FAILED)
+        messages = run.transcript.messages
+        assert (messages[-1].variant, messages[-1].payload) == ("Abort", {"stage": "verification", "node": 5, "client": 2, "reason": COPY_TEST_FAILED})
+        tested = [(m.payload["node"], m.payload["contributor"]) for m in messages if m.payload.get("kind") == "survivor"]
+        batches = [(j, k) for j in graph.measured_nodes for k in range(1, 5) if not (j in graph.input_nodes and k == j)]
+        assert tested == batches[:14] and tested[-2:] == [(5, 1), (5, 2)]
+        assert ("theta", 5, 1) in run.ledger.secrets and ("theta", 5, 2) not in run.ledger.secrets
+        counts = {v: c for v, c in run.transcript.counts.items() if c}
+        assert counts == Counter(m.variant for m in messages) and len(run.transcript) == len(messages)
+        calls = start(np.random.default_rng([47, i]), how)
+        draw_by_calls(calls, plan.schedule.calls[: plan.stops[13]])
+        assert rng.bit_generator.state == calls.bit_generator.state
+        # the cut stack builds what the per-batch writer records as sent
+        with monkeypatch.context() as patch:
+            patch.setattr(mpdqc.protocol, "Transcript", EagerTranscript)
+            eager = run_full_protocol(pattern, psi, start(np.random.default_rng([47, i]), how), m_copies=3)
+        assert eager.transcript.to_jsonl() == run.transcript.to_jsonl()

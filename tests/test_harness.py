@@ -336,7 +336,7 @@ def _note_offered_batches(monkeypatch) -> list[tuple[int, int]]:
 
 
 def _patch_the_copy_test_rule(monkeypatch, rule) -> None:
-    """Replace oracle.judge_copy_tests wherever it is bound (verify_client reads oracle's binding)."""
+    """Replace oracle.judge_copy_tests wherever the program binds it."""
     import mpdqc.harness
     import mpdqc.oracle
     import mpdqc.protocol

@@ -14,12 +14,11 @@ from mpdqc.oracle import (
     reconstruct,
     share_secret,
     theta_tag,
-    verify_client,
 )
 from mpdqc.protocol import Session, Transcript, run_full_protocol
 from mpdqc.quantum import PureState, QuantumSystem, flip, octant, plus_state
 from mpdqc.rsp import theta_input
-from reference import register_copy_test
+from reference import register_copy_test, verify_client
 
 RNG = np.random.default_rng(31)
 

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from mpdqc import protocol
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, random_pattern, reference_execute
 from mpdqc.oracle import OracleLedger, SecretShare, a_tag, r_tag, reconstruct, share_secret, theta_tag
 from mpdqc.protocol import (
@@ -249,6 +250,14 @@ def test_the_copy_test_catches_copies_off_their_declared_angles():
                 assert not session.system.owner
 
 
+def test_a_copy_test_of_one_copy_is_refused():
+    # the test opens every copy but the survivor: one copy would pass untested
+    session = Session(QuantumSystem(), Transcript(), np.random.default_rng(2), 2)
+    with pytest.raises(ValueError, match="at least 2 copies"):
+        session.offer_test_copies(0, 1, [3], [3])
+    assert len(session.transcript) == 0
+
+
 def _share_values(value, n, modulus, rng) -> list[int]:
     return [piece.value for piece in share_secret(value, n, modulus, rng)]
 
@@ -259,10 +268,10 @@ def test_reading_mid_run_changes_no_message():
     # is the one a run that was never read early gives
     def run(read_early: bool) -> tuple[Transcript, list]:
         session = Session(QuantumSystem(), Transcript(), np.random.default_rng(8), 3)
-        session.hand_out(1, a_tag(1), _share_values(1, 3, 2, session.rng), 2, {"kind": "pad-flip", "client": 1})
+        session.hand_out([1], [a_tag(1)], [_share_values(1, 3, 2, session.rng)], 2, [{"kind": "pad-flip", "client": 1}])
         session.offer_test_copies(1, 2, [3, 5, 7], [3, 5, 7])
         early = list(session.transcript.messages) if read_early else []
-        session.hand_out(2, a_tag(2), _share_values(0, 3, 2, session.rng), 2, {"kind": "pad-flip", "client": 2})
+        session.hand_out([2], [a_tag(2)], [_share_values(0, 3, 2, session.rng)], 2, [{"kind": "pad-flip", "client": 2}])
         session.transcript.record("server", "all", "ResultBroadcast", {"node": 1, "b": 0})
         session.offer_test_copies(2, 3, [0, 4], [0, 4])
         session.transcript.record("server", "all", "ResultBroadcast", {"node": 2, "b": 1})
@@ -281,13 +290,13 @@ def test_reading_mid_run_changes_no_message():
 
 # one step of a four-client session: a hand-out, a recorded message or a copy test
 MIXED_STEPS = [
-    lambda s: s.hand_out(1, a_tag(1), _share_values(1, 4, 2, s.rng), 2, {"kind": "pad-flip", "client": 1}),
-    lambda s: s.hand_out(4, a_tag(4), _share_values(0, 4, 2, s.rng), 2, {"kind": "pad-flip", "client": 4}),
+    lambda s: s.hand_out([1], [a_tag(1)], [_share_values(1, 4, 2, s.rng)], 2, [{"kind": "pad-flip", "client": 1}]),
+    lambda s: s.hand_out([4], [a_tag(4)], [_share_values(0, 4, 2, s.rng)], 2, [{"kind": "pad-flip", "client": 4}]),
     lambda s: s.offer_test_copies(5, 2, [3, 5, 7], [3, 5, 7]),
-    lambda s: s.hand_out(2, theta_tag(2, 2, 0), _share_values(6, 4, 8, s.rng), 8, {"kind": "pad-angle", "node": 2}),
+    lambda s: s.hand_out([2], [theta_tag(2, 2, 0)], [_share_values(6, 4, 8, s.rng)], 8, [{"kind": "pad-angle", "node": 2}]),
     lambda s: s.transcript.record("server", "all", "ResultBroadcast", {"node": 5, "b": 0}),
-    lambda s: s.hand_out(2, r_tag(5, 2), _share_values(1, 4, 2, s.rng), 2, {"kind": "mask-bit", "node": 5, "client": 2}),
-    lambda s: s.hand_out(3, r_tag(5, 3), _share_values(1, 4, 2, s.rng), 2, {"kind": "mask-bit", "node": 5, "client": 3}),
+    lambda s: s.hand_out([2], [r_tag(5, 2)], [_share_values(1, 4, 2, s.rng)], 2, [{"kind": "mask-bit", "node": 5, "client": 2}]),
+    lambda s: s.hand_out([3], [r_tag(5, 3)], [_share_values(1, 4, 2, s.rng)], 2, [{"kind": "mask-bit", "node": 5, "client": 3}]),
     lambda s: s.offer_test_copies(6, 3, [0, 4], [0, 4]),
     lambda s: s.transcript.record("oracle", "server", "DeltaAnnounce", {"node": 6, "delta": 5}),
     # every copy four octants off its declaration: the opened ones fail
@@ -333,6 +342,97 @@ def test_deferred_hand_outs_equal_the_eager_writer(read_after, debug_secrets):
     for msgs in pieces.values():
         assert msgs[-1].receiver == "oracle" and msgs[-1].sender == f"client:{msgs[-1].payload['share']['owner']}"
         assert len(msgs) == 1 or (len(msgs) == 2 and msgs[0].receiver == msgs[1].sender)
+
+
+def _logged_run(monkeypatch, transcript_cls, shape, m_copies, debug_secrets, read_mid_run):
+    """An honest run whose transcript is a transcript_cls, read at every server hook if read_mid_run.
+
+    Returns the run, the reads and the type of each deferred entry, in order.
+    """
+    made, reads, entries = [], [], []
+
+    class Logged(transcript_cls):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def defer(self, entry) -> None:
+            entries.append(type(entry).__name__)
+            super().defer(entry)
+
+    def read(*_):
+        if read_mid_run:
+            reads.append(list(made[-1].messages))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "Transcript", Logged)
+        strategy = ServerStrategy(after_entangle=read, before_measurement=read)
+        _, _, run = run_once(*shape, seed=[77, *shape, m_copies], m_copies=m_copies, debug_secrets=debug_secrets, server_strategy=strategy)
+    assert not run.aborted and made == [run.transcript]
+    return run, reads, entries
+
+
+@pytest.mark.parametrize("debug_secrets", [False, True])
+@pytest.mark.parametrize("m_copies", [2, 10])
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (4, 3), (4, 5), (6, 3)])
+def test_stacked_runs_equal_the_eager_writers(monkeypatch, shape, m_copies, debug_secrets):
+    # a run logs one CopyTest per measured node and one HandOut for the pad
+    # flips and per round; whether read mid-run or only at the end, its log
+    # is, seq for seq, what the per-batch and per-secret writers of
+    # tests/reference.py record as each message is sent
+    want, _, _ = _logged_run(monkeypatch, EagerTranscript, shape, m_copies, debug_secrets, False)
+    measured = shape[0] * (shape[1] - 1)
+    for read_mid_run in (False, True):
+        got, reads, entries = _logged_run(monkeypatch, Transcript, shape, m_copies, debug_secrets, read_mid_run)
+        # the pad flips, then per measured node its copy tests, then one
+        # hand-out per round
+        assert entries == ["HandOut"] + ["CopyTest"] * measured + ["HandOut"] * measured
+        assert (len(got.transcript), got.transcript.counts) == (len(want.transcript), want.transcript.counts)
+        assert got.transcript.to_jsonl() == want.transcript.to_jsonl()
+        assert [m.seq for m in got.transcript.messages] == list(range(len(want.transcript)))
+        assert got.ledger.secrets == want.ledger.secrets
+        assert len(reads) == (1 + measured) * read_mid_run
+        for early in reads:
+            assert got.transcript.messages[: len(early)] == early
+
+
+def _built_counts(transcript: Transcript) -> dict[str, int]:
+    """The transcript's per-variant counts, checked against its built messages."""
+    counts = dict(transcript.counts)
+    messages = transcript.messages
+    assert len(transcript) == len(messages) == sum(counts.values())
+    assert {v: c for v, c in counts.items() if c} == Counter(m.variant for m in messages)
+    return counts
+
+
+def test_counts_are_the_count_of_the_built_messages(monkeypatch):
+    # the stacks' closed-form counts against the messages they build: honest
+    # and aborted runs, the coalition simulator and bare copy-test sessions
+    from mpdqc import oracle
+    from mpdqc.harness import run_simulated_client_world
+
+    for shape, m_copies in [((2, 1), 2), ((2, 2), 2), ((2, 3), 3), ((4, 3), 10), ((6, 2), 4)]:
+        _, _, run = run_once(*shape, seed=5, m_copies=m_copies)
+        assert _built_counts(run.transcript) == message_counts(*shape, m_copies)
+    for shape, coalition in [((2, 2), {2}), ((4, 3), {1, 3}), ((4, 2), {4})]:
+        rng = np.random.default_rng([8, *shape])
+        pattern = random_pattern(build_brickwork(*shape), rng)
+        _built_counts(run_simulated_client_world(pattern, random_state(shape[0], rng), coalition, rng, m_copies=3).transcript)
+    rng = np.random.default_rng(12)
+    for n_clients, m_copies in [(2, 2), (3, 4), (4, 3)]:
+        session = Session(QuantumSystem(), Transcript(), rng, n_clients, debug_secrets=True)
+        for deviation in (0, 4, 1, 0, 2):
+            declared = rng.integers(8, size=m_copies).tolist()
+            session.offer_test_copies(3, 1, declared, [octant(theta + deviation) for theta in declared])
+        assert _built_counts(session.transcript)["Abort"] >= 1
+    monkeypatch.setattr(oracle, "P0", (0.99, *oracle.P0[1:]))
+    aborted = 0
+    for seed in range(8):
+        _, _, run = run_once(4, 3, seed=seed, m_copies=3)
+        aborted += run.aborted
+        counts = _built_counts(run.transcript)
+        assert counts["Abort"] == run.aborted
+    assert 0 < aborted < 8
 
 
 @pytest.mark.parametrize("m_copies", [2, 10])
