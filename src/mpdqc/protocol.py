@@ -418,8 +418,8 @@ class Session:
         survivor's prepared angle, or the AbortInfo of the failed test.
         """
         m = len(declared)
-        if m < 2:
-            raise ValueError("need at least 2 copies to test any")
+        if m < 2 or len(prepared) != m:
+            raise ValueError("need at least 2 copies to test any, one prepared angle each")
         rows = [close_shares(theta, row, 8) for theta, row in zip(declared, self.rng.integers(8, size=(m, self.n_clients - 1)).tolist())]
         survivor = int(self.rng.integers(m))
         shares, angles = np.array([rows]), np.array([prepared])

@@ -250,11 +250,14 @@ def test_the_copy_test_catches_copies_off_their_declared_angles():
                 assert not session.system.owner
 
 
-def test_a_copy_test_of_one_copy_is_refused():
-    # the test opens every copy but the survivor: one copy would pass untested
+def test_a_malformed_copy_batch_is_refused():
+    # the test opens every copy but the survivor: one copy would pass
+    # untested, and each copy needs its prepared angle
     session = Session(QuantumSystem(), Transcript(), np.random.default_rng(2), 2)
     with pytest.raises(ValueError, match="at least 2 copies"):
         session.offer_test_copies(0, 1, [3], [3])
+    with pytest.raises(ValueError, match="one prepared angle each"):
+        session.offer_test_copies(0, 1, [3, 5], [3])
     assert len(session.transcript) == 0
 
 
