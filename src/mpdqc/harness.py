@@ -76,17 +76,18 @@ EXACT_VIEW_BUDGET = 2 ** 23
 _GRAM_CHUNK = 2 ** 15
 
 
-def exact_view_amplitudes(graph: BrickworkGraph, n_ref: int) -> int:
-    """Amplitudes in the row array exact_server_views lays out and walks.
+def exact_view_amplitudes(n_wires: int, n_columns: int, n_ref: int) -> int:
+    """Amplitudes in the row array exact_server_views lays out and walks on an n_wires x n_columns graph.
 
     4 pad angles per measured node and 2 flip bits per measured input give
     4^M 2^I secret combinations, each one state of the N nodes and n_ref
     reference qubits: 4^M 2^I 2^(N + n_ref). A round halves every row and
-    at most doubles the rows, so no later row array is larger.
+    at most doubles the rows, so no later row array is larger. It takes
+    the shape, as message_counts does, so cli.validate need not build a graph.
     """
-    m = len(graph.measured_nodes)
-    flips = sum(1 for j in graph.measured_nodes if j in graph.input_nodes)
-    return 4 ** m * 2 ** flips * 2 ** (graph.num_nodes + n_ref)
+    measured = n_wires * (n_columns - 1)
+    flips = n_wires if measured else 0
+    return 4 ** measured * 2 ** flips * 2 ** (n_wires * n_columns + n_ref)
 
 
 class ViewLayout(NamedTuple):
@@ -150,7 +151,7 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
         raise ValueError("nothing is measured; the server view is empty")
 
     n_nodes = graph.num_nodes
-    cost = exact_view_amplitudes(graph, max(input_state.num_qubits - graph.n_wires, 0))
+    cost = exact_view_amplitudes(graph.n_wires, graph.n_columns, max(input_state.num_qubits - graph.n_wires, 0))
     if cost > EXACT_VIEW_BUDGET:
         raise ValueError(f"exact enumeration needs {cost} amplitudes, over the budget of {EXACT_VIEW_BUDGET}")
 
@@ -528,11 +529,13 @@ def run_simulated_client_world(
     hands the bare inputs to the ideal resource, and announces the output
     keys implied by the recorded outcomes and masks. Padding the
     resource's outputs by those keys and the coalition's decryption
-    cancel exactly, so the run ends with the resource's outputs. As the
-    real run does, it sends no output that is also an input.
-
-    The keys come from the oracle's ledger, where the simulator files the
-    chains, its claimed mask bits and outcomes, and each flip a key needs.
+    cancel exactly, so the run ends with the resource's outputs. Every
+    message goes through the real run's Session writers, in the same order
+    and with the same payload fields, but for the honest inputs' pad
+    angles, which it never shares. Like the real run, it refuses m_copies
+    < 2 before it draws. The keys come from the oracle's ledger, where the
+    simulator files the chains, its claimed mask bits and outcomes, and
+    each flip a key needs.
 
     The coalition itself is played honestly here; input_state carries the
     honest inputs, the coalition inputs, and optional reference qubits.
@@ -546,11 +549,12 @@ def run_simulated_client_world(
     honest = [k for k in clients if k not in coalition]
     if not honest:
         raise ValueError("at least one client must stay honest")
+    if m_copies < 2:
+        raise ValueError("m_copies must be >= 2: the copy test opens all copies but one")
     measured = graph.flow.order
     system, ref_labels = input_system(input_state, [f"client:{k}" if k in coalition else "simulator" for k in clients])
 
     transcript = Transcript()
-    record = transcript.record
     session = Session(system, transcript, rng, n)
 
     # -------------------------------------------------- coalition secrets
@@ -601,7 +605,7 @@ def run_simulated_client_world(
         # chain outcomes are uniform and carry no secret dependence
         t = {reg: int(rng.integers(2)) for reg in clients if reg != graph.survivor(j)}
         ledger.register_chain(j, t)
-        record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
+        session.announce_chain(j, t)
 
     # ------------------------------------------------------------ rounds
     delta: dict[int, int] = {}
@@ -614,10 +618,10 @@ def run_simulated_client_world(
         session.hand_out(clients, [r_tag(j, k) for k in clients], mask_values, 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
         coalition_mask = parity(ledger.secrets[r_tag(j, c)] for c in coalition)
         delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
-        record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta[j]})
+        session.announce_angle(j, delta[j])
         b = int(rng.integers(2))
         ledger.register_outcome(j, b)
-        record("server", "all", "ResultBroadcast", {"node": j, "b": b})
+        session.broadcast_result(j, b)
 
     # ------------------------------------------------------------ outputs
     for c in sorted(coalition):
@@ -631,23 +635,17 @@ def run_simulated_client_world(
 
     keys: dict[int, tuple[int, int]] = {}
     for j in graph.output_nodes:
-        if j in graph.input_nodes:
-            # as in the real run, an output that is an input never left its owner
-            keys[j] = (0, 0)
-            continue
-        pred = graph.flow.f_inv[j]
+        pred = graph.flow.f_inv.get(j)
         if pred in graph.input_nodes:
             # the key needs the predecessor's flip: an honest client's is a
             # fresh uniform bit, drawn for coalition inputs too, which keeps
             # the simulator's rng stream
             ledger.file(a_tag(pred), pad_a.get(pred, int(rng.integers(2))))
-        keys[j] = s_x, s_z = ledger.output_keys(j)
-        c = graph.wire_of(j)
-        if c in coalition:
-            # the coalition's output arrives padded by these keys, and its
-            # decryption removes exactly that pad: it ends with the clean output
-            record("server", f"client:{c}", "OutputQubit", {"node": j})
-            record("oracle", f"client:{c}", "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
+        keys[j] = ledger.output_keys(j)
+        if j not in graph.input_nodes and graph.wire_of(j) in coalition:
+            # the coalition's output qubit node:j arrives padded by these keys,
+            # and its decryption removes exactly that pad: it ends clean
+            session.send_output(j, graph.wire_of(j), f"node:{j}", keys[j])
 
     return ProtocolRun(transcript, system, dict(ledger.chain_t), delta, dict(ledger.outcomes), keys, resource_output, ledger=ledger)
 

@@ -39,9 +39,10 @@ class _Share(NamedTuple):
 class SecretShare(_Share):
     """One additive share of a secret. `owner` is the client holding this piece.
 
-    A named tuple: cheap to build, which matters because an honest run
-    makes thousands of shares. Construction still checks the modulus,
-    reduces the value and turns the tag into a tuple.
+    share_secret deals them and reconstruct recombines them; no run builds
+    one, as a run hands out piece values and the ledger files them through
+    register_share. Construction checks the modulus, reduces the value and
+    turns the tag into a tuple.
     """
 
     __slots__ = ()

@@ -355,13 +355,14 @@ def message_counts(n_wires: int, n_columns: int, m_copies: int) -> dict[str, int
 
 @dataclass
 class Session:
-    """What the clients' protocol steps act on during one run.
+    """The one writer of every message of a run, real or simulated.
 
-    ledger is None where a simulator plays the oracle. debug_secrets adds
-    the amplitudes of unentangled qubits to QubitTransfer payloads. rng is
-    drawn from by offer_test_copies only. A stack of hand-outs is one
-    deferred HandOut and a node's copy tests one deferred CopyTest, and
-    each share's payload dict is shared by every message that carries it.
+    Each step files what it sends in the ledger, None where a simulator
+    plays the oracle. debug_secrets adds the amplitudes of unentangled
+    qubits to QubitTransfer and OutputQubit payloads. rng is drawn from by
+    offer_test_copies only. A stack of hand-outs is one deferred HandOut,
+    a node's copy tests one deferred CopyTest, and each share's payload
+    dict is shared by every message that carries it.
     """
 
     system: QuantumSystem
@@ -402,6 +403,28 @@ class Session:
         self.system.transfer(f"in:{node}", "server")
         payload = _qubit_payload(self.system, f"in:{node}", {"node": node, "purpose": "padded-input"}, self.debug_secrets)
         self.transcript.record(_client(node), "server", "QubitTransfer", payload)
+
+    def announce_chain(self, node: int, t: dict[int, int]) -> None:
+        """The server broadcasts a node's chain outcomes t (target register -> bit), and the ledger files them."""
+        self.transcript.record("server", "all", "OutcomeVector", {"kind": "chain", "node": node, "t": sorted(t.items())})
+        if self.ledger is not None:
+            self.ledger.register_chain(node, t)
+
+    def announce_angle(self, node: int, delta: int) -> None:
+        """The oracle announces the angle delta at which the server measures a node."""
+        self.transcript.record("oracle", "server", "DeltaAnnounce", {"node": node, "delta": delta})
+
+    def broadcast_result(self, node: int, b: int) -> None:
+        """The server broadcasts a node's measurement outcome b, and the ledger files it."""
+        self.transcript.record("server", "all", "ResultBroadcast", {"node": node, "b": b})
+        if self.ledger is not None:
+            self.ledger.register_outcome(node, b)
+
+    def send_output(self, node: int, client: int, label: str, keys: tuple[int, int]) -> None:
+        """The server sends output qubit `label` to its client, then the oracle the client its keys (s_x, s_z)."""
+        payload = _qubit_payload(self.system, label, {"node": node, "label": label}, self.debug_secrets)
+        self.transcript.record("server", self.names[client], "OutputQubit", payload)
+        self.transcript.record("oracle", self.names[client], "OutputKeys", {"node": node, "s_x": keys[0], "s_z": keys[1]})
 
     def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> int | AbortInfo:
         """One contributor's copies for a node, through the copy test, drawing as it goes.
@@ -568,7 +591,7 @@ def run_full_protocol(
     from the drawn arrays, and the physics draws nothing. All copy tests
     are closed and judged at once (judge_copy_tests) and logged a node at a
     time up to a failed batch, after which rng is rewound to where the
-    calls up to that batch leave it.
+    calls up to that batch leave it. Every message is sent by a Session writer.
     """
     graph = pattern.graph
     n = graph.n_wires
@@ -632,8 +655,7 @@ def run_full_protocol(
         else:
             node_label[j] = f"node:{j}"
             system.add_register(plus_state(theta), [node_label[j]], ["server"])
-        transcript.record("server", "all", "OutcomeVector", {"kind": "chain", "node": j, "t": sorted(t.items())})
-        ledger.register_chain(j, t)
+        session.announce_chain(j, t)
 
     # node_label gains the outputs: fresh |+> held by the server or, on a
     # single-column graph, the inputs. CZs are applied on first touch, so
@@ -650,35 +672,25 @@ def run_full_protocol(
     mask_shares = close_share_rows(masks[..., 0], masks[..., 1:], 2).tolist()
     measure_uniforms = uniforms[plan.measurements].tolist()
     deltas: dict[int, int] = {}
-    outcomes_b: dict[int, int] = {}
     for pos, j in enumerate(ledger.flow.order):
         session.hand_out(clients, [r_tag(j, k) for k in clients], mask_shares[pos], 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
-        delta_j = ledger.delta(j)
-        deltas[j] = delta_j
-        transcript.record("oracle", "server", "DeltaAnnounce", {"node": j, "delta": delta_j})
+        deltas[j] = ledger.delta(j)
+        session.announce_angle(j, deltas[j])
         if strategy.before_measurement:
             strategy.before_measurement(handle, j)
-        b_j = system.measure_rotated(node_label[j], delta_j, measure_uniforms[pos])
-        outcomes_b[j] = b_j
-        transcript.record("server", "all", "ResultBroadcast", {"node": j, "b": b_j})
-        ledger.register_outcome(j, b_j)
+        session.broadcast_result(j, system.measure_rotated(node_label[j], deltas[j], measure_uniforms[pos]))
 
     # ------------------------------------------------------------ outputs
     if strategy.before_output_send:
         strategy.before_output_send(handle)
-    keys: dict[int, tuple[int, int]] = {}
+    keys = {j: ledger.output_keys(j) for j in graph.output_nodes}
     for j in graph.output_nodes:
-        c = graph.wire_of(j)
-        if j in graph.input_nodes:
-            keys[j] = (0, 0)
-            continue
-        system.transfer(node_label[j], _client(c))
-        transcript.record("server", _client(c), "OutputQubit", _qubit_payload(system, node_label[j], {"node": j, "label": node_label[j]}, debug_secrets))
-        keys[j] = s_x, s_z = ledger.output_keys(j)
-        transcript.record("oracle", _client(c), "OutputKeys", {"node": j, "s_x": s_x, "s_z": s_z})
+        if j not in graph.input_nodes:  # an output that is an input never leaves its owner
+            system.transfer(node_label[j], _client(graph.wire_of(j)))
+            session.send_output(j, graph.wire_of(j), node_label[j], keys[j])
 
     output_state = read_outputs(system, graph, node_label, keys, ref_labels)
-    return ProtocolRun(transcript, system, dict(ledger.chain_t), deltas, outcomes_b, keys, output_state, ledger=ledger)
+    return ProtocolRun(transcript, system, dict(ledger.chain_t), deltas, dict(ledger.outcomes), keys, output_state, ledger=ledger)
 
 
 def _qubit_payload(system: QuantumSystem, label: str, payload: dict, debug_secrets: bool) -> dict:

@@ -228,30 +228,59 @@ def test_simulator_rejects_improper_coalitions():
         run_simulated_client_world(pattern, psi, set(), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("m_copies", [0, 1])
+def test_simulator_refuses_too_few_copies_before_it_draws(m_copies):
+    # with the real run's message, before any draw: an honest stand-in's
+    # survivor draw or the first coalition batch would refuse it later
+    pattern = random_pattern(build_brickwork(2, 3), np.random.default_rng(3))
+    psi = random_state(2, np.random.default_rng(4))
+    with pytest.raises(ValueError) as real:
+        run_full_protocol(pattern, psi, np.random.default_rng(0), m_copies=m_copies)
+    for coalition in ({1}, {2}):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as simulated:
+            run_simulated_client_world(pattern, psi, coalition, rng, m_copies=m_copies)
+        assert str(simulated.value) == str(real.value)
+        assert rng.bit_generator.state == before
+
+
 def test_simulated_coalition_view_holds_the_real_messages():
-    # messages the coalition sees, counted per (sender, receiver, variant,
-    # kind) with its members merged under one name, in a real and a
-    # simulated run; the one known gap: the simulator shares no honest
-    # input's pad angle, so those pieces sent to the coalition and the
-    # coalition's pad-angle submissions to the oracle fall short
-    for n_wires, n_columns, coalition in ((2, 2, {2}), (4, 2, {1, 3}), (2, 1, {2})):
+    # messages the coalition sees in a real and a simulated run, with its
+    # members merged under one name: counted per (sender, receiver,
+    # variant, kind), and in order as (sender, receiver, variant, kind,
+    # node, payload field names, share field names). The one known gap:
+    # the simulator shares no honest input's pad angle, so those pieces
+    # sent to the coalition and the coalition's pad-angle submissions to
+    # the oracle fall short
+    shapes = ((2, 2, 0, {2}), (4, 2, 0, {1, 3}), (2, 1, 0, {2}), (2, 3, 0, {1}), (4, 3, 1, {2}), (6, 2, 0, {1, 2, 5}))
+    for n_wires, n_columns, n_ref, coalition in shapes:
         rng = np.random.default_rng(n_wires)
         pattern = random_pattern(build_brickwork(n_wires, n_columns), rng)
-        psi = random_state(n_wires, rng)
+        psi = random_state(n_wires + n_ref, rng)
         names = {f"client:{c}" for c in coalition}
+        party = {name: "coalition" for name in names}
 
-        def seen(run) -> Counter:
-            party = {name: "coalition" for name in names}
-            messages = run.transcript.visible_to(names)
-            return Counter((party.get(m.sender, m.sender), party.get(m.receiver, m.receiver), m.variant, m.payload.get("kind")) for m in messages)
+        def seen(run) -> list[tuple]:
+            return [
+                (party.get(m.sender, m.sender), party.get(m.receiver, m.receiver), m.variant, m.payload.get("kind"),
+                 m.payload.get("node"), tuple(sorted(m.payload)), tuple(sorted(m.payload.get("share", ()))))
+                for m in run.transcript.visible_to(names)
+            ]
 
-        real = seen(run_full_protocol(pattern, psi, np.random.default_rng(1), m_copies=3))
-        simulated = seen(run_simulated_client_world(pattern, psi, coalition, np.random.default_rng(1), m_copies=3))
+        def beside_the_gap(messages: list[tuple]) -> list[tuple]:
+            return [key for key in messages if not (key[3] == "pad-angle" and key[4] not in coalition)]
+
         gap = set()
         if n_columns > 1:  # on one column no input is measured, so none is padded
             gap = {(f"client:{h}", "coalition", "ShareDistribution", "pad-angle") for h in range(1, n_wires + 1) if h not in coalition}
             gap.add(("coalition", "oracle", "ShareDistribution", "pad-angle"))
-        assert {key for key in real.keys() | simulated.keys() if real[key] != simulated[key]} == gap, coalition
+        for seed in range(3):
+            real = seen(run_full_protocol(pattern, psi, np.random.default_rng(seed), m_copies=3))
+            simulated = seen(run_simulated_client_world(pattern, psi, coalition, np.random.default_rng(seed), m_copies=3))
+            real_counts, simulated_counts = Counter(key[:4] for key in real), Counter(key[:4] for key in simulated)
+            assert {key for key in real_counts.keys() | simulated_counts.keys() if real_counts[key] != simulated_counts[key]} == gap, coalition
+            assert beside_the_gap(real) == beside_the_gap(simulated), (n_wires, n_columns, coalition, seed)
 
 
 def test_leak_checker_flags_raw_secret_fields():
