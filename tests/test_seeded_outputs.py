@@ -156,7 +156,7 @@ def test_simulated_client_transcripts_are_pinned():
     for i in range(5):
         run = run_simulated_client_world(pattern, psi, {2}, np.random.default_rng([62, i]), m_copies=2)
         digest.update(run.transcript.to_jsonl().encode())
-    assert digest.hexdigest() == "42a20d3da0af55ee7aed131fca67d8eb1a07ea57d2f091ea720869e3a70e92d0"
+    assert digest.hexdigest() == "e1b80d7885e7395e4f04ab9afa159b4c06b9e9c876c9a4d0cf0355480daf2973"
 
 
 # transcript sha256 of honest runs on a Philox generator, and the next
