@@ -230,8 +230,8 @@ def test_simulator_rejects_improper_coalitions():
 
 @pytest.mark.parametrize("m_copies", [0, 1])
 def test_simulator_refuses_too_few_copies_before_it_draws(m_copies):
-    # with the real run's message, before any draw: an honest stand-in's
-    # survivor draw or the first coalition batch would refuse it later
+    # the simulator refuses too few copies as the real run does, with its
+    # message, and before it draws anything
     pattern = random_pattern(build_brickwork(2, 3), np.random.default_rng(3))
     psi = random_state(2, np.random.default_rng(4))
     with pytest.raises(ValueError) as real:
