@@ -241,20 +241,23 @@ def input_system(input_state: PureState, owners: list[str]) -> tuple[QuantumSyst
     return system, ref_labels
 
 
+def qubit_label(graph: BrickworkGraph, node: int) -> str:
+    """The label of a node's qubit in a graph state: in:j for an input node, node:j for any other."""
+    return f"in:{node}" if node in graph.input_nodes else f"node:{node}"
+
+
 def graph_state(system: QuantumSystem, graph: BrickworkGraph, node_label: dict[int, str]) -> None:
     """Lay the graph state out on system: missing nodes join as |+>, then a CZ goes on every edge.
 
-    node_label maps nodes to qubits and gains the missing ones: an input
-    node's in:j, any other node:j as a fresh |+> held by the server. CZs
+    node_label maps nodes to qubits and gains the missing ones under their
+    qubit_label: an input node's, or a fresh |+> held by the server. CZs
     are applied on first touch (see QuantumSystem).
     """
     for j in range(1, graph.num_nodes + 1):
         if j in node_label:
             continue
-        if j in graph.input_nodes:
-            node_label[j] = f"in:{j}"
-        else:
-            node_label[j] = f"node:{j}"
+        node_label[j] = qubit_label(graph, j)
+        if j not in graph.input_nodes:
             system.add_register(plus_state(0), [node_label[j]], ["server"])
     for u, v in sorted(graph.edges):
         system.apply_cz(node_label[u], node_label[v])

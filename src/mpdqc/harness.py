@@ -55,6 +55,7 @@ from .brickwork import (
     graph_state,
     input_system,
     parity,
+    qubit_label,
     read_outputs,
     reference_execute,
 )
@@ -375,8 +376,8 @@ def run_intermediate_protocol(
     ideal resource that also decrypts the outputs.
 
     Each version files every flip a, mask bit r and effective angle
-    theta + 4 r, every chain and every outcome in the oracle's ledger, which
-    gives the teleport angles, the delayed solves' corrected angles and the keys.
+    theta + 4 r, every chain, announced angle and outcome in its ledger, its
+    one record, which gives the teleport and solved angles and the keys.
     """
     if version not in ("teleport", "delayed", "simulator-resource"):
         raise ValueError(f"unknown version {version!r}")
@@ -443,17 +444,16 @@ def run_intermediate_protocol(
         # the chain's closed form with the target's share zeroed sums the
         # others' signed angles
         others = [0 if k == target else theta_hat[(j, k)] for k in range(1, n + 1)]
-        acc = delta[j] - ledger.corrected_angle(j) - theta_input(others, target, ledger.chain_t[j], 0)
+        acc = ledger.announced[j] - ledger.corrected_angle(j) - theta_input(others, target, ledger.chain_t[j], 0)
         # the pad's X flip (input case) negates the angle the pad rotation
         # must hit, so the solved angle absorbs the same sign
         theta_hat[(j, target)] = flip(octant(acc), ledger.node_flip(j))
         for k in range(1, n + 1):
             reveal(j, k)
 
-    delta: dict[int, int] = {}
     for j in measured:
-        delta[j] = int(rng.integers(8)) if delayed else ledger.delta(j)
-        ledger.register_outcome(j, system.measure_rotated(node_label[j], delta[j], rng.random()))
+        ledger.register_angle(j, int(rng.integers(8)) if delayed else ledger.delta(j))
+        ledger.register_outcome(j, system.measure_rotated(node_label[j], ledger.announced[j], rng.random()))
         if delayed and not a_at_end:
             solve_and_reveal(j)
 
@@ -467,7 +467,7 @@ def run_intermediate_protocol(
 
     keys = {j: ledger.output_keys(j) for j in graph.output_nodes}
     output_state = read_outputs(system, graph, node_label, keys, ref_labels)
-    return ProtocolRun(Transcript(), system, dict(ledger.chain_t), delta, dict(ledger.outcomes), keys, output_state, ledger=ledger)
+    return ProtocolRun(Transcript(), system, ledger, keys, output_state)
 
 
 def rewrite_peak_qubits(version: str, n_wires: int, n_columns: int, n_ref: int) -> int:
@@ -534,8 +534,8 @@ def run_simulated_client_world(
     and with the same payload fields, but for the honest inputs' pad
     angles, which it never shares. Like the real run, it refuses m_copies
     < 2 before it draws. The keys come from the oracle's ledger, where the
-    simulator files the chains, its claimed mask bits and outcomes, and
-    each flip a key needs.
+    simulator files the chains, its claimed mask bits, its announced
+    angles and outcomes, and each flip a key needs.
 
     The coalition itself is played honestly here; input_state carries the
     honest inputs, the coalition inputs, and optional reference qubits.
@@ -587,7 +587,7 @@ def run_simulated_client_world(
                 copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
                 survivor = session.offer_test_copies(j, k, copy_angles, copy_angles)
                 if isinstance(survivor, AbortInfo):
-                    return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, survivor, ledger)
+                    return ProtocolRun(transcript, system, ledger, {}, None, survivor)
                 # the simulator absorbs the surviving copy; this uniform stands
                 # for the measurement of it that the simulator's stream holds
                 rng.random()
@@ -598,7 +598,7 @@ def run_simulated_client_world(
                 survivor = int(rng.integers(m_copies))
                 opened = np.array([[i for i in range(m_copies) if i != survivor]])
                 prepared = np.array([[sum(row) % 8 for row in rows]])
-                transcript.defer(CopyTest(j, [k], 0, np.array([rows]), prepared, np.array([survivor]), opened, np.zeros_like(opened), False, False))
+                session.log_copy_tests(CopyTest(j, [k], 0, np.array([rows]), prepared, np.array([survivor]), opened, np.zeros_like(opened), False, False), [survivor], [rows[survivor]])
         if j in graph.input_nodes and j in coalition:
             pad_theta[j] = int(rng.integers(8))
             session.send_padded_input(j, pad_a[j], pad_theta[j], [int(rng.integers(8)) for _ in range(n - 1)])
@@ -608,7 +608,6 @@ def run_simulated_client_world(
         session.announce_chain(j, t)
 
     # ------------------------------------------------------------ rounds
-    delta: dict[int, int] = {}
     for j in measured:
         mask_values = []
         for k in clients:
@@ -617,8 +616,8 @@ def run_simulated_client_world(
             mask_values.append(share_values(k, r_bit, 2))
         session.hand_out(clients, [r_tag(j, k) for k in clients], mask_values, 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
         coalition_mask = parity(ledger.secrets[r_tag(j, c)] for c in coalition)
-        delta[j] = octant(int(rng.integers(8)) + 4 * coalition_mask)
-        session.announce_angle(j, delta[j])
+        ledger.register_angle(j, octant(int(rng.integers(8)) + 4 * coalition_mask))
+        session.announce_angle(j, ledger.announced[j])
         b = int(rng.integers(2))
         ledger.register_outcome(j, b)
         session.broadcast_result(j, b)
@@ -645,9 +644,9 @@ def run_simulated_client_world(
         if j not in graph.input_nodes and graph.wire_of(j) in coalition:
             # the coalition's output qubit node:j arrives padded by these keys,
             # and its decryption removes exactly that pad: it ends clean
-            session.send_output(j, graph.wire_of(j), f"node:{j}", keys[j])
+            session.send_output(j, graph.wire_of(j), qubit_label(graph, j), keys[j])
 
-    return ProtocolRun(transcript, system, dict(ledger.chain_t), delta, dict(ledger.outcomes), keys, resource_output, ledger=ledger)
+    return ProtocolRun(transcript, system, ledger, keys, resource_output)
 
 
 def check_no_secret_leak(transcript: Transcript, coalition: Iterable[int], n_clients: int) -> None:

@@ -8,13 +8,14 @@ mix: a bit enters an angle only as 4 * bit.
 
 The ledger is the oracle's working memory for one protocol run. It knows
 the measurement pattern (the computation is not hidden from the oracle,
-only from the server), receives shares and measurement outcomes as the run
-progresses, and answers three kinds of questions: the measurement angle
-delta_j to announce to the server, the flow-corrected angle it starts
-from, and the final output keys per output node. Measured outcomes are
-append-only; nothing can be rewritten after the fact. Every world keeps
-one; only the full protocol files its secrets from their pieces
-(register_share), the others file values (file).
+only from the server), receives shares, chain outcomes, the announced
+angles and measurement outcomes as the run progresses, and answers three
+kinds of questions: the measurement angle delta_j to announce to the
+server, the flow-corrected angle it starts from, and the final output keys
+per output node. Chains, announced angles and outcomes are append-only;
+nothing can be rewritten after the fact. Every world keeps one, as the one
+record of its announcements; only the full protocol files its secrets
+from their pieces (register_share), the others file values (file).
 """
 from __future__ import annotations
 
@@ -142,7 +143,7 @@ def a_tag(client: int) -> Tag:
 
 @dataclass
 class OracleLedger:
-    """The oracle's view of one run, one client per wire: secrets filed from their pieces' values, outcomes, chain results."""
+    """The oracle's view of one run, one client per wire: secrets filed from their pieces' values, chain results, announced angles, outcomes."""
 
     pattern: MeasurementPattern
     n_clients: int = field(init=False)
@@ -152,6 +153,7 @@ class OracleLedger:
     secrets: dict[Tag, int] = field(default_factory=dict)
     outcomes: dict[int, int] = field(default_factory=dict)
     chain_t: dict[int, dict[int, int]] = field(default_factory=dict)
+    announced: dict[int, int] = field(default_factory=dict)  # the angle each node was measured at, as announced
     r: dict[int, int] = field(default_factory=dict, init=False)  # node_r, kept once filed: a secret never changes
 
     def __post_init__(self):
@@ -184,6 +186,11 @@ class OracleLedger:
         if node in self.chain_t:
             raise ValueError(f"chain outcomes for node {node} already recorded")
         self.chain_t[node] = {int(k): int(v) & 1 for k, v in t.items()}
+
+    def register_angle(self, node: int, delta: int) -> None:
+        if node in self.announced:
+            raise ValueError(f"angle for node {node} already announced")
+        self.announced[node] = int(delta) % 8
 
     def register_outcome(self, node: int, b: int) -> None:
         if node in self.outcomes:

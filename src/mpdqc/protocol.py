@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_system, read_outputs
+from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_system, qubit_label, read_outputs
 from .draws import Schedule, draw, rewind
 from .oracle import OracleLedger, a_tag, close_share_rows, close_shares, judge_copy_tests, r_tag, theta_tag
 from .quantum import DensityMatrix, PureState, QuantumSystem, flip, plus_state
@@ -181,19 +181,21 @@ class ProtocolRun:
 
     The full protocol, the three rewrites (whose transcript is empty: they
     exchange no messages) and the coalition simulator all fill it in.
-    output_state is None if the run aborted. ledger is the oracle's
-    ledger of the run; every world keeps one.
+    output_state is None if the run aborted. ledger is the oracle's ledger
+    of the run, which every world keeps; the run's announcements, chain_t
+    (node -> target register -> bit), delta and b (node -> value), are the
+    ledger's own books, so each exists once.
     """
 
     transcript: Transcript
     system: QuantumSystem
-    chain_t: dict[int, dict[int, int]]
-    delta: dict[int, int]
-    b: dict[int, int]
+    ledger: OracleLedger
     keys: dict[int, tuple[int, int]]
     output_state: PureState | None
     abort: AbortInfo | None = None
-    ledger: OracleLedger | None = None
+    chain_t = property(lambda self: self.ledger.chain_t)
+    delta = property(lambda self: self.ledger.announced)
+    b = property(lambda self: self.ledger.outcomes)
 
     @property
     def aborted(self) -> bool:
@@ -411,8 +413,10 @@ class Session:
             self.ledger.register_chain(node, t)
 
     def announce_angle(self, node: int, delta: int) -> None:
-        """The oracle announces the angle delta at which the server measures a node."""
+        """The oracle announces the angle delta at which the server measures a node, and the ledger files it."""
         self.transcript.record("oracle", "server", "DeltaAnnounce", {"node": node, "delta": delta})
+        if self.ledger is not None:
+            self.ledger.register_angle(node, delta)
 
     def broadcast_result(self, node: int, b: int) -> None:
         """The server broadcasts a node's measurement outcome b, and the ledger files it."""
@@ -643,17 +647,16 @@ def run_full_protocol(
         abort = session.log_copy_tests(test, survivor_list, kept)
         if abort is not None:
             rewind(rng, drawn, plan.schedule, plan.stops[stop])
-            return ProtocolRun(transcript, system, dict(ledger.chain_t), {}, {}, {}, None, abort, ledger)
+            return ProtocolRun(transcript, system, ledger, {}, None, abort)
         prepared = dict(zip(tested, chosen[batch:end]))
         batch = end
         if j in graph.input_nodes:
             session.send_padded_input(j, pad_a[j], pad_theta[j], next(input_pieces))
         t, theta = closed_form_chain([prepared.get(k, 0) for k in clients], graph.survivor(j), pad_a.get(j, 0), chain_uniforms[pos])
+        node_label[j] = qubit_label(graph, j)
         if j in graph.input_nodes:
-            node_label[j] = f"in:{j}"
             system.apply_z_rot(node_label[j], flip(theta, pad_a[j]))
         else:
-            node_label[j] = f"node:{j}"
             system.add_register(plus_state(theta), [node_label[j]], ["server"])
         session.announce_chain(j, t)
 
@@ -671,14 +674,12 @@ def run_full_protocol(
     masks = ints[plan.masks]
     mask_shares = close_share_rows(masks[..., 0], masks[..., 1:], 2).tolist()
     measure_uniforms = uniforms[plan.measurements].tolist()
-    deltas: dict[int, int] = {}
     for pos, j in enumerate(ledger.flow.order):
         session.hand_out(clients, [r_tag(j, k) for k in clients], mask_shares[pos], 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
-        deltas[j] = ledger.delta(j)
-        session.announce_angle(j, deltas[j])
+        session.announce_angle(j, ledger.delta(j))
         if strategy.before_measurement:
             strategy.before_measurement(handle, j)
-        session.broadcast_result(j, system.measure_rotated(node_label[j], deltas[j], measure_uniforms[pos]))
+        session.broadcast_result(j, system.measure_rotated(node_label[j], ledger.announced[j], measure_uniforms[pos]))
 
     # ------------------------------------------------------------ outputs
     if strategy.before_output_send:
@@ -690,7 +691,7 @@ def run_full_protocol(
             session.send_output(j, graph.wire_of(j), node_label[j], keys[j])
 
     output_state = read_outputs(system, graph, node_label, keys, ref_labels)
-    return ProtocolRun(transcript, system, dict(ledger.chain_t), deltas, dict(ledger.outcomes), keys, output_state, ledger=ledger)
+    return ProtocolRun(transcript, system, ledger, keys, output_state)
 
 
 def _qubit_payload(system: QuantumSystem, label: str, payload: dict, debug_secrets: bool) -> dict:

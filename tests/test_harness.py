@@ -158,6 +158,31 @@ def test_each_delayed_solve_satisfies_the_oracle_rule(version, n_wires, n_column
         assert {j: run.ledger.delta(j) for j in run.delta} == run.delta, seed
 
 
+@pytest.mark.parametrize("n_columns", [2, 3])
+def test_every_world_keeps_its_announcements_in_its_ledger(n_columns):
+    # a run's chain outcomes, announced angles and results are its ledger's
+    # own books, one angle per measured node: the message-sending worlds
+    # announce the filed angles in order, and the teleport world files the
+    # oracle's own angle for each node
+    rng = np.random.default_rng([28, n_columns])
+    pattern = random_pattern(build_brickwork(2, n_columns), rng)
+    psi = random_state(2, rng)
+    worlds = {
+        "base": lambda r: run_full_protocol(pattern, psi, r, m_copies=3),
+        **{v: (lambda r, v=v: run_intermediate_protocol(pattern, psi, r, v)) for v in ("teleport", "delayed", "simulator-resource")},
+        "simulated-client": lambda r: run_simulated_client_world(pattern, psi, {2}, r, m_copies=3),
+    }
+    for world, run_world in worlds.items():
+        for seed in range(3):
+            run = run_world(np.random.default_rng(seed))
+            assert run.chain_t is run.ledger.chain_t and run.delta is run.ledger.announced and run.b is run.ledger.outcomes
+            assert sorted(run.delta) == sorted(pattern.graph.measured_nodes), world
+            announced = [(m.payload["node"], m.payload["delta"]) for m in run.transcript.messages if m.variant == "DeltaAnnounce"]
+            assert announced == (list(run.delta.items()) if world in ("base", "simulated-client") else []), (world, seed)
+            if world == "teleport":
+                assert {j: run.ledger.delta(j) for j in run.delta} == run.delta, seed
+
+
 def test_simulated_server_world_handles_references():
     rng = np.random.default_rng(4)
     pattern = random_pattern(build_brickwork(2, 2), rng)
@@ -249,7 +274,8 @@ def test_simulated_coalition_view_holds_the_real_messages():
     # messages the coalition sees in a real and a simulated run, with its
     # members merged under one name: counted per (sender, receiver,
     # variant, kind), and in order as (sender, receiver, variant, kind,
-    # node, payload field names, share field names). The one known gap:
+    # node, payload field names, share field names, the sent qubit's label
+    # if any, so an OutputQubit's too). The one known gap:
     # the simulator shares no honest input's pad angle, so those pieces
     # sent to the coalition and the coalition's pad-angle submissions to
     # the oracle fall short
@@ -264,7 +290,7 @@ def test_simulated_coalition_view_holds_the_real_messages():
         def seen(run) -> list[tuple]:
             return [
                 (party.get(m.sender, m.sender), party.get(m.receiver, m.receiver), m.variant, m.payload.get("kind"),
-                 m.payload.get("node"), tuple(sorted(m.payload)), tuple(sorted(m.payload.get("share", ()))))
+                 m.payload.get("node"), tuple(sorted(m.payload)), tuple(sorted(m.payload.get("share", ()))), m.payload.get("label"))
                 for m in run.transcript.visible_to(names)
             ]
 

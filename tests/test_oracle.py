@@ -314,6 +314,10 @@ def test_ledger_rejects_duplicate_registration():
     ledger.register_outcome(1, 0)
     with pytest.raises(ValueError):
         ledger.register_outcome(1, 1)
+    ledger.register_angle(1, 3)
+    with pytest.raises(ValueError, match="already announced"):
+        ledger.register_angle(1, 3)
+    assert ledger.announced == {1: 3}
     # a value filed directly is refused the same way: one tag twice, or a
     # second angle for one (node, client) under another copy index
     ledger.file(r_tag(1, 2), 1)

@@ -45,13 +45,13 @@ def test_every_definition_in_the_package_is_referenced():
 
 
 def test_only_the_session_records_messages():
-    # Transcript.record is reached only through protocol.Session, so each
-    # message variant has one writer, which the real run and the coalition
-    # simulator both call
+    # Transcript.record and Transcript.defer are reached only through
+    # protocol.Session, so each message variant and each deferred entry has
+    # one writer, which the real run and the coalition simulator both call
     outside = []
     for path in sorted((ROOT / "src" / "mpdqc").glob("*.py")):
         tree = ast.parse(path.read_text())
         session = [node for node in tree.body if path.stem == "protocol" and isinstance(node, ast.ClassDef) and node.name == "Session"]
         inside = {id(node) for node in ast.walk(session[0])} if session else set()
-        outside += [f"{path.stem}.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "record" and id(node) not in inside]
+        outside += [f"{path.stem}.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("record", "defer") and id(node) not in inside]
     assert outside == [], f"transcript writes outside protocol.Session: {outside}"
