@@ -159,6 +159,44 @@ def test_simulated_client_transcripts_are_pinned():
     assert digest.hexdigest() == "e1b80d7885e7395e4f04ab9afa159b4c06b9e9c876c9a4d0cf0355480daf2973"
 
 
+# ledger books and final generator state of five rewritten runs (scenario
+# seed 81), by shape (wires, columns, reference qubits) and version
+REWRITE_SHAPES = {"2x2": (2, 2, 0), "2x3+ref": (2, 3, 1), "4x2": (4, 2, 0)}
+REWRITE_LEDGERS = {
+    ("2x2", "teleport"): "b3f5b1b690041d6813020df0b91d5b3a8911e3a4cb729cd6e5d7cf703bdc5660",
+    ("2x2", "delayed"): "17851c3eac11fee37bc5f3d2fd950efe60a6c3ce977f7f9afc01d190b33ba22e",
+    ("2x2", "simulator-resource"): "e63160b855f513161b469a4c1031f050ea748cdea710d10e10a19eaaf57f9c87",
+    ("2x3+ref", "teleport"): "e02a0fe9ed19c3e8809c77e5e580a8054216770a76609bca5dfd5580704cc66b",
+    ("2x3+ref", "delayed"): "14f9e887fc05e6359a5150b6b306f0a66ffdb0df742028c7a4e1e1743ef8e18b",
+    ("2x3+ref", "simulator-resource"): "a6cc94f4284570ee22dfc1c7376f8fb4a7fcac168b64d51447c7b7e37bc8b0d3",
+    ("4x2", "teleport"): "47fa5c2788e7ef06a7146269d7d35e1d0a09f9817bf9679b706775b16bbef6de",
+    ("4x2", "delayed"): "375f519d581a7107b3eb82727b121ab1aae780f7fa761d84ffcf243ca0639bd8",
+    ("4x2", "simulator-resource"): "34ac4ec3561a26ecc6c0651a978520de8fc1459594908c61af09aa42b7dff090",
+}
+
+
+@pytest.mark.parametrize("shape,version", list(REWRITE_LEDGERS))
+def test_rewrite_ledgers_are_pinned(shape, version):
+    # two wires cannot pin the order of a node's octant draws against its
+    # measurement uniforms: two integers(8) calls share one PCG64 word, so
+    # drawing both angles before both reveals reads the same values; four
+    # wires can
+    n_wires, n_columns, n_ref = REWRITE_SHAPES[shape]
+    pattern, psi = scenario(n_wires, n_columns, n_wires + n_ref, 81)
+    books = []
+    for i in range(5):
+        rng = np.random.default_rng([81, i])
+        ledger = run_intermediate_protocol(pattern, psi, rng, version).ledger
+        books.append({
+            "secrets": sorted(ledger.secrets.items()),
+            "chains": sorted((j, sorted(t.items())) for j, t in ledger.chain_t.items()),
+            "announced": sorted(ledger.announced.items()),
+            "outcomes": sorted(ledger.outcomes.items()),
+            "generator": rng.bit_generator.state,
+        })
+    assert sha(books) == REWRITE_LEDGERS[shape, version]
+
+
 # transcript sha256 of honest runs on a Philox generator, and the next
 # 32-bit word it draws afterwards: a bit generator other than PCG64 is
 # drawn through the generator's own calls
