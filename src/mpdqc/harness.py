@@ -375,9 +375,10 @@ def run_intermediate_protocol(
     angles), and every secret-dependent step runs afterwards inside an
     ideal resource that also decrypts the outputs.
 
-    Each version files every flip a, mask bit r and effective angle
-    theta + 4 r, every chain, announced angle and outcome in its ledger, its
-    one record, which gives the teleport and solved angles and the keys.
+    Each node's client angles are one list, revealed in client order. Each
+    version files every flip a, mask bit r and effective angle theta + 4 r,
+    every chain, announced angle and outcome in its ledger, its one record,
+    which gives the teleport and solved angles and the keys.
     """
     if version not in ("teleport", "delayed", "simulator-resource"):
         raise ValueError(f"unknown version {version!r}")
@@ -395,37 +396,32 @@ def run_intermediate_protocol(
             system.add_register(epr, [f"keep:{j}:{k}", f"send:{j}:{k}"], [f"client:{k}"] * 2)
             system.transfer(f"send:{j}:{k}", "server")
 
-    def retained(j: int, k: int) -> str:
-        # the input's owner teleports the input qubit itself through its EPR
-        # pair, after which the input register is the qubit still to measure
-        return f"in:{j}" if (j in graph.input_nodes and k == j) else f"keep:{j}:{k}"
-
     ledger = OracleLedger(pattern)
 
-    def extract_a(j: int) -> None:
-        system.apply_cnot(f"in:{j}", f"keep:{j}:{j}")
-        ledger.file(a_tag(j), system.measure_computational(f"keep:{j}:{j}", rng.random()))
-
-    if not a_at_end:
+    def extract_flips() -> None:
         for j in graph.input_nodes:
             if j in measured:
-                extract_a(j)
+                system.apply_cnot(f"in:{j}", f"keep:{j}:{j}")
+                ledger.file(a_tag(j), system.measure_computational(f"keep:{j}:{j}", rng.random()))
 
-    theta_hat: dict[tuple[int, int], int] = {}
+    if not a_at_end:
+        extract_flips()
 
-    def reveal(j: int, k: int) -> None:
-        lab = retained(j, k)
-        system.apply_z_rot(lab, theta_hat[(j, k)])
+    def reveal(j: int, k: int, theta: int) -> None:
+        """Client k turns its retained half of node j by theta, then measures its mask bit."""
+        # the input's owner teleports the input qubit itself through its EPR
+        # pair, after which the input register is the qubit still to measure
+        lab = f"in:{j}" if (j in graph.input_nodes and k == j) else f"keep:{j}:{k}"
+        system.apply_z_rot(lab, theta)
         system.apply_h(lab)
         r = system.measure_computational(lab, rng.random())
         ledger.file(r_tag(j, k), r)
-        ledger.file(theta_tag(j, k), octant(theta_hat[(j, k)] + 4 * r))
+        ledger.file(theta_tag(j, k), octant(theta + 4 * r))
 
     if not delayed:
         for j in measured:
             for k in range(1, n + 1):
-                theta_hat[(j, k)] = int(rng.integers(8))
-                reveal(j, k)
+                reveal(j, k, int(rng.integers(8)))
 
     # ------------------------------------------------- server-side actions
     node_label: dict[int, str] = {}
@@ -438,18 +434,15 @@ def run_intermediate_protocol(
     def solve_and_reveal(j: int) -> None:
         """Pick fresh uniform angles, solve the one that matches delta, measure."""
         target = graph.survivor(j)
-        for k in range(1, n + 1):
-            if k != target:
-                theta_hat[(j, k)] = int(rng.integers(8))
-        # the chain's closed form with the target's share zeroed sums the
+        theta = [0 if k == target else int(rng.integers(8)) for k in range(1, n + 1)]
+        # the chain's closed form with the target's angle still 0 sums the
         # others' signed angles
-        others = [0 if k == target else theta_hat[(j, k)] for k in range(1, n + 1)]
-        acc = ledger.announced[j] - ledger.corrected_angle(j) - theta_input(others, target, ledger.chain_t[j], 0)
+        acc = ledger.announced[j] - ledger.corrected_angle(j) - theta_input(theta, target, ledger.chain_t[j], 0)
         # the pad's X flip (input case) negates the angle the pad rotation
         # must hit, so the solved angle absorbs the same sign
-        theta_hat[(j, target)] = flip(octant(acc), ledger.node_flip(j))
-        for k in range(1, n + 1):
-            reveal(j, k)
+        theta[target - 1] = flip(octant(acc), ledger.node_flip(j))
+        for k, angle in enumerate(theta, 1):
+            reveal(j, k, angle)
 
     for j in measured:
         ledger.register_angle(j, int(rng.integers(8)) if delayed else ledger.delta(j))
@@ -459,9 +452,7 @@ def run_intermediate_protocol(
 
     if a_at_end:
         # ideal-resource phase: all secret-dependent work happens only now
-        for j in graph.input_nodes:
-            if j in measured:
-                extract_a(j)
+        extract_flips()
         for j in measured:
             solve_and_reveal(j)
 
