@@ -474,6 +474,8 @@ def rewrite_peak_qubits(version: str, n_wires: int, n_columns: int, n_ref: int) 
     outputs, when extracting a joins the inputs: nM + 2n + n_ref, or
     nM + n + 1 + n_ref on two columns, whose column-1 nodes join one by one.
     """
+    if version not in ("teleport", "delayed", "simulator-resource"):
+        raise ValueError(f"unknown version {version!r}")
     n = n_wires
     if n_columns == 1:
         return n + n_ref
@@ -481,9 +483,7 @@ def rewrite_peak_qubits(version: str, n_wires: int, n_columns: int, n_ref: int) 
         return 2 * n + 1 + n_ref
     if version == "delayed":
         return n_ref + ((n + 1) ** 2 if n_columns > 2 else n * n + n + 1)
-    if version == "simulator-resource":
-        return n * n * (n_columns - 1) + (n + 1 if n_columns == 2 else 2 * n) + n_ref
-    raise ValueError(f"unknown version {version!r}")
+    return n * n * (n_columns - 1) + (n + 1 if n_columns == 2 else 2 * n) + n_ref
 
 
 def run_simulated_server_world(

@@ -256,6 +256,13 @@ def test_views_reject_an_input_register_smaller_than_the_graph():
         exact_server_views(pattern, PureState.computational("0"))
 
 
+def test_views_reject_a_pattern_that_measures_nothing():
+    # one column holds only outputs: the server never sees a round
+    pattern = random_pattern(build_brickwork(2, 1), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="nothing is measured"):
+        exact_server_views(pattern, PureState.computational("00"))
+
+
 @pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 0), (4, 2, 0)])
 def test_derived_flip_states_equal_the_built_ones(n_wires, n_columns, n_ref):
     """Each prepared row, read from one graph-state build through the layout, is the state built

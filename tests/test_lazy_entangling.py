@@ -226,3 +226,15 @@ def test_rewrites_stay_within_their_register_bound(n_wires, n_columns, n_ref):
             continue  # validate() turns the config away before anything runs
         run = run_intermediate_protocol(pattern, psi, np.random.default_rng(n_ref), version)
         assert 0 < run.system.peak_qubits <= bound, version
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 3])
+def test_the_rewrites_refuse_an_unknown_version(n_columns):
+    # one column measures nothing, yet the version is still checked first
+    pattern, psi, rng = scenario(2, n_columns, 0, 0)
+    with pytest.raises(ValueError, match="unknown version 'eager'"):
+        rewrite_peak_qubits("eager", 2, n_columns, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown version 'eager'"):
+        run_intermediate_protocol(pattern, psi, rng, "eager")
+    assert rng.bit_generator.state == state
