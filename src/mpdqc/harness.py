@@ -27,11 +27,12 @@ combinations as rows of one array, and r is not enumerated; the Z twins
 theta + 4 enter as dephasing. Everything that depends on the graph alone
 (which built amplitude and phase each row reads, and each round's
 announced angle as a function of the pattern angle) is one integer layout,
-built once per graph. A view builds the protocol's own graph state
-(brickwork.graph_state) once, reads every row from it through that layout,
-and returns each checkpoint as one array over all 4^i classes, so two
-views compare checkpoint by checkpoint in one call (see
-exact_server_views).
+built once per graph, the CZ signs of one brickwork.graph_state build
+folded into its phase octants. A view builds no graph state: it reads
+every row from input (x) |+>^(N - n) through that layout, computes only
+the diagonal blocks that dephasing keeps, and returns each checkpoint as
+one array over all 4^i classes, so two views compare checkpoint by
+checkpoint in one call (see exact_server_views).
 
 Both simulation checks are sampled, and every sampled verdict follows one
 rule: `sample` runs trial i of a world on its own generator,
@@ -96,8 +97,9 @@ class ViewLayout(NamedTuple):
 
     The R = 4^M 2^I prepared rows are the secret combinations of
     _pad_layout, flip assignments slowest. Row c of the prepared array at
-    basis index i is the built graph state's entry gather[c, i] times
-    e^(i pi octant[c, i] / 4); both are (R, 2^N). Round k + 1 sees the rows
+    basis index i is the unentangled product state's entry gather[c, i]
+    times e^(i pi octant[c, i] / 4), the octant carrying the CZ sign; both
+    are (R, 2^N). Round k + 1 sees the rows
     (combination c, outcome path p) at position p R + c, bit k' of p the
     outcome s of round k' + 1; sign[k] and offset[k] hold one entry per
     such row, and its announced angle is sign phi + offset mod 8, phi the
@@ -135,16 +137,18 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     All (theta, a) combinations are walked at once, as rows of one array.
     X Z(theta) is Z(-theta) X up to phase and Z commutes with CZ, so a
     combination is its flip assignment's graph state under
-    Z(flip(theta, a)) on the measured nodes, and the flip is an index XOR
-    and a sign of the one brickwork.graph_state build (_view_layout); each
-    row reads the nodes in label order, then the reference qubits. The
+    Z(flip(theta, a)) on the measured nodes: input (x) |+>^(N - n) read at
+    an XORed index with an octant phase (_view_layout), no graph state built
+    per view. Each row reads the nodes in label order, then the reference
+    qubits. The
     measured nodes lead and are measured in label order, so a round
     projects every row's qubit 0 onto both outcomes: each (combination,
     outcome path) row becomes two rows half as wide. With causal flow every
     measured node has an unmeasured successor, so each outcome has
     conditional probability exactly 1/2 and no branch is ever empty. The
     announced angles come from the layout, and each checkpoint's classes
-    from batched Gram products (_class_matrices).
+    from batched Gram products over the diagonal blocks that dephasing
+    keeps (_class_matrices).
     """
     graph, angles = pattern.graph, pattern.angles
     measured = graph.flow.order
@@ -174,20 +178,20 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
 def _prepared_rows(graph: BrickworkGraph, input_state: PureState) -> np.ndarray:
     """Every secret combination's state right after entangling: row c of an (R, 2^N rest) array, as ViewLayout lays it out.
 
-    The protocol's own graph state is built once with no pad
-    (input_system, brickwork.graph_state), and each row reads it through
-    the layout. Every row carries the square root of its weight 1/R, so
-    the Gram products of _class_matrices come out weighted; R = 4^M 2^I
-    with I = n_wires even is a power of 4, so that scaling is exact.
+    No graph state is built: the layout's octants carry the CZ signs, so
+    each row reads input (x) |+>^(N - n), references last, through the
+    layout; an input register smaller than the n wires raises. Each row
+    carries the square root of its weight 1/R, so the Gram products of
+    _class_matrices come out weighted; 1/sqrt(R 2^(N - n)) = 2^-(M + N/2) is exact.
     """
-    n_nodes = graph.num_nodes
-    system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
-    node_label: dict[int, str] = {}
-    graph_state(system, graph, node_label)
-    base = system.state_of([node_label[j] for j in range(1, n_nodes + 1)] + ref_labels).amps.reshape(2 ** n_nodes, -1)
+    n_in = graph.n_wires
+    if input_state.num_qubits < n_in:
+        raise ValueError(f"input register has {input_state.num_qubits} qubits but the graph has {n_in} wires")
     layout = _view_layout(graph)
-    scaled = _PHASE / sqrt(len(layout.gather))
-    return (base * scaled[:, None, None])[layout.octant, layout.gather].reshape(len(layout.gather), -1)
+    n_plus = 2 ** (graph.num_nodes - n_in)
+    amps = input_state.amps.reshape(1, 2 ** n_in, 1, -1) * (_PHASE / sqrt(len(layout.gather) * n_plus))[:, None, None, None]
+    base = np.broadcast_to(amps, (8, 2 ** n_in, n_plus, amps.shape[-1])).reshape(8, 2 ** graph.num_nodes, -1)
+    return base[layout.octant, layout.gather].reshape(len(layout.gather), -1)
 
 
 @lru_cache(maxsize=8)
@@ -195,10 +199,11 @@ def _view_layout(graph: BrickworkGraph) -> ViewLayout:
     """The ViewLayout of a graph, built once per graph (equal graphs share it); its arrays are read-only.
 
     X_j before the CZs is X_j Z_{N(j)} after them, since CZ_jk X_j = X_j Z_k
-    CZ_jk. So a flip assignment's state is the built one read at its index
-    XORed by the flipped bits, negated where the flipped nodes'
-    neighbourhoods, counted with multiplicity, hold an odd number of ones:
-    4 in the octant. The pad adds Z(flip(theta, a)) on each measured node.
+    CZ_jk. So a flip assignment's state is input (x) |+>^(N - n) read at its
+    index XORed by the flipped bits, negated where the CZs negate that index
+    (read once from brickwork.graph_state on |+>^N) and where the flipped
+    nodes' neighbourhoods, counted with multiplicity, hold an odd number of
+    ones: 4 in the octant each. The pad adds Z(flip(theta, a)) on each measured node.
     Only permutations and octant phases are involved, so each row is exact
     up to one global phase: a sign, times e^(i pi theta / 4) per flipped
     input, as X Z(theta) = e^(i pi theta / 4) Z(-theta) X. A round's announced angle is
@@ -218,7 +223,10 @@ def _view_layout(graph: BrickworkGraph) -> ViewLayout:
     node_bits = (index[:, None] >> (n_nodes - np.arange(1, n_nodes + 1))) & 1
     neighbours = np.array([[v in graph.neighbors(j) for v in range(1, n_nodes + 1)] for j in measured], dtype=np.int64)
     x_index = index ^ (flips @ (1 << (n_nodes - np.array(measured))))[:, None]
-    z_bit = (flips @ neighbours @ node_bits.T) % 2
+    system, _ = input_system(PureState(np.full(2 ** graph.n_wires, sqrt(2.0 ** -graph.n_wires))), ["server"] * graph.n_wires)
+    graph_state(system, graph, {})
+    cz_bit = system.state_of([qubit_label(graph, j) for j in range(1, n_nodes + 1)]).amps.real < 0
+    z_bit = flips @ neighbours @ node_bits.T + cz_bit[x_index]
     pad = np.where(a == 1, -theta, theta)
     gather = x_index[assignment].astype(np.min_scalar_type(2 ** n_nodes - 1))
     octant = ((pad @ node_bits[:, np.array(measured) - 1].T + 4 * z_bit[assignment]) % 8).astype(np.int8)
@@ -262,10 +270,10 @@ def _pad_layout(graph: BrickworkGraph, measured: Sequence[int]) -> tuple[np.ndar
 def _project_first(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Project each row's qubit 0 onto <+_delta| and <-_delta| (unnormalized): outcome 0's rows, then outcome 1's."""
     psi = rows.reshape(len(rows), 2, -1)
-    turned = psi[:, 1] * _PHASE_CONJ[delta][:, None]
-    out = np.empty((2, *turned.shape), dtype=complex)
-    np.add(psi[:, 0], turned, out=out[0])
-    np.subtract(psi[:, 0], turned, out=out[1])
+    out = np.empty((2, len(rows), psi.shape[2]), dtype=complex)
+    np.multiply(psi[:, 1], _PHASE_CONJ[delta][:, None], out=out[1])  # outcome 1's turned half
+    np.add(psi[:, 0], out[1], out=out[0])
+    np.subtract(psi[:, 0], out[1], out=out[1])
     out /= sqrt(2)
     return out.reshape(2 * len(rows), -1)
 
@@ -276,11 +284,11 @@ def _class_matrices(rows: np.ndarray, code: np.ndarray, n_classes: int, n_live: 
     Every class present must hold the same number of rows, or this raises;
     a code no row carries gets a zero matrix. The honest views carry every
     code, but a broken pad leaves some out, and the distance must still
-    see it. The rows are sorted stably by code and multiplied by batched
-    Gram products, each over about _GRAM_CHUNK gathered amplitudes:
-    several whole classes or, summed, part of one. The Z twins of the
-    n_dephased leading live nodes are averaged: the entries whose row and
-    column differ on them are zeroed.
+    see it. The Z twins of the n_dephased leading live nodes are averaged,
+    so only the 2^n_dephased diagonal blocks are computed: the rows are
+    sorted stably by code and multiplied block by block in batched Gram
+    products, each over about _GRAM_CHUNK gathered amplitudes: several
+    whole classes or, summed, part of one.
     """
     counts = np.bincount(code, minlength=n_classes)
     if len(counts) != n_classes:
@@ -290,31 +298,29 @@ def _class_matrices(rows: np.ndarray, code: np.ndarray, n_classes: int, n_live: 
     if (counts[present] != size).any():
         raise ValueError(f"the {len(present)} classes of {len(code)} rows are not all the same size")
     order = np.argsort(code, kind="stable").reshape(len(present), size)
-    dim, width = 2 ** n_live, rows.shape[1]
+    n_blocks, block, width = 2 ** n_dephased, 2 ** (n_live - n_dephased), rows.shape[1]
     part = min(size, max(1, _GRAM_CHUNK // width))  # rows of one class per product
     step = max(1, _GRAM_CHUNK // (part * width))  # classes per product
-    matrices = np.zeros((len(present), dim, dim), dtype=complex)
+    blocks = np.zeros((len(present), n_blocks, block, block), dtype=complex)
     for k in range(0, len(present), step):
         for start in range(0, size, part):
-            group = rows[order[k:k + step, start:start + part]].reshape(-1, part, dim, width // dim)
-            group = group.transpose(0, 2, 1, 3).reshape(len(group), dim, -1)
-            matrices[k:k + step] += group @ group.conj().transpose(0, 2, 1)
-    if n_dephased:
-        live = np.arange(dim) >> (n_live - n_dephased)
-        matrices *= live[:, None] == live[None, :]
-    if len(present) < n_classes:
-        complete = np.zeros((n_classes, dim, dim), dtype=complex)
-        complete[present] = matrices
-        return complete
-    return matrices
+            group = rows[order[k:k + step, start:start + part]].reshape(-1, part, n_blocks, block, width // (n_blocks * block))
+            group = group.transpose(0, 2, 3, 1, 4).reshape(len(group), n_blocks, block, -1)
+            blocks[k:k + step] += group @ group.conj().swapaxes(-1, -2)
+    if n_blocks == 1 and len(present) == n_classes:
+        return blocks.reshape(n_classes, block, block)
+    matrices = np.zeros((n_classes, n_blocks, block, n_blocks, block), dtype=complex)
+    diagonal = np.arange(n_blocks)
+    matrices[present[:, None], diagonal, :, diagonal] = blocks
+    return matrices.reshape(n_classes, 2 ** n_live, 2 ** n_live)
 
 
 def view_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance between two view ensembles at one checkpoint, class array against class array.
 
     Both are (classes, d, d) arrays of one shape, as exact_server_views
-    returns them, compared in one weighted_trace_norm call; arrays of
-    different shapes raise instead of broadcasting.
+    returns them, Hermitian, compared in one weighted_trace_norm call;
+    arrays of different shapes raise instead of broadcasting.
     """
     if a.shape != b.shape:
         raise ValueError(f"view arrays of shapes {a.shape} and {b.shape} do not compare")

@@ -270,6 +270,8 @@ class DensityMatrix:
             raise ValueError(f"dimension {dim} is not a power of two")
         if num_qubits is not None and 2 ** num_qubits != dim:
             raise ValueError("num_qubits inconsistent with matrix dimension")
+        if not (np.abs(matrix - matrix.conj().T) <= 1e-10).all():
+            raise ValueError("density matrix must be Hermitian")
         self.matrix = matrix
 
     @property
@@ -302,13 +304,13 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 
 def weighted_trace_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * trace norm of (a - b) for raw (possibly subnormalized) operators.
+    """(1/2) * trace norm of (a - b) for raw (possibly subnormalized) Hermitian operators.
 
-    a and b may be (K, d, d) stacks: the SVD is batched and the result is
-    the sum over the stack.
+    a and b must be Hermitian: the trace norm is read as the sum of |eigvalsh|,
+    which looks at the lower triangle only. They may be (K, d, d) stacks:
+    the eigenvalues are batched and the result is the sum over the stack.
     """
-    sing = np.linalg.svd(a - b, compute_uv=False)
-    return float(0.5 * np.sum(sing))
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
 class QuantumSystem:

@@ -10,20 +10,25 @@ as they are sent, state equality up to global phase, a
 Monte-Carlo estimate of the server's state after entangling, the exact
 server views walked one secret combination at a time and filed by label,
 each combination's graph state built gate by gate, and their distance
-summed one label at a time.
+summed one label at a time; and the view kernels as they were before the
+layout held the CZ signs: the prepared rows read from a graph state built
+per view, the class matrices as full Gram products masked afterwards, and
+the projection with its temporary.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import product
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
 from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system, read_outputs
+from mpdqc.harness import _GRAM_CHUNK, _pad_layout
 from mpdqc.oracle import judge_copy_tests, theta_tag
 from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, CopyTest, HandOut, Message, ServerStrategy, Session, Transcript, run_full_protocol
-from mpdqc.quantum import PureState, flip, octant, plus_state, weighted_trace_norm
+from mpdqc.quantum import _PHASE_CONJ, PureState, flip, octant, plus_state, weighted_trace_norm
 from mpdqc.rsp import chain_steps
 
 
@@ -391,3 +396,77 @@ def labelwise_view_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarra
             mb = np.zeros_like(ma)
         total += weighted_trace_norm(ma, mb)
     return total
+
+
+def graph_state_prepared_rows(graph: BrickworkGraph, input_state: PureState) -> np.ndarray:
+    """harness._prepared_rows as it was while the layout held no CZ sign: the graph state built once per view.
+
+    The protocol's own graph state, unpadded, is laid out on a QuantumSystem
+    (input_system, graph_state) for every view, and row c at basis index i
+    reads it at i XORed by the flipped nodes, times e^(i pi t / 4), t the
+    pad octant on the measured nodes plus 4 where the flipped nodes'
+    neighbourhoods hold an odd number of ones. Rows and weights are as
+    harness._prepared_rows lays them out.
+    """
+    n_nodes, measured = graph.num_nodes, graph.flow.order
+    system, ref_labels = input_system(input_state, ["server"] * graph.n_wires)
+    node_label: dict[int, str] = {}
+    graph_state(system, graph, node_label)
+    base = system.state_of([node_label[j] for j in range(1, n_nodes + 1)] + ref_labels).amps.reshape(2 ** n_nodes, -1)
+
+    theta, a = _pad_layout(graph, measured)
+    n_pads = 4 ** len(measured)
+    assignment = np.arange(len(theta)) // n_pads
+    flips = a[::n_pads]
+    index = np.arange(2 ** n_nodes)
+    node_bits = (index[:, None] >> (n_nodes - np.arange(1, n_nodes + 1))) & 1
+    neighbours = np.array([[v in graph.neighbors(j) for v in range(1, n_nodes + 1)] for j in measured], dtype=np.int64)
+    x_index = index ^ (flips @ (1 << (n_nodes - np.array(measured))))[:, None]
+    z_bit = (flips @ neighbours @ node_bits.T) % 2
+    pad = np.where(a == 1, -theta, theta)
+    phase = (pad @ node_bits[:, np.array(measured) - 1].T + 4 * z_bit[assignment]) % 8
+    rows = base[x_index[assignment]] * (np.exp(1j * np.pi / 4 * phase) / np.sqrt(len(theta)))[:, :, None]
+    return rows.reshape(len(theta), -1)
+
+
+def full_gram_class_matrices(rows: np.ndarray, code: np.ndarray, n_classes: int, n_live: int, n_dephased: int) -> np.ndarray:
+    """harness._class_matrices as it was before it computed only the diagonal blocks: the full Gram product, then the mask.
+
+    Each class's whole (2^n_live, 2^n_live) matrix is multiplied, in the
+    same _GRAM_CHUNK chunks, and the entries whose row and column differ on
+    the n_dephased leading live nodes are zeroed afterwards.
+    """
+    counts = np.bincount(code, minlength=n_classes)
+    if len(counts) != n_classes:
+        raise ValueError(f"class codes run past the {n_classes} classes")
+    present = np.flatnonzero(counts)
+    size = counts[present[0]]
+    if (counts[present] != size).any():
+        raise ValueError(f"the {len(present)} classes of {len(code)} rows are not all the same size")
+    order = np.argsort(code, kind="stable").reshape(len(present), size)
+    dim, width = 2 ** n_live, rows.shape[1]
+    part = min(size, max(1, _GRAM_CHUNK // width))
+    step = max(1, _GRAM_CHUNK // (part * width))
+    matrices = np.zeros((len(present), dim, dim), dtype=complex)
+    for k in range(0, len(present), step):
+        for start in range(0, size, part):
+            group = rows[order[k:k + step, start:start + part]].reshape(-1, part, dim, width // dim)
+            group = group.transpose(0, 2, 1, 3).reshape(len(group), dim, -1)
+            matrices[k:k + step] += group @ group.conj().transpose(0, 2, 1)
+    if n_dephased:
+        live = np.arange(dim) >> (n_live - n_dephased)
+        matrices *= live[:, None] == live[None, :]
+    complete = np.zeros((n_classes, dim, dim), dtype=complex)
+    complete[present] = matrices
+    return complete
+
+
+def project_first_with_temporary(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """harness._project_first as it was with the turned half held in a temporary of its own."""
+    psi = rows.reshape(len(rows), 2, -1)
+    turned = psi[:, 1] * _PHASE_CONJ[delta][:, None]
+    out = np.empty((2, *turned.shape), dtype=complex)
+    np.add(psi[:, 0], turned, out=out[0])
+    np.subtract(psi[:, 0], turned, out=out[1])
+    out /= sqrt(2)
+    return out.reshape(2 * len(rows), -1)

@@ -11,18 +11,29 @@ and reference.labeled_classes files a class array by the same labels.
 reference.built_secret_state is one combination's graph state built gate
 by gate, which the prepared rows read from one build, and
 reference.labelwise_view_distance the per-label distance loop that the
-one-call distance replaced.
+one-call distance replaced. reference.graph_state_prepared_rows,
+full_gram_class_matrices and project_first_with_temporary are the view
+kernels before the layout held the CZ signs: a graph state built per view,
+full Gram products masked afterwards, and the turned half in a temporary.
 """
 from itertools import product
 
 import numpy as np
 import pytest
 
-from mpdqc import harness
+from mpdqc import harness, quantum
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, compute_flow, random_pattern
 from mpdqc.harness import EXACT_VIEW_BUDGET, blindness_check, exact_server_views, exact_view_amplitudes, view_distance
 from mpdqc.quantum import PureState, flip, octant, plus_state
-from reference import built_secret_state, labeled_classes, labelwise_view_distance, walked_exact_server_views
+from reference import (
+    built_secret_state,
+    full_gram_class_matrices,
+    graph_state_prepared_rows,
+    labeled_classes,
+    labelwise_view_distance,
+    project_first_with_temporary,
+    walked_exact_server_views,
+)
 
 
 def eager_exact_server_views(
@@ -348,3 +359,101 @@ def test_a_class_no_row_carries_is_a_zero_matrix():
     assert not matrices[1].any() and not matrices[3].any()
     for k, pair in ((0, rows[1::2]), (2, rows[::2])):
         assert np.allclose(matrices[k], sum(np.outer(row, row.conj()) for row in pair)), k
+
+
+SHAPES_WITH_REFERENCES = [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 0), (2, 3, 1), (4, 2, 0)]
+
+
+@pytest.mark.parametrize("n_wires,n_columns,n_ref", SHAPES_WITH_REFERENCES)
+def test_prepared_rows_equal_a_graph_state_built_per_view(n_wires, n_columns, n_ref):
+    """The CZ signs folded into the layout's octants give the rows the per-view graph_state build gave, to 1e-12."""
+    graph = build_brickwork(n_wires, n_columns)
+    rng = np.random.default_rng([n_wires, n_columns, n_ref, 1])
+    psi = random_input(n_wires + n_ref, rng)
+    rows = harness._prepared_rows(graph, psi)
+    built = graph_state_prepared_rows(graph, psi)
+    assert rows.shape == built.shape
+    assert np.max(np.abs(rows - built)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_wires,n_columns,n_ref", SHAPES_WITH_REFERENCES)
+def test_class_matrices_equal_the_masked_full_gram(monkeypatch, n_wires, n_columns, n_ref):
+    """At every checkpoint of a view, the diagonal blocks alone give the full Gram product after its mask, to 1e-12."""
+    calls = []
+    class_matrices = harness._class_matrices
+
+    def recorded(*args):
+        calls.append((args, class_matrices(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(harness, "_class_matrices", recorded)
+    graph = build_brickwork(n_wires, n_columns)
+    rng = np.random.default_rng([n_wires, n_columns, n_ref, 2])
+    exact_server_views(random_pattern(graph, rng), random_input(n_wires + n_ref, rng))
+    assert len(calls) == len(graph.measured_nodes) + 2
+    for args, matrices in calls:
+        expected = full_gram_class_matrices(*args)
+        assert matrices.shape == expected.shape
+        assert np.max(np.abs(matrices - expected)) <= 1e-12, args[2:]
+
+
+@pytest.mark.parametrize("width", [16, 2 * harness._GRAM_CHUNK])
+def test_class_matrices_cover_every_dephasing_depth(width):
+    """Every n_dephased from 0 to n_live, with absent classes, on rows narrower and wider than _GRAM_CHUNK."""
+    rng = np.random.default_rng(width)
+    n_live, code = 3, np.array([4, 1, 1, 4, 0, 4, 0, 1, 0])  # classes 2, 3 and 5 absent
+    rows = rng.normal(size=(len(code), width)) + 1j * rng.normal(size=(len(code), width))
+    rows /= np.linalg.norm(rows)
+    for n_dephased in range(n_live + 1):
+        matrices = harness._class_matrices(rows, code, 6, n_live, n_dephased)
+        expected = full_gram_class_matrices(rows, code, 6, n_live, n_dephased)
+        assert matrices.shape == (6, 8, 8)
+        assert not matrices[[2, 3, 5]].any()
+        assert np.max(np.abs(matrices - expected)) <= 1e-12, n_dephased
+        block = np.arange(8) >> (n_live - n_dephased)
+        assert not matrices[:, block[:, None] != block[None, :]].any()
+
+
+def test_one_graph_state_per_graph_and_no_system_per_view(monkeypatch, fresh_view_layouts):
+    builds, systems = [], []
+    build, init = harness.graph_state, quantum.QuantumSystem.__init__
+
+    def counted_build(system, graph, node_label):
+        builds.append(graph)
+        build(system, graph, node_label)
+
+    def counted_init(self):
+        systems.append(self)
+        init(self)
+
+    monkeypatch.setattr(harness, "graph_state", counted_build)
+    monkeypatch.setattr(quantum.QuantumSystem, "__init__", counted_init)
+    rng = np.random.default_rng(11)
+    graphs = (build_brickwork(2, 2), build_brickwork(2, 3))
+    for _ in range(3):
+        for graph in graphs:
+            exact_server_views(random_pattern(graph, rng), random_input(3, rng))
+    assert builds == list(graphs)
+    assert len(systems) == len(graphs)
+
+
+def test_projection_is_bit_identical_to_the_one_with_a_temporary():
+    rng = np.random.default_rng(12)
+    for n_rows, width in ((1, 2), (64, 16), (256, 4), (8, 2 ** 12)):
+        rows = rng.normal(size=(n_rows, width)) + 1j * rng.normal(size=(n_rows, width))
+        delta = rng.integers(8, size=n_rows)
+        assert np.array_equal(harness._project_first(rows, delta), project_first_with_temporary(rows, delta))
+
+
+@pytest.mark.parametrize("n_wires,n_columns", [(2, 2), (2, 3), (4, 2)])
+def test_view_distance_equals_the_singular_value_sum(n_wires, n_columns):
+    graph = build_brickwork(n_wires, n_columns)
+    rng = np.random.default_rng([n_wires, n_columns, 13])
+    views = [exact_server_views(random_pattern(graph, rng), random_input(n_wires, rng)) for _ in range(2)]
+    for checkpoint in views[0]:
+        a, b = views[0][checkpoint], views[1][checkpoint]
+        zeroed = b.copy()
+        zeroed[0] = 0  # one class zeroed, so the distance is not zero
+        for x, y in ((a, b), (a, zeroed)):
+            svd = 0.5 * np.sum(np.linalg.svd(x - y, compute_uv=False))
+            assert abs(view_distance(x, y) - svd) <= 1e-12, checkpoint

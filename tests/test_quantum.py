@@ -12,6 +12,7 @@ from mpdqc.quantum import (
     octant_to_radians,
     plus_state,
     trace_distance,
+    weighted_trace_norm,
 )
 from reference import states_equal
 
@@ -231,6 +232,35 @@ def test_trace_distance_of_close_mixtures_is_small():
     rho = DensityMatrix(np.diag([0.5, 0.5]))
     sigma = DensityMatrix(np.diag([0.51, 0.49]))
     assert trace_distance(rho, sigma) == pytest.approx(0.01)
+
+
+def test_a_density_matrix_must_be_hermitian():
+    # weighted_trace_norm reads one triangle only (eigvalsh), so trace_distance needs Hermitian inputs
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.array([[0.5, 0.0], [0.0, 0.5j]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    off = np.array([[0.5, 0.1 + 2e-11], [0.1, 0.5]])  # within 1e-10 of Hermitian
+    assert DensityMatrix(off).num_qubits == 1
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(off + np.array([[0, 1e-9], [0, 0]]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 4), (3, 16), (2, 64)])
+def test_weighted_trace_norm_equals_the_singular_value_sum(shape):
+    """On Hermitian stacks the eigenvalue form is the trace norm the SVD gives, to 1e-12."""
+    rng = np.random.default_rng(list(shape))
+    k, d = shape
+
+    def hermitian() -> np.ndarray:
+        m = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        return (m + m.conj().transpose(0, 2, 1)) / (2 * d)
+
+    for a, b in ((hermitian(), hermitian()), (hermitian(), np.zeros((k, d, d)))):
+        svd = 0.5 * np.sum(np.linalg.svd(a - b, compute_uv=False))
+        assert abs(weighted_trace_norm(a, b) - svd) <= 1e-12
 
 
 def test_invalid_states_are_rejected():
