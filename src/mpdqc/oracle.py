@@ -155,6 +155,7 @@ class OracleLedger:
     chain_t: dict[int, dict[int, int]] = field(default_factory=dict)
     announced: dict[int, int] = field(default_factory=dict)  # the angle each node was measured at, as announced
     r: dict[int, int] = field(default_factory=dict, init=False)  # node_r, kept once filed: a secret never changes
+    s: dict[int, int] = field(default_factory=dict, init=False)  # _s, kept once filed: nor does an outcome
 
     def __post_init__(self):
         self.n_clients = self.pattern.graph.n_wires
@@ -163,20 +164,21 @@ class OracleLedger:
     # ------------------------------------------------------------ intake
 
     def register_share(self, tag: Tag, values: Sequence[int], modulus: int) -> None:
-        """File one secret from the n pieces its holders submitted, piece k from client k.
+        """File one secret from the n pieces its holders submitted, piece k from client k (register_shares)."""
+        self.register_shares((tag,), (values,), modulus)
 
-        Refuses a piece count other than n, a modulus other than 2 or 8, and
-        a secret already held: the same tag twice, or a second surviving
-        copy of one (node, client)'s angle.
-        """
-        if len(values) != self.n_clients:
-            raise ValueError(f"{len(values)} pieces for {self.n_clients} clients")
-        if modulus not in (2, 8):
-            raise ValueError("share modulus must be 2 (bits) or 8 (octants)")
-        self.file(tag, sum(values) % modulus)
+    def register_shares(self, tags: Sequence[Tag], rows: Sequence[Sequence[int]], modulus: int) -> None:
+        """File a stack of secrets in order, tags[s] from the n pieces rows[s], piece k from client k. Refuses a piece
+        count other than n, a modulus other than 2 or 8 and, as file does, a secret already held; those before it stay filed."""
+        for tag, values in zip(tags, rows):
+            if len(values) != self.n_clients:
+                raise ValueError(f"{len(values)} pieces for {self.n_clients} clients")
+            if modulus not in (2, 8):
+                raise ValueError("share modulus must be 2 (bits) or 8 (octants)")
+            self.file(tag, sum(values) % modulus)
 
     def file(self, tag: Tag, value: int) -> None:
-        """File one secret's value under its tag, refusing a secret already held (see register_share)."""
+        """File one secret's value under its tag, refusing a secret already held (see register_shares)."""
         key = tag[:3] if tag[0] == "theta" else tag
         if key in self.secrets:
             raise ValueError(f"secret {key} already registered")
@@ -211,19 +213,32 @@ class OracleLedger:
         """The pad flip bit of a node: a_j for inputs, 0 elsewhere."""
         return self.a_bit(node) if node in self.pattern.graph.input_nodes else 0
 
+    def _row(self, kind: str, node: int) -> list[int]:
+        """The n clients' secrets (kind, node, k), read straight from the dict; a missing one raises ValueError."""
+        try:
+            return [self.secrets[kind, node, k] for k in range(1, self.n_clients + 1)]
+        except KeyError as missing:
+            raise ValueError(f"no share set registered for {missing.args[0]}") from None
+
     def node_theta(self, node: int) -> int:
         """Effective secret angle of a node's prepared qubit, from the contributed angles and t."""
-        shares = [self._secret(("theta", node, k)) for k in range(1, self.n_clients + 1)]
+        shares = self._row("theta", node)
+        if node not in self.chain_t:
+            raise ValueError(f"no chain outcomes recorded for node {node}")
         return theta_input(shares, self.pattern.graph.survivor(node), self.chain_t[node], self.node_flip(node))
 
     def node_r(self, node: int) -> int:
         if node not in self.r:
-            self.r[node] = parity(self._secret(r_tag(node, k)) for k in range(1, self.n_clients + 1))
+            self.r[node] = parity(self._row("r", node))
         return self.r[node]
 
     def _s(self, node: int) -> int:
-        """Corrected outcome s_i = b_i xor r_i of a measured node."""
-        return self.outcomes[node] ^ self.node_r(node)
+        """Corrected outcome s_i = b_i xor r_i of a measured node, kept once filed, as node_r keeps r."""
+        if node not in self.s:
+            if node not in self.outcomes:
+                raise ValueError(f"no outcome recorded for node {node}")
+            self.s[node] = self.outcomes[node] ^ self.node_r(node)
+        return self.s[node]
 
     # ------------------------------------------------------------ answers
 

@@ -318,7 +318,7 @@ class CopyTest(NamedTuple):
 
 def contributors(graph: BrickworkGraph, node: int) -> list[int]:
     """Clients that offer test copies for a node; an input's owner contributes the padded input itself."""
-    return [k for k in range(1, graph.n_wires + 1) if not (node in graph.input_nodes and k == node)]
+    return [k for k in range(1, graph.n_wires + 1) if k != node] if node in graph.input_nodes else list(range(1, graph.n_wires + 1))
 
 
 def message_counts(n_wires: int, n_columns: int, m_copies: int) -> dict[str, int]:
@@ -382,11 +382,10 @@ class Session:
         """Each client owners[s] hands out its secret tags[s], given as its n
         share values values[s], piece k for client k: every other client
         gets its piece, each holder submits its piece to the oracle, and the
-        ledger files the values, one register_share call per secret."""
+        ledger files the stack's values in one register_shares call."""
         self.transcript.defer(HandOut(owners, tags, values, modulus, contexts))
         if self.ledger is not None:
-            for tag, row in zip(tags, values):
-                self.ledger.register_share(tag, row, modulus)
+            self.ledger.register_shares(tags, values, modulus)
 
     def send_padded_input(self, node: int, a: int, theta: int, pieces: list[int]) -> None:
         """The input's owner pads qubit in:node by X^a Z(theta), shares theta from its n - 1 drawn pieces and hands the qubit to the server."""
@@ -466,8 +465,8 @@ class Session:
         """
         self.transcript.defer(test)
         if self.ledger is not None:
-            for b, k in enumerate(test.contributors[: len(test.contributors) - test.failed], test.first):
-                self.ledger.register_share(theta_tag(test.node, k, survivors[b]), rows[b], 8)
+            passed = slice(test.first, test.first + len(test.contributors) - test.failed)
+            self.ledger.register_shares([theta_tag(test.node, k, s) for k, s in zip(test.contributors, survivors[passed])], rows[passed], 8)
         if test.failed:
             return AbortInfo("verification", test.node, test.contributors[-1], COPY_TEST_FAILED)
         return None
@@ -499,6 +498,7 @@ class DrawPlan(NamedTuple):
     chains: np.ndarray
     measurements: np.ndarray
     stops: list[int]
+    slices: dict[str, slice]  # for each field that is an evenly strided run of its block, a cheaper basic slice
 
 
 @lru_cache(maxsize=32)
@@ -557,7 +557,7 @@ def draw_plan(n_wires: int, n_columns: int, m_copies: int) -> DrawPlan:
     def stacked(parts: list, *shape: int) -> np.ndarray:
         return np.array(parts, dtype=np.intp).reshape(shape)
 
-    return DrawPlan(
+    plan = DrawPlan(
         Schedule(calls),
         stacked([a for a, _ in pads], n),
         stacked([theta for _, theta in pads], n),
@@ -571,7 +571,12 @@ def draw_plan(n_wires: int, n_columns: int, m_copies: int) -> DrawPlan:
         stacked(chains, measured, n - 1),
         stacked(measurements, measured),
         stops,
+        {},
     )
+    for name in ("pad_a", "pad_theta", "copy_angles", "flip_pieces", "masks", "measurements"):
+        index = getattr(plan, name).ravel().tolist()  # evenly strided: a basic slice reads the same values, in order
+        plan.slices[name] = slice(index[0], index[-1] + 1, index[1] - index[0]) if len(index) > 1 else slice(sum(index), sum(index) + len(index))
+    return plan
 
 
 def run_full_protocol(
@@ -614,18 +619,18 @@ def run_full_protocol(
     ints, uniforms = drawn.ints, drawn.uniforms
 
     # ----------------------------------------------------------- secrets
-    clients = range(1, n + 1)
-    flips = ints[plan.pad_a]
+    clients, cut = range(1, n + 1), plan.slices
+    flips = ints[cut["pad_a"]]
     pad_a = dict(enumerate(flips.tolist(), 1))
-    pad_theta = dict(enumerate(ints[plan.pad_theta].tolist(), 1))
-    flip_shares = close_share_rows(flips, ints[plan.flip_pieces], 2).tolist()
+    pad_theta = dict(enumerate(ints[cut["pad_theta"]].tolist(), 1))
+    flip_shares = close_share_rows(flips, ints[cut["flip_pieces"]].reshape(plan.flip_pieces.shape), 2).tolist()
     session.hand_out(clients, [a_tag(k) for k in clients], flip_shares, 2, [{"kind": "pad-flip", "client": k} for k in clients])
 
     # ------------------------------------------------------- preparation
     # every copy test at once, one row per (node, contributor) batch, each
     # honest copy at its declared angle; `stop` is the first failed batch,
     # kept and chosen each batch's survivor row and angle, gathered at once
-    angles = ints[plan.copy_angles]
+    angles = ints[cut["copy_angles"]].reshape(plan.copy_angles.shape)
     shares = close_share_rows(angles, ints[plan.copy_pieces], 8)
     survivors = ints[plan.survivors]
     opened, outcomes = judge_copy_tests(shares, angles, survivors, uniforms[plan.tests])
@@ -671,9 +676,9 @@ def run_full_protocol(
 
     # -------------------------------------------------- measurement rounds
     # each round's mask bits, row k [r, pieces...] closed to r
-    masks = ints[plan.masks]
+    masks = ints[cut["masks"]].reshape(plan.masks.shape)
     mask_shares = close_share_rows(masks[..., 0], masks[..., 1:], 2).tolist()
-    measure_uniforms = uniforms[plan.measurements].tolist()
+    measure_uniforms = uniforms[cut["measurements"]].tolist()
     for pos, j in enumerate(ledger.flow.order):
         session.hand_out(clients, [r_tag(j, k) for k in clients], mask_shares[pos], 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
         session.announce_angle(j, ledger.delta(j))

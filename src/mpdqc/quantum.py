@@ -58,6 +58,9 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2)
 # -1 + 1.2e-16j, so Z negates its slice instead of reading the table.
 _PHASE = np.array([np.exp(1j * octant_to_radians(t)) for t in range(8)])
 _PHASE_CONJ = _PHASE.conj()
+_TURN = _PHASE_CONJ.tolist()  # the same as Python complexes, which multiply an array for less dispatch
+_PLUS = np.array([[1.0, phase] for phase in _PHASE]) / sqrt(2)  # plus_state's amplitudes, a read-only row per octant
+_PLUS.flags.writeable = False
 
 
 class PureState:
@@ -176,14 +179,13 @@ class PureState:
         Returns (branch probability, normalized post-state). Probability 0
         branches return an unnormalized zero state.
         """
-        return _branch(self._rotated_slice(q, delta, outcome))
+        kept, turned = self._halves(q, delta)
+        return _branch((kept - turned if outcome & 1 else kept + turned).reshape(-1) / sqrt(2))
 
-    def _rotated_slice(self, q: int, delta: int, outcome: int) -> np.ndarray:
+    def _halves(self, q: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+        """Qubit q's |0> slice and its |1> slice turned by e^{-i delta pi/4}: over sqrt(2), their sum projects onto |+_delta>, their difference onto |-_delta>."""
         psi = self._view(q)
-        phase = _PHASE_CONJ[octant(delta)]
-        if outcome & 1:
-            phase = -phase
-        return (psi[:, 0] + phase * psi[:, 1]).reshape(-1) / sqrt(2)
+        return psi[:, 0], _TURN[delta % 8] * psi[:, 1]
 
     def project_computational(self, q: int, outcome: int) -> tuple[float, "PureState"]:
         """Project qubit q onto |outcome> and drop the qubit."""
@@ -193,14 +195,15 @@ class PureState:
         """Measure qubit q in {|+_delta>, |-_delta>} on a drawn uniform u; the qubit leaves the register.
 
         The outcome is 0 iff u < p0. p0 comes from the outcome-0 slice; only
-        the drawn outcome's post-state is built. A caller with no drawn
-        uniform passes rng.random().
+        the drawn outcome's post-state is built, from the turned half that
+        outcome 0 computed. A caller with no drawn uniform passes rng.random().
         """
-        sub = self._rotated_slice(q, delta, 0)
+        kept, turned = self._halves(q, delta)
+        sub = (kept + turned).reshape(-1) / sqrt(2)
         p0 = float(np.vdot(sub, sub).real)
         if u < p0:
             return 0, _branch(sub, p0)[1]
-        return 1, self.project_rotated(q, delta, 1)[1]
+        return 1, _branch((kept - turned).reshape(-1) / sqrt(2))[1]
 
     def measure_computational(self, q: int, u: float) -> tuple[int, "PureState"]:
         """Measure qubit q in the computational basis on a drawn uniform u, as measure_rotated."""
@@ -251,9 +254,8 @@ def _branch(sub: np.ndarray, prob: float | None = None) -> tuple[float, PureStat
 
 
 def plus_state(theta: int = 0) -> PureState:
-    """(|0> + e^{i theta pi/4} |1>)/sqrt(2)."""
-    amps = np.array([1.0, _PHASE[octant(theta)]]) / sqrt(2)
-    return PureState(amps, _checked=True)
+    """(|0> + e^{i theta pi/4} |1>)/sqrt(2), on a read-only row of a table shared by every call."""
+    return PureState(_PLUS[octant(theta)], _checked=True)
 
 
 class DensityMatrix:
@@ -368,10 +370,6 @@ class QuantumSystem:
             raise KeyError(f"no live qubit {label!r}")
         self.owner[label] = new_owner
 
-    def _loc(self, label: str) -> tuple[int, int]:
-        comp = self._home[label]
-        return comp, self._labels[comp].index(label)
-
     def _merge(self, a: str, b: str) -> None:
         ca, cb = self._home[a], self._home[b]
         if ca == cb:
@@ -384,15 +382,20 @@ class QuantumSystem:
         self.peak_qubits = max(self.peak_qubits, len(self._labels[ca]))
 
     def _touch(self, label: str) -> tuple[int, int]:
-        """Apply the label's pending CZs, then return its (component, position)."""
-        if label in self._pending:
-            for other in self._pending.pop(label):
-                del self._pending[other][label]
-                self._merge(label, other)
-                c, qa = self._loc(label)
-                _, qb = self._loc(other)
-                self._states[c] = self._states[c].cz(qa, qb)
-        return self._loc(label)
+        """Apply the label's pending CZs, then return its (component, position). The merges run first, then the
+        CZs, in place: on the array the merges built, which nothing else holds, or on a copy, as the array may be a caller's."""
+        others = self._pending.pop(label, ())
+        c = self._home[label]
+        held = self._states[c]
+        for other in others:
+            del self._pending[other][label]
+            self._merge(label, other)
+        if others and self._states[c] is held:
+            self._states[c] = PureState(held.amps.copy(), _checked=True)
+        q = self._labels[c].index(label)
+        for other in others:  # PureState.cz, written into the array
+            self._states[c]._pair_view(q, self._labels[c].index(other))[:, 1, :, 1] *= -1.0
+        return c, q
 
     def apply_x(self, label: str) -> None:
         c, q = self._touch(label)
@@ -428,12 +431,11 @@ class QuantumSystem:
         self._touch(control)
         self._touch(target)
         self._merge(control, target)
-        c, qc = self._loc(control)
-        _, qt = self._loc(target)
+        c = self._home[control]
+        qc, qt = self._labels[c].index(control), self._labels[c].index(target)
         self._states[c] = self._states[c].cnot(qc, qt)
 
-    def _drop(self, label: str) -> None:
-        comp, q = self._loc(label)
+    def _drop(self, label: str, comp: int, q: int) -> None:
         self._labels[comp].pop(q)
         del self._home[label]
         del self.owner[label]
@@ -443,13 +445,13 @@ class QuantumSystem:
     def measure_rotated(self, label: str, delta: int, u: float) -> int:
         c, q = self._touch(label)
         outcome, self._states[c] = self._states[c].measure_rotated(q, delta, u)
-        self._drop(label)
+        self._drop(label, c, q)
         return outcome
 
     def measure_computational(self, label: str, u: float) -> int:
         c, q = self._touch(label)
         outcome, self._states[c] = self._states[c].measure_computational(q, u)
-        self._drop(label)
+        self._drop(label, c, q)
         return outcome
 
     def _components(self, labels: list[str]) -> list[int]:

@@ -10,10 +10,11 @@ as they are sent, state equality up to global phase, a
 Monte-Carlo estimate of the server's state after entangling, the exact
 server views walked one secret combination at a time and filed by label,
 each combination's graph state built gate by gate, and their distance
-summed one label at a time; and the view kernels as they were before the
+summed one label at a time; the view kernels as they were before the
 layout held the CZ signs: the prepared rows read from a graph state built
 per view, the class matrices as full Gram products masked afterwards, and
-the projection with its temporary.
+the projection with its temporary; and the oracle ledger's answers composed
+from its rules on every call, with its secrets filed one at a time.
 """
 from __future__ import annotations
 
@@ -24,12 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system, read_outputs
+from mpdqc.brickwork import BrickworkGraph, MeasurementPattern, compute_flow, graph_state, input_system, parity, read_outputs
 from mpdqc.harness import _GRAM_CHUNK, _pad_layout
-from mpdqc.oracle import judge_copy_tests, theta_tag
+from mpdqc.oracle import OracleLedger, blind_angle, judge_copy_tests, theta_tag
 from mpdqc.protocol import COPY_TEST_FAILED, AbortInfo, CopyTest, HandOut, Message, ServerStrategy, Session, Transcript, run_full_protocol
 from mpdqc.quantum import _PHASE_CONJ, PureState, flip, octant, plus_state, weighted_trace_norm
-from mpdqc.rsp import chain_steps
+from mpdqc.rsp import chain_steps, theta_input
 
 
 def states_equal(a: PureState, b: PureState, atol: float = 1e-9) -> bool:
@@ -470,3 +471,53 @@ def project_first_with_temporary(rows: np.ndarray, delta: np.ndarray) -> np.ndar
     np.subtract(psi[:, 0], turned, out=out[1])
     out /= sqrt(2)
     return out.reshape(2 * len(rows), -1)
+
+
+class ComposedAnswers:
+    """OracleLedger.delta and output_keys composed from the rules on every call, from the ledger's own dicts.
+
+    delta is blind_angle(corrected_angle, node_r, node_theta, node_flip) and
+    the keys Flow.output_key, with every mask r, corrected outcome s and flip
+    a rebuilt from the filed secrets whenever a rule asks for one; nothing is
+    kept between calls. A missing secret, chain or outcome raises KeyError.
+    """
+
+    def __init__(self, ledger: OracleLedger):
+        self.ledger = ledger
+        graph = ledger.pattern.graph
+        self.inputs, self.survivor, self.clients = graph.input_nodes, graph.survivor, range(1, ledger.n_clients + 1)
+
+    def flip(self, node: int) -> int:
+        return self.ledger.secrets[("a", node)] if node in self.inputs else 0
+
+    def r(self, node: int) -> int:
+        return parity(self.ledger.secrets[("r", node, k)] for k in self.clients)
+
+    def s(self, node: int) -> int:
+        return self.ledger.outcomes[node] ^ self.r(node)
+
+    def theta(self, node: int) -> int:
+        shares = [self.ledger.secrets[("theta", node, k)] for k in self.clients]
+        return theta_input(shares, self.survivor(node), self.ledger.chain_t[node], self.flip(node))
+
+    def delta(self, node: int) -> int:
+        corrected = self.ledger.flow.adapted_angle(node, self.ledger.pattern.angles[node], self.s, self.flip)
+        return blind_angle(corrected, self.r(node), self.theta(node), self.flip(node))
+
+    def output_keys(self, node: int) -> tuple[int, int]:
+        return self.ledger.flow.output_key(node, self.s, self.flip)
+
+
+def file_one_by_one(ledger: OracleLedger, tags: Sequence[tuple], rows: Sequence[Sequence[int]], modulus: int) -> None:
+    """OracleLedger.register_shares as a loop of single filings, each checked as register_share checked it alone.
+
+    Each secret's piece count and modulus are checked, then ledger.file
+    files its value or refuses a secret already held; the secrets before a
+    refused one stay filed.
+    """
+    for tag, values in zip(tags, rows):
+        if len(values) != ledger.n_clients:
+            raise ValueError(f"{len(values)} pieces for {ledger.n_clients} clients")
+        if modulus not in (2, 8):
+            raise ValueError("share modulus must be 2 (bits) or 8 (octants)")
+        ledger.file(tag, sum(values) % modulus)

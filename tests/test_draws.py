@@ -185,6 +185,17 @@ def test_an_aborted_block_run_equals_the_call_run(monkeypatch):
     assert 0 < aborted < 12
 
 
+@pytest.mark.parametrize("n_wires,n_columns,m_copies", [(2, 1, 2), (2, 2, 2), (2, 3, 3), (4, 3, 10), (4, 5, 10), (6, 2, 3)])
+def test_the_plan_slices_read_what_its_index_arrays_read(n_wires, n_columns, m_copies):
+    # run_full_protocol reads these six fields through the slices
+    plan = draw_plan(n_wires, n_columns, m_copies)
+    drawn = draw(np.random.default_rng([n_wires, n_columns, m_copies]), plan.schedule)
+    assert set(plan.slices) == {"pad_a", "pad_theta", "copy_angles", "flip_pieces", "masks", "measurements"}
+    for name, cut in plan.slices.items():
+        values, index = drawn.uniforms if name == "measurements" else drawn.ints, getattr(plan, name)
+        assert np.array_equal(values[cut].reshape(index.shape), values[index]), name
+
+
 @pytest.mark.parametrize("n_wires,n_columns,m_copies", [(2, 1, 2), (2, 2, 2), (4, 3, 10), (6, 2, 3)])
 def test_the_plan_reads_every_drawn_value_once(n_wires, n_columns, m_copies):
     plan = draw_plan(n_wires, n_columns, m_copies)

@@ -144,6 +144,22 @@ def test_projections_match_the_moveaxis_kernel(n):
                     assert p_new == p_old and np.array_equal(post.amps, sub)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_measure_rotated_builds_the_drawn_projection(n):
+    # outcome 1's post-state comes from the half turned for outcome 0: it
+    # must be project_rotated's, bit for bit, as must the outcome-0 one
+    rng = np.random.default_rng([10, n])
+    outcomes = []
+    for _ in range(200):
+        state = PureState(random_amps(n, rng), _checked=True)
+        q, delta, u = int(rng.integers(n)), int(rng.integers(8)), rng.random()
+        outcome, post = state.measure_rotated(q, delta, u)
+        assert outcome == int(u >= state.project_rotated(q, delta, 0)[0])
+        assert np.array_equal(post.amps, state.project_rotated(q, delta, outcome)[1].amps)
+        outcomes.append(outcome)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_tensor_matches_kron(n):
     rng = np.random.default_rng([9, n])

@@ -15,10 +15,11 @@ from mpdqc.oracle import (
     share_secret,
     theta_tag,
 )
+from mpdqc.harness import run_intermediate_protocol
 from mpdqc.protocol import Session, Transcript, run_full_protocol
 from mpdqc.quantum import PureState, QuantumSystem, flip, octant, plus_state
 from mpdqc.rsp import theta_input
-from reference import register_copy_test, verify_client
+from reference import ComposedAnswers, file_one_by_one, register_copy_test, verify_client
 
 RNG = np.random.default_rng(31)
 
@@ -417,3 +418,163 @@ def test_a_mask_with_an_unfiled_piece_raises_and_is_not_kept():
     assert ledger.r == {}
     _register(ledger, 1, 2, r_tag(1, 2), rng)
     assert ledger.node_r(1) == 0 and ledger.r == {1: 0}
+
+
+def _every_secret_filed(n_wires, n_columns, seed):
+    """A ledger of a random pattern with every flip, contributed angle and mask bit filed, and no chain or outcome."""
+    rng = np.random.default_rng(seed)
+    ledger = OracleLedger(random_pattern(build_brickwork(n_wires, n_columns), rng))
+    clients = range(1, n_wires + 1)
+    for k in clients:
+        _register(ledger, int(rng.integers(2)), 2, a_tag(k), rng)
+    for j in ledger.pattern.graph.measured_nodes:
+        for k in clients:
+            _register(ledger, int(rng.integers(8)), 8, theta_tag(j, k), rng)
+            _register(ledger, int(rng.integers(2)), 2, r_tag(j, k), rng)
+    return ledger
+
+
+def test_answers_name_the_chain_or_outcome_not_filed_yet():
+    ledger = _every_secret_filed(2, 3, 21)
+    graph = ledger.pattern.graph
+    with pytest.raises(ValueError, match="no chain outcomes recorded for node 1"):
+        ledger.delta(1)
+    for j in graph.measured_nodes:
+        ledger.register_chain(j, {k: j % 2 for k in (1, 2) if k != graph.survivor(j)})
+    # node 3's X correction reads node 1's outcome
+    for answer in (ledger.delta, ledger.corrected_angle):
+        with pytest.raises(ValueError, match="no outcome recorded for node 1"):
+            answer(3)
+    assert ledger.s == {}
+    ledger.register_outcome(1, 1)
+    ledger.register_outcome(2, 0)
+    assert ledger.delta(3) == ComposedAnswers(ledger).delta(3)
+    # output 5's X key is node 3's corrected outcome
+    with pytest.raises(ValueError, match="no outcome recorded for node 3"):
+        ledger.output_keys(5)
+    ledger.register_outcome(3, 0)
+    ledger.register_outcome(4, 1)
+    assert ledger.output_keys(5) == ComposedAnswers(ledger).output_keys(5)
+
+
+def _with_flips(ledger, a):
+    """A fresh ledger over the same filings with every input's flip set to a."""
+    out = OracleLedger(ledger.pattern)
+    out.secrets = {**ledger.secrets, **{a_tag(k): a for k in range(1, ledger.n_clients + 1)}}
+    out.outcomes, out.chain_t = ledger.outcomes, ledger.chain_t
+    return out
+
+
+# the rewrites at 4x5 run only where their registers fit: delayed would hold
+# 25 live qubits and simulator-resource 72 (harness.rewrite_peak_qubits)
+WORLD_SHAPES = [
+    (world, shape)
+    for shape in [(2, 2, 0), (2, 3, 1), (4, 2, 0), (4, 5, 0)]
+    for world in ("base", "teleport", "delayed", "simulator-resource")
+    if shape[:2] != (4, 5) or world in ("base", "teleport")
+]
+
+
+@pytest.mark.parametrize("world,shape", WORLD_SHAPES, ids=[f"{world}-{n}x{c}+{r}" for world, (n, c, r) in WORLD_SHAPES])
+def test_the_ledger_answers_as_the_rules_composed_on_every_call(world, shape):
+    # every measured node's delta and every output's keys, on the run's own
+    # ledger (its masks and outcomes kept as it answered) and on fresh
+    # ledgers over the same filings with every input flipped and unflipped
+    n_wires, n_columns, n_ref = shape
+    rng = np.random.default_rng([n_wires, n_columns, n_ref, len(world)])
+    pattern = random_pattern(build_brickwork(n_wires, n_columns), rng)
+    v = rng.normal(size=2 ** (n_wires + n_ref)) + 1j * rng.normal(size=2 ** (n_wires + n_ref))
+    psi = PureState(v / np.linalg.norm(v))
+    if world == "base":
+        run = run_full_protocol(pattern, psi, rng, m_copies=3)
+    else:
+        run = run_intermediate_protocol(pattern, psi, rng, world)
+    assert not run.aborted
+    measured, outputs = pattern.graph.measured_nodes, pattern.graph.output_nodes
+    for ledger in (run.ledger, _with_flips(run.ledger, 0), _with_flips(run.ledger, 1)):
+        composed = ComposedAnswers(ledger)
+        assert {j: ledger.delta(j) for j in measured} == {j: composed.delta(j) for j in measured}
+        assert {j: ledger.output_keys(j) for j in outputs} == {j: composed.output_keys(j) for j in outputs}
+    assert {j: run.ledger.output_keys(j) for j in outputs} == run.keys
+
+
+def _filing_spy(monkeypatch) -> list:
+    """Every stack filed through OracleLedger.register_shares, as (tags, rows, modulus) copies, in order."""
+    stacks = []
+    intake = OracleLedger.register_shares
+
+    def spy(self, tags, rows, modulus):
+        tags, rows = list(tags), [list(row) for row in rows]
+        stacks.append((tags, rows, modulus))
+        return intake(self, tags, rows, modulus)
+
+    monkeypatch.setattr(OracleLedger, "register_shares", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 3, 1), (4, 2, 0), (4, 5, 0)])
+def test_a_run_files_its_stacks_as_one_by_one_filings_would(monkeypatch, n_wires, n_columns, n_ref):
+    stacks = _filing_spy(monkeypatch)
+    rng = np.random.default_rng([n_wires, n_columns, 17])
+    pattern = random_pattern(build_brickwork(n_wires, n_columns), rng)
+    v = rng.normal(size=2 ** (n_wires + n_ref)) + 1j * rng.normal(size=2 ** (n_wires + n_ref))
+    run = run_full_protocol(pattern, PureState(v / np.linalg.norm(v)), rng, m_copies=3)
+    measured = len(pattern.graph.measured_nodes)
+    # the pad flips, each node's copy tests and each round's mask bits, and
+    # each padded input's angle through register_share
+    assert len(stacks) == 1 + 2 * measured + n_wires
+    replayed = OracleLedger(pattern)
+    for tags, rows, modulus in stacks:
+        file_one_by_one(replayed, tags, rows, modulus)
+    assert list(replayed.secrets.items()) == list(run.ledger.secrets.items())
+
+
+def test_an_aborted_run_files_the_passed_batches_of_the_failing_node(monkeypatch):
+    # on 4x3 the judge fails batch 13, client 2's for node 5: node 5 files
+    # client 1's survivor and nothing after it
+    import mpdqc.protocol
+    from mpdqc.oracle import judge_copy_tests as kernel
+
+    def failing(shares, prepared, survivors, uniforms):
+        opened, outcomes = kernel(shares, prepared, survivors, uniforms)
+        outcomes = outcomes.copy()
+        outcomes[13, -1] = 1
+        return opened, outcomes
+
+    monkeypatch.setattr(mpdqc.protocol, "judge_copy_tests", failing)
+    stacks = _filing_spy(monkeypatch)
+    rng = np.random.default_rng(47)
+    pattern = random_pattern(build_brickwork(4, 3), rng)
+    run = run_full_protocol(pattern, PureState(np.full(16, 0.25)), rng, m_copies=3)
+    assert run.aborted and stacks[-1][0] == [theta_tag(5, 1, stacks[-1][0][0][3])]
+    replayed = OracleLedger(pattern)
+    for tags, rows, modulus in stacks:
+        file_one_by_one(replayed, tags, rows, modulus)
+    assert replayed.secrets == run.ledger.secrets
+    assert ("theta", 5, 1) in run.ledger.secrets and ("theta", 5, 2) not in run.ledger.secrets
+
+
+REFUSED_STACKS = {
+    "a wrong piece count": ([r_tag(1, 1), r_tag(1, 2)], [[0, 1], [1]], 2, "1 pieces for 2 clients"),
+    "modulus 4": ([r_tag(1, 1)], [[0, 1]], 4, "share modulus must be 2"),
+    "modulus 3": ([r_tag(1, 1)], [[0, 1]], 3, "share modulus must be 2"),
+    "a tag filed before": ([a_tag(2), a_tag(1)], [[0, 1], [1, 1]], 2, r"secret \('a', 1\) already registered"),
+    "a tag twice in the stack": ([r_tag(1, 1), r_tag(1, 2), r_tag(1, 1)], [[0, 1], [1, 1], [0, 0]], 2, r"secret \('r', 1, 1\) already registered"),
+    "a second surviving copy": ([theta_tag(1, 2, 3), theta_tag(1, 2, 5)], [[1, 2], [3, 4]], 8, r"secret \('theta', 1, 2\) already registered"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_STACKS))
+def test_the_stack_intake_refuses_as_one_by_one_filings_do(case):
+    # same message, and the same secrets filed before the refused one
+    tags, rows, modulus, message = REFUSED_STACKS[case]
+    pattern = MeasurementPattern(build_brickwork(2, 2), {1: 0, 2: 0})
+    ledgers = [OracleLedger(pattern), OracleLedger(pattern)]
+    errors = []
+    for ledger, intake in zip(ledgers, (OracleLedger.register_shares, file_one_by_one)):
+        ledger.register_share(a_tag(1), [1, 0], 2)
+        with pytest.raises(ValueError, match=message) as refused:
+            intake(ledger, tags, rows, modulus)
+        errors.append(str(refused.value))
+    assert errors[0] == errors[1]
+    assert list(ledgers[0].secrets.items()) == list(ledgers[1].secrets.items())

@@ -354,6 +354,38 @@ def test_system_lazy_czs_match_eager_gates():
     assert system.state_of(["q0", "q1", "q2", "q3"]).fidelity(eager) >= 1 - 1e-12
 
 
+def test_system_never_writes_into_a_state_it_did_not_build():
+    # the rewrites register one epr state for all their pairs, and plus_state
+    # hands out rows of one table; a pending CZ goes into an array in place
+    # only when a merge of the system built it, so no registered state and no
+    # state_of result changes under later operations
+    rng = np.random.default_rng(9)
+    epr = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+    lone = random_state(1, rng)
+    system = QuantumSystem()
+    system.add_register(epr, ["a1", "a2"], ["server"] * 2)
+    system.add_register(epr, ["b1", "b2"], ["server"] * 2)
+    system.add_register(lone, ["c"], ["server"])
+    system.add_register(plus_state(3), ["d"], ["server"])
+    watched = {"epr": epr, "lone": lone, "plus": plus_state(3), "state_of": system.state_of(["b1", "b2"])}
+    before = {name: state.amps.copy() for name, state in watched.items()}
+    system.apply_cz("a1", "a2")  # inside one component: no merge builds an array
+    system.apply_x("a1")
+    system.apply_cz("a2", "b1")  # across components: onto the merged array
+    system.apply_cz("b2", "c")
+    system.apply_cz("c", "d")
+    system.apply_cz("c", "a1")
+    system.apply_cnot("d", "b2")
+    system.measure_rotated("a2", 3, rng.random())
+    system.measure_computational("c", rng.random())
+    system.apply_cz("b1", "b2")
+    system.measure_rotated("b1", 5, rng.random())
+    system.measure_computational("a1", rng.random())
+    for name, state in watched.items():
+        assert np.array_equal(state.amps, before[name]), name
+    assert not plus_state(3).amps.flags.writeable
+
+
 def test_system_cz_rejects_bad_labels():
     system = plus_pair()
     with pytest.raises(KeyError):
