@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mpdqc import oracle
 from mpdqc.brickwork import MeasurementPattern, build_brickwork, corrected_angle, parity, random_pattern
+from mpdqc.harness import run_intermediate_protocol
 from mpdqc.oracle import (
     P0,
     OracleLedger,
@@ -15,7 +16,6 @@ from mpdqc.oracle import (
     share_secret,
     theta_tag,
 )
-from mpdqc.harness import run_intermediate_protocol
 from mpdqc.protocol import Session, Transcript, run_full_protocol
 from mpdqc.quantum import PureState, QuantumSystem, flip, octant, plus_state
 from mpdqc.rsp import theta_input
