@@ -528,11 +528,11 @@ def run_simulated_client_world(
     resource's outputs by those keys and the coalition's decryption
     cancel exactly, so the run ends with the resource's outputs. Every
     message goes through the real run's Session writers, in the same order
-    and with the same payload fields, but for the honest inputs' pad
-    angles, which it never shares. Like the real run, it refuses m_copies
-    < 2 before it draws. The keys come from the oracle's ledger, where the
-    simulator files the chains, its claimed mask bits, its announced
-    angles and outcomes, and each flip a key needs.
+    and with the same payload fields; an honest input's pad angle is handed
+    out as every honest secret is (share_values). Like the real run, it
+    refuses m_copies < 2 before it draws. The keys come from the oracle's
+    ledger, where the simulator files the chains, its claimed mask bits,
+    its announced angles and outcomes, and each flip a key needs.
 
     The coalition itself is played honestly here; input_state carries the
     honest inputs, the coalition inputs, and optional reference qubits.
@@ -585,9 +585,6 @@ def run_simulated_client_world(
                 survivor = session.offer_test_copies(j, k, copy_angles, copy_angles)
                 if isinstance(survivor, AbortInfo):
                     return ProtocolRun(transcript, system, ledger, {}, None, survivor)
-                # the simulator absorbs the surviving copy; this uniform stands
-                # for the measurement of it that the simulator's stream holds
-                rng.random()
             else:
                 # an honest contributor's copy test passes; the coalition
                 # forwards its pieces of the opened copies and the survivor
@@ -599,6 +596,8 @@ def run_simulated_client_world(
         if j in graph.input_nodes and j in coalition:
             pad_theta[j] = int(rng.integers(8))
             session.send_padded_input(j, pad_a[j], pad_theta[j], [int(rng.integers(8)) for _ in range(n - 1)])
+        elif j in graph.input_nodes:
+            session.hand_out([j], [theta_tag(j, j, 0)], [share_values(j, 0, 8)], 8, [{"kind": "pad-angle", "node": j}])
         # chain outcomes are uniform and carry no secret dependence
         t = {reg: int(rng.integers(2)) for reg in clients if reg != graph.survivor(j)}
         ledger.register_chain(j, t)
@@ -634,9 +633,8 @@ def run_simulated_client_world(
         pred = graph.flow.f_inv.get(j)
         if pred in graph.input_nodes:
             # the key needs the predecessor's flip: an honest client's is a
-            # fresh uniform bit, drawn for coalition inputs too, which keeps
-            # the simulator's rng stream
-            ledger.file(a_tag(pred), pad_a.get(pred, int(rng.integers(2))))
+            # fresh uniform bit
+            ledger.file(a_tag(pred), pad_a[pred] if pred in pad_a else int(rng.integers(2)))
         keys[j] = ledger.output_keys(j)
         if j not in graph.input_nodes and graph.wire_of(j) in coalition:
             # the coalition's output qubit node:j arrives padded by these keys,

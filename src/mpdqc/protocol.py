@@ -10,8 +10,9 @@ A run follows four phases in a fixed order: secret setup and preparation
 (pads, test copies, verification, preparation chains), entangling, the
 measurement rounds, and output delivery. Every classical message goes
 through the Transcript, which the harness inspects; an honest run logs
-each node's copy tests, its pad flips and each round's mask bits as one
-entry. Its randomness is drawn before its first step, from its DrawPlan.
+each node's copy tests, its pad flips, each padded input's angle and each
+round's mask bits as one entry. Its randomness is drawn before its first
+step, in the four generator calls of its DrawPlan.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .brickwork import BrickworkGraph, MeasurementPattern, graph_state, input_system, qubit_label, read_outputs
-from .draws import Schedule, draw, rewind
 from .oracle import OracleLedger, a_tag, close_share_rows, close_shares, judge_copy_tests, r_tag, theta_tag
 from .quantum import DensityMatrix, PureState, QuantumSystem, flip, plus_state
 from .rsp import closed_form_chain
@@ -211,11 +211,12 @@ COPY_TEST_FAILED = "test copy failed its declared basis"
 
 class HandOut(NamedTuple):
     """A stack of handed-out secrets as one transcript entry, as an honest
-    run hands out its n pad flips and each round's n mask bits. Secret s is
-    client owners[s]'s, tagged tags[s], with context contexts[s] and piece
-    k of values[s] for client k. `messages` builds, secret by secret, the
-    owner's piece for each other client, then each holder's submission to
-    the oracle; the messages of a piece share one payload dict."""
+    run hands out its n pad flips, each padded input's angle and each
+    round's n mask bits. Secret s is client owners[s]'s, tagged tags[s],
+    with context contexts[s] and piece k of values[s] for client k.
+    `messages` builds, secret by secret, the owner's piece for each other
+    client, then each holder's submission to the oracle; the messages of a
+    piece share one payload dict."""
 
     owners: Sequence[int]
     tags: list[tuple]
@@ -388,19 +389,11 @@ class Session:
             self.ledger.register_shares(tags, values, modulus)
 
     def send_padded_input(self, node: int, a: int, theta: int, pieces: list[int]) -> None:
-        """The input's owner pads qubit in:node by X^a Z(theta), shares theta from its n - 1 drawn pieces and hands the qubit to the server."""
+        """The input's owner pads qubit in:node by X^a Z(theta), hands out theta from its n - 1 drawn pieces and hands the qubit to the server."""
         self.system.apply_z_rot(f"in:{node}", theta)
         if a:
             self.system.apply_x(f"in:{node}")
-        tag, context = theta_tag(node, node, 0), {"kind": "pad-angle", "node": node}
-        values = close_shares(theta, pieces, 8)
-        for owner, share in enumerate(share_payloads(tag, values, 8), 1):
-            # one piece at a time: its peer message, then its oracle submission
-            if owner != node:
-                self.transcript.record(self.names[node], self.names[owner], "ShareDistribution", {**context, "share": share})
-            self.transcript.record(self.names[owner], "oracle", "ShareDistribution", {**context, "share": share})
-        if self.ledger is not None:
-            self.ledger.register_share(tag, values, 8)
+        self.hand_out([node], [theta_tag(node, node, 0)], [close_shares(theta, pieces, 8)], 8, [{"kind": "pad-angle", "node": node}])
         self.system.transfer(f"in:{node}", "server")
         payload = _qubit_payload(self.system, f"in:{node}", {"node": node, "purpose": "padded-input"}, self.debug_secrets)
         self.transcript.record(_client(node), "server", "QubitTransfer", payload)
@@ -472,111 +465,76 @@ class Session:
         return None
 
 
-class DrawPlan(NamedTuple):
-    """Every generator call of an honest run, in order, and where each value lands.
+class Block(NamedTuple):
+    """One field of a DrawPlan: the values cut of generator call `call`, reshaped to shape."""
 
-    The integer fields index the drawn integers and the uniform fields the
-    drawn uniforms (see draws.draw), shaped as the run reads them. With M
+    call: int
+    cut: slice
+    shape: tuple[int, ...]
+
+
+class DrawPlan(NamedTuple):
+    """The four generator calls of an honest run, and the block of them each field is.
+
+    The calls are integers(8), integers(2), integers(m_copies) and random(),
+    in this order, of sizes `sizes`. Each field is a contiguous block of
+    its call, the blocks of a call following one another as listed. With M
     measured nodes, I of them inputs, and B copy batches of m copies:
-    pad_a, pad_theta (n,), copy_angles (B, m), flip_pieces (n, n - 1),
-    copy_pieces (B, m, n - 1), survivors (B,), input_pieces (I, n - 1) and
-    masks (M, n, n), row k of a round [r, pieces...]; tests (B, m - 1),
-    chains (M, n - 1) and measurements (M,). stops[b] counts the calls up to
-    and including batch b's copy test, where a run that fails it stops.
+    - integers(8): pad_theta (n,), copy_angles (B, m), copy_pieces (B, m,
+      n - 1) and input_pieces (I, n - 1);
+    - integers(2): pad_a (n,), flip_pieces (n, n - 1) and masks (M, n, n),
+      row k of a round [r, pieces...];
+    - integers(m): survivors (B,);
+    - random(): tests (B, m - 1), chains (M, n - 1) and measurements (M,).
+    Batches run over the measured nodes 1..M and each node's contributors
+    in order, and rounds over the flow order, which is 1..M too.
     """
 
-    schedule: Schedule
-    pad_a: np.ndarray
-    pad_theta: np.ndarray
-    copy_angles: np.ndarray
-    flip_pieces: np.ndarray
-    copy_pieces: np.ndarray
-    survivors: np.ndarray
-    input_pieces: np.ndarray
-    masks: np.ndarray
-    tests: np.ndarray
-    chains: np.ndarray
-    measurements: np.ndarray
-    stops: list[int]
-    slices: dict[str, slice]  # for each field that is an evenly strided run of its block, a cheaper basic slice
+    bounds: tuple[int, int, int]
+    sizes: tuple[int, int, int, int]
+    pad_theta: Block
+    copy_angles: Block
+    copy_pieces: Block
+    input_pieces: Block
+    pad_a: Block
+    flip_pieces: Block
+    masks: Block
+    survivors: Block
+    tests: Block
+    chains: Block
+    measurements: Block
+
+    def draw(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        """Make the four calls, in order, and cut every field from its call's values."""
+        calls = [rng.integers(bound, size=size) for bound, size in zip(self.bounds, self.sizes)] + [rng.random(self.sizes[3])]
+        return {name: calls[block.call][block.cut].reshape(block.shape) for name, block in zip(self._fields[2:], self[2:])}
 
 
 @lru_cache(maxsize=32)
 def draw_plan(n_wires: int, n_columns: int, m_copies: int) -> DrawPlan:
     """The DrawPlan of an honest n_wires x n_columns run with m_copies copies per batch.
 
-    It lists the calls in the order the run's steps take them: each
-    client's pad flip and pad angle, one scalar call each; every copy
-    angle; every pad flip's pieces. Then per measured node: each
-    contributor's angle pieces, survivor and opened-copy uniforms, the
-    padded input's pieces (an input node only, scalar calls), one scalar
-    uniform per chain target. Then per round its mask bits with their
-    pieces and the measurement's uniform. The measured nodes are 1..M in
-    order, the first n of them inputs, which the contributors of each
-    depend on; so the shape fixes the plan.
+    The measured nodes are 1..M, the first n of them inputs, which the
+    contributors of each depend on; so the shape fixes the plan.
     """
     n, m = n_wires, m_copies
     measured = n * (n_columns - 1)
     inputs = n if measured else 0
-    calls: list[tuple[int, int] | int] = []
-    taken = {"ints": 0, "uniforms": 0}
-
-    def take(kind: str, bound: int | None, shape: tuple[int, ...]) -> np.ndarray:
-        """Add one call, integers(bound) or random() of this shape; return its values' indices."""
-        size = math.prod(shape)
-        calls.append(size if bound is None else (bound, size))
-        first = taken[kind]
-        taken[kind] += size
-        return np.arange(first, first + size).reshape(shape)
-
-    def ints(bound: int, *shape: int) -> np.ndarray:
-        return take("ints", bound, shape)
-
-    def uniforms(*shape: int) -> np.ndarray:
-        return take("uniforms", None, shape)
-
-    pads = [(ints(2), ints(8)) for _ in range(n)]
     batches = n * measured - inputs
-    copy_angles = ints(8, batches, m)
-    flip_pieces = ints(2, n, n - 1)
-    copy_pieces, survivors, tests, stops, input_pieces, chains = [], [], [], [], [], []
-    for node in range(measured):
-        for _ in range(n - 1 if node < inputs else n):
-            copy_pieces.append(ints(8, m, n - 1))
-            survivors.append(ints(m))
-            tests.append(uniforms(m - 1))
-            stops.append(len(calls))
-        if node < inputs:
-            input_pieces.append([ints(8) for _ in range(n - 1)])
-        chains.append([uniforms() for _ in range(n - 1)])
-    masks, measurements = [], []
-    for _ in range(measured):
-        masks.append(ints(2, n, n))
-        measurements.append(uniforms())
-
-    def stacked(parts: list, *shape: int) -> np.ndarray:
-        return np.array(parts, dtype=np.intp).reshape(shape)
-
-    plan = DrawPlan(
-        Schedule(calls),
-        stacked([a for a, _ in pads], n),
-        stacked([theta for _, theta in pads], n),
-        copy_angles,
-        flip_pieces,
-        stacked(copy_pieces, batches, m, n - 1),
-        stacked(survivors, batches),
-        stacked(input_pieces, inputs, n - 1),
-        stacked(masks, measured, n, n),
-        stacked(tests, batches, m - 1),
-        stacked(chains, measured, n - 1),
-        stacked(measurements, measured),
-        stops,
-        {},
+    layout = (
+        {"pad_theta": (n,), "copy_angles": (batches, m), "copy_pieces": (batches, m, n - 1), "input_pieces": (inputs, n - 1)},
+        {"pad_a": (n,), "flip_pieces": (n, n - 1), "masks": (measured, n, n)},
+        {"survivors": (batches,)},
+        {"tests": (batches, m - 1), "chains": (measured, n - 1), "measurements": (measured,)},
     )
-    for name in ("pad_a", "pad_theta", "copy_angles", "flip_pieces", "masks", "measurements"):
-        index = getattr(plan, name).ravel().tolist()  # evenly strided: a basic slice reads the same values, in order
-        plan.slices[name] = slice(index[0], index[-1] + 1, index[1] - index[0]) if len(index) > 1 else slice(sum(index), sum(index) + len(index))
-    return plan
+    blocks, sizes = {}, []
+    for call, fields in enumerate(layout):
+        size = 0
+        for name, shape in fields.items():
+            blocks[name] = Block(call, slice(size, size + math.prod(shape)), shape)
+            size += math.prod(shape)
+        sizes.append(size)
+    return DrawPlan((8, 2, m), tuple(sizes), **blocks)
 
 
 def run_full_protocol(
@@ -594,13 +552,12 @@ def run_full_protocol(
     trailing reference qubits that stay with the environment. m_copies is
     the batch size for the copy-based honesty test.
 
-    The run's randomness is drawn up front: draw_plan lists every generator
-    call its steps make, in order, and draws.draw takes them all at once,
-    as one block of raw words for PCG64. The steps then read their values
-    from the drawn arrays, and the physics draws nothing. All copy tests
-    are closed and judged at once (judge_copy_tests) and logged a node at a
-    time up to a failed batch, after which rng is rewound to where the
-    calls up to that batch leave it. Every message is sent by a Session writer.
+    The run's randomness is drawn up front, in the four generator calls of
+    its draw_plan; the steps read each field of the plan as a basic slice
+    of its call's values, and the physics draws nothing. A run consumes its
+    whole plan, whether it aborts or not. All copy tests are closed and
+    judged at once (judge_copy_tests) and logged a node at a time up to a
+    failed batch. Every message is sent by a Session writer.
     """
     graph = pattern.graph
     n = graph.n_wires
@@ -614,31 +571,29 @@ def run_full_protocol(
     transcript = Transcript()
     session = Session(system, transcript, rng, n, ledger, debug_secrets)
     strategy = server_strategy or ServerStrategy()
-    plan = draw_plan(n, graph.n_columns, m_copies)
-    drawn = draw(rng, plan.schedule)
-    ints, uniforms = drawn.ints, drawn.uniforms
+    drawn = draw_plan(n, graph.n_columns, m_copies).draw(rng)
 
     # ----------------------------------------------------------- secrets
-    clients, cut = range(1, n + 1), plan.slices
-    flips = ints[cut["pad_a"]]
+    clients = range(1, n + 1)
+    flips = drawn["pad_a"]
     pad_a = dict(enumerate(flips.tolist(), 1))
-    pad_theta = dict(enumerate(ints[cut["pad_theta"]].tolist(), 1))
-    flip_shares = close_share_rows(flips, ints[cut["flip_pieces"]].reshape(plan.flip_pieces.shape), 2).tolist()
+    pad_theta = dict(enumerate(drawn["pad_theta"].tolist(), 1))
+    flip_shares = close_share_rows(flips, drawn["flip_pieces"], 2).tolist()
     session.hand_out(clients, [a_tag(k) for k in clients], flip_shares, 2, [{"kind": "pad-flip", "client": k} for k in clients])
 
     # ------------------------------------------------------- preparation
     # every copy test at once, one row per (node, contributor) batch, each
     # honest copy at its declared angle; `stop` is the first failed batch,
     # kept and chosen each batch's survivor row and angle, gathered at once
-    angles = ints[cut["copy_angles"]].reshape(plan.copy_angles.shape)
-    shares = close_share_rows(angles, ints[plan.copy_pieces], 8)
-    survivors = ints[plan.survivors]
-    opened, outcomes = judge_copy_tests(shares, angles, survivors, uniforms[plan.tests])
+    angles = drawn["copy_angles"]
+    shares = close_share_rows(angles, drawn["copy_pieces"], 8)
+    survivors = drawn["survivors"]
+    opened, outcomes = judge_copy_tests(shares, angles, survivors, drawn["tests"])
     stop = int(outcomes.argmax()) // (m_copies - 1) if np.count_nonzero(outcomes) else len(survivors)
     batches, survivor_list = np.arange(len(survivors)), survivors.tolist()
     kept, chosen = shares[batches, survivors].tolist(), angles[batches, survivors].tolist()
-    input_pieces = iter(ints[plan.input_pieces].tolist())
-    chain_uniforms = uniforms[plan.chains].tolist()
+    input_pieces = iter(drawn["input_pieces"].tolist())
+    chain_uniforms = drawn["chains"].tolist()
 
     # chains in closed form: an input's padded qubit turns by the rest of its
     # new pad (its own share zeroed), any other node gets |+_theta>
@@ -651,7 +606,6 @@ def run_full_protocol(
         test = CopyTest(j, tested, batch, shares, angles, survivors, opened, outcomes, end > stop, debug_secrets)
         abort = session.log_copy_tests(test, survivor_list, kept)
         if abort is not None:
-            rewind(rng, drawn, plan.schedule, plan.stops[stop])
             return ProtocolRun(transcript, system, ledger, {}, None, abort)
         prepared = dict(zip(tested, chosen[batch:end]))
         batch = end
@@ -676,9 +630,9 @@ def run_full_protocol(
 
     # -------------------------------------------------- measurement rounds
     # each round's mask bits, row k [r, pieces...] closed to r
-    masks = ints[cut["masks"]].reshape(plan.masks.shape)
+    masks = drawn["masks"]
     mask_shares = close_share_rows(masks[..., 0], masks[..., 1:], 2).tolist()
-    measure_uniforms = uniforms[cut["measurements"]].tolist()
+    measure_uniforms = drawn["measurements"].tolist()
     for pos, j in enumerate(ledger.flow.order):
         session.hand_out(clients, [r_tag(j, k) for k in clients], mask_shares[pos], 2, [{"kind": "mask-bit", "node": j, "client": k} for k in clients])
         session.announce_angle(j, ledger.delta(j))

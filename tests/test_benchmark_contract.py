@@ -61,15 +61,15 @@ def test_first_round_of_tiny_sample_2x2_succeeds():
     assert workload.digest() == {
         "scope": "round 0 (5 trials x 6 ops + pooling)",
         "ops": 30,
-        "pooled_tv_max": {"teleport": 0.5, "delayed": 0.5, "simulator-resource": 0.5, "coalition": 0.6},
+        "pooled_tv_max": {"teleport": 0.4, "delayed": 0.6, "simulator-resource": 0.5, "coalition": 0.6000000000000001},
         "tv_bound": 3.241508,
         "tv_bound_rule": "sqrt(2 (8 ln 2 + ln 1e9) / n), n = trials per side (Bretagnolle-Huber-Carol)",
         "min_fidelity": "1.000000000",
         "messages": {
             "DeltaAnnounce": 30, "OutcomeVector": 90, "OutputKeys": 25, "OutputQubit": 25,
-            "QubitTransfer": 85, "ResultBroadcast": 30, "ShareDistribution": 525,
+            "QubitTransfer": 85, "ResultBroadcast": 30, "ShareDistribution": 540,
         },
-        "summaries_sha": "c4552cb3538b272a",
+        "summaries_sha": "d49b885d3ba2d123",
     }
 
 
@@ -91,7 +91,7 @@ def test_digests_of_the_tiny_honest_wide_and_exact_views_runs():
             "DeltaAnnounce": 12, "OutcomeVector": 48, "OutputKeys": 6, "OutputQubit": 6,
             "QubitTransfer": 42, "ResultBroadcast": 12, "ShareDistribution": 216,
         },
-        "outcomes_sha": "ed9c433f8e0b14d9",
+        "outcomes_sha": "99ff53b7bbfde416",
     }
     zero = {"prepared": 0.0, "round:1": 0.0, "round:2": 0.0, "delivered": 0.0}
     assert digests["exact-views"] == {"scope": "ops 0..1", "ops": 2, "view_distances": [zero, zero]}

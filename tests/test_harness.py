@@ -1,4 +1,3 @@
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -272,13 +271,9 @@ def test_simulator_refuses_too_few_copies_before_it_draws(m_copies):
 
 def test_simulated_coalition_view_holds_the_real_messages():
     # messages the coalition sees in a real and a simulated run, with its
-    # members merged under one name: counted per (sender, receiver,
-    # variant, kind), and in order as (sender, receiver, variant, kind,
-    # node, payload field names, share field names, the sent qubit's label
-    # if any, so an OutputQubit's too). The one known gap:
-    # the simulator shares no honest input's pad angle, so those pieces
-    # sent to the coalition and the coalition's pad-angle submissions to
-    # the oracle fall short
+    # members merged under one name, in order as (sender, receiver, variant,
+    # kind, node, payload field names, share field names, the sent qubit's
+    # label if any, so an OutputQubit's too): the two lists are equal
     shapes = ((2, 2, 0, {2}), (4, 2, 0, {1, 3}), (2, 1, 0, {2}), (2, 3, 0, {1}), (4, 3, 1, {2}), (6, 2, 0, {1, 2, 5}))
     for n_wires, n_columns, n_ref, coalition in shapes:
         rng = np.random.default_rng(n_wires)
@@ -294,19 +289,10 @@ def test_simulated_coalition_view_holds_the_real_messages():
                 for m in run.transcript.visible_to(names)
             ]
 
-        def beside_the_gap(messages: list[tuple]) -> list[tuple]:
-            return [key for key in messages if not (key[3] == "pad-angle" and key[4] not in coalition)]
-
-        gap = set()
-        if n_columns > 1:  # on one column no input is measured, so none is padded
-            gap = {(f"client:{h}", "coalition", "ShareDistribution", "pad-angle") for h in range(1, n_wires + 1) if h not in coalition}
-            gap.add(("coalition", "oracle", "ShareDistribution", "pad-angle"))
         for seed in range(3):
             real = seen(run_full_protocol(pattern, psi, np.random.default_rng(seed), m_copies=3))
             simulated = seen(run_simulated_client_world(pattern, psi, coalition, np.random.default_rng(seed), m_copies=3))
-            real_counts, simulated_counts = Counter(key[:4] for key in real), Counter(key[:4] for key in simulated)
-            assert {key for key in real_counts.keys() | simulated_counts.keys() if real_counts[key] != simulated_counts[key]} == gap, coalition
-            assert beside_the_gap(real) == beside_the_gap(simulated), (n_wires, n_columns, coalition, seed)
+            assert real == simulated, (n_wires, n_columns, coalition, seed)
 
 
 def test_leak_checker_flags_raw_secret_fields():

@@ -162,8 +162,8 @@ def test_copy_angles_are_the_scalar_draws_in_node_contributor_copy_order():
     rng = np.random.default_rng(71)
     random_pattern(graph, rng)
     random_state(4, rng)
-    for _ in range(graph.n_wires):  # each client's pad flip and pad angle
-        rng.integers(2), rng.integers(8)
+    for _ in range(graph.n_wires):  # each client's pad angle, first in the run's integers(8) call
+        rng.integers(8)
     # the opened copies' pieces go to the server and the survivor's to the
     # oracle: between them, all n pieces of every copy's angle
     pieces: dict[tuple[int, int, int], list[SecretShare]] = {}
@@ -380,16 +380,17 @@ def _logged_run(monkeypatch, transcript_cls, shape, m_copies, debug_secrets, rea
 @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (4, 3), (4, 5), (6, 3)])
 def test_stacked_runs_equal_the_eager_writers(monkeypatch, shape, m_copies, debug_secrets):
     # a run logs one CopyTest per measured node and one HandOut for the pad
-    # flips and per round; whether read mid-run or only at the end, its log
-    # is, seq for seq, what the per-batch and per-secret writers of
-    # tests/reference.py record as each message is sent
+    # flips, per padded input and per round; whether read mid-run or only at
+    # the end, its log is, seq for seq, what the per-batch and per-secret
+    # writers of tests/reference.py record as each message is sent
     want, _, _ = _logged_run(monkeypatch, EagerTranscript, shape, m_copies, debug_secrets, False)
     measured = shape[0] * (shape[1] - 1)
     for read_mid_run in (False, True):
         got, reads, entries = _logged_run(monkeypatch, Transcript, shape, m_copies, debug_secrets, read_mid_run)
-        # the pad flips, then per measured node its copy tests, then one
-        # hand-out per round
-        assert entries == ["HandOut"] + ["CopyTest"] * measured + ["HandOut"] * measured
+        # the pad flips, then per measured node its copy tests, followed on
+        # an input by its pad angle's hand-out, then one hand-out per round
+        inputs = shape[0] if measured else 0
+        assert entries == ["HandOut"] + ["CopyTest", "HandOut"] * inputs + ["CopyTest"] * (measured - inputs) + ["HandOut"] * measured
         assert (len(got.transcript), got.transcript.counts) == (len(want.transcript), want.transcript.counts)
         assert got.transcript.to_jsonl() == want.transcript.to_jsonl()
         assert [m.seq for m in got.transcript.messages] == list(range(len(want.transcript)))

@@ -18,13 +18,13 @@ EQUIV_2X3 = {"n_wires": 2, "n_columns": 3, "reference_qubits": 1, "seed": 4, "tr
 @pytest.mark.parametrize(
     "config,code,digest",
     [
-        ({"mode": "server-sim-equiv", **EQUIV_2X3}, 0, "1055e395de242a42716b8fd31ea2ea11b4b855c630eae4ef0a664461a46c5e55"),
-        ({"mode": "client-sim-equiv", **EQUIV_2X3}, 0, "5cb7c7cfe41d7ba213c41530b69d889200b8c5f36c35ce6d418591bae28a7d31"),
-        ({"mode": "intermediate-equiv", **EQUIV_2X3}, 0, "eae107d6cf663563a47e2aad00689c40d911f2b2202a283f3a327d5cdafc882c"),
+        ({"mode": "server-sim-equiv", **EQUIV_2X3}, 0, "2a65563c8bade2729c7d0f4534b097a87f2c81a5d7a19c73b17bb66a4160caeb"),
+        ({"mode": "client-sim-equiv", **EQUIV_2X3}, 0, "24d6270ec1caebc7822448c98cef2702153660e07d269e053026089667174428"),
+        ({"mode": "intermediate-equiv", **EQUIV_2X3}, 0, "96bc90a25417de9655a97da54c6fa2db05ac497c0bd4f9464312ebcf003c23f1"),
         (
             {"mode": "client-sim-equiv", "n_wires": 4, "n_columns": 2, "seed": 4, "coalition": [1, 3], "m_copies": 3,
              "trials": 120, "threshold": 0.9},
-            0, "61d7d629b7ed3e10e183b7de48ca7fca99e0d7bf40629e43e5cf8f75df811959",
+            0, "1b90c1fce07e2628c995f8e788e7954ef9824b90623372705138fcfffee17abc",
         ),
         ({"mode": "protocol1-detection", "seed": 4, "deviation": 2, "trials": 300}, 2, "f6c5212c6b98f258dad4c8a6020ccef66f1e5b89ff95df16b1c1cf95e7150399"),
     ],

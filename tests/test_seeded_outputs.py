@@ -1,10 +1,9 @@
 """Seeded outputs, pinned by digest.
 
 Every execution path draws its randomness in a fixed order, so a seed
-fixes its integer outputs exactly. The digests were recorded before the
-execution paths were moved onto one shared protocol core; a change that
-adds, drops or reorders a random draw on any path shows up here. The
-transcript digest also pins the order of the base protocol's messages.
+fixes its integer outputs exactly; a change that adds, drops or reorders
+a random draw on any path shows up here. The transcript digest also pins
+the order of the base protocol's messages.
 """
 import hashlib
 import json
@@ -44,13 +43,13 @@ def test_honest_run_transcript_is_pinned(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "transcript.jsonl").read_bytes()).hexdigest()
-    assert digest == "1cc27ac876ff6fa13229e4cc137eeff654abd78871d3922e733fe9c779e0e42e"
+    assert digest == "2789b6a2164b702886f39dc8fc862afd0cb81f66daf3871dcd6d5b6153f3dbde"
 
 
 # transcript.jsonl of honest-run 4x3, seed 5, m_copies 10, by --debug-secrets
 WIDE_DIGESTS = {
-    False: "446282d4b5e5a87a6c6c92fc2ace14b71aa58e1b2c29abe3a1d911c20c62901a",
-    True: "7fab96010cd149162f34807a8be61c907b31af6543f0a4223df38a1195ae7d69",
+    False: "365104201e89e2dc17a30e51571788f58fb241894bde171c4370f7786ab22cac",
+    True: "6c0bc1c01526d41703d436cc5b894def8636eff5935531d488ae555c3822b03b",
 }
 
 
@@ -112,7 +111,7 @@ def test_rejected_copy_test_transcript_is_pinned(debug_secrets):
 @pytest.mark.parametrize(
     "version,digest",
     [
-        ("base", "19744cd5b281e86d53d5346425e0c6c6c7de5eed6630440fc2f7c55dfb90e8d1"),
+        ("base", "c5eba71159ebbc83915a43a7c10bdbf0f09d152a650bd8b61d853f24743d09ce"),
         ("teleport", "a6983b6098c0217f2552914d48867d691b93bffe5a26d711d70efe37f5b711a4"),
         ("delayed", "7c07547690251c7317e87001144ab84dfe0d5e229cebca6cd17ef78c97755c9e"),
         ("simulator-resource", "470be3c6f847f71361435d1a880ffe28ead5ad05d08740a05481477b2bd688a3"),
@@ -144,7 +143,7 @@ def test_coalition_views_are_pinned():
         run = run_simulated_client_world(pattern, psi, coalition, rng, m_copies=2)
         assert not run.abort
         views.append(coalition_view_summary(run, coalition, rng))
-    assert sha(views) == "fa8f018f63e68ccdf96776d9ee50683b79c80a0f6d22e330e1f51baafe4083d9"
+    assert sha(views) == "095eeb46c5227f6e2a4b55fb301b885fb205d490e163f9e3acecec73218448b6"
 
 
 def test_simulated_client_transcripts_are_pinned():
@@ -156,7 +155,7 @@ def test_simulated_client_transcripts_are_pinned():
     for i in range(5):
         run = run_simulated_client_world(pattern, psi, {2}, np.random.default_rng([62, i]), m_copies=2)
         digest.update(run.transcript.to_jsonl().encode())
-    assert digest.hexdigest() == "e1b80d7885e7395e4f04ab9afa159b4c06b9e9c876c9a4d0cf0355480daf2973"
+    assert digest.hexdigest() == "8ab986e8f4efe78563ec03a70328a3c413a874d784b15e9bc861f9bf8362aad9"
 
 
 # ledger books and final generator state of five rewritten runs (scenario
@@ -198,11 +197,11 @@ def test_rewrite_ledgers_are_pinned(shape, version):
 
 
 # transcript sha256 of honest runs on a Philox generator, and the next
-# 32-bit word it draws afterwards: a bit generator other than PCG64 is
-# drawn through the generator's own calls
+# 32-bit word it draws afterwards: the plan's four calls are numpy's own,
+# so a bit generator other than PCG64 fixes a run as PCG64 does
 PHILOX_RUNS = [
-    ((2, 3), 2, 73, "02fcf2d3b2f315478d8d4a16b0028b619c50b96ef55a8e7fb727efbc78f5ca8a", 1376309489),
-    ((4, 3), 10, 74, "8f12feb6eb685e88c50eca8e386d7c0f3472105aa9843513b5e39e840ca04556", 3171209909),
+    ((2, 3), 2, 73, "0734e6bbebe13a0f574de6eff575e703c3cb8cc2a03b19de2f712ccdb9880e3b", 1376309489),
+    ((4, 3), 10, 74, "d3e9cd5189e7d9aa7134980bb3bf778636e06a84d12c483b36ee72550f9ae826", 3171209909),
 ]
 
 
@@ -221,22 +220,22 @@ def test_honest_runs_on_philox_are_pinned(shape, m_copies, seed, digest, next_wo
 # first: the abort, the transcript sha256 and the generator's final state
 ABORTED_RUNS = [
     (
-        [71, 8], True, AbortInfo("verification", 7, 3, COPY_TEST_FAILED),
-        "6d9890aa773b435f76934b360ae216fa9b310f4277154de52b45bb1a35e8f119",
-        {"state": 72609314794911589358249711643810224103, "inc": 105929898363995196638823184033394376063}, 0, 1484132544,
+        [71, 8], True, AbortInfo("verification", 1, 3, COPY_TEST_FAILED),
+        "48a4db032272f5e7b26ab7879490d8d6a9efdbd8c0ad007327d06b6e840180e6",
+        {"state": 236842817768364728017738924965439759050, "inc": 105929898363995196638823184033394376063}, 1, 3514431616,
     ),
     (
-        [71, 4], False, AbortInfo("verification", 2, 1, COPY_TEST_FAILED),
-        "e3456444e2cc636bbae13dca84eed29e320946cb958c386f0cf3e0369a11d390",
-        {"state": 259042035980181544660095310781250529886, "inc": 94775239940291261700166493831778778063}, 1, 2679034498,
+        [71, 4], False, AbortInfo("verification", 5, 1, COPY_TEST_FAILED),
+        "40a1872d0ae4713e1c43ae6144ec44f499295808fd4e39f2759b482160c53c9f",
+        {"state": 87481845156152708528611143228121950977, "inc": 94775239940291261700166493831778778063}, 0, 2480386884,
     ),
 ]
 
 
 @pytest.mark.parametrize("seed,mid_word,abort,digest,pcg,has_uint32,uinteger", ABORTED_RUNS)
 def test_aborted_runs_are_pinned(monkeypatch, seed, mid_word, abort, digest, pcg, has_uint32, uinteger):
-    # an aborted run stops drawing at its failed copy test: the generator
-    # ends where the per-call draws of the run up to that test leave it
+    # an aborted run consumes its whole draw plan: the generator ends where
+    # the plan's four calls leave it, as after an honest run
     import mpdqc.oracle
 
     monkeypatch.setattr(mpdqc.oracle, "P0", (0.99, *mpdqc.oracle.P0[1:]))
