@@ -332,14 +332,12 @@ def blindness_check(
     input_a: PureState,
     pattern_b: MeasurementPattern,
     input_b: PureState,
-    classes: dict[str, int] | None = None,
 ) -> dict[str, float]:
     """Exact view distance per checkpoint between two scenarios.
 
     The scenarios must share the public interface: graph dimensions and
     input register size. Everything else (inputs, pattern angles) may
     differ; blindness means every returned distance is numerically zero.
-    `classes` receives the number of classes compared per checkpoint.
     """
     ga, gb = pattern_a.graph, pattern_b.graph
     if (ga.n_wires, ga.n_columns) != (gb.n_wires, gb.n_columns):
@@ -348,8 +346,6 @@ def blindness_check(
         raise ValueError("scenarios expose different input register sizes")
     va = exact_server_views(pattern_a, input_a)
     vb = exact_server_views(pattern_b, input_b)
-    if classes is not None:
-        classes.update((cp, len(va[cp])) for cp in va)
     return {cp: view_distance(va[cp], vb[cp]) for cp in va}
 
 
@@ -399,8 +395,7 @@ def run_intermediate_protocol(
     epr = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
     for j in measured:
         for k in range(1, n + 1):
-            system.add_register(epr, [f"keep:{j}:{k}", f"send:{j}:{k}"], [f"client:{k}"] * 2)
-            system.transfer(f"send:{j}:{k}", "server")
+            system.add_register(epr, [f"keep:{j}:{k}", f"send:{j}:{k}"], [f"client:{k}", "server"])
 
     ledger = OracleLedger(pattern)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -374,10 +374,6 @@ class Session:
     n_clients: int
     ledger: OracleLedger | None = None
     debug_secrets: bool = False
-    names: dict[int, str] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.names = {k: _client(k) for k in range(1, self.n_clients + 1)}
 
     def hand_out(self, owners: Sequence[int], tags: list[tuple], values: list[list[int]], modulus: int, contexts: list[dict]) -> None:
         """Each client owners[s] hands out its secret tags[s], given as its n
@@ -419,8 +415,8 @@ class Session:
     def send_output(self, node: int, client: int, label: str, keys: tuple[int, int]) -> None:
         """The server sends output qubit `label` to its client, then the oracle the client its keys (s_x, s_z)."""
         payload = _qubit_payload(self.system, label, {"node": node, "label": label}, self.debug_secrets)
-        self.transcript.record("server", self.names[client], "OutputQubit", payload)
-        self.transcript.record("oracle", self.names[client], "OutputKeys", {"node": node, "s_x": keys[0], "s_z": keys[1]})
+        self.transcript.record("server", _client(client), "OutputQubit", payload)
+        self.transcript.record("oracle", _client(client), "OutputKeys", {"node": node, "s_x": keys[0], "s_z": keys[1]})
 
     def offer_test_copies(self, node: int, contributor: int, declared: list[int], prepared: list[int]) -> int | AbortInfo:
         """One contributor's copies for a node, through the copy test, drawing as it goes.
