@@ -61,7 +61,7 @@ from .brickwork import (
     reference_execute,
 )
 from .oracle import OracleLedger, a_tag, blind_angle, close_shares, r_tag, theta_tag
-from .protocol import AbortInfo, CopyTest, ProtocolRun, Session, Transcript, contributors, run_full_protocol
+from .protocol import AbortInfo, ProtocolRun, Session, Transcript, contributors, run_full_protocol
 from .quantum import _PHASE, _PHASE_CONJ, PureState, flip, octant, weighted_trace_norm
 from .rsp import run_chain, theta_input
 
@@ -512,7 +512,10 @@ def run_simulated_client_world(
     """Simulate the coalition's protocol interface without honest secrets.
 
     The simulator plays the server, the oracle, and every honest client.
-    It checks the coalition's test copies against their declared shares,
+    Every contributor's copy test, honest or in the coalition, goes through
+    Session.offer_test_copies on m fresh uniform angles, as the real run's
+    honest copies are drawn: the coalition's test copies are checked
+    against their declared shares, and an honest one passes. It
     announces uniform chain outcomes, couples each announced angle to the
     coalition's own mask shares (delta = fresh uniform + 4 * coalition
     mask, which keeps delta marginally uniform while preserving the
@@ -523,11 +526,13 @@ def run_simulated_client_world(
     resource's outputs by those keys and the coalition's decryption
     cancel exactly, so the run ends with the resource's outputs. Every
     message goes through the real run's Session writers, in the same order
-    and with the same payload fields; an honest input's pad angle is handed
-    out as every honest secret is (share_values). Like the real run, it
-    refuses m_copies < 2 before it draws. The keys come from the oracle's
-    ledger, where the simulator files the chains, its claimed mask bits,
-    its announced angles and outcomes, and each flip a key needs.
+    and with the same payload fields; an honest client's pad flip, pad
+    angle and mask bits are handed out as share_values plays them. Like
+    the real run, it refuses m_copies < 2 before it draws. The keys come
+    from the oracle's ledger, where the simulator files the chains, its
+    claimed mask bits, its announced angles and outcomes, and each flip a
+    key needs. The ideal resource, reference_execute, advances the
+    simulator's generator by one uniform per measured node.
 
     The coalition itself is played honestly here; input_state carries the
     honest inputs, the coalition inputs, and optional reference qubits.
@@ -574,20 +579,12 @@ def run_simulated_client_world(
     ledger = OracleLedger(pattern)
     for j in measured:
         for k in contributors(graph, j):
-            if k in coalition:
-                # the simulator plays the server in the coalition's copy test
-                copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
-                survivor = session.offer_test_copies(j, k, copy_angles, copy_angles)
-                if isinstance(survivor, AbortInfo):
-                    return ProtocolRun(transcript, system, ledger, {}, None, survivor)
-            else:
-                # an honest contributor's copy test passes; the coalition
-                # forwards its pieces of the opened copies and the survivor
-                rows = [share_values(k, 0, 8) for _ in range(m_copies)]
-                survivor = int(rng.integers(m_copies))
-                opened = np.array([[i for i in range(m_copies) if i != survivor]])
-                prepared = np.array([[sum(row) % 8 for row in rows]])
-                session.log_copy_tests(CopyTest(j, [k], 0, np.array([rows]), prepared, np.array([survivor]), opened, np.zeros_like(opened), False, False), [survivor], [rows[survivor]])
+            # the simulator plays the server in every copy test, and an honest
+            # contributor too, on fresh uniform angles as the real one's are
+            copy_angles = [int(rng.integers(8)) for _ in range(m_copies)]
+            survivor = session.offer_test_copies(j, k, copy_angles, copy_angles)
+            if isinstance(survivor, AbortInfo):
+                return ProtocolRun(transcript, system, ledger, {}, None, survivor)
         if j in graph.input_nodes and j in coalition:
             pad_theta[j] = int(rng.integers(8))
             session.send_padded_input(j, pad_a[j], pad_theta[j], [int(rng.integers(8)) for _ in range(n - 1)])
@@ -673,64 +670,47 @@ def check_no_secret_leak(transcript: Transcript, coalition: Iterable[int], n_cli
 
 
 def observable_summary(run: ProtocolRun, rng: np.random.Generator) -> dict[str, int]:
-    """Flatten a run into small discrete observables for distribution tests.
-
-    Chain outcomes, announced angles, measurement results, output keys, and
-    an X-basis readout of every output qubit (the reference qubits, if any,
-    are read out too, pinning correlations with the outputs).
-    """
-    out = _announcements(run)
-    for j, (s_x, s_z) in sorted(run.keys.items()):
-        out[f"key:{j}"] = 2 * s_z + s_x
+    """Flatten a run into small discrete observables for distribution tests:
+    coalition_view_summary over every wire, the reference qubits included."""
     state = run.output_state
-    if state is not None:
-        for i in range(state.num_qubits):
-            out[f"out:{i}"], state = state.measure_rotated(0, 0, rng.random())
-    return out
+    return coalition_view_summary(run, range(1, (len(run.keys) if state is None else state.num_qubits) + 1), rng)
 
 
 def summary_fields(n_wires: int, n_columns: int, n_ref: int) -> int:
     """Fields of observable_summary on an n_wires x n_columns graph with n_ref
-    reference qubits (coalition_view_summary holds no more): per measured node
+    reference qubits (a coalition view holds no more): per measured node
     n_wires - 1 chain outcomes, delta and b; per output a key; per output
     qubit a readout. It takes the shape, so cli.validate need not build the graph.
     """
     return (n_wires + 1) * n_wires * (n_columns - 1) + 2 * n_wires + n_ref
 
 
-def _announcements(run: ProtocolRun) -> dict[str, int]:
-    """The public part of a run: chain outcomes, announced angles and measurement results."""
+def coalition_view_summary(
+    run: ProtocolRun,
+    wires: Iterable[int],
+    rng: np.random.Generator,
+) -> dict[str, int]:
+    """The one summary rule: what the holders of `wires` see of one run.
+
+    The public announcements (chain outcomes t, announced angles delta and
+    results b), the keys of the listed output wires, and an X-basis readout
+    of each listed wire, named out:{wire}, in wire order. Wire k is client
+    k's output, the output node k-th in label order, and the reference
+    qubits count as wires n + 1, n + 2, ...; reading them out pins their
+    correlations with the outputs.
+    """
+    wires = sorted({int(w) for w in wires})
     out = {f"t:{j}:{reg}": bit for j, t in sorted(run.chain_t.items()) for reg, bit in sorted(t.items())}
     out.update((f"delta:{j}", d) for j, d in sorted(run.delta.items()))
     out.update((f"b:{j}", bit) for j, bit in sorted(run.b.items()))
-    return out
-
-
-def coalition_view_summary(
-    run: ProtocolRun,
-    coalition: Iterable[int],
-    rng: np.random.Generator,
-) -> dict[str, int]:
-    """The coalition's discrete view of one run: public announcements, its
-    own output keys, and an X-basis readout of its output wires."""
-    coalition = sorted(int(c) for c in coalition)
-    out = _announcements(run)
-    outputs = sorted(run.keys)
-    for idx, j in enumerate(outputs):
-        wire = idx + 1
-        if wire in coalition:
+    for wire, j in enumerate(sorted(run.keys), 1):
+        if wire in wires:
             s_x, s_z = run.keys[j]
             out[f"key:{j}"] = 2 * s_z + s_x
     state = run.output_state
     if state is not None:
-        removed = 0
-        for idx, j in enumerate(outputs):
-            wire = idx + 1
-            if wire not in coalition:
-                continue
-            bit, state = state.measure_rotated(idx - removed, 0, rng.random())
-            removed += 1
-            out[f"out:{wire}"] = bit
+        for removed, wire in enumerate(wires):
+            out[f"out:{wire}"], state = state.measure_rotated(wire - 1 - removed, 0, rng.random())
     return out
 
 
@@ -757,8 +737,9 @@ def observe(
     "delayed" and "simulator-resource", or "simulated-client" (the
     client-side simulator, which needs a coalition). Every world here is
     honest, so an abort raises. With a coalition, the run is checked for a
-    leaked honest secret and summarized as the coalition's view
-    (coalition_view_summary); without one, as observable_summary.
+    leaked honest secret and summarized over the coalition's wires
+    (coalition_view_summary); without one, over every wire
+    (observable_summary).
     """
     if world == "base":
         run = run_full_protocol(pattern, input_state, rng, m_copies=m_copies)

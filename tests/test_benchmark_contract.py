@@ -61,7 +61,7 @@ def test_first_round_of_tiny_sample_2x2_succeeds():
     assert workload.digest() == {
         "scope": "round 0 (5 trials x 6 ops + pooling)",
         "ops": 30,
-        "pooled_tv_max": {"teleport": 0.4, "delayed": 0.6, "simulator-resource": 0.5, "coalition": 0.6000000000000001},
+        "pooled_tv_max": {"teleport": 0.4, "delayed": 0.6, "simulator-resource": 0.5, "coalition": 0.6},
         "tv_bound": 3.241508,
         "tv_bound_rule": "sqrt(2 (8 ln 2 + ln 1e9) / n), n = trials per side (Bretagnolle-Huber-Carol)",
         "min_fidelity": "1.000000000",
@@ -69,7 +69,7 @@ def test_first_round_of_tiny_sample_2x2_succeeds():
             "DeltaAnnounce": 30, "OutcomeVector": 90, "OutputKeys": 25, "OutputQubit": 25,
             "QubitTransfer": 85, "ResultBroadcast": 30, "ShareDistribution": 540,
         },
-        "summaries_sha": "d49b885d3ba2d123",
+        "summaries_sha": "61130b10f92ebb22",
     }
 
 

@@ -354,7 +354,10 @@ def test_observe_summarizes_each_world_and_raises_on_abort(monkeypatch):
     psi = random_state(2)
     for world in ("base", "teleport", "delayed", "simulator-resource"):
         summary, output = observe(world, pattern, psi, np.random.default_rng(5))
-        assert {"key:3", "key:4", "out:0", "out:1"} <= set(summary) and output.num_qubits == 2
+        assert {"key:3", "key:4", "out:1", "out:2"} <= set(summary) and output.num_qubits == 2
+        # a reference qubit is read out as the wire after the outputs
+        summary, output = observe(world, pattern, random_state(3), np.random.default_rng(5))
+        assert {"key:3", "key:4", "out:1", "out:2", "out:3"} <= set(summary) and output.num_qubits == 3
     for world in ("base", "simulated-client"):
         summary, _ = observe(world, pattern, psi, np.random.default_rng(5), coalition=frozenset({2}))
         assert "key:4" in summary and "key:3" not in summary and "out:2" in summary
@@ -424,8 +427,9 @@ def test_a_rejected_copy_test_aborts_both_coalition_worlds(monkeypatch):
 def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
     # the protocol, the coalition simulator and protocol1-detection must
     # all run the one rule, oracle.judge_copy_tests: the protocol once on
-    # the stack of all its batches, the others once per batch they really
-    # test, through Session.offer_test_copies
+    # the stack of all its batches, the others once per batch, through
+    # Session.offer_test_copies; the simulator offers every contribution,
+    # the honest clients' too
     from mpdqc.cli import MODES
     from mpdqc.oracle import judge_copy_tests as kernel
 
@@ -448,7 +452,7 @@ def test_every_copy_test_runs_through_the_oracle_kernel(monkeypatch):
     assert _tested_batches(run) == contributions
     calls.clear()
     assert not run_simulated_client_world(pattern, psi, {2}, rng, m_copies=3).abort
-    assert offered == [(j, k) for j, k in contributions if k == 2]
+    assert offered == contributions
     assert calls == [()] * len(offered)
     offered.clear()
     calls.clear()

@@ -18,13 +18,13 @@ EQUIV_2X3 = {"n_wires": 2, "n_columns": 3, "reference_qubits": 1, "seed": 4, "tr
 @pytest.mark.parametrize(
     "config,code,digest",
     [
-        ({"mode": "server-sim-equiv", **EQUIV_2X3}, 0, "2a65563c8bade2729c7d0f4534b097a87f2c81a5d7a19c73b17bb66a4160caeb"),
-        ({"mode": "client-sim-equiv", **EQUIV_2X3}, 0, "24d6270ec1caebc7822448c98cef2702153660e07d269e053026089667174428"),
-        ({"mode": "intermediate-equiv", **EQUIV_2X3}, 0, "96bc90a25417de9655a97da54c6fa2db05ac497c0bd4f9464312ebcf003c23f1"),
+        ({"mode": "server-sim-equiv", **EQUIV_2X3}, 0, "b7bb1f5201d6dd5e049ef1c704eb241fd2eb4e2b4ed82a3b0fee2b018de9483a"),
+        ({"mode": "client-sim-equiv", **EQUIV_2X3}, 0, "0d0c26b874229022150531a885cf5b1b1bdebf7ee48c515c9793ca504086757d"),
+        ({"mode": "intermediate-equiv", **EQUIV_2X3}, 0, "26a7d18000dc6179d6da55bf44f370d902180707f71b721d818803f6fd179615"),
         (
             {"mode": "client-sim-equiv", "n_wires": 4, "n_columns": 2, "seed": 4, "coalition": [1, 3], "m_copies": 3,
              "trials": 120, "threshold": 0.9},
-            0, "1b90c1fce07e2628c995f8e788e7954ef9824b90623372705138fcfffee17abc",
+            0, "328ce5becde28088b5f53c288fa4ff60fd89b5894ff79674b6b95acd0ea4cba3",
         ),
         ({"mode": "protocol1-detection", "seed": 4, "deviation": 2, "trials": 300}, 2, "f6c5212c6b98f258dad4c8a6020ccef66f1e5b89ff95df16b1c1cf95e7150399"),
     ],

@@ -111,11 +111,12 @@ def test_rejected_copy_test_transcript_is_pinned(debug_secrets):
 @pytest.mark.parametrize(
     "version,digest",
     [
-        ("base", "c5eba71159ebbc83915a43a7c10bdbf0f09d152a650bd8b61d853f24743d09ce"),
-        ("teleport", "a6983b6098c0217f2552914d48867d691b93bffe5a26d711d70efe37f5b711a4"),
-        ("delayed", "7c07547690251c7317e87001144ab84dfe0d5e229cebca6cd17ef78c97755c9e"),
-        ("simulator-resource", "470be3c6f847f71361435d1a880ffe28ead5ad05d08740a05481477b2bd688a3"),
+        ("base", "f783d30f350edc34416894b88c4ce56e9cabdf6a4b6cde9bde1849eec0bec1b2"),
+        ("teleport", "51fbf5499a391a555181fbc0d92016f63cefa5ad0aacf70add2eab92076a11a8"),
+        ("delayed", "5871cebae7469ac48e58d07a1c5d03b263e1f2048067ea48ab4f245df9eef6d8"),
+        ("simulator-resource", "5f761bf0bd986bf52e470829b519c872f6dcd66d7d5b197d73148f2d86b579ba"),
     ],
+    ids=["base", "teleport", "delayed", "simulator-resource"],
 )
 def test_observable_summaries_are_pinned(version, digest):
     # 2x3 with a reference qubit: input and aux chains, outputs whose flow
@@ -143,7 +144,7 @@ def test_coalition_views_are_pinned():
         run = run_simulated_client_world(pattern, psi, coalition, rng, m_copies=2)
         assert not run.abort
         views.append(coalition_view_summary(run, coalition, rng))
-    assert sha(views) == "095eeb46c5227f6e2a4b55fb301b885fb205d490e163f9e3acecec73218448b6"
+    assert sha(views) == "014e7a063796195c292fc3f4b36561a0d69b2d7499c2328bea488e851777694e"
 
 
 def test_simulated_client_transcripts_are_pinned():
@@ -155,7 +156,7 @@ def test_simulated_client_transcripts_are_pinned():
     for i in range(5):
         run = run_simulated_client_world(pattern, psi, {2}, np.random.default_rng([62, i]), m_copies=2)
         digest.update(run.transcript.to_jsonl().encode())
-    assert digest.hexdigest() == "8ab986e8f4efe78563ec03a70328a3c413a874d784b15e9bc861f9bf8362aad9"
+    assert digest.hexdigest() == "fa6a1a3682238ed5e11ce66d27f395bd08549a3f0a0ad181b6ed450e50fc86f6"
 
 
 # ledger books and final generator state of five rewritten runs (scenario
