@@ -29,10 +29,10 @@ theta + 4 enter as dephasing. Everything that depends on the graph alone
 announced angle as a function of the pattern angle) is one integer layout,
 built once per graph, the CZ signs of one brickwork.graph_state build
 folded into its phase octants. A view builds no graph state: it reads
-every row from input (x) |+>^(N - n) through that layout, computes only
-the diagonal blocks that dephasing keeps, and returns each checkpoint as
-one array over all 4^i classes, so two views compare checkpoint by
-checkpoint in one call (see exact_server_views).
+every row from input (x) |+>^(N - n) through that layout, computes only the
+diagonal blocks dephasing keeps, and returns each checkpoint as one array
+over all 4^i classes. A check's scenarios are walked in one call, stacked
+when small (see exact_server_views), and compare checkpoint by checkpoint.
 
 Both simulation checks are sampled, and every sampled verdict follows one
 rule: `sample` runs trial i of a world on its own generator,
@@ -74,7 +74,8 @@ from .rsp import run_chain, theta_input
 EXACT_VIEW_BUDGET = 2 ** 23
 # _class_matrices multiplies rows in chunks of about this many gathered
 # amplitudes (512 KiB), so a chunk and its conjugate stay in cache and no
-# chunk grows with the view; every 2x2 checkpoint is one chunk
+# chunk grows with the view; exact_server_views stacks scenarios up to it,
+# so every 2x2 checkpoint of a check is one chunk (2^11-2^13 stacked)
 _GRAM_CHUNK = 2 ** 15
 
 
@@ -112,16 +113,17 @@ class ViewLayout(NamedTuple):
     offset: tuple[np.ndarray, ...]
 
 
-def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> dict[str, np.ndarray]:
-    """Enumerate the server's averaged view at every checkpoint, by Z-twin class.
+def exact_server_views(scenarios: Sequence[tuple[MeasurementPattern, PureState]]) -> list[dict[str, np.ndarray]]:
+    """Enumerate the server's averaged view at every checkpoint, by Z-twin class, for each (pattern, input) scenario.
 
-    Returns checkpoint -> a (4^i, d, d) array: the subnormalized density
-    matrix of the server's remaining register (node qubits in label order)
-    for each class code. The code of a class is its announced angles mod 4
-    as a base-4 number, the first round most significant; checkpoint
-    "prepared" (i = 0) is right after entangling, "round:i" after the i-th
-    measurement, "delivered" after the outputs left the server (classical
-    label only, 1x1 weight matrices).
+    The scenarios share one graph and input register size, or this raises
+    before any row is built. Returns, per scenario in order, checkpoint -> a
+    (4^i, d, d) array: the subnormalized density matrix of the server's
+    remaining register (node qubits in label order) for each class code. The
+    code of a class is its announced angles mod 4 as a base-4 number, the
+    first round most significant; checkpoint "prepared" (i = 0) is right after
+    entangling, "round:i" after the i-th measurement, "delivered" after the
+    outputs left the server (classical label only, 1x1 weight matrices).
 
     A class matrix sums 4^i equal (delta, b) label matrices: (d, b), (d + 4,
     1 - b), (d + 4, b) and (d, 1 - b) differ by the mask bit r and by the
@@ -148,50 +150,64 @@ def exact_server_views(pattern: MeasurementPattern, input_state: PureState) -> d
     conditional probability exactly 1/2 and no branch is ever empty. The
     announced angles come from the layout, and each checkpoint's classes
     from batched Gram products over the diagonal blocks that dephasing
-    keeps (_class_matrices).
+    keeps (_class_matrices). Scenarios whose rows fit in _GRAM_CHUNK
+    amplitudes when stacked (any 2x2 pair) are one row array, scenario
+    slowest, on the class index scenario * 4^i + code (_scenario_classes);
+    larger ones (2x3 and up) are walked one at a time. Either way each
+    scenario's arrays equal its own one-scenario walk's bit for bit.
     """
-    graph, angles = pattern.graph, pattern.angles
+    if not scenarios:
+        raise ValueError("no scenario to walk")
+    graph = scenarios[0][0].graph
+    if any(pattern.graph != graph for pattern, _ in scenarios):
+        raise ValueError("scenarios expose different graph dimensions to the server")
+    if len({psi.num_qubits for _, psi in scenarios}) > 1:
+        raise ValueError("scenarios expose different input register sizes")
     measured = graph.flow.order
     if not measured:
         raise ValueError("nothing is measured; the server view is empty")
 
     n_nodes = graph.num_nodes
-    cost = exact_view_amplitudes(graph.n_wires, graph.n_columns, max(input_state.num_qubits - graph.n_wires, 0))
+    cost = exact_view_amplitudes(graph.n_wires, graph.n_columns, max(scenarios[0][1].num_qubits - graph.n_wires, 0))
     if cost > EXACT_VIEW_BUDGET:
         raise ValueError(f"exact enumeration needs {cost} amplitudes, over the budget of {EXACT_VIEW_BUDGET}")
 
-    rows = _prepared_rows(graph, input_state)
-    layout = _view_layout(graph)
-    code = np.zeros(len(rows), dtype=np.int64)
-    views = {"prepared": _class_matrices(rows, code, 1, n_nodes, len(measured))}
-    for k, j in enumerate(measured):
-        delta = (layout.sign[k] * angles[j] + layout.offset[k]) % 8
-        code = 4 * code + delta % 4
-        code = np.concatenate((code, code))  # both outcomes' rows
-        rows = _project_first(rows, delta)
-        views[f"round:{k + 1}"] = _class_matrices(rows, code, 4 ** (k + 1), n_nodes - k - 1, len(measured) - k - 1)
-    # no node is left: each class matrix is 1x1, its weight
-    views["delivered"] = _class_matrices(rows, code, 4 ** len(measured), 0, 0)
+    layout, stack, views = _view_layout(graph), max(1, _GRAM_CHUNK // cost), []
+    for first in range(0, len(scenarios), stack):
+        group = scenarios[first:first + stack]
+        rows = _prepared_rows(graph, [psi for _, psi in group])
+        code = np.repeat(np.arange(len(group)), len(rows) // len(group))  # the scenario leads every class index
+        checkpoints = {"prepared": _scenario_classes(rows, code, len(group), 1, n_nodes, len(measured))}
+        for k, j in enumerate(measured):
+            angle = np.array([pattern.angles[j] for pattern, _ in group], dtype=np.int8)[:, None]
+            delta = ((layout.sign[k].reshape(2 ** k, 1, -1) * angle + layout.offset[k].reshape(2 ** k, 1, -1)) % 8).ravel()
+            code = 4 * code + delta % 4
+            code = np.concatenate((code, code))  # both outcomes' rows
+            rows = _project_first(rows, delta)
+            checkpoints[f"round:{k + 1}"] = _scenario_classes(rows, code, len(group), 4 ** (k + 1), n_nodes - k - 1, len(measured) - k - 1)
+        # no node is left: each class matrix is 1x1, its weight
+        checkpoints["delivered"] = _scenario_classes(rows, code, len(group), 4 ** len(measured), 0, 0)
+        views += [{cp: matrices[s] for cp, matrices in checkpoints.items()} for s in range(len(group))]
     return views
 
 
-def _prepared_rows(graph: BrickworkGraph, input_state: PureState) -> np.ndarray:
-    """Every secret combination's state right after entangling: row c of an (R, 2^N rest) array, as ViewLayout lays it out.
+def _prepared_rows(graph: BrickworkGraph, inputs: Sequence[PureState]) -> np.ndarray:
+    """Every secret combination's state right after entangling, for inputs of one size: row s R + c of an (S R, 2^N rest) array.
 
     No graph state is built: the layout's octants carry the CZ signs, so
-    each row reads input (x) |+>^(N - n), references last, through the
-    layout; an input register smaller than the n wires raises. Each row
-    carries the square root of its weight 1/R, so the Gram products of
-    _class_matrices come out weighted; 1/sqrt(R 2^(N - n)) = 2^-(M + N/2) is exact.
+    row c of input s reads it (x) |+>^(N - n), references last, as ViewLayout
+    lays row c out, in one gather for all inputs; an input register smaller
+    than the n wires raises. Each row carries the square root of its weight
+    1/R, so the Gram products of _class_matrices come out weighted; 1/sqrt(R 2^(N - n)) = 2^-(M + N/2) is exact.
     """
     n_in = graph.n_wires
-    if input_state.num_qubits < n_in:
-        raise ValueError(f"input register has {input_state.num_qubits} qubits but the graph has {n_in} wires")
+    if inputs[0].num_qubits < n_in:
+        raise ValueError(f"input register has {inputs[0].num_qubits} qubits but the graph has {n_in} wires")
     layout = _view_layout(graph)
     n_plus = 2 ** (graph.num_nodes - n_in)
-    amps = input_state.amps.reshape(1, 2 ** n_in, 1, -1) * (_PHASE / sqrt(len(layout.gather) * n_plus))[:, None, None, None]
-    base = np.broadcast_to(amps, (8, 2 ** n_in, n_plus, amps.shape[-1])).reshape(8, 2 ** graph.num_nodes, -1)
-    return base[layout.octant, layout.gather].reshape(len(layout.gather), -1)
+    amps = np.stack([psi.amps for psi in inputs]).reshape(len(inputs), 1, 2 ** n_in, 1, -1) * (_PHASE / sqrt(len(layout.gather) * n_plus))[:, None, None, None]
+    base = np.broadcast_to(amps, (len(inputs), 8, 2 ** n_in, n_plus, amps.shape[-1])).reshape(len(inputs), 8, 2 ** graph.num_nodes, -1)
+    return base[:, layout.octant, layout.gather].reshape(len(inputs) * len(layout.gather), -1)
 
 
 @lru_cache(maxsize=8)
@@ -315,6 +331,21 @@ def _class_matrices(rows: np.ndarray, code: np.ndarray, n_classes: int, n_live: 
     return matrices.reshape(n_classes, 2 ** n_live, 2 ** n_live)
 
 
+def _scenario_classes(rows: np.ndarray, code: np.ndarray, n_scenarios: int, n_classes: int, n_live: int, n_dephased: int) -> np.ndarray:
+    """_class_matrices per scenario, (n_scenarios, n_classes, d, d), from rows indexed scenario * n_classes + code.
+
+    One pass over the stack, as every honest view fills every class alike. Its equal-size rule holds per
+    scenario, though: where a broken pad gives two scenarios classes of different sizes, that pass raises
+    and each scenario takes a pass of its own.
+    """
+    try:
+        matrices = _class_matrices(rows, code, n_scenarios * n_classes, n_live, n_dephased)
+    except ValueError:
+        scenario = code // n_classes
+        return np.stack([_class_matrices(rows[scenario == s], code[scenario == s] - s * n_classes, n_classes, n_live, n_dephased) for s in range(n_scenarios)])
+    return matrices.reshape(n_scenarios, n_classes, *matrices.shape[1:])
+
+
 def view_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance between two view ensembles at one checkpoint, class array against class array.
 
@@ -333,19 +364,13 @@ def blindness_check(
     pattern_b: MeasurementPattern,
     input_b: PureState,
 ) -> dict[str, float]:
-    """Exact view distance per checkpoint between two scenarios.
+    """Exact view distance per checkpoint between two scenarios, walked in one exact_server_views call.
 
-    The scenarios must share the public interface: graph dimensions and
-    input register size. Everything else (inputs, pattern angles) may
-    differ; blindness means every returned distance is numerically zero.
+    The scenarios must share the public interface, or that call refuses
+    them: graph dimensions and input register size. Everything else (inputs,
+    pattern angles) may differ; blindness means every distance is numerically zero.
     """
-    ga, gb = pattern_a.graph, pattern_b.graph
-    if (ga.n_wires, ga.n_columns) != (gb.n_wires, gb.n_columns):
-        raise ValueError("scenarios expose different graph dimensions to the server")
-    if input_a.num_qubits != input_b.num_qubits:
-        raise ValueError("scenarios expose different input register sizes")
-    va = exact_server_views(pattern_a, input_a)
-    vb = exact_server_views(pattern_b, input_b)
+    va, vb = exact_server_views([(pattern_a, input_a), (pattern_b, input_b)])
     return {cp: view_distance(va[cp], vb[cp]) for cp in va}
 
 

@@ -138,7 +138,7 @@ def test_views_match_the_eager_enumeration(n_ref):
         rng = np.random.default_rng([n_ref, seed])
         pattern = random_pattern(graph, rng)
         psi = random_input(2 + n_ref, rng)
-        classes = {cp: labeled_classes(array) for cp, array in exact_server_views(pattern, psi).items()}
+        classes = {cp: labeled_classes(array) for cp, array in exact_server_views([(pattern, psi)])[0].items()}
         eager = eager_exact_server_views(pattern, psi)
         assert list(classes) == list(eager)
         for checkpoint, buckets in eager.items():
@@ -168,7 +168,7 @@ def test_batched_views_match_the_walked_enumeration(n_columns, n_ref):
     rng = np.random.default_rng([n_columns, n_ref])
     pattern = random_pattern(graph, rng)
     psi = random_input(2 + n_ref, rng)
-    batched = {cp: labeled_classes(array) for cp, array in exact_server_views(pattern, psi).items()}
+    batched = {cp: labeled_classes(array) for cp, array in exact_server_views([(pattern, psi)])[0].items()}
     walked = walked_exact_server_views(pattern, psi)
     assert list(batched) == list(walked)
     for checkpoint, buckets in walked.items():
@@ -187,7 +187,7 @@ def test_a_zeroed_pad_leaks_through_the_batched_views(monkeypatch, fresh_view_la
 
     monkeypatch.setattr(harness, "_pad_layout", unpadded)
     pattern = MeasurementPattern(build_brickwork(2, 2), {1: 1, 2: 3})
-    a, b = (exact_server_views(pattern, PureState.computational(bits)) for bits in ("00", "11"))
+    a, b = exact_server_views([(pattern, PureState.computational(bits)) for bits in ("00", "11")])
     assert max(view_distance(a[cp], b[cp]) for cp in a) > 0.1
 
 
@@ -207,12 +207,13 @@ def test_every_branch_has_conditional_probability_one_half(monkeypatch, n_wires,
         return out
 
     monkeypatch.setattr(harness, "_project_first", measured)
-    monkeypatch.setattr(harness, "_class_matrices", lambda *args: {})  # only the branches are looked at
+    # only the branches are looked at; the walk splits a class array per scenario
+    monkeypatch.setattr(harness, "_class_matrices", lambda rows, code, n_classes, *args: np.zeros((n_classes, 1, 1)))
     graph = build_brickwork(n_wires, n_columns)
     rng = np.random.default_rng(n_wires * 10 + n_columns)
     n_qubits = n_wires + n_ref
     state = random_input(n_qubits, rng) if spec == "random" else PureState.computational(("0" if spec == "zeros" else "1") * n_qubits)
-    exact_server_views(random_pattern(graph, rng), state)
+    exact_server_views([(random_pattern(graph, rng), state)])
     assert len(ratios) == len(graph.measured_nodes)
     assert max(np.max(np.abs(r - 0.5)) for r in ratios) <= 1e-12
 
@@ -231,8 +232,12 @@ def test_the_largest_row_array_is_the_amplitude_count(monkeypatch, n_columns, n_
 
     monkeypatch.setattr(harness, "_project_first", measured)
     rng = np.random.default_rng(n_columns)
-    exact_server_views(random_pattern(graph, rng), random_input(2 + n_ref, rng))
+    exact_server_views([(random_pattern(graph, rng), random_input(2 + n_ref, rng))])
     assert max(sizes) == expected
+    # two 2x2 scenarios fit in _GRAM_CHUNK and are stacked; two 2x3 ones are walked one at a time
+    sizes.clear()
+    exact_server_views([(random_pattern(graph, rng), random_input(2 + n_ref, rng)) for _ in range(2)])
+    assert max(sizes) == (2 if n_columns == 2 else 1) * expected
 
 
 def test_the_amplitude_budget_admits_2x4_but_not_2x5_or_4x3():
@@ -264,14 +269,75 @@ def test_server_views_at_4x2_are_scenario_independent():
 def test_views_reject_an_input_register_smaller_than_the_graph():
     pattern = random_pattern(build_brickwork(2, 2), np.random.default_rng(0))
     with pytest.raises(ValueError, match="input register"):
-        exact_server_views(pattern, PureState.computational("0"))
+        exact_server_views([(pattern, PureState.computational("0"))])
 
 
 def test_views_reject_a_pattern_that_measures_nothing():
     # one column holds only outputs: the server never sees a round
     pattern = random_pattern(build_brickwork(2, 1), np.random.default_rng(0))
     with pytest.raises(ValueError, match="nothing is measured"):
-        exact_server_views(pattern, PureState.computational("00"))
+        exact_server_views([(pattern, PureState.computational("00"))])
+
+
+def test_views_refuse_an_empty_or_mismatched_scenario_list(monkeypatch):
+    """No scenario, graphs of different shapes and inputs of different sizes are refused before any row is built."""
+    monkeypatch.setattr(harness, "_prepared_rows", lambda *args: pytest.fail("a row was built"))
+    small, big = (random_pattern(build_brickwork(2, n_columns), np.random.default_rng(0)) for n_columns in (2, 3))
+    zeros = PureState.computational("00")
+    with pytest.raises(ValueError, match="no scenario"):
+        exact_server_views([])
+    with pytest.raises(ValueError, match="different graph dimensions"):
+        exact_server_views([(small, zeros), (big, zeros)])
+    with pytest.raises(ValueError, match="different input register sizes"):
+        exact_server_views([(small, zeros), (small, PureState.computational("000"))])
+
+
+@pytest.mark.parametrize("n_ref", [0, 1, 2])
+def test_a_two_scenario_walk_equals_two_one_scenario_walks(n_ref):
+    """Each scenario's checkpoint arrays from one stacked call are bit-identical to its own call, and
+    blindness_check gives the very floats view_distance gives on the two single walks."""
+    graph = build_brickwork(2, 2)
+    rng = np.random.default_rng([n_ref, 14])
+    scenarios = [(random_pattern(graph, rng), random_input(2 + n_ref, rng)) for _ in range(2)]
+    singles = [exact_server_views([scenario])[0] for scenario in scenarios]
+    stacked = exact_server_views(scenarios)
+    assert len(stacked) == 2
+    for views, single in zip(stacked, singles):
+        assert list(views) == list(single)
+        for checkpoint, matrices in single.items():
+            assert np.array_equal(views[checkpoint], matrices), checkpoint
+    a, b = singles
+    assert blindness_check(*scenarios[0], *scenarios[1]) == {cp: view_distance(a[cp], b[cp]) for cp in a}
+
+
+def test_classes_of_unequal_size_across_scenarios_take_a_pass_each(monkeypatch, fresh_view_layouts):
+    """With a zeroed pad two patterns fill different classes, so the class sizes differ between the
+    scenarios; each scenario then takes its own _class_matrices pass, bit-identical to its own call."""
+    layout, class_matrices, calls = harness._pad_layout, harness._class_matrices, []
+
+    def unpadded(*args):
+        theta, a = layout(*args)
+        return np.zeros_like(theta), a
+
+    def counted(*args):
+        calls.append(args[2])
+        return class_matrices(*args)
+
+    monkeypatch.setattr(harness, "_pad_layout", unpadded)
+    monkeypatch.setattr(harness, "_class_matrices", counted)
+    graph = build_brickwork(2, 2)
+    zeros = PureState.computational("00")
+    scenarios = [(MeasurementPattern(graph, {1: 0, 2: 0}), zeros), (MeasurementPattern(graph, {1: 1, 2: 3}), zeros)]
+    singles = [exact_server_views([scenario])[0] for scenario in scenarios]
+    calls.clear()
+    stacked = exact_server_views(scenarios)
+    # the prepared checkpoint has one class per scenario, of equal size, so one pass over the stack; every
+    # later pass over the stack meets classes of unequal size and raises, and each scenario takes its own
+    assert calls == [2] + [8, 4, 4] + [32, 16, 16] * 2
+    for views, single in zip(stacked, singles):
+        for checkpoint, matrices in single.items():
+            assert np.array_equal(views[checkpoint], matrices), checkpoint
+    assert max(view_distance(stacked[0][cp], stacked[1][cp]) for cp in single) > 0.1
 
 
 @pytest.mark.parametrize("n_wires,n_columns,n_ref", [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 0), (4, 2, 0)])
@@ -284,7 +350,7 @@ def test_derived_flip_states_equal_the_built_ones(n_wires, n_columns, n_ref):
     graph = build_brickwork(n_wires, n_columns)
     psi = random_input(n_wires + n_ref, np.random.default_rng([n_wires, n_columns, n_ref]))
     measured = graph.measured_nodes
-    rows = harness._prepared_rows(graph, psi)
+    rows = harness._prepared_rows(graph, [psi])
     assert len(rows) == 2 ** n_wires * 4 ** len(measured)
     rows = rows * np.sqrt(len(rows))  # each row carries the square root of its weight
     secrets = product(product((0, 1), repeat=n_wires), product(range(4), repeat=len(measured)))
@@ -299,7 +365,7 @@ def test_derived_flip_states_equal_the_built_ones(n_wires, n_columns, n_ref):
 def test_stacked_view_distance_equals_the_labelwise_sum(n_wires, n_columns):
     graph = build_brickwork(n_wires, n_columns)
     rng = np.random.default_rng([n_wires, n_columns, 5])
-    views = [exact_server_views(random_pattern(graph, rng), random_input(n_wires, rng)) for _ in range(2)]
+    views = [exact_server_views([(random_pattern(graph, rng), random_input(n_wires, rng))])[0] for _ in range(2)]
     for checkpoint in views[0]:
         a, b = views[0][checkpoint], views[1][checkpoint]
         zeroed = b.copy()
@@ -310,7 +376,7 @@ def test_stacked_view_distance_equals_the_labelwise_sum(n_wires, n_columns):
 
 def test_view_distance_refuses_arrays_of_different_shapes():
     """weighted_trace_norm would broadcast one class against four; view_distance raises instead."""
-    views = exact_server_views(random_pattern(build_brickwork(2, 2), np.random.default_rng(7)), random_input(2, np.random.default_rng(8)))
+    views = exact_server_views([(random_pattern(build_brickwork(2, 2), np.random.default_rng(7)), random_input(2, np.random.default_rng(8)))])[0]
     one, four = views["round:1"][:1], views["round:1"]
     assert harness.weighted_trace_norm(one, four) >= 0  # broadcasts without complaint
     for a, b in ((one, four), (four, one), (four, views["round:2"])):
@@ -323,7 +389,7 @@ def test_equal_graphs_build_the_layout_once(fresh_view_layouts):
     assert first is not second and first == second
     rng = np.random.default_rng(9)
     for graph in (first, second):
-        exact_server_views(random_pattern(graph, rng), random_input(2, rng))
+        exact_server_views([(random_pattern(graph, rng), random_input(2, rng))])
     info = harness._view_layout.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert harness._view_layout(first) is harness._view_layout(second)
@@ -370,7 +436,7 @@ def test_prepared_rows_equal_a_graph_state_built_per_view(n_wires, n_columns, n_
     graph = build_brickwork(n_wires, n_columns)
     rng = np.random.default_rng([n_wires, n_columns, n_ref, 1])
     psi = random_input(n_wires + n_ref, rng)
-    rows = harness._prepared_rows(graph, psi)
+    rows = harness._prepared_rows(graph, [psi])
     built = graph_state_prepared_rows(graph, psi)
     assert rows.shape == built.shape
     assert np.max(np.abs(rows - built)) <= 1e-12
@@ -389,7 +455,7 @@ def test_class_matrices_equal_the_masked_full_gram(monkeypatch, n_wires, n_colum
     monkeypatch.setattr(harness, "_class_matrices", recorded)
     graph = build_brickwork(n_wires, n_columns)
     rng = np.random.default_rng([n_wires, n_columns, n_ref, 2])
-    exact_server_views(random_pattern(graph, rng), random_input(n_wires + n_ref, rng))
+    exact_server_views([(random_pattern(graph, rng), random_input(n_wires + n_ref, rng))])
     assert len(calls) == len(graph.measured_nodes) + 2
     for args, matrices in calls:
         expected = full_gram_class_matrices(*args)
@@ -432,7 +498,7 @@ def test_one_graph_state_per_graph_and_no_system_per_view(monkeypatch, fresh_vie
     graphs = (build_brickwork(2, 2), build_brickwork(2, 3))
     for _ in range(3):
         for graph in graphs:
-            exact_server_views(random_pattern(graph, rng), random_input(3, rng))
+            exact_server_views([(random_pattern(graph, rng), random_input(3, rng))])
     assert builds == list(graphs)
     assert len(systems) == len(graphs)
 
@@ -449,7 +515,7 @@ def test_projection_is_bit_identical_to_the_one_with_a_temporary():
 def test_view_distance_equals_the_singular_value_sum(n_wires, n_columns):
     graph = build_brickwork(n_wires, n_columns)
     rng = np.random.default_rng([n_wires, n_columns, 13])
-    views = [exact_server_views(random_pattern(graph, rng), random_input(n_wires, rng)) for _ in range(2)]
+    views = [exact_server_views([(random_pattern(graph, rng), random_input(n_wires, rng))])[0] for _ in range(2)]
     for checkpoint in views[0]:
         a, b = views[0][checkpoint], views[1][checkpoint]
         zeroed = b.copy()

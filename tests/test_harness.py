@@ -47,14 +47,14 @@ def small_pattern(seed=0, angles=None):
 
 
 def test_exact_views_conserve_probability():
-    views = exact_server_views(small_pattern(angles={1: 3, 2: 5}), PureState.computational("10"))
+    views = exact_server_views([(small_pattern(angles={1: 3, 2: 5}), PureState.computational("10"))])[0]
     for checkpoint, classes in views.items():
         total = np.trace(classes, axis1=1, axis2=2).real.sum()
         assert total == pytest.approx(1.0, abs=1e-9), checkpoint
 
 
 def test_exact_views_have_the_expected_checkpoints():
-    views = exact_server_views(small_pattern(angles={1: 0, 2: 0}), PureState.computational("00"))
+    views = exact_server_views([(small_pattern(angles={1: 0, 2: 0}), PureState.computational("00"))])[0]
     assert set(views) == {"prepared", "round:1", "round:2", "delivered"}
     assert views["prepared"].shape == (1, 16, 16)
     # after both rounds one class per pair of angles mod 4, each a matrix of the two live nodes
@@ -82,19 +82,19 @@ def test_exact_views_refuse_oversized_graphs():
     g = build_brickwork(4, 4)
     pattern = random_pattern(g, np.random.default_rng(1))
     with pytest.raises(ValueError):
-        exact_server_views(pattern, PureState.computational("0000"))
+        exact_server_views([(pattern, PureState.computational("0000"))])
 
 
 def test_sampled_prepared_state_matches_the_enumeration():
     pattern = small_pattern(angles={1: 3, 2: 6})
     psi = PureState.computational("01")
-    exact = exact_server_views(pattern, psi)["prepared"][0]
+    exact = exact_server_views([(pattern, psi)])[0]["prepared"][0]
     sampled = sampled_prepared_density(pattern, psi, 1000, np.random.default_rng(2))
     assert trace_distance(DensityMatrix(exact), DensityMatrix(sampled)) < 0.05
 
 
 def test_view_distance_of_identical_views_is_zero():
-    views = exact_server_views(small_pattern(angles={1: 1, 2: 2}), PureState.computational("00"))
+    views = exact_server_views([(small_pattern(angles={1: 1, 2: 2}), PureState.computational("00"))])[0]
     for buckets in views.values():
         assert view_distance(buckets, buckets) == pytest.approx(0.0)
 
